@@ -21,9 +21,9 @@ refreshed with ``--update-baseline`` whenever the kernel legitimately
 changes speed class.
 
 Every run also measures the headline configuration's **deterministic
-per-stage cycle shares** (a traced run folded through
-:data:`repro.obs.events.DEFAULT_STAGE_RULES`) and appends a ``kind:
-"kernel"`` record to the bench-trajectory history
+per-stage cycle shares** (an untraced run's cycle breakdown folded
+through :data:`repro.obs.events.DEFAULT_STAGE_RULES`) and appends a
+``kind: "kernel"`` record to the bench-trajectory history
 (``benchmarks/BENCH_history.jsonl`` by default): config digest, headline
 speedup, per-cell throughput, stage shares, and — when a prior record
 exists — the stage whose share moved the most since.  A ``--check``
@@ -203,10 +203,10 @@ def measure_stage_shares(total_accesses: int = 40960) -> Dict[str, float]:
     """Deterministic per-stage cycle shares of the headline configuration.
 
     Runs the headline cell's config (at the short 40960-access size, so
-    this adds well under a second) once, batched, inside isolated
-    tracer/registry scopes, and folds its span stream through the default
-    stage rules.  Simulated cycles are seed-deterministic, so two runs on
-    any machines produce identical shares — which is what lets the
+    this adds well under a second) once, batched, inside an isolated
+    registry scope, and folds its threads' cycle breakdowns through the
+    default stage rules.  Simulated cycles are seed-deterministic, so two
+    runs on any machines produce identical shares — which is what lets the
     trajectory tracker diff shares across history records to attribute a
     *wall-clock* regression to the stage whose *simulated* share moved.
     """
@@ -216,7 +216,7 @@ def measure_stage_shares(total_accesses: int = 40960) -> Dict[str, float]:
     from repro.obs import events as obs_events
     from repro.sim.executor import SimThread
 
-    with obs.TRACER.isolated(enable=True), obs.METRICS.isolated(enable=True):
+    with obs.METRICS.isolated(enable=True):
         SimThread.reset_ids()
         BackingFile.reset_ids()
         run_config(

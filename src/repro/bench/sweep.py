@@ -30,12 +30,14 @@ determinism violation) and fails the sweep.
 Telemetry (DESIGN.md §10): by default every cell executes inside
 isolated tracer/registry scopes and ships a structured telemetry
 snapshot (:mod:`repro.obs.events`) back through its manifest record —
-per-stage cycle attribution, metrics, histogram summaries, span counts,
-retries, wall time.  The isolation is the worker-reuse guarantee: a
-pooled process that runs many cells gives each one a fresh registry and
-span ring, so no counter can leak between cells.  Telemetry is
-observational — state digests are identical with it on or off — and its
-deterministic view is byte-identical across reruns of the same cell.
+per-stage cycle attribution folded from the cell threads' cycle
+breakdowns, metrics, histogram summaries, retries, wall time.  Cells run
+untraced, so telemetry never changes which code path executes.  The
+isolation is the worker-reuse guarantee: a pooled process that runs many
+cells gives each one a fresh registry and span ring, so no counter can
+leak between cells.  Telemetry is observational — state digests are
+identical with it on or off — and its deterministic view is
+byte-identical across reruns of the same cell.
 ``--profile`` additionally wraps each cell in cProfile and writes
 content-addressed artifacts next to the manifest
 (:mod:`repro.obs.profiling`); ``--dashboard`` renders the aggregation
@@ -162,8 +164,10 @@ def _run_cell_observed(cell: Dict, telemetry: bool, profile_dir: Optional[str]):
     guarantee: each cell sees an empty span ring and an empty registry
     (plus a freshly reset process-wide lock aggregate), and the outer
     state — the orchestrator's own counters, in serial mode — is
-    restored untouched on exit.  Telemetry collection happens inside the
-    scope so the snapshot covers exactly this cell.
+    restored untouched on exit.  The tracer stays *disabled* inside the
+    cell, so observed cells take exactly the code path unobserved ones
+    do; stage attribution folds the cycle breakdowns of the clocks the
+    cell's threads registered in the scope.
     """
     from repro import obs
     from repro.obs import events as obs_events
@@ -172,7 +176,7 @@ def _run_cell_observed(cell: Dict, telemetry: bool, profile_dir: Optional[str]):
 
     module = _module_for(cell["runner"])
     extras: Dict = {}
-    with obs.TRACER.isolated(enable=True), obs.METRICS.isolated(enable=True):
+    with obs.TRACER.isolated(enable=False), obs.METRICS.isolated(enable=True):
         LOCK_STATS.reset()
         obs.METRICS.bind_object(
             "locks",
@@ -191,7 +195,6 @@ def _run_cell_observed(cell: Dict, telemetry: bool, profile_dir: Optional[str]):
         else:
             out = module.run_sweep_cell(dict(cell["params"]))
         wall = time.perf_counter() - start
-        attribution = obs.CycleAttribution.from_tracer(obs.TRACER)
         if telemetry:
             snapshot = obs_events.collect_cell_telemetry(wall_seconds=wall)
             extras["telemetry"] = _jsonable(snapshot)
@@ -201,7 +204,9 @@ def _run_cell_observed(cell: Dict, telemetry: bool, profile_dir: Optional[str]):
                 profile_dir,
                 cell["config_digest"],
                 profiler,
-                hotspots=obs_profiling.span_hotspots(attribution),
+                hotspots=obs_profiling.category_hotspots(
+                    obs_events.cell_categories()
+                ),
                 cell_id=cell["cell_id"],
             )
     return out, wall, extras

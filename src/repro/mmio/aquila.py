@@ -68,6 +68,13 @@ class AquilaEngine(MmioEngine):
     #: entry + dirty-tree scan (100 + 220) — whichever is smallest.
     sync_preamble_cycles = 100 + constants.AQUILA_MSYNC_SCAN_CYCLES
 
+    #: The fused-path counters show in telemetry whether the fast path ran.
+    METRIC_FIELDS = {
+        **MmioEngine.METRIC_FIELDS,
+        "ff_faults": "ff_faults",
+        "ff_evictions": "ff_evictions",
+    }
+
     def __init__(
         self,
         machine: Machine,

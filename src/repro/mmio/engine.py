@@ -114,6 +114,16 @@ class MmioEngine:
     #: pristine per-op reference, and hand-built stacks opt in explicitly.
     fastforward: bool = False
 
+    #: Counter attributes exposed as ``engine.<name>.*`` pull metrics.
+    METRIC_FIELDS: Dict[str, str] = {
+        "faults.total": "faults",
+        "faults.major": "major_faults",
+        "faults.minor": "minor_faults",
+        "faults.wp": "wp_faults",
+        "hit_runs": "hit_runs",
+        "batched_hits": "batched_hits",
+    }
+
     def __init__(self, machine: Machine, vmas: VMAStore, vmx: VMXCostModel) -> None:
         self.machine = machine
         self.vmas = vmas
@@ -135,18 +145,7 @@ class MmioEngine:
         self._mapped_vma_pages = 0
         self._ranges_disturbed = False
         self._dirtied = False
-        METRICS.bind_object(
-            f"engine.{self.name}",
-            self,
-            {
-                "faults.total": "faults",
-                "faults.major": "major_faults",
-                "faults.minor": "minor_faults",
-                "faults.wp": "wp_faults",
-                "hit_runs": "hit_runs",
-                "batched_hits": "batched_hits",
-            },
-        )
+        METRICS.bind_object(f"engine.{self.name}", self, self.METRIC_FIELDS)
 
     # -- mmap-compatible surface ------------------------------------------
 

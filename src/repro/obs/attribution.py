@@ -2,9 +2,10 @@
 
 :class:`CycleAttribution` turns a list of finished spans (from
 :class:`~repro.obs.trace.Tracer`) into exclusive-cycle totals per span
-name, per-span-name charge-category totals, and grouped stage summaries —
-the machinery behind the paper's Figure 7/8 breakdowns, derived from a
-real traced run instead of hand-assembled constants.
+name and per-span-name charge-category totals — the machinery behind the
+paper's Figure 7 breakdown, derived from a real traced run instead of
+hand-assembled constants.  (Sweep telemetry folds the always-on cycle
+breakdowns instead; see :mod:`repro.obs.events`.)
 
 Invariant used by the benchmarks: because a span's *self* cycles are its
 clock advance minus its children's, summing self cycles over every span
@@ -14,7 +15,7 @@ engines actually charged while traced work was running.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.obs.trace import Span, Tracer
 
@@ -87,35 +88,3 @@ class CycleAttribution:
                 for category, cycles in by_cat.items():
                     merged[category] = merged.get(category, 0.0) + cycles
         return merged
-
-    # -- grouping -----------------------------------------------------------------
-
-    def per_stage(
-        self,
-        rules: Sequence[Tuple[str, str]],
-        other: str = "other",
-    ) -> Dict[str, float]:
-        """Fold self cycles into named stages.
-
-        ``rules`` is an ordered list of ``(span_prefix, stage)`` pairs;
-        each span's self cycles go to the stage of the first matching
-        prefix, or to ``other``.  Every stage named in the rules appears
-        in the result (possibly 0.0), so tables have stable rows.
-        """
-        stages: Dict[str, float] = {stage: 0.0 for _, stage in rules}
-        stages.setdefault(other, 0.0)
-        for name, cycles in self._self.items():
-            for prefix, stage in rules:
-                if _matches(name, prefix):
-                    stages[stage] += cycles
-                    break
-            else:
-                stages[other] += cycles
-        return stages
-
-    def items(self) -> List[Tuple[str, float, int]]:
-        """``(name, self_cycles, count)`` rows sorted by cycles, descending."""
-        return sorted(
-            ((name, cycles, self._counts[name]) for name, cycles in self._self.items()),
-            key=lambda row: -row[1],
-        )

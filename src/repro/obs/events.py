@@ -4,9 +4,15 @@ A **cell telemetry snapshot** is the serializable summary a sweep worker
 ships back through the manifest channel after executing one figure cell:
 every metric the cell's registry collected (counters, gauges, pull
 probes, histogram bucket dumps plus quantile summaries), the per-stage
-:class:`~repro.obs.attribution.CycleAttribution` of its span stream, the
-span/drop counts, fault-retry totals, lock contention, and the cell's
-wall time.
+attribution of its simulated cycles, span/drop counts, fault-retry
+totals, lock contention, and the cell's wall time.
+
+Stage attribution comes from the always-on cycle ledger, not from spans:
+every :class:`~repro.sim.executor.SimThread` registers its clock with the
+active registry scope at construction, and the snapshot folds those
+clocks' :class:`~repro.sim.clock.Breakdown` categories through
+:data:`DEFAULT_STAGE_RULES`.  A cell therefore needs no tracer to be
+observed, and its attribution covers every cycle its threads charged.
 
 The determinism contract mirrors the sweep's state-digest contract
 (DESIGN.md §10): everything in the snapshot except the explicitly
@@ -21,47 +27,91 @@ state digest.
 
 from __future__ import annotations
 
+from fnmatch import fnmatchcase
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.attribution import CycleAttribution
 from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.trace import TRACER, Tracer
 
 #: Telemetry schema version (bump on incompatible snapshot changes).
-TELEMETRY_SCHEMA = 1
+TELEMETRY_SCHEMA = 2
 
 #: Top-level snapshot keys excluded from the deterministic view: wall
 #: time is honest but machine-dependent, and ``env`` is reserved for
 #: environment facts (hostnames, pids) a caller may attach.
 NONDETERMINISTIC_KEYS = ("wall_seconds", "env")
 
-#: Ordered (span prefix -> stage) folding rules covering every span the
-#: stack emits; the first match wins, unmatched spans land in "other".
-#: These are the stages the bench-trajectory tracker diffs when a kernel
-#: speedup regresses (the stage whose cycle share moved is the suspect).
+#: Ordered (breakdown-category glob -> stage) folding rules; the first
+#: match wins.  These are the
+#: stages the bench-trajectory tracker diffs when a kernel speedup
+#: regresses (the stage whose cycle share moved is the suspect).
 DEFAULT_STAGE_RULES: Tuple[Tuple[str, str], ...] = (
-    ("op", "app"),
-    ("fault.io", "device_io"),
-    ("io.device", "device_io"),
-    ("fault.readahead", "device_io"),
-    ("io.syscall", "syscall"),
-    ("msync", "msync"),
-    ("writeback", "writeback"),
-    ("reclaim", "cache_mgmt"),
-    ("evict", "cache_mgmt"),
-    ("ucache", "cache_mgmt"),
-    ("fault.retry", "retry"),
-    ("fault", "fault_path"),
-    ("tlb.shootdown", "tlb"),
-    ("sweep.cell", "orchestrator"),
+    ("*.retry_backoff", "retry"),
+    ("app.*", "app"),
+    ("fault.io*", "device_io"),
+    ("idle.io*", "device_io"),
+    ("idle.fault.io*", "device_io"),
+    ("io.syscall*", "syscall"),
+    ("io.*", "device_io"),
+    ("syscall.msync", "msync"),
+    ("msync.*", "msync"),
+    ("syscall.*", "syscall"),
+    ("vmcall.*", "syscall"),
+    ("writeback.*", "writeback"),
+    ("reclaim.writeback*", "writeback"),
+    ("cache.*", "cache_mgmt"),
+    ("evict.*", "cache_mgmt"),
+    ("reclaim.*", "cache_mgmt"),
+    ("ucache.*", "cache_mgmt"),
+    ("fault.*", "fault_path"),
+    ("tlb.*", "tlb"),
+    ("interference.ipi", "tlb"),
+    ("idle.*", "idle"),
 )
 
-#: How many top spans (by exclusive cycles) a snapshot retains.
-TOP_SPAN_LIMIT = 12
+#: How many top breakdown categories (by cycles) a snapshot retains.
+TOP_CATEGORY_LIMIT = 12
 
 
 def _as_number(value: Any) -> float:
     return float(value) if isinstance(value, (int, float)) else 0.0
+
+
+def cell_categories(registry: Optional[MetricsRegistry] = None) -> Dict[str, float]:
+    """Cycles per breakdown category, merged over the scope's clocks."""
+    registry = registry if registry is not None else METRICS
+    merged: Dict[str, float] = {}
+    for clock in registry.clocks():
+        for category, cycles in clock.breakdown.items():
+            merged[category] = merged.get(category, 0.0) + cycles
+    return dict(sorted(merged.items()))
+
+
+def fold_stages(
+    categories: Dict[str, float],
+    rules: Sequence[Tuple[str, str]] = DEFAULT_STAGE_RULES,
+) -> Dict[str, float]:
+    """Fold category cycles into stages by the first matching glob rule.
+
+    Unmatched categories land in "other".  Every stage named in the rules
+    appears in the result (possibly 0.0), so tables have stable rows.
+    """
+    stages: Dict[str, float] = {stage: 0.0 for _, stage in rules}
+    stages.setdefault("other", 0.0)
+    for category, cycles in sorted(categories.items()):
+        stage = next(
+            (stage for pattern, stage in rules if fnmatchcase(category, pattern)),
+            "other",
+        )
+        stages[stage] += cycles
+    return stages
+
+
+def top_categories(
+    categories: Dict[str, float], limit: int = TOP_CATEGORY_LIMIT
+) -> List[Tuple[str, float]]:
+    """The ``limit`` largest ``(category, cycles)`` pairs, descending."""
+    return sorted(categories.items(), key=lambda row: (-row[1], row[0]))[:limit]
 
 
 def collect_cell_telemetry(
@@ -70,26 +120,20 @@ def collect_cell_telemetry(
     stage_rules: Sequence[Tuple[str, str]] = DEFAULT_STAGE_RULES,
     wall_seconds: Optional[float] = None,
 ) -> Dict[str, Any]:
-    """One cell's telemetry snapshot from its tracer + registry state.
+    """One cell's telemetry snapshot from its registry (and tracer) state.
 
     Call at the end of a cell, inside the same
-    :meth:`~repro.obs.trace.Tracer.isolated` /
     :meth:`~repro.obs.metrics.MetricsRegistry.isolated` scope the cell
-    ran in, so the snapshot sees exactly the cell's own spans and
-    metrics.  Every field except ``wall_seconds`` is deterministic given
-    the cell's params.
+    ran in, so the snapshot sees exactly the cell's own clocks and
+    metrics.  The tracer only contributes its span/drop counts, which
+    are 0/0 for an untraced cell.  Every field except ``wall_seconds``
+    is deterministic given the cell's params.
     """
     tracer = tracer if tracer is not None else TRACER
     registry = registry if registry is not None else METRICS
-    attribution = CycleAttribution.from_tracer(tracer)
-    stages = attribution.per_stage(list(stage_rules))
+    categories = cell_categories(registry)
+    stages = fold_stages(categories, stage_rules)
     snapshot = registry.snapshot()
-    top_spans = [
-        {"name": name, "self_cycles": round(cycles, 2), "count": count}
-        for name, cycles, count in sorted(
-            attribution.items(), key=lambda row: (-row[1], row[0])
-        )[:TOP_SPAN_LIMIT]
-    ]
     telemetry: Dict[str, Any] = {
         "schema": TELEMETRY_SCHEMA,
         "metrics": snapshot,
@@ -99,8 +143,11 @@ def collect_cell_telemetry(
         },
         "attribution": {
             "stages": {stage: round(cycles, 2) for stage, cycles in stages.items()},
-            "total_cycles": round(attribution.total_cycles(), 2),
-            "top_spans": top_spans,
+            "total_cycles": round(sum(categories.values()), 2),
+            "top_categories": [
+                {"category": category, "cycles": round(cycles, 2)}
+                for category, cycles in top_categories(categories)
+            ],
         },
         "spans": {
             "finished": tracer.total_finished,

@@ -198,6 +198,7 @@ class MetricsRegistry:
         self._metrics: Dict[str, Union[Counter, Gauge, Histogram]] = {}
         self._probes: Dict[str, Callable[[], float]] = {}
         self._prefixes: Dict[str, int] = {}
+        self._clocks: List[Any] = []
 
     # -- control ---------------------------------------------------------------
 
@@ -210,10 +211,11 @@ class MetricsRegistry:
         self.enabled = False
 
     def reset(self) -> None:
-        """Drop every metric and probe (fresh run)."""
+        """Drop every metric, probe and clock (fresh run)."""
         self._metrics = {}
         self._probes = {}
         self._prefixes = {}
+        self._clocks = []
 
     @contextmanager
     def isolated(self, enable: bool = True):
@@ -224,13 +226,14 @@ class MetricsRegistry:
         across cells) while the orchestrator's own counters — created in
         the outer state — survive untouched in serial mode.
         """
-        saved = (self.enabled, self._metrics, self._probes, self._prefixes)
+        saved = (self.enabled, self._metrics, self._probes, self._prefixes, self._clocks)
         self.enabled = enable
-        self._metrics, self._probes, self._prefixes = {}, {}, {}
+        self._metrics, self._probes, self._prefixes, self._clocks = {}, {}, {}, []
         try:
             yield self
         finally:
-            self.enabled, self._metrics, self._probes, self._prefixes = saved
+            (self.enabled, self._metrics, self._probes, self._prefixes,
+             self._clocks) = saved
 
     # -- push metrics ------------------------------------------------------------
 
@@ -297,6 +300,19 @@ class MetricsRegistry:
             else:
                 fn = (lambda obj=obj, spec=spec: getattr(obj, spec))
             self._probes[f"{prefix}.{suffix}"] = fn
+
+    def register_clock(self, clock: Any) -> None:
+        """Track a simulated thread's clock for breakdown-derived telemetry.
+
+        Called once per clock at construction; nothing is sampled until
+        snapshot time, so the clock's charge path stays untouched.
+        """
+        if self.enabled:
+            self._clocks.append(clock)
+
+    def clocks(self) -> List[Any]:
+        """Every clock registered in the current scope, in creation order."""
+        return list(self._clocks)
 
     # -- collection ---------------------------------------------------------------
 

@@ -1,13 +1,12 @@
-"""Opt-in per-cell profiling: cProfile plus a span-keyed hotspot report.
+"""Opt-in per-cell profiling: cProfile plus a sim-cycle hotspot report.
 
 ``repro.bench sweep --profile`` wraps every cell in a
-:mod:`cProfile` run and, because the cell also executes under an
-isolated tracer, derives a **sim-cycle hotspot** list from the cell's
-own spans: the top span names by exclusive simulated cycles, i.e. where
-the *simulated* time went, next to where the *wall* time went.  Both
-land as content-addressed artifacts (named by the cell's config digest)
-next to the manifest, so a slow cell can be diagnosed from artifacts
-alone — re-running it is optional.
+:mod:`cProfile` run and derives a **sim-cycle hotspot** list from the
+cell's cycle breakdown: the top breakdown categories by simulated
+cycles, i.e. where the *simulated* time went, next to where the *wall*
+time went.  Both land as content-addressed artifacts (named by the
+cell's config digest) next to the manifest, so a slow cell can be
+diagnosed from artifacts alone — re-running it is optional.
 
 Profiling is observational: it slows the cell's wall clock but touches
 no simulation state, so state and telemetry digests are unchanged.
@@ -21,18 +20,15 @@ import os
 import pstats
 from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
-from repro.obs.attribution import CycleAttribution
+from repro.obs.events import TOP_CATEGORY_LIMIT, top_categories
 
 T = TypeVar("T")
 
 #: Profile artifact schema version.
-PROFILE_SCHEMA = 1
+PROFILE_SCHEMA = 2
 
 #: How many cProfile rows the hotspot JSON retains.
 TOP_FUNCTION_LIMIT = 20
-
-#: How many span rows the hotspot JSON retains.
-TOP_SPAN_LIMIT = 12
 
 
 def profile_call(fn: Callable[..., T], *args: Any, **kwargs: Any) -> Tuple[T, cProfile.Profile]:
@@ -69,20 +65,18 @@ def top_functions(profiler: cProfile.Profile, limit: int = TOP_FUNCTION_LIMIT) -
     return rows[:limit]
 
 
-def span_hotspots(
-    attribution: CycleAttribution, limit: int = TOP_SPAN_LIMIT
+def category_hotspots(
+    categories: Dict[str, float], limit: int = TOP_CATEGORY_LIMIT
 ) -> List[Dict]:
-    """The hottest spans by exclusive simulated cycles, with shares."""
-    total = attribution.total_cycles() or 1.0
-    rows = sorted(attribution.items(), key=lambda row: (-row[1], row[0]))[:limit]
+    """The hottest breakdown categories by simulated cycles, with shares."""
+    total = sum(categories.values()) or 1.0
     return [
         {
-            "span": name,
-            "self_cycles": round(cycles, 2),
-            "count": count,
+            "category": category,
+            "cycles": round(cycles, 2),
             "share": round(cycles / total, 4),
         }
-        for name, cycles, count in rows
+        for category, cycles in top_categories(categories, limit)
     ]
 
 
@@ -99,7 +93,7 @@ def write_profile_artifacts(
     digest (so re-running the same cell overwrites rather than
     duplicates): ``<digest>.pstats`` — the raw cProfile dump, loadable
     with :class:`pstats.Stats` — and ``<digest>.hotspots.json`` — the
-    span-cycle hotspots plus the top wall-time functions.  Returns the
+    category-cycle hotspots plus the top wall-time functions.  Returns the
     two paths keyed ``pstats`` / ``hotspots``.
     """
     os.makedirs(profile_dir, exist_ok=True)
@@ -112,7 +106,7 @@ def write_profile_artifacts(
                 "schema": PROFILE_SCHEMA,
                 "config_digest": config_digest,
                 "cell_id": cell_id,
-                "span_hotspots": hotspots or [],
+                "category_hotspots": hotspots or [],
                 "top_functions": top_functions(profiler),
             },
             handle,

@@ -61,6 +61,7 @@ import math
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 from repro.common.errors import SimulationError
+from repro.obs.metrics import METRICS
 from repro.sim.clock import Breakdown, CycleClock
 from repro.sim.stats import LatencyRecorder
 
@@ -96,6 +97,8 @@ class SimThread:
         self.name = name or f"thread-{self.tid}"
         self.clock = CycleClock()
         self.clock.owner_name = self.name
+        # Stage attribution folds this clock's breakdown at snapshot time.
+        METRICS.register_clock(self.clock)
         self.latencies = LatencyRecorder()
         self.ops_completed = 0
         #: Batched-mode run-ahead limit published by the executor before

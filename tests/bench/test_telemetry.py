@@ -1,11 +1,14 @@
 """Per-cell telemetry: byte-identity, conformance safety, worker isolation.
 
-The observability plane's three contracts (DESIGN.md §10), each pinned
-here against real sweep cells:
+The observability plane's contracts (DESIGN.md §10), each pinned here
+against real sweep cells:
 
 * **byte-identity** — two runs of the same cell produce byte-identical
   deterministic telemetry views;
-* **conformance safety** — telemetry on/off changes no state digest;
+* **conformance safety** — telemetry on/off changes no state digest and
+  no code path (the fused fault path runs either way);
+* **full coverage** — stage attribution accounts for every cycle every
+  cell thread charged;
 * **worker isolation** — two cells executed back to back in one process
   (the pooled-worker lifecycle) see independent registries and span
   rings, and leak nothing into the orchestrator's own metrics.
@@ -17,8 +20,10 @@ import os
 import pytest
 
 from repro.bench.sweep import _execute_cell, enumerate_cells, run_sweep
+from repro.mmio.aquila import AquilaEngine
 from repro.obs import METRICS, TRACER
 from repro.obs.events import telemetry_bytes
+from repro.sim.executor import SimThread
 
 
 @pytest.fixture(autouse=True)
@@ -31,9 +36,22 @@ def _globals_off():
 
 
 def _cell(cell_id="fig10a/shared/aquila/t4"):
-    cells = enumerate_cells(["fig10a"], "bench")
+    cells = enumerate_cells([cell_id.split("/")[0]], "bench")
     (cell,) = [c for c in cells if c["cell_id"] == cell_id]
     return cell
+
+
+def _capture(monkeypatch, cls):
+    """Record every ``cls`` instance constructed from now on."""
+    instances = []
+    init = cls.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        instances.append(self)
+
+    monkeypatch.setattr(cls, "__init__", recording_init)
+    return instances
 
 
 class TestByteIdentity:
@@ -67,6 +85,24 @@ class TestConformanceSafety:
         assert with_telemetry["state_digest"] == without["state_digest"]
         assert "telemetry" not in without
 
+    @pytest.mark.parametrize(
+        "cell_id", ["fig10b/shared/aquila/t16", "fig10a/shared/aquila/t4"]
+    )
+    def test_observing_a_cell_does_not_change_its_path(self, monkeypatch, cell_id):
+        engines = _capture(monkeypatch, AquilaEngine)
+        cell = _cell(cell_id)
+        observed = _execute_cell({**cell, "obs": {"telemetry": True}})
+        plain = _execute_cell({**cell, "obs": {"telemetry": False}})
+        assert observed["state_digest"] == plain["state_digest"]
+        fields = ("ff_faults", "ff_evictions", "batched_hits")
+        on, off = ([getattr(e, f) for f in fields] for e in engines)
+        assert on == off
+        assert on[0] > 0, "the fused fault path must run in a sweep cell"
+        metrics = observed["telemetry"]["metrics"]
+        assert metrics["engine.aquila.ff_faults"] == on[0]
+        assert metrics["engine.aquila.ff_evictions"] == on[1]
+        assert observed["telemetry"]["spans"] == {"finished": 0, "dropped": 0}
+
     def test_profiling_does_not_change_state_digest(self, tmp_path):
         cell = _cell()
         plain = _execute_cell({**cell, "obs": {"telemetry": True}})
@@ -75,6 +111,22 @@ class TestConformanceSafety:
         )
         assert profiled["state_digest"] == plain["state_digest"]
         assert profiled["telemetry_digest"] == plain["telemetry_digest"]
+
+
+class TestAttributionCoverage:
+    def test_attribution_covers_every_thread_cycle(self, monkeypatch):
+        """Long cells are attributed in full, not just their tail."""
+        threads = _capture(monkeypatch, SimThread)
+        cell = _cell("fig10b/shared/linux/t1")
+        attribution = _execute_cell({**cell, "obs": {"telemetry": True}})[
+            "telemetry"
+        ]["attribution"]
+        charged = sum(thread.clock.breakdown.total() for thread in threads)
+        assert charged > 0
+        assert attribution["total_cycles"] == pytest.approx(charged, rel=1e-12)
+        assert sum(attribution["stages"].values()) == pytest.approx(
+            charged, rel=1e-9
+        )
 
 
 class TestWorkerIsolation:
@@ -136,7 +188,10 @@ class TestProfileArtifacts:
             hotspots = json.load(handle)
         assert hotspots["config_digest"] == cell["config_digest"]
         assert hotspots["cell_id"] == cell["cell_id"]
-        assert hotspots["span_hotspots"], "span hotspots must be populated"
+        rows = hotspots["category_hotspots"]
+        assert rows, "category hotspots must be populated"
+        assert rows[0]["cycles"] == max(row["cycles"] for row in rows)
+        assert set(rows[0]) == {"category", "cycles", "share"}
         assert hotspots["top_functions"], "cProfile rows must be populated"
         import pstats
 

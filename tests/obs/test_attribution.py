@@ -80,28 +80,3 @@ class TestCharges:
             "fault.pte_install": 50,
             "idle.io": 1000,
         }
-
-
-class TestPerStage:
-    def test_first_match_wins_and_other(self, tracer):
-        clock = CycleClock()
-        _trace_fault(tracer, clock, 1000)
-        with tracer.span("evict", clock):
-            clock.charge("cache.lru", 90)
-        att = CycleAttribution.from_tracer(tracer)
-        stages = att.per_stage(
-            [("fault.io", "device"), ("fault", "fault-path"), ("reclaim", "reclaim")]
-        )
-        assert stages == {
-            "device": 1000,
-            "fault-path": 150,
-            "reclaim": 0.0,     # rule stage present even with no matching span
-            "other": 90,        # "evict" matched nothing
-        }
-
-    def test_items_sorted_by_cycles_desc(self, tracer):
-        clock = CycleClock()
-        _trace_fault(tracer, clock, 1000)
-        att = CycleAttribution.from_tracer(tracer)
-        rows = att.items()
-        assert rows == [("fault.io", 1000, 1), ("fault", 150, 1)]
