@@ -84,80 +84,6 @@ class UserSpaceCache:
         lock.release(clock, thread_id)
         return data
 
-    def get_run(
-        self, clock: CycleClock, thread_id: int, file_id: int, blocks, index: int
-    ) -> int:
-        """Retire consecutive cached-block lookups, charging in bulk.
-
-        Probes ``blocks[index:]`` for a run of consecutive hits, charges
-        ``n x USERCACHE_LOOKUP_CYCLES`` in one call, then replays the LRU
-        touches and per-shard lock acquire/release pairs.  Only valid for
-        a solo-threaded batched run (``ExplicitIOEngine.read_run``): with
-        one thread the locks are free, so acquisitions charge nothing and
-        the bulk charge is cycle-identical to per-block charging (all
-        per-block costs are integers and the solo CPI factor is 1.0).
-        Block data is not materialized — batched callers discard it.
-
-        Returns the number of hits consumed (0 if the first block misses).
-        """
-        total = len(blocks)
-        end = index
-        while end < total:
-            key = (file_id, blocks[end])
-            if self._shards[self._shard_of(key)].get(key) is None:
-                break
-            end += 1
-        consumed = end - index
-        if not consumed:
-            return 0
-        clock.charge("ucache.lookup", consumed * constants.USERCACHE_LOOKUP_CYCLES)
-        for i in range(index, end):
-            key = (file_id, blocks[i])
-            shard_id = self._shard_of(key)
-            lock = self._locks[shard_id]
-            lock.acquire(clock, thread_id, "idle.lock.ucache")
-            self._shards[shard_id].move_to_end(key)
-            self.hits += 1
-            lock.release(clock, thread_id)
-        return consumed
-
-    def get_run_fast(
-        self, clock: CycleClock, file_id: int, blocks, index: int
-    ) -> int:
-        """Fast-forward variant of :meth:`get_run`: no per-hit lock replay.
-
-        Valid under the same solo-threaded contract as ``get_run`` plus
-        the fast-forward gates the engine checks (CPI 1.0, no open
-        observation span).  A solo thread's clock is monotone, so the
-        skipped acquire/release pairs could never have waited or charged
-        — the lock timelines they would have touched carry no digested
-        or behavior-visible state for a single thread.  Every digested
-        effect (bulk lookup charge, LRU touch order, hit count) is
-        replayed identically.
-
-        Returns the number of hits consumed (0 if the first block misses).
-        """
-        shards = self._shards
-        shard_of = self._shard_of
-        total = len(blocks)
-        end = index
-        while end < total:
-            key = (file_id, blocks[end])
-            if shards[shard_of(key)].get(key) is None:
-                break
-            end += 1
-        consumed = end - index
-        if not consumed:
-            return 0
-        clock.charge(
-            "ucache.lookup", consumed * constants.USERCACHE_LOOKUP_CYCLES
-        )
-        for i in range(index, end):
-            key = (file_id, blocks[i])
-            shards[shard_of(key)].move_to_end(key)
-        self.hits += consumed
-        return consumed
-
     def insert(
         self, clock: CycleClock, thread_id: int, file_id: int, block: int, data: bytes
     ) -> None:

@@ -7,10 +7,10 @@ spanning the *whole logical dataset* — pages are addressed by their
 global index, so only the pages this shard owns (or holds replicas of)
 are ever faulted in.  Epoch by epoch it (1) applies the replication
 messages delivered at the boundary, then (2) serves its slice of the
-global client op stream through the engine's ordinary load/store paths —
-including the batched ``hit_run`` fast path and the analytic
-fast-forward — collecting an outbox of cycle-stamped replication
-messages for the writes it served.
+global client op stream through the engine's ``retire`` primitive —
+including its batched hit runs and the analytic fast-forward —
+collecting an outbox of cycle-stamped replication messages for the
+writes it served.
 
 Identity discipline: every shard resets the global ``SimThread`` /
 ``BackingFile`` id counters before building its stack, so a shard sees
@@ -38,7 +38,6 @@ from repro.cluster.bus import ShardMessage
 from repro.common import units
 from repro.mmio.files import BackingFile
 from repro.mmio.vma import MADV_RANDOM
-from repro.obs import TRACER
 from repro.sim.conformance import stack_state_digest
 from repro.sim.executor import SimThread, make_epoch_executor
 from repro.sim.fastforward import AccessPlan
@@ -171,80 +170,41 @@ class ShardSim:
     def _serve_workload(
         self, ops: ShardOps, outbox: List[ShardMessage]
     ) -> Iterator[None]:
-        """The epoch's client-serving iterator (one op or run per step).
+        """The epoch's client-serving iterator (one ``retire`` per step).
 
-        Structurally the microbenchmark's ``access_workload`` — slow-path
-        per-op service, batched ``hit_run``, fast-forward single-op
-        retirement — plus the completion cursor that stamps each served
-        write into ``outbox`` with the shared-arithmetic completion cycle
-        (module docstring).
+        Structurally the microbenchmark's ``access_workload`` plus the
+        completion cursor that stamps each served write into ``outbox``
+        with the shared-arithmetic completion cycle (module docstring).
         """
         engine = self.engine
         thread = self.thread
-        mapping = self.mapping
         pages_seq, offsets_seq, writes_seq = ops.pages, ops.offsets, ops.writes
         np_pages = np_writes = None
         if _np is not None:
             np_pages = _np.asarray(pages_seq, dtype=_np.int64)
             np_writes = _np.asarray(writes_seq, dtype=bool)
         plan = AccessPlan.build(pages_seq, offsets_seq, writes_seq, np_pages, np_writes)
-        load_op_fast = engine.load_op_fast
-        samples = thread.latencies._samples
         cursor = thread.clock.now
         index = 0
         total = len(pages_seq)
-
-        def emit(op_index: int, completion: float) -> None:
-            if writes_seq[op_index] and ops.dests[op_index]:
-                outbox.append(
-                    ShardMessage(
-                        cycle=completion,
-                        shard_id=self.shard_id,
-                        seq=len(outbox),
-                        kind=KIND_REPLICATE,
-                        dest=ops.dests[op_index],
-                        key=ops.keys[op_index],
-                        page=pages_seq[op_index],
-                        offset=offsets_seq[op_index],
-                    )
-                )
-
         while index < total:
-            horizon = thread.run_horizon
-            if horizon is not None:
-                consumed = engine.hit_run(
-                    thread, mapping, plan, index, horizon, WRITE_DATA
-                )
-                if consumed:
-                    base = len(samples) - consumed
-                    for j in range(consumed):
-                        cursor += samples[base + j]
-                        emit(index + j, cursor)
-                    index += consumed
-                    yield
-                    continue
-                if (
-                    engine.fastforward
-                    and not writes_seq[index]
-                    and load_op_fast(
-                        thread, mapping, pages_seq[index], offsets_seq[index]
+            consumed = engine.retire(thread, self.mapping, plan, index, WRITE_DATA)
+            for latency in thread.latencies.last(consumed):
+                cursor += latency
+                if writes_seq[index] and ops.dests[index]:
+                    outbox.append(
+                        ShardMessage(
+                            cycle=cursor,
+                            shard_id=self.shard_id,
+                            seq=len(outbox),
+                            kind=KIND_REPLICATE,
+                            dest=ops.dests[index],
+                            key=ops.keys[index],
+                            page=pages_seq[index],
+                            offset=offsets_seq[index],
+                        )
                     )
-                ):
-                    cursor += samples[-1]
-                    index += 1
-                    yield
-                    continue
-            start = thread.clock.now
-            offset = pages_seq[index] * units.PAGE_SIZE + offsets_seq[index]
-            with TRACER.span("op.access", thread.clock):
-                if writes_seq[index]:
-                    mapping.store(thread, offset, WRITE_DATA)
-                else:
-                    mapping.load(thread, offset, 8)
-            thread.record_op(start)
-            cursor += samples[-1]
-            emit(index, cursor)
-            index += 1
+                index += 1
             yield
 
     def run_epoch(

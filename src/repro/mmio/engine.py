@@ -50,6 +50,20 @@ from repro.sim.fastforward import (
 )
 
 
+def _stepped_sum(total: float, step: float, count: int) -> float:
+    """``total`` after ``count`` stepped float adds of ``step``.
+
+    Equals the per-op ``+=`` sequence bit for bit: integer-valued sums
+    below 2**53 are exact under any association, so they take one
+    multiply; anything else (a CPI-scaled step) replays the adds.
+    """
+    if step.is_integer() and total.is_integer() and total + step * count < 2.0**53:
+        return total + step * count
+    for _ in range(count):
+        total += step
+    return total
+
+
 class Mapping:
     """A live mapping handle returned by ``MmioEngine.mmap``."""
 
@@ -108,7 +122,7 @@ class MmioEngine:
 
     #: Analytic fast-forward switch (see ``repro.sim.fastforward``).  When
     #: True *and* a run's gates hold (unbounded horizon, integer clock, no
-    #: pending interference, vectorized plan), ``hit_run`` retires whole
+    #: pending interference, vectorized plan), ``retire`` retires whole
     #: all-hit windows in closed form and ``_ensure_mapped`` may take the
     #: engine's fused fault path.  Off by default: unbatched mode stays a
     #: pristine per-op reference, and hand-built stacks opt in explicitly.
@@ -137,7 +151,7 @@ class MmioEngine:
         self.major_faults = 0      # needed device I/O
         self.minor_faults = 0      # page present (race/hit) or write-protect
         self.wp_faults = 0         # write-protect (dirty-tracking) subset
-        self.hit_runs = 0          # batched-mode runs retired via hit_run
+        self.hit_runs = 0          # batched-mode hit runs retired by retire
         self.batched_hits = 0      # operations retired inside those runs
         self.ff_runs = 0           # analytic closed-form windows retired
         self.ff_hits = 0           # accesses retired inside those windows
@@ -344,69 +358,66 @@ class MmioEngine:
         with TRACER.span("fault", thread.clock):
             return self._fault(thread, mapping.vma, vpn, is_write)
 
-    def load_op_fast(self, thread: SimThread, mapping: Mapping, page: int, in_page: int) -> bool:
-        """Fused single-page slow-path read op (fast-forward mode only).
+    def retire(
+        self,
+        thread: SimThread,
+        mapping: Mapping,
+        plan,
+        index: int,
+        write_data: bytes,
+    ) -> int:
+        """Retire the next operations of ``plan`` from ``index``.
 
-        Replays exactly what ``load`` does for one in-bounds, single-page,
-        8-byte read — interference absorb, PTE probe, TLB access and hit
-        charge (or the fault protocol), latency record — without the
-        span/split/join machinery.  The loaded bytes are not materialized:
-        the microbenchmark discards them and ``read_partial`` is pure, so
-        skipping it is state-identical.  Returns False (caller must use
-        the generic path) without mutating anything when a gate fails.
+        ``plan`` is three parallel sequences ``(pages, in_page_offsets,
+        is_write_flags)``, one entry per access, each access inside one
+        page; a store writes ``write_data`` and a load reads as many
+        bytes (and discards them: a load changes no state).  In batched mode (``thread.run_horizon``
+        is set) a run of consecutive pure hits retires in one step
+        through the hit loop.  Otherwise — and whenever the next access
+        needs the fault path — exactly one access retires through the
+        reference protocol of :meth:`load`/:meth:`store`: the same
+        bounds check, protection check, charges and trace spans.  Every
+        retired access records its latency on ``thread.latencies``.
+
+        Returns the number of accesses retired (at least 1).
         """
+        pages, offsets, writes = plan
+        page = pages[index]
+        is_write = writes[index]
         clock = thread.clock
+        horizon = thread.run_horizon
         if (
-            not mapping.active
-            or clock.cpi_factor != 1.0
-            or clock._obs_span is not None
-            or TRACER.enabled
+            horizon is not None
+            and clock.now <= horizon
+            and self._is_hit(mapping, page, is_write)
         ):
-            return False
-        vma = mapping.vma
-        if not 0 <= page < vma.num_pages:
-            return False
+            return self._hit_run(thread, mapping, plan, index, horizon, write_data)
         start = clock.now
-        machine = self.machine
-        interference = machine.interference
-        if thread.core in interference._pending:
-            interference.absorb(thread.core, clock)
-        vpn = vma.start_vpn + page
-        pte = self.page_table._entries.get(vpn)
-        if pte is None:
-            self.faults += 1
-            frame = self._fault_fast(thread, vma, vpn)
-            if frame is None:
-                with TRACER.span("fault", clock):
-                    self._fault(thread, vma, vpn, False)
-        else:
-            # Pure hardware hit reached via the slow path (run horizon
-            # already crossed): TLB access + hit charge, fused.
-            tlb = machine.tlbs[thread.core]
-            entries = tlb._entries
-            now = clock.now
-            cycles = clock.breakdown._cycles
-            if vpn in entries:
-                entries.move_to_end(vpn)
-                tlb.hits += 1
-            else:
-                tlb.misses += 1
-                now += constants.TLB_MISS_WALK_CYCLES
-                cycles["tlb.miss_walk"] += float(constants.TLB_MISS_WALK_CYCLES)
-                entries[vpn] = None
-                entries.move_to_end(vpn)
-                if len(entries) > tlb.capacity:
-                    entries.popitem(last=False)
-            now += constants.LOAD_STORE_HIT_CYCLES
-            cycles["app.access"] += float(constants.LOAD_STORE_HIT_CYCLES)
-            clock.now = now
-            pte.accessed = True
-        thread.latencies._samples.append(clock.now - start)
-        thread.latencies._sorted_cache = None
-        thread.ops_completed += 1
-        return True
+        with TRACER.span("op.access", clock):
+            if not 0 <= page < mapping.vma.num_pages:
+                offset = page * units.PAGE_SIZE + offsets[index]
+                raise SegmentationFault(
+                    offset, f"access [{offset}, +{len(write_data)}) outside mapping"
+                )
+            frame = self._ensure_mapped(
+                thread, mapping, page * units.PAGE_SIZE, is_write
+            )
+            if is_write:
+                self._pool().write_partial(frame, offsets[index], write_data)
+        thread.record_op(start)
+        return 1
 
-    def hit_run(
+    def _is_hit(self, mapping: Mapping, page: int, is_write: bool) -> bool:
+        """Whether an access is a pure hardware hit: no software on its path."""
+        vma = mapping.vma
+        if not mapping.active or not 0 <= page < vma.num_pages:
+            return False
+        if is_write and not vma.prot & PROT_WRITE:
+            return False
+        pte = self.page_table.lookup(vma.start_vpn + page)
+        return pte is not None and (not is_write or pte.writable)
+
+    def _hit_run(
         self,
         thread: SimThread,
         mapping: Mapping,
@@ -417,172 +428,133 @@ class MmioEngine:
     ) -> int:
         """Retire a run of consecutive pure-hit accesses in one step.
 
-        ``accesses`` is a plan of three parallel sequences
-        ``(pages, in_page_offsets, is_write_flags)``, one entry per
-        access; the run starts at ``index`` and consumes while each
-        access starts at or before ``horizon`` and hits: PTE
-        present and writable when needed.  The charge sequence per access
-        is call-for-call identical to the hit branch of
+        The run starts at ``index`` and consumes while each access starts
+        at or before ``horizon`` and hits: PTE present and writable when
+        needed.  Per access, the loop replays the hit branch of
         :meth:`_ensure_mapped` (absorb interference, TLB access, hit
-        charge), so a batched run is cycle- and state-identical to the
-        same accesses retired one executor step at a time — the property
-        the ``tests/conformance`` tier checks.  Per-access latencies are
-        recorded as in unbatched mode; the run itself is one trace span at
-        most, not one per access.
+        charge) with the clock advanced op by op, so recorded latencies
+        are the stepped floats.  The per-category charges go through
+        running sums that start from the current breakdown (and open
+        span) value and add in stepped order, flushed once per run — bit
+        exact at any CPI factor.  A batched run is therefore cycle- and
+        state-identical to the same accesses retired one executor step at
+        a time, the property the ``tests/conformance`` tier checks.
 
-        Returns the number of accesses consumed (0 if the first one needs
-        the fault path — the caller falls back to ``load``/``store``).
+        The caller has checked that the first access hits, so at least
+        one is consumed; returns how many.
         """
-        if not mapping.active:
-            return 0
         vma = mapping.vma
         vma_writable = bool(vma.prot & PROT_WRITE)
         num_pages = vma.num_pages
         start_vpn = vma.start_vpn
         clock = thread.clock
         pages_seq, offsets_seq, writes_seq = accesses
-        # Early reject before the per-run setup below: miss-dominated
-        # cells call this once per op and consume nothing, so the
-        # zero-consumed path must cost no more than these few checks
-        # (they mirror the first loop iteration exactly).
-        if clock.now > horizon:
-            return 0
-        page = pages_seq[index]
-        is_write = writes_seq[index]
-        if (is_write and not vma_writable) or not 0 <= page < num_pages:
-            return 0
-        pte = self.page_table._entries.get(start_vpn + page)
-        if pte is None or (is_write and not pte.writable):
-            return 0
+        pte_get = self.page_table._entries.get
         machine = self.machine
         tlb = machine.tlb_of(thread)
-        lookup = self.page_table.lookup
-        pool = self._pool()
-        consumed = 0
+        interference = machine.interference
+        pending = interference._pending
+        core = thread.core
+        span = clock._obs_span
         total = len(pages_seq)
-        if clock.cpi_factor == 1.0 and clock._obs_span is None:
-            # Slim path: with CPI 1.0 every per-op charge is an integer
-            # float, so batching the breakdown updates (one dict write per
-            # run instead of per op) is bit-exact; with no open span the
-            # tracer hook in ``charge`` is a no-op we can skip.  The clock
-            # trajectory itself still advances per op, so recorded
-            # latencies are identical floats.
-            entries = tlb._entries
-            move_to_end = entries.move_to_end
-            tlb_capacity = tlb.capacity
-            interference = machine.interference
-            pending = interference._pending
-            core = thread.core
-            append = thread.latencies._samples.append
-            pte_get = self.page_table._entries.get
-            hit_cost = constants.LOAD_STORE_HIT_CYCLES
-            walk_cost = constants.TLB_MISS_WALK_CYCLES
-            now = clock.now
-            walks = 0
-            if (
-                self.fastforward
-                and horizon == math.inf
-                and total - index >= MIN_ANALYTIC_RUN
-                and core not in pending
-                and num_pages <= MAX_ANALYTIC_PAGES
-                and getattr(accesses, "np_pages", None) is not None
-                and now.is_integer()
-            ):
-                # Analytic fast-forward: with an unbounded horizon the
-                # whole remaining all-hit window can retire in closed form
-                # (see ``repro.sim.fastforward``).  The miss-rate model
-                # skips the setup when steady-state eviction would cut
-                # windows below the amortization floor anyway.
-                cache = getattr(self, "cache", None)
-                if cache is not None and expected_hit_run_length(
-                    self._mapped_vma_pages, cache.capacity_pages
-                ) >= MIN_ANALYTIC_RUN:
-                    # Each call retires at most MAX_ANALYTIC_WINDOW
-                    # accesses (profiling cost stays bounded); loop while
-                    # full windows keep retiring so long runs never fall
-                    # to the per-op loop.  Every gate above is preserved
-                    # across iterations: charges are integer (the clock
-                    # stays integer), no other thread runs inside this
-                    # call (pending interference cannot appear), and the
-                    # plan arrays don't change.
-                    while total - index >= MIN_ANALYTIC_RUN:
-                        retired = self._hit_run_analytic(
-                            thread, vma, tlb, accesses, index, total
-                        )
-                        if not retired:
-                            break
-                        index += retired
-                        consumed += retired
-                    now = clock.now
-            run_start = consumed
-            while index < total and now <= horizon:
-                page = pages_seq[index]
-                is_write = writes_seq[index]
-                if (is_write and not vma_writable) or not 0 <= page < num_pages:
-                    break
-                vpn = start_vpn + page
-                pte = pte_get(vpn)
-                if pte is None or (is_write and not pte.writable):
-                    break
-                start = now
-                if core in pending:
-                    clock.now = now
-                    interference.absorb(core, clock)
-                    now = clock.now
-                if vpn in entries:
-                    move_to_end(vpn)
-                    tlb.hits += 1
-                else:
-                    tlb.misses += 1
-                    now += walk_cost
-                    walks += 1
-                    entries[vpn] = None
-                    if len(entries) > tlb_capacity:
-                        entries.popitem(last=False)
-                now += hit_cost
-                pte.accessed = True
-                if is_write:
-                    pool.write_partial(pte.frame, offsets_seq[index], write_data)
-                append(now - start)
-                index += 1
-                consumed += 1
-            clock.now = now
-            loop_n = consumed - run_start
-            if loop_n:
-                cycles = clock.breakdown._cycles
-                cycles["app.access"] += hit_cost * loop_n
+        consumed = 0
+        if (
+            self.fastforward
+            and horizon == math.inf
+            and clock.cpi_factor == 1.0
+            and span is None
+            and total - index >= MIN_ANALYTIC_RUN
+            and core not in pending
+            and num_pages <= MAX_ANALYTIC_PAGES
+            and getattr(accesses, "np_pages", None) is not None
+            and clock.now.is_integer()
+        ):
+            # Analytic fast-forward: with an unbounded horizon the whole
+            # remaining all-hit window can retire in closed form (see
+            # ``repro.sim.fastforward``).  The miss-rate model skips the
+            # setup when steady-state eviction would cut windows below
+            # the amortization floor anyway.
+            cache = getattr(self, "cache", None)
+            if cache is not None and expected_hit_run_length(
+                self._mapped_vma_pages, cache.capacity_pages
+            ) >= MIN_ANALYTIC_RUN:
+                # Each call retires at most MAX_ANALYTIC_WINDOW accesses
+                # (profiling cost stays bounded); loop while full windows
+                # keep retiring so long runs never fall to the per-op
+                # loop.  Every gate above is preserved across iterations:
+                # charges are integer (the clock stays integer), no other
+                # thread runs inside this call (pending interference
+                # cannot appear), and the plan arrays don't change.
+                while total - index >= MIN_ANALYTIC_RUN:
+                    retired = self._hit_run_analytic(
+                        thread, vma, tlb, accesses, index, total
+                    )
+                    if not retired:
+                        break
+                    index += retired
+                    consumed += retired
+        entries = tlb._entries
+        move_to_end = entries.move_to_end
+        tlb_capacity = tlb.capacity
+        pool = self._pool()
+        hit_step = constants.LOAD_STORE_HIT_CYCLES * clock.cpi_factor
+        walk_step = constants.TLB_MISS_WALK_CYCLES * clock.cpi_factor
+        latencies: List[float] = []
+        append = latencies.append
+        walks = 0
+        now = clock.now
+        while index < total and now <= horizon:
+            page = pages_seq[index]
+            is_write = writes_seq[index]
+            if (is_write and not vma_writable) or not 0 <= page < num_pages:
+                break
+            vpn = start_vpn + page
+            pte = pte_get(vpn)
+            if pte is None or (is_write and not pte.writable):
+                # Needs the fault path: leave the whole op (including its
+                # interference absorb) to the one-op path so its recorded
+                # latency matches unbatched execution.
+                break
+            start = now
+            if core in pending:
+                clock.now = now
+                interference.absorb(core, clock)
+                now = clock.now
+            if vpn in entries:
+                move_to_end(vpn)
+                tlb.hits += 1
+            else:
+                tlb.misses += 1
+                now += walk_step
+                walks += 1
+                entries[vpn] = None
+                if len(entries) > tlb_capacity:
+                    entries.popitem(last=False)
+            now += hit_step
+            pte.accessed = True
+            if is_write:
+                pool.write_partial(pte.frame, offsets_seq[index], write_data)
+            append(now - start)
+            index += 1
+        clock.now = now
+        hits = len(latencies)
+        if hits:
+            ledgers = [clock.breakdown._cycles]
+            if span is not None:
+                ledgers.append(span.charges)
+            for ledger in ledgers:
                 if walks:
-                    cycles["tlb.miss_walk"] += walk_cost * walks
-            if consumed:
-                thread.latencies._sorted_cache = None
-                thread.ops_completed += consumed
-        else:
-            record_op = thread.record_op
-            while index < total and clock.now <= horizon:
-                page = pages_seq[index]
-                is_write = writes_seq[index]
-                if (is_write and not vma_writable) or not 0 <= page < num_pages:
-                    break
-                vpn = start_vpn + page
-                pte = lookup(vpn)
-                if pte is None or (is_write and not pte.writable):
-                    # Needs the fault path: leave the whole op (including
-                    # its interference absorb) to the caller's slow path so
-                    # its recorded latency matches unbatched execution.
-                    break
-                start = clock.now
-                machine.absorb_interference(thread)
-                tlb.access(vpn, clock)
-                clock.charge("app.access", constants.LOAD_STORE_HIT_CYCLES)
-                pte.accessed = True
-                if is_write:
-                    pool.write_partial(pte.frame, offsets_seq[index], write_data)
-                record_op(start)
-                index += 1
-                consumed += 1
-        if consumed:
-            self.hit_runs += 1
-            self.batched_hits += consumed
+                    ledger["tlb.miss_walk"] = _stepped_sum(
+                        ledger.get("tlb.miss_walk", 0.0), walk_step, walks
+                    )
+                ledger["app.access"] = _stepped_sum(
+                    ledger.get("app.access", 0.0), hit_step, hits
+                )
+            thread.latencies.extend(latencies)
+            consumed += hits
+        thread.ops_completed += consumed
+        self.hit_runs += 1
+        self.batched_hits += consumed
         return consumed
 
     def _hit_run_analytic(
@@ -590,11 +562,10 @@ class MmioEngine:
     ) -> int:
         """Retire a window of all-hit loads in closed form.
 
-        Called from the slim branch of :meth:`hit_run` — repeatedly,
-        while full windows keep retiring — under the analytic gates
-        (unbounded horizon, integer
-        clock, no pending interference, vectorized plan, CPI 1.0, tracer
-        idle).  The window is cut at the first write, the first
+        Called from :meth:`_hit_run` — repeatedly, while full windows
+        keep retiring — under the analytic gates (unbounded horizon,
+        integer clock, no pending interference, vectorized plan, CPI 1.0,
+        no open span).  The window is cut at the first write, the first
         out-of-bounds page, the first access whose PTE is missing, and
         the first access that would overflow the TLB, re-profiling until
         the cuts are stable; what remains is applied in bulk — cycle
@@ -659,13 +630,12 @@ class MmioEngine:
         add = hit_cost * n + walk_cost * walks
         if now + add >= 2.0**53:
             return 0  # stepped float adds would no longer be exact
-        samples = thread.latencies._samples
-        fill_start = len(samples)
-        samples.extend([float(hit_cost)] * n)
+        latencies = [float(hit_cost)] * n
         if walks:
             walk_lat = float(hit_cost + walk_cost)
             for pos in new_firsts:
-                samples[fill_start + pos] = walk_lat
+                latencies[pos] = walk_lat
+        thread.latencies.extend(latencies)
         cycles = clock.breakdown._cycles
         cycles["app.access"] += float(hit_cost * n)
         if walks:

@@ -12,7 +12,6 @@ the KV stores can swap it for an mmio engine behind one adapter.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from repro.common import constants, units
@@ -39,18 +38,11 @@ class ExplicitIOEngine:
     #: cache) behind *lock timelines*, not behind a fixed preamble charge.
     #: Misses and writes do start with a >= 300-cycle syscall, so this
     #: declaration is honest for them — but cache hits do not, which is
-    #: why :meth:`read_run` refuses to batch unless the thread runs solo.
+    #: why explicit reads never batch: every read is its own executor step.
     sync_preamble_cycles = constants.SYSCALL_CYCLES
 
     #: Retry policy for transient device faults (None = stack default).
     retry_policy: Optional[RetryPolicy] = None
-
-    #: Analytic fast-forward switch (mirrors ``MmioEngine.fastforward``).
-    #: When on, :meth:`read_run` retires solo hit runs through
-    #: :meth:`UserSpaceCache.get_run_fast`, which skips the per-hit lock
-    #: replay that a solo thread could never contend on.  Mode metadata,
-    #: excluded from conformance digests.
-    fastforward: bool = False
 
     def __init__(
         self,
@@ -102,55 +94,6 @@ class ExplicitIOEngine:
         with TRACER.span("ucache.insert", clock):
             self.cache.insert(clock, thread.tid, file.file_id, block, data)
         return data
-
-    def read_run(
-        self,
-        thread: SimThread,
-        file: BackingFile,
-        blocks,
-        index: int,
-        horizon: float,
-    ) -> int:
-        """Retire a run of consecutive cached single-block reads in one step.
-
-        Batched-mode fast path for block-granular read workloads: consumes
-        hits from ``blocks[index:]`` until the first miss, charging the
-        user-cache lookup cost in bulk (``UserSpaceCache.get_run``).  The
-        first miss is left to the caller's per-op slow path (:meth:`pread`)
-        so its recorded latency matches unbatched execution exactly.
-
-        Only batches when ``horizon`` is infinite — i.e. this thread is the
-        sole runnable thread.  With concurrent threads every lookup is an
-        interaction with the per-shard lock timelines, so each op must
-        re-enter the scheduler heap; the executor encodes that by handing
-        out finite horizons whenever another thread is runnable.
-
-        Returns the number of block reads consumed (possibly 0).
-        """
-        if not math.isinf(horizon):
-            return 0
-        if index >= len(blocks):
-            return 0
-        clock = thread.clock
-        self.machine.absorb_interference(thread)
-        if (
-            self.fastforward
-            and clock.cpi_factor == 1.0
-            and clock._obs_span is None
-            and not TRACER.enabled
-        ):
-            consumed = self.cache.get_run_fast(clock, file.file_id, blocks, index)
-        else:
-            consumed = self.cache.get_run(clock, thread.tid, file.file_id, blocks, index)
-        if consumed:
-            # Solo + uncontended locks: each hit's latency is exactly the
-            # lookup charge, so per-op recording needs no clock snapshots.
-            per_op = constants.USERCACHE_LOOKUP_CYCLES * clock.cpi_factor
-            for _ in range(consumed):
-                thread.latencies.record(per_op)
-            thread.ops_completed += consumed
-            self.reads += consumed
-        return consumed
 
     def pread(self, thread: SimThread, file: BackingFile, offset: int, nbytes: int) -> bytes:
         """Read ``nbytes`` at ``offset`` through the user cache."""

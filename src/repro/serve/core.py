@@ -4,10 +4,10 @@ Each tenant is one :class:`~repro.sim.executor.SimThread` running a FIFO
 server over its own mapped dataset: requests arrive on a precomputed
 open-loop schedule (:mod:`repro.serve.arrivals`), pass a bounded
 admission queue (:mod:`repro.serve.admission`), and are served through
-the engine's ordinary load/store paths — including the batched
-``hit_run`` fast path and the analytic fast-forward, so serve cells are
-bit-identical across unbatched / batched / fast-forward modes exactly
-like the microbenchmark cells (the serve conformance tier asserts it).
+the engine's ``retire`` primitive — including its batched hit runs and
+the analytic fast-forward, so serve cells are bit-identical across
+unbatched / batched / fast-forward modes exactly like the
+microbenchmark cells (the serve conformance tier asserts it).
 
 Determinism argument (DESIGN.md Section 12, in brief):
 
@@ -38,7 +38,6 @@ except ImportError:          # plans fall back to pure-Python, same values
 
 from repro.common import units
 from repro.mmio.vma import MADV_RANDOM
-from repro.obs import TRACER
 from repro.serve.admission import AdmissionQueue
 from repro.serve.arrivals import BurstPhase, burst_schedule, poisson_schedule
 from repro.serve.qos import build_partition
@@ -208,8 +207,8 @@ def serve_workload(
     """One tenant's FIFO server loop over ``mapping``.
 
     Each executor step performs exactly one of: an idle wait for the next
-    arrival, one per-op service (unbatched / slow path), or — in batched
-    mode — one ``hit_run`` over the currently pending admitted requests.
+    arrival, or one ``retire`` call — one op unbatched, or in batched
+    mode a hit run over the currently pending admitted requests.
     Admission runs at the top of every step and after every wait, so the
     decision for each arrival sees exactly the completions at or before
     it regardless of mode (module docstring).
@@ -219,8 +218,6 @@ def serve_workload(
     queue = stats.queue
     sojourns = stats.sojourns
     pages_seq, offsets_seq, writes_seq = plan
-    load_op_fast = engine.load_op_fast
-    samples = thread.latencies._samples
     total = len(arrivals)
     pending: deque = deque()
     next_req = 0
@@ -238,10 +235,6 @@ def serve_workload(
             index += 1
         return index
 
-    def complete(request: int, completion: float) -> None:
-        queue.on_completion(completion)
-        sojourns.record(completion - arrivals[request])
-
     while True:
         next_req = admit_upto(clock.now)
         if not pending:
@@ -251,41 +244,19 @@ def serve_workload(
             cursor = clock.now
             yield
             continue
-        horizon = thread.run_horizon
-        if horizon is not None:
-            batch = list(pending)
-            sub_plan = _batch_plan(batch, pages_seq, offsets_seq, writes_seq)
-            consumed = engine.hit_run(thread, mapping, sub_plan, 0, horizon, WRITE_DATA)
-            if consumed:
-                base = len(samples) - consumed
-                for j in range(consumed):
-                    cursor += samples[base + j]
-                    complete(pending.popleft(), cursor)
-                yield
-                continue
-            request = pending[0]
-            if (
-                engine.fastforward
-                and not writes_seq[request]
-                and load_op_fast(
-                    thread, mapping, pages_seq[request], offsets_seq[request]
-                )
-            ):
-                cursor += samples[-1]
-                complete(pending.popleft(), cursor)
-                yield
-                continue
-        request = pending.popleft()
-        start = clock.now
-        offset = pages_seq[request] * units.PAGE_SIZE + offsets_seq[request]
-        with TRACER.span("op.access", clock):
-            if writes_seq[request]:
-                mapping.store(thread, offset, WRITE_DATA)
-            else:
-                mapping.load(thread, offset, 8)
-        thread.record_op(start)
-        cursor += samples[-1]
-        complete(request, cursor)
+        if thread.run_horizon is None:
+            step_plan, index = plan, pending[0]
+        else:
+            # A hit run consumes consecutive plan entries, so batched
+            # steps retire over a plan of just the pending requests.
+            step_plan = _batch_plan(list(pending), pages_seq, offsets_seq, writes_seq)
+            index = 0
+        consumed = engine.retire(thread, mapping, step_plan, index, WRITE_DATA)
+        for latency in thread.latencies.last(consumed):
+            cursor += latency
+            request = pending.popleft()
+            queue.on_completion(cursor)
+            sojourns.record(cursor - arrivals[request])
         yield
 
 
@@ -433,7 +404,7 @@ def engagement_tenants() -> List[TenantSpec]:
     enough to warm its (in-memory) dataset, then bursts 80x for 3000
     cycles: arrivals outpace the ~6-cycle hit service, the backlog grows
     past :data:`repro.sim.fastforward.MIN_ANALYTIC_RUN`, and the next
-    quiescent ``hit_run`` drains it through the closed form.  The serve
+    quiescent hit run drains it through the closed form.  The serve
     engagement test asserts ``ff_runs > 0`` on exactly this mix so the
     analytic path can never silently stop covering serve cells.
     """

@@ -304,14 +304,12 @@ def run_explicit_cell(
     device_kind: str = "pmem",
     fault_spec: Optional[FaultSpec] = None,
     fault_seed: int = 0,
-    fastforward: bool = False,
 ) -> Dict:
     """Run a block-read stream through the explicit-I/O engine, digest it.
 
-    With one thread the batched executor hands out an infinite horizon and
-    ``ExplicitIOEngine.read_run`` batches user-cache hits; with several
-    threads batching self-disables (shard-lock interactions) and the cell
-    degenerates to the per-op path — conformance covers both regimes.
+    Every read is one ``pread`` per executor step; batched mode only
+    changes the schedule (epoch horizons instead of the min-heap order),
+    which with one thread or several must leave the digest unchanged.
     """
     import random
 
@@ -330,26 +328,16 @@ def run_explicit_cell(
         machine = Machine()
         device = make_device(device_kind)
         engine = ExplicitIOEngine(machine, cache_pages)
-        engine.fastforward = bool(batched and fastforward)
         allocator = ExtentAllocator(device)
         file = allocator.create("conf-explicit", file_pages * units.PAGE_SIZE)
 
         def workload(thread: SimThread):
             rng = random.Random(derive_seed(seed, f"conf-ex-{thread.tid}"))
             blocks = [rng.randrange(file_pages) for _ in range(reads_per_thread)]
-            index = 0
-            while index < len(blocks):
-                horizon = thread.run_horizon
-                if horizon is not None:
-                    consumed = engine.read_run(thread, file, blocks, index, horizon)
-                    if consumed:
-                        index += consumed
-                        yield
-                        continue
+            for block in blocks:
                 start = thread.clock.now
-                engine.pread(thread, file, blocks[index] * BLOCK_SIZE, 8)
+                engine.pread(thread, file, block * BLOCK_SIZE, 8)
                 thread.record_op(start)
-                index += 1
                 yield
 
         executor = Executor(epoch_cycles=SYNC_HORIZON_CYCLES if batched else None)

@@ -24,7 +24,7 @@ mechanisms remove heap round-trips without changing any simulated outcome
 * **hit-run run-ahead** — before each step the executor publishes
   ``thread.run_horizon = heap_top_clock + quantum``; workloads may retire a
   *run* of consecutive pure cache-hit operations up to that horizon in one
-  step (via ``MmioEngine.hit_run``), re-entering the heap only on a miss,
+  step (via ``MmioEngine.retire``), re-entering the heap only on a miss,
   a lock acquisition, a protection change, or the horizon (epoch) boundary.
 
 Run-ahead is safe because hit operations only touch state that no other

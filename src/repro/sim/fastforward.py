@@ -3,13 +3,13 @@
 The epoch-batched executor (``repro.sim.executor``) already retires runs
 of consecutive pure cache hits in one step, but it still *executes* every
 hit in a Python loop.  This module provides the closed forms that let
-``MmioEngine.hit_run`` retire a whole window of all-hit accesses
+``MmioEngine.retire`` retire a whole window of all-hit accesses
 analytically — the hybrid analytic/discrete-event idea of LANL's PPT
 processor models, applied to the mmio access protocol.
 
 The contract mirrors the batching invariant one level up: the analytic
 path must be **bit-identical** to stepping the same accesses through the
-slim hit loop.  That holds because, inside a window proven to be all
+hit loop.  That holds because, inside a window proven to be all
 hits with no TLB eviction and no pending interference:
 
 * every access charges the same integer cycle counts (6-cycle hit, plus
@@ -33,7 +33,7 @@ Safety gates (the certificate refinement): the engine *cuts* the window
 at the first write, the first out-of-bounds page, the first access whose
 PTE is missing, and the first access that would overflow the TLB, then
 re-profiles until the cuts are stable — so an access is only ever
-retired analytically if the slim loop would have retired it identically.
+retired analytically if the hit loop would have retired it identically.
 Anything after the cut falls back to the loop.  A window is only
 attempted at all when the executor granted an *unbounded* horizon (the
 quiescence certificate ``run_ahead_unbounded_ok``, or a solo thread) and
@@ -53,10 +53,10 @@ except ImportError:      # pragma: no cover - numpy ships with the toolchain
     _np = None
 
 #: Minimum accesses an analytic window must retire to amortize its numpy
-#: setup; shorter prospective runs fall through to the slim Python loop.
+#: setup; shorter prospective runs fall through to the Python hit loop.
 MIN_ANALYTIC_RUN = 64
 
-#: Analytic windows are clipped to this many accesses per ``hit_run``
+#: Analytic windows are clipped to this many accesses per ``retire``
 #: call so every per-call scan (write cut, bounds cut, profile) is O(1)
 #: in the *remaining plan length* — a miss-heavy cell that calls and
 #: rejects on every op must never go quadratic.
@@ -77,7 +77,7 @@ class AccessPlan(tuple):
 
     Behaves exactly like the historical 3-tuple ``(pages,
     in_page_offsets, is_write_flags)`` of parallel Python lists — every
-    existing consumer (the per-op slow path, the slim hit loop) unpacks
+    existing consumer (the one-op path, the hit loop) unpacks
     it unchanged — while optionally carrying ``np_pages`` (int64) and
     ``np_writes`` (bool) numpy views of the same values for the analytic
     fast-forward path.  The arrays are derived from the *same draws* as
@@ -147,7 +147,7 @@ def write_cut(np_writes, index: int, limit: int) -> int:
 
     The analytic path handles pure loads only (stores mutate frame bytes
     and PTE dirty protocol state per access), so the window is cut just
-    before the first write and the slim loop takes over there.  ``None``
+    before the first write and the hit loop takes over there.  ``None``
     for ``np_writes`` means the plan carries no write flags and the
     window is treated as all-reads.
     """

@@ -45,6 +45,12 @@ class LatencyRecorder:
         """A copy of the raw samples, in recording order."""
         return list(self._samples)
 
+    def last(self, n: int) -> List[float]:
+        """The most recent ``n`` samples, in recording order."""
+        if n <= 0:
+            return []
+        return self._samples[-n:]
+
     def _sorted(self) -> List[float]:
         if self._sorted_cache is None:
             self._sorted_cache = sorted(self._samples)

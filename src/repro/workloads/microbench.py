@@ -31,7 +31,6 @@ except ImportError:          # plans fall back to pure-Python, same values
 from repro.common import units
 from repro.mmio.engine import Mapping
 from repro.mmio.vma import MADV_RANDOM
-from repro.obs import TRACER
 from repro.sim.executor import RunResult, SimThread, make_epoch_executor
 from repro.sim.fastforward import AccessPlan, LazyBoolSeq, LazyIntSeq
 from repro.sim.rand import counter_draws, derive_seed
@@ -179,13 +178,12 @@ def access_workload(
 ) -> Iterator[None]:
     """One thread's access stream over ``mapping``.
 
-    In unbatched mode (``thread.run_horizon is None``) every operation goes
-    through the per-op load/store path and yields to the scheduler.  In
-    batched mode the executor publishes a run-ahead horizon before each
-    step, and the workload hands the engine's ``hit_run`` fast path a slice
-    of its precomputed plan: consecutive pure cache hits retire in one step,
-    and the first op needing the fault path (or crossing the horizon) falls
-    back to the per-op slow path below — charge-for-charge identical.
+    Each executor step hands the engine's ``retire`` the plan and the
+    next index: in unbatched mode (``thread.run_horizon is None``) it
+    retires one op through the per-op load/store protocol; in batched
+    mode a run of consecutive pure cache hits retires in one step, and
+    the first op needing the fault path (or crossing the horizon) retires
+    alone — charge-for-charge identical either way.
     """
     engine = mapping.engine
     plan = _op_plan(
@@ -199,40 +197,10 @@ def access_workload(
         partition_count,
         lazy=engine.fastforward,
     )
-    pages_seq, offsets_seq, writes_seq = plan
-    load_op_fast = engine.load_op_fast
     index = 0
-    total = len(pages_seq)
+    total = len(plan[0])
     while index < total:
-        horizon = thread.run_horizon
-        if horizon is not None:
-            consumed = engine.hit_run(thread, mapping, plan, index, horizon, WRITE_DATA)
-            if consumed:
-                index += consumed
-                yield
-                continue
-            # Fast-forward mode: retire the single slow-path read op via
-            # the engine's fused replay (identical charges, no span/split
-            # machinery).  Falls through to the generic path when a gate
-            # fails or on writes.
-            if (
-                engine.fastforward
-                and not writes_seq[index]
-                and load_op_fast(thread, mapping, pages_seq[index], offsets_seq[index])
-            ):
-                index += 1
-                yield
-                continue
-        is_write = writes_seq[index]
-        start = thread.clock.now
-        offset = pages_seq[index] * units.PAGE_SIZE + offsets_seq[index]
-        with TRACER.span("op.access", thread.clock):
-            if is_write:
-                mapping.store(thread, offset, WRITE_DATA)
-            else:
-                mapping.load(thread, offset, 8)
-        thread.record_op(start)
-        index += 1
+        index += engine.retire(thread, mapping, plan, index, WRITE_DATA)
         yield
 
 

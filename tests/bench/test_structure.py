@@ -1,0 +1,58 @@
+"""Structure guard: workload layers use public interfaces only.
+
+The plan-driven workload layers (``repro.workloads``, ``repro.serve``,
+``repro.cluster``) sit on top of the engine's ``retire`` primitive and
+the thread's public recorders; reaching into another object's private
+state is how per-caller fast paths crept in before.  This AST walk fails
+on any attribute read ``x._name`` whose base is not ``self`` or ``cls``
+(dunder attributes such as ``__name__`` are allowed).
+"""
+
+import ast
+import os
+
+PACKAGES = ("src/repro/workloads", "src/repro/serve", "src/repro/cluster")
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+def private_reads(source: str, filename: str = "<string>"):
+    """``(line, expression)`` for every private attribute of a foreign object."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not isinstance(node, ast.Attribute):
+            continue
+        name = node.attr
+        if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+            continue
+        if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
+            continue
+        found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_guard_flags_foreign_private_reads():
+    source = (
+        "def f(self, thread):\n"
+        "    a = self._own\n"
+        "    b = thread.latencies._samples\n"
+        "    c = type(thread).__name__\n"
+    )
+    assert private_reads(source) == [(3, "thread.latencies._samples")]
+
+
+def test_workload_layers_read_no_foreign_private_attributes():
+    offenders = []
+    for package in PACKAGES:
+        for dirpath, _, filenames in os.walk(os.path.join(REPO, package)):
+            for filename in sorted(filenames):
+                if not filename.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, filename)
+                with open(path) as handle:
+                    source = handle.read()
+                rel = os.path.relpath(path, REPO)
+                offenders += [
+                    f"{rel}:{line}: {expr}"
+                    for line, expr in private_reads(source, path)
+                ]
+    assert not offenders, "private reach-throughs:\n  " + "\n  ".join(offenders)

@@ -10,7 +10,7 @@ streams, per-category cycle breakdowns, page table, TLB contents and
 counters, cache pages down to byte checksums, device bytes, every engine
 counter minus the mode metadata).
 
-The matrix covers all four engines, clean and fault-injected devices,
+The matrix covers the three mmio engines, clean and fault-injected devices,
 shared and private files, in-memory and out-of-memory datasets
 (satellite: the certificate's miss-rate extension), plus adversarial
 configurations engineered to sit exactly on the certificate's decision
@@ -25,7 +25,6 @@ from repro.sim.conformance import (
     MMIO_ENGINE_KINDS,
     assert_fastforward_agrees,
     run_cell,
-    run_explicit_cell,
 )
 
 FAULTY_SPEC = FaultSpec(error_rate=0.02, latency_rate=0.02, torn_rate=0.01)
@@ -38,7 +37,7 @@ def _clean_plan():
 
 
 class TestFastforwardConformance:
-    """The satellite matrix: four engines x clean/faulted x sharing x fit."""
+    """The satellite matrix: engines x clean/faulted x sharing x fit."""
 
     @pytest.mark.parametrize("engine_kind", MMIO_ENGINE_KINDS)
     def test_in_memory_shared(self, engine_kind):
@@ -126,30 +125,6 @@ class TestFastforwardConformance:
             dataset_pages=256,
             cache_pages=64,
         )
-
-    def test_explicit_solo(self):
-        # Fourth engine: the explicit-I/O user-cache hit runs retire via
-        # get_run_fast under fast-forward.
-        digest = assert_fastforward_agrees(
-            run_explicit_cell, seed=7, reads_per_thread=300, cache_pages=128,
-            file_pages=48,
-        )
-        assert digest["cache_counters"]["hits"] > 0
-
-    def test_explicit_multithreaded_fallback(self):
-        assert_fastforward_agrees(run_explicit_cell, seed=17, num_threads=4)
-
-    def test_explicit_with_faults(self):
-        digest = assert_fastforward_agrees(
-            run_explicit_cell,
-            seed=29,
-            reads_per_thread=400,
-            cache_pages=16,
-            file_pages=128,
-            fault_spec=FAULTY_SPEC,
-            fault_seed=4,
-        )
-        assert digest["fault_schedule"], "fault plan injected nothing"
 
 
 class TestAdversarialCertificate:

@@ -1,0 +1,193 @@
+"""``MmioEngine.retire``: one primitive, identical in every executor mode.
+
+The hit loop keeps per-category running sums and flushes them once per
+run into the clock breakdown and the open span.  These tests pin that
+flush to the stepped reference where it is hardest to get right — an
+SMT cell (CPI 1.4, so charges are not integers) with stores, and runs
+with a span open on every thread clock — and check that the one-op path
+raises exactly what ``Mapping.load``/``Mapping.store`` raise.
+"""
+
+import math
+
+import pytest
+
+from repro.bench.setups import make_aquila_stack, make_kmmap_stack, make_linux_stack
+from repro.common import units
+from repro.common.errors import ProtectionFault, SegmentationFault
+from repro.mmio.files import BackingFile
+from repro.mmio.vma import MADV_RANDOM, PROT_READ
+from repro.obs import TRACER
+from repro.sim.conformance import diff_digests, mmio_state_digest
+from repro.sim.executor import SimThread, make_epoch_executor
+from repro.sim.fastforward import AccessPlan
+from repro.workloads.microbench import WRITE_DATA, access_workload
+
+MAKERS = {
+    "aquila": make_aquila_stack,
+    "kmmap": make_kmmap_stack,
+    "linux": make_linux_stack,
+}
+
+#: (label, batched, fastforward) for the three executor modes.
+MODES = (("unbatched", False, False), ("batched", True, False), ("fastforward", True, True))
+
+
+def _spanned(thread, work):
+    """Run ``work`` with one span open on ``thread``'s clock throughout."""
+    with TRACER.span("cell", thread.clock):
+        yield from work
+
+
+def _span_rows(tracer):
+    """Finished spans, normalized so executor modes compare exactly.
+
+    Unbatched mode wraps every hit in its own childless ``op.access``
+    span, while a batched hit run charges the enclosing span directly.
+    Folding each childless ``op.access`` into its root span makes the
+    two shapes comparable; every folded addend of a category is the same
+    per-hit step, so the folded ledger is the stepped sum in either mode.
+    """
+    names = tracer.track_names()
+    spans = tracer.finished_spans()
+    roots = {span.track: span for span in spans if span.depth == 0}
+    folded = {track: dict(root.charges) for track, root in roots.items()}
+    rows = []
+    for span in spans:
+        if span.depth == 1 and span.name == "op.access" and not span.child_cycles:
+            ledger = folded[span.track]
+            for category, cycles in span.charges.items():
+                ledger[category] = ledger.get(category, 0.0) + cycles
+        elif span.depth > 0:
+            rows.append(
+                (names[span.track], span.depth, span.begin, span.end, span.name,
+                 tuple(sorted(span.charges.items())))
+            )
+    for track, root in roots.items():
+        rows.append(
+            (names[track], 0, root.begin, root.end, root.name,
+             tuple(sorted(folded[track].items())))
+        )
+    return sorted(rows)
+
+
+def _run(engine_kind, batched, fastforward, num_threads, write_fraction, spans):
+    """One shared-file microbenchmark cell; returns (digest, spans, engine, threads)."""
+    SimThread.reset_ids()
+    BackingFile.reset_ids()
+    stack = MAKERS[engine_kind]("pmem", 256)
+    engine = stack.engine
+    engine.fastforward = batched and fastforward
+    file = stack.allocator.create("retire", 160 * units.PAGE_SIZE)
+    executor = make_epoch_executor(batched, engine.run_ahead_unbounded_ok)
+    threads = []
+    rows = None
+    with TRACER.isolated(enable=spans):
+        mapping = None
+        for index in range(num_threads):
+            thread = SimThread(core=index % engine.machine.topology.num_hw_threads)
+            threads.append(thread)
+            if mapping is None:
+                mapping = engine.mmap(thread, file)
+                mapping.madvise(thread, MADV_RANDOM)
+            work = access_workload(
+                thread, mapping, 600, write_fraction, True, 7,
+                partition_index=index, partition_count=num_threads,
+            )
+            executor.add(thread, _spanned(thread, work) if spans else work)
+        engine.machine.apply_smt_penalty(threads)
+        result = executor.run()
+        if spans:
+            assert TRACER.dropped == 0
+            rows = _span_rows(TRACER)
+    return mmio_state_digest(stack, result), rows, engine, threads
+
+
+def _assert_modes_agree(engine_kind, num_threads, write_fraction, spans):
+    runs = {
+        label: _run(engine_kind, batched, ff, num_threads, write_fraction, spans)
+        for label, batched, ff in MODES
+    }
+    reference, reference_rows, _, _ = runs["unbatched"]
+    for label in ("batched", "fastforward"):
+        digest, rows, engine, _ = runs[label]
+        problems = diff_digests(reference, digest)
+        assert not problems, f"{label} diverged:\n  " + "\n  ".join(problems[:5])
+        assert rows == reference_rows, f"{label} span charges diverged"
+        assert engine.batched_hits > 0, f"{label} never ran the hit loop"
+    return runs
+
+
+class TestHitLoopExactness:
+    # linux is left out: on this write-mix cell its batched schedule
+    # already diverges from unbatched with fast-forward off (a TLB entry
+    # is shot down before a hit it should follow), independently of the
+    # hit loop — see the open items in ROADMAP.md.
+    @pytest.mark.parametrize("engine_kind", ["aquila", "kmmap"])
+    def test_smt_write_mix(self, engine_kind):
+        runs = _assert_modes_agree(engine_kind, 32, 0.3, spans=False)
+        threads = runs["batched"][3]
+        assert all(t.clock.cpi_factor == 1.4 for t in threads)
+        assert any(not t.clock.now.is_integer() for t in threads)
+
+    @pytest.mark.parametrize("num_threads", [4, 32])
+    def test_span_open_on_every_clock(self, num_threads):
+        runs = _assert_modes_agree("aquila", num_threads, 0.3, spans=True)
+        rows = runs["batched"][1]
+        assert sum(1 for row in rows if row[1] == 0) == num_threads
+        assert any(dict(row[5]).get("app.access") for row in rows if row[1] == 0)
+
+
+class TestRetireFaults:
+    """The one-op path raises what the per-op load/store protocol raises."""
+
+    PAGES = 8
+
+    def _setup(self, engine_kind, mode, prot=None):
+        SimThread.reset_ids()
+        BackingFile.reset_ids()
+        stack = MAKERS[engine_kind]("pmem", 64)
+        engine = stack.engine
+        file = stack.allocator.create("bounds", self.PAGES * units.PAGE_SIZE)
+        thread = SimThread(core=0)
+        kwargs = {} if prot is None else {"prot": prot}
+        mapping = engine.mmap(thread, file, **kwargs)
+        mapping.load(thread, 0, 8)              # page 0 resident: a hit
+        _, batched, fastforward = mode
+        engine.fastforward = batched and fastforward
+        if batched:
+            thread.run_horizon = math.inf if fastforward else thread.clock.now + 1e6
+        return engine, mapping, thread
+
+    @staticmethod
+    def _raised(call):
+        with pytest.raises((SegmentationFault, ProtectionFault)) as info:
+            call()
+        return type(info.value), info.value.address, str(info.value)
+
+    @pytest.mark.parametrize("engine_kind", sorted(MAKERS))
+    @pytest.mark.parametrize("mode", MODES, ids=[m[0] for m in MODES])
+    def test_out_of_range_page(self, engine_kind, mode):
+        engine, mapping, thread = self._setup(engine_kind, mode)
+        for page in (self.PAGES + 3, -1):
+            plan = AccessPlan.build([0, page], [16, 40], [False, False])
+            assert engine.retire(thread, mapping, plan, 0, WRITE_DATA) == 1
+            got = self._raised(
+                lambda: engine.retire(thread, mapping, plan, 1, WRITE_DATA)
+            )
+            want = self._raised(
+                lambda: mapping.load(thread, page * units.PAGE_SIZE + 40, 8)
+            )
+            assert got == want
+            assert got[0] is SegmentationFault
+
+    @pytest.mark.parametrize("engine_kind", sorted(MAKERS))
+    @pytest.mark.parametrize("mode", MODES, ids=[m[0] for m in MODES])
+    def test_store_to_read_only_mapping(self, engine_kind, mode):
+        engine, mapping, thread = self._setup(engine_kind, mode, prot=PROT_READ)
+        plan = AccessPlan.build([0, 0], [16, 24], [False, True])
+        assert engine.retire(thread, mapping, plan, 0, WRITE_DATA) == 1
+        got = self._raised(lambda: engine.retire(thread, mapping, plan, 1, WRITE_DATA))
+        want = self._raised(lambda: mapping.store(thread, 24, WRITE_DATA))
+        assert got == want
+        assert got[0] is ProtectionFault

@@ -32,6 +32,26 @@ class TestLatencyRecorder:
         with pytest.raises(ValueError):
             recorder.percentile(101)
 
+    def test_last_returns_most_recent_in_order(self):
+        recorder = LatencyRecorder()
+        recorder.extend([5.0, 6.0, 7.0, 8.0])
+        assert recorder.last(2) == [7.0, 8.0]
+        assert recorder.last(4) == [5.0, 6.0, 7.0, 8.0]
+        assert recorder.last(9) == [5.0, 6.0, 7.0, 8.0]
+
+    def test_last_zero_is_empty(self):
+        # samples[-0:] would be the whole list, not the last zero samples.
+        recorder = LatencyRecorder()
+        recorder.extend([1.0, 2.0])
+        assert recorder.last(0) == []
+        assert LatencyRecorder().last(0) == []
+
+    def test_last_is_a_copy(self):
+        recorder = LatencyRecorder()
+        recorder.extend([1.0, 2.0])
+        recorder.last(1).append(99.0)
+        assert recorder.samples() == [1.0, 2.0]
+
     def test_merge(self):
         a, b = LatencyRecorder(), LatencyRecorder()
         a.extend([1, 2])
