@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench.setups import make_aquila_stack, make_kmmap_stack, make_linux_stack
 from repro.common import constants, units
+from repro.fault.plan import FAULT_ERROR, FaultPlan, FaultSpec
 from repro.mmio.vma import MADV_NORMAL, MADV_RANDOM, MADV_SEQUENTIAL
 from repro.sim.executor import SimThread
 
@@ -55,6 +56,109 @@ class TestLinuxReadahead:
         _, thread, mapping = _map(stack, advice=MADV_RANDOM)
         mapping.load(thread, 0, 1)
         assert thread.clock.breakdown.get("fault.trap") == constants.TRAP_RING3_CYCLES
+
+
+def _linux_window(monkeypatch, device_kind="pmem", cached=(), fail_command=None):
+    """A 128-page MADV_NORMAL linux mapping with ``cached`` pages resident.
+
+    Device page ``i`` of the file holds ``bytes([i])`` repeated.  The
+    cached pages are faulted in under MADV_RANDOM first (one page each);
+    afterwards every device command is recorded as ``(kind, first page,
+    pages)`` with kind ``"sync"`` or ``"async"``, and the command with
+    index ``fail_command`` (counted from then on) fails transiently.
+    """
+    stack = make_linux_stack(device_kind, cache_pages=256)
+    file, thread, mapping = _map(stack, advice=MADV_RANDOM)
+    device = stack.device
+    for page in range(128):
+        device.store.write(file.device_offset(page), bytes([page]) * units.PAGE_SIZE)
+    for page in cached:
+        mapping.load(thread, page * units.PAGE_SIZE, 1)
+    mapping.madvise(thread, MADV_NORMAL)
+    if fail_command is not None:
+        plan = FaultPlan(0, FaultSpec(triggers={device.name: {fail_command: FAULT_ERROR}}))
+        device.attach_faults(plan.injector_for(device.name))
+    calls = []
+
+    def recorder(kind, submit):
+        def record(clock, offset, nbytes, *args, **kwargs):
+            calls.append((kind, (offset - file.device_offset(0)) // units.PAGE_SIZE,
+                          nbytes // units.PAGE_SIZE))
+            return submit(clock, offset, nbytes, *args, **kwargs)
+        return record
+
+    monkeypatch.setattr(device, "submit", recorder("sync", device.submit))
+    monkeypatch.setattr(device, "submit_async", recorder("async", device.submit_async))
+    return stack, thread, mapping, calls
+
+
+class TestLinuxFaultWindow:
+    """The read-around window: device runs, readahead aborts, completion IRQs.
+
+    A fault at page 64 under MADV_NORMAL reads the 32-page window
+    [48, 80).  Already-cached pages split it into device-contiguous runs;
+    only the run holding the faulting page blocks the thread.
+    """
+
+    def test_cached_holes_split_the_window_into_runs(self, monkeypatch):
+        stack, thread, mapping, calls = _linux_window(monkeypatch, cached=(52, 60))
+        assert mapping.load(thread, 64 * units.PAGE_SIZE, 1) == bytes([64])
+        assert calls == [("async", 48, 4), ("async", 53, 7), ("sync", 61, 19)]
+        engine = stack.engine
+        assert engine.readahead_reads == 11
+        assert engine.major_faults == 3 and engine.minor_faults == 0
+        assert engine.cache.resident_pages() == 32
+        for page in range(48, 80):
+            assert mapping.load(thread, page * units.PAGE_SIZE + 7, 1) == bytes([page])
+        assert len(calls) == 3, "every window page was filled by the fault"
+        assert engine.minor_faults == 29   # 52, 60 and 64 are already mapped
+
+    @pytest.mark.parametrize(
+        "fault_page, fail_command, aborted",
+        [
+            (64, 0, range(48, 56)),   # readahead run before the blocking run
+            (50, 1, range(57, 66)),   # readahead run after the blocking run
+        ],
+    )
+    def test_failed_readahead_submit_drops_its_pages(
+        self, monkeypatch, fault_page, fail_command, aborted
+    ):
+        stack, thread, mapping, calls = _linux_window(
+            monkeypatch, cached=(56,), fail_command=fail_command
+        )
+        engine = stack.engine
+        assert mapping.load(thread, fault_page * units.PAGE_SIZE, 1) == bytes([fault_page])
+        assert [kind for kind, _, _ in calls] == (
+            ["async", "sync"] if fail_command == 0 else ["sync", "async"]
+        )
+        assert engine.readahead_aborted == len(aborted)
+        assert engine.readahead_reads == 0
+        assert not engine._pinned, "pins survive the fault"
+        for page in aborted:
+            assert engine.cache.get_nocost(mapping.vma.file, page) is None
+        assert engine.cache.resident_pages() == 32 - len(aborted)
+        assert engine.cache.pool.allocated_count() == 32 - len(aborted)
+        # An aborted page faults in again from the device, never stale.
+        page = aborted[len(aborted) // 2]
+        issued = len(calls)
+        assert mapping.load(thread, page * units.PAGE_SIZE, 1) == bytes([page])
+        blocking = [(first, n) for kind, first, n in calls[issued:] if kind == "sync"]
+        assert len(blocking) == 1 and blocking[0][0] <= page < sum(blocking[0])
+
+    @pytest.mark.parametrize(
+        "device_kind, irq",
+        [("pmem", 0.0), ("nvme", constants.HOST_NVME_COMPLETION_CYCLES)],
+    )
+    def test_only_the_blocking_run_takes_a_completion_irq(
+        self, monkeypatch, device_kind, irq
+    ):
+        _, thread, mapping, calls = _linux_window(
+            monkeypatch, device_kind=device_kind, cached=(52, 60)
+        )
+        before = thread.clock.breakdown.get("fault.io.irq")
+        mapping.load(thread, 64 * units.PAGE_SIZE, 1)
+        assert len(calls) == 3
+        assert thread.clock.breakdown.get("fault.io.irq") - before == irq
 
 
 class TestAquilaSpecifics:

@@ -71,11 +71,12 @@ def _span_rows(tracer):
     return sorted(rows)
 
 
-def _run(engine_kind, batched, fastforward, num_threads, write_fraction, spans):
+def _run(engine_kind, batched, fastforward, num_threads, write_fraction, spans,
+         cache_pages=256):
     """One shared-file microbenchmark cell; returns (digest, spans, engine, threads)."""
     SimThread.reset_ids()
     BackingFile.reset_ids()
-    stack = MAKERS[engine_kind]("pmem", 256)
+    stack = MAKERS[engine_kind]("pmem", cache_pages)
     engine = stack.engine
     engine.fastforward = batched and fastforward
     file = stack.allocator.create("retire", 160 * units.PAGE_SIZE)
@@ -136,6 +137,28 @@ class TestHitLoopExactness:
         rows = runs["batched"][1]
         assert sum(1 for row in rows if row[1] == 0) == num_threads
         assert any(dict(row[5]).get("app.access") for row in rows if row[1] == 0)
+
+
+class TestLinuxTracing:
+    """Tracing wraps the linux fault protocol; it never changes what runs."""
+
+    # 256 pages hold the 160-page file; 64 force direct reclaim and
+    # background writeback under SMT CPI scaling.
+    @pytest.mark.parametrize("cache_pages", [256, 64])
+    def test_smt_write_mix_traced_equals_untraced(self, cache_pages):
+        untraced = _run("linux", False, False, 32, 0.3, spans=False, cache_pages=cache_pages)
+        traced = _run("linux", False, False, 32, 0.3, spans=True, cache_pages=cache_pages)
+        problems = diff_digests(untraced[0], traced[0])
+        assert not problems, "tracing changed the run:\n  " + "\n  ".join(problems[:5])
+        _, rows, engine, threads = traced
+        assert all(t.clock.cpi_factor == 1.4 for t in threads)
+        assert any(not t.clock.now.is_integer() for t in threads)
+        assert engine.wp_faults > 0
+        names = {row[4] for row in rows}
+        assert {"fault", "fault.wp", "fault.alloc", "fault.io"} <= names
+        if cache_pages < 160:
+            assert engine.reclaim_runs > 0
+            assert {"reclaim", "writeback.bg"} <= names
 
 
 class TestRetireFaults:
