@@ -153,7 +153,7 @@ class AquilaCache:
         over-quota tenants' pages come first (still LRU order within each
         preference class); the per-victim selection charge is unchanged.
         """
-        keys = self.lru.keys_cold_to_hot()
+        keys = self.lru.cold_keys()
         if self.partition is not None:
             keys = self.partition.victim_order(keys, self._pages)
         victims: List[CachePage] = []

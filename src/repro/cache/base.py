@@ -19,20 +19,18 @@ class CachePage:
     per-core dirty tree holds the page while dirty.
     """
 
-    __slots__ = ("file", "file_page", "frame", "dirty", "mapped_vpns", "owner_core")
+    __slots__ = ("file", "file_page", "key", "frame", "dirty", "mapped_vpns", "owner_core")
 
     def __init__(self, file: "BackingFile", file_page: int, frame: int) -> None:
         self.file = file
         self.file_page = file_page
+        #: Cache key: (file id, file page).  Built once; the caches index
+        #: their maps and LRU by this same tuple.
+        self.key = (file.file_id, file_page)
         self.frame = frame
         self.dirty = False
         self.mapped_vpns: Set[int] = set()
         self.owner_core: Optional[int] = None
-
-    @property
-    def key(self) -> tuple:
-        """Cache key: (file id, file page)."""
-        return (self.file.file_id, self.file_page)
 
     @property
     def device_offset(self) -> int:

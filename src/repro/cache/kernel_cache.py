@@ -18,9 +18,10 @@ contention point at the paper's thread counts, the tree lock is.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common import constants
+from repro.common.errors import OutOfMemoryError
 from repro.mem.frames import FramePool
 from repro.mem.lru import ApproxLRU
 from repro.mem.radix import RadixTree
@@ -67,12 +68,12 @@ class KernelPageCache:
                 "hits": "hits",
                 "misses": "misses",
                 "evictions": "evictions",
-                "resident_pages": lambda c: len(c._pages),
+                "resident_pages": lambda c: c.resident_pages(),
                 "tree_lock.contended": lambda c: sum(
-                    f.tree_lock.contended_acquisitions for f in c._files.values()
+                    lock.contended_acquisitions for lock in c.tree_locks()
                 ),
                 "tree_lock.wait_cycles": lambda c: sum(
-                    f.tree_lock.total_wait_cycles for f in c._files.values()
+                    lock.total_wait_cycles for lock in c.tree_locks()
                 ),
             },
         )
@@ -88,6 +89,10 @@ class KernelPageCache:
         """The per-inode tree lock (exposed for profiling in benchmarks)."""
         return self._file_cache(file).tree_lock
 
+    def tree_locks(self) -> List[SpinlockTimeline]:
+        """Every inode's tree lock, in first-use order (contention metrics)."""
+        return [cache.tree_lock for cache in self._files.values()]
+
     def resident_pages(self) -> int:
         """Pages currently cached."""
         return len(self._pages)
@@ -102,11 +107,12 @@ class KernelPageCache:
         self, clock: CycleClock, thread_id: int, file: "BackingFile", file_page: int
     ) -> Optional[CachePage]:
         """Radix-tree lookup under the inode's tree lock."""
-        cache = self._file_cache(file)
-        cache.tree_lock.acquire(clock, thread_id, "idle.lock.tree_lock")
+        cache = self._files.get(file.file_id) or self._file_cache(file)
+        lock = cache.tree_lock
+        lock.acquire(clock, thread_id, "idle.lock.tree_lock")
         clock.charge("fault.pcache_lookup", constants.LINUX_PCACHE_LOOKUP_CYCLES)
         page = cache.tree.get(file_page)
-        cache.tree_lock.release(clock, thread_id)
+        lock.release(clock, thread_id)
         if page is not None:
             self.hits += 1
             self.lru.touch(page.key)
@@ -114,42 +120,66 @@ class KernelPageCache:
             self.misses += 1
         return page
 
-    def allocate_frame(self, clock: CycleClock) -> Optional[int]:
-        """Take a free frame; None means the caller must reclaim first."""
-        clock.charge("fault.page_alloc", constants.LINUX_PAGE_ALLOC_CYCLES)
-        if not self._free:
-            return None
-        frame = self._free.pop()
-        self.pool.mark_allocated(frame)
-        return frame
-
-    def insert(
+    def insert_window(
         self,
         clock: CycleClock,
         thread_id: int,
         file: "BackingFile",
-        file_page: int,
-        frame: int,
-    ) -> CachePage:
-        """Install a freshly read page into the tree (under the lock)."""
-        cache = self._file_cache(file)
-        cache.tree_lock.acquire(clock, thread_id, "idle.lock.tree_lock")
-        clock.charge("fault.pcache_insert", constants.LINUX_PCACHE_INSERT_CYCLES)
-        page = CachePage(file, file_page, frame)
-        cache.tree.insert(file_page, page)
-        cache.tree_lock.release(clock, thread_id)
-        self._pages[page.key] = page
-        self.lru.touch(page.key)
-        clock.charge("fault.lru", constants.LINUX_LRU_UPDATE_CYCLES)
-        return page
+        first: int,
+        last: int,
+        reclaim: Callable[[], None],
+        locked: Set[Tuple[int, int]],
+    ) -> List[CachePage]:
+        """Allocate and insert every uncached page of ``file`` in ``[first, last)``.
+
+        Per page, in the fault handler's order: take a free frame
+        (charging the allocation; when none is free, call ``reclaim()``
+        once and charge a second attempt), insert the page under the
+        inode's tree lock, then touch it in the LRU.  Each new page's key
+        goes into ``locked`` (PG_locked) as soon as it is inserted, so a
+        reclaim run for a later page of the window skips it.  Returns the
+        new pages in file-page order; their frames are not filled yet.
+        """
+        pages = self._pages
+        free = self._free
+        pool = self.pool
+        touch = self.lru.touch
+        file_id = file.file_id
+        cache = self._files.get(file_id) or self._file_cache(file)
+        lock = cache.tree_lock
+        tree = cache.tree
+        fresh: List[CachePage] = []
+        for file_page in range(first, last):
+            if (file_id, file_page) in pages:
+                continue
+            clock.charge("fault.page_alloc", constants.LINUX_PAGE_ALLOC_CYCLES)
+            if not free:
+                reclaim()
+                clock.charge("fault.page_alloc", constants.LINUX_PAGE_ALLOC_CYCLES)
+                if not free:
+                    raise OutOfMemoryError("reclaim failed to free any page")
+            frame = free.pop()
+            pool.mark_allocated(frame)
+            lock.acquire(clock, thread_id, "idle.lock.tree_lock")
+            clock.charge("fault.pcache_insert", constants.LINUX_PCACHE_INSERT_CYCLES)
+            page = CachePage(file, file_page, frame)
+            tree.insert(file_page, page)
+            lock.release(clock, thread_id)
+            key = page.key
+            pages[key] = page
+            touch(key)
+            clock.charge("fault.lru", constants.LINUX_LRU_UPDATE_CYCLES)
+            locked.add(key)
+            fresh.append(page)
+        return fresh
 
     def mark_dirty(self, clock: CycleClock, thread_id: int, page: CachePage) -> None:
         """Mark dirty — requires the tree lock (the Fig 10 write bottleneck)."""
-        cache = self._file_cache(page.file)
-        cache.tree_lock.acquire(clock, thread_id, "idle.lock.tree_lock")
+        lock = self._files[page.key[0]].tree_lock
+        lock.acquire(clock, thread_id, "idle.lock.tree_lock")
         clock.charge("fault.mark_dirty", constants.LINUX_TREE_LOCK_HOLD_CYCLES)
         page.dirty = True
-        cache.tree_lock.release(clock, thread_id)
+        lock.release(clock, thread_id)
 
     def pick_victims(self, count: int) -> List[CachePage]:
         """Choose up to ``count`` cold pages for reclaim (LRU order).
@@ -158,12 +188,13 @@ class KernelPageCache:
         over-quota tenants' pages are reclaimed first (LRU order within
         each preference class).
         """
-        keys = self.lru.keys_cold_to_hot()
+        keys = self.lru.cold_keys()
         if self.partition is not None:
             keys = self.partition.victim_order(keys, self._pages)
+        pages = self._pages
         victims = []
         for key in keys:
-            page = self._pages.get(key)
+            page = pages.get(key)
             if page is not None:
                 victims.append(page)
                 if len(victims) >= count:
@@ -172,12 +203,12 @@ class KernelPageCache:
 
     def remove(self, clock: CycleClock, thread_id: int, page: CachePage) -> None:
         """Drop a page from the tree and return its frame to the free pool."""
-        cache = self._file_cache(page.file)
+        cache = self._files[page.key[0]]
         cache.tree_lock.acquire(clock, thread_id, "idle.lock.tree_lock")
         clock.charge("reclaim.remove", constants.LINUX_TREE_LOCK_HOLD_CYCLES)
         cache.tree.remove(page.file_page)
         cache.tree_lock.release(clock, thread_id)
-        self._finish_remove(page)
+        self._finish_remove([page])
 
     def remove_batch(
         self, clock: CycleClock, thread_id: int, pages: List[CachePage]
@@ -191,31 +222,36 @@ class KernelPageCache:
         """
         by_file: Dict[int, List[CachePage]] = {}
         for page in pages:
-            by_file.setdefault(page.file.file_id, []).append(page)
+            by_file.setdefault(page.key[0], []).append(page)
         removed: List[CachePage] = []
         for file_id, group in by_file.items():
             cache = self._files[file_id]
-            if not cache.tree_lock.try_acquire(clock, thread_id):
+            lock = cache.tree_lock
+            if not lock.try_acquire(clock, thread_id):
                 continue
             clock.charge(
                 "reclaim.remove",
                 constants.LINUX_TREE_LOCK_HOLD_CYCLES + 60 * (len(group) - 1),
             )
+            remove = cache.tree.remove
             for page in group:
-                cache.tree.remove(page.file_page)
-            cache.tree_lock.release(clock, thread_id)
-            for page in group:
-                self._finish_remove(page)
+                remove(page.file_page)
+            lock.release(clock, thread_id)
+            self._finish_remove(group)
             removed.extend(group)
         return removed
 
-    def _finish_remove(self, page: CachePage) -> None:
-        self._pages.pop(page.key, None)
-        self.lru.remove(page.key)
-        self.pool.mark_free(page.frame)
-        self._free.append(page.frame)
-        self.evictions += 1
-
+    def _finish_remove(self, pages: List[CachePage]) -> None:
+        """Forget removed pages and recycle their frames, in order."""
+        resident = self._pages
+        keys = [page.key for page in pages]
+        frames = [page.frame for page in pages]
+        for key in keys:
+            resident.pop(key, None)
+        self.lru.remove_batch(keys)
+        self.pool.mark_free_many(frames)
+        self._free.extend(frames)
+        self.evictions += len(pages)
 
     def pages_of_file(self, file_id: int) -> List[CachePage]:
         """All resident pages belonging to ``file_id`` (file deletion)."""

@@ -73,7 +73,7 @@ class CachePartition:
 
     def victim_order(
         self,
-        keys: List[Tuple[int, int]],
+        keys: Iterable[Tuple[int, int]],
         resident: Iterable[Tuple[int, int]],
     ) -> List[Tuple[int, int]]:
         """Reorder cold-to-hot ``keys`` to evict over-quota tenants first.

@@ -65,11 +65,18 @@ class BackingStore:
         self._pages[page_index] = bytes(data)
 
     def read(self, offset: int, nbytes: int) -> bytes:
-        """Read an arbitrary byte range (page-spanning allowed)."""
+        """Read an arbitrary byte range (page-spanning allowed).
+
+        One page-aligned page comes back as the stored page object itself
+        (bytes are immutable, so this is the same value the chunked copy
+        would build).
+        """
         if nbytes < 0 or offset < 0:
             raise ValueError("negative offset or size")
         if offset + nbytes > self.capacity_bytes:
             raise OutOfSpaceError("read beyond device capacity")
+        if nbytes == units.PAGE_SIZE and not offset & (units.PAGE_SIZE - 1):
+            return self._pages.get(offset >> units.PAGE_SHIFT, ZERO_PAGE)
         chunks = []
         pos = offset
         remaining = nbytes

@@ -14,7 +14,7 @@ which the engine marks the page dirty and sets the writable bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 
 @dataclass
@@ -74,6 +74,15 @@ class PageTable:
         if pte is not None:
             self.removals += 1
         return pte
+
+    def remove_many(self, vpns: Iterable[int]) -> None:
+        """Tear down the mappings of ``vpns`` (absent ones are skipped)."""
+        entries = self._entries
+        removed = 0
+        for vpn in vpns:
+            if entries.pop(vpn, None) is not None:
+                removed += 1
+        self.removals += removed
 
     def mapped_range(self, start_vpn: int, count: int) -> Iterator[Tuple[int, PTE]]:
         """Iterate present mappings within ``[start_vpn, start_vpn+count)``."""

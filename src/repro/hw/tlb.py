@@ -40,10 +40,15 @@ class TLB:
             return True
         self.misses += 1
         clock.charge("tlb.miss_walk", constants.TLB_MISS_WALK_CYCLES)
-        self._insert(vpn)
+        self.fill(vpn)
         return False
 
-    def _insert(self, vpn: int) -> None:
+    def fill(self, vpn: int) -> None:
+        """Cache ``vpn`` as most recently used, evicting the LRU entry if full.
+
+        No cost: a fault handler's PTE install leaves the translation in
+        the TLB as a side effect.
+        """
         self._entries[vpn] = None
         self._entries.move_to_end(vpn)
         if len(self._entries) > self.capacity:

@@ -7,7 +7,7 @@ node; Aquila's two-level freelist cares about that locality.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 from repro.common import units
 from repro.common.errors import OutOfMemoryError
@@ -80,6 +80,17 @@ class FramePool:
         self._check(frame)
         self._allocated[frame] = False
         self._data.pop(frame, None)
+
+    def mark_free_many(self, frames: Iterable[int]) -> None:
+        """``mark_free`` for each of ``frames`` (reclaim frees in batches)."""
+        allocated = self._allocated
+        data = self._data
+        total = self.total_frames
+        for frame in frames:
+            if not 0 <= frame < total:
+                raise OutOfMemoryError(f"frame {frame} out of range")
+            allocated[frame] = False
+            data.pop(frame, None)
 
     def is_allocated(self, frame: int) -> bool:
         """Whether ``frame`` is currently in use."""

@@ -11,7 +11,7 @@ entries in batches.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable, List, Optional
+from typing import Hashable, Iterator, List, Optional
 
 
 class ApproxLRU:
@@ -66,6 +66,10 @@ class ApproxLRU:
             return None
         return next(iter(self._order))
 
-    def keys_cold_to_hot(self) -> List[Hashable]:
-        """Snapshot of keys ordered coldest first."""
-        return list(self._order)
+    def cold_keys(self) -> Iterator[Hashable]:
+        """Iterate keys from coldest to hottest, without copying the list.
+
+        A victim walk usually stops after a few keys.  The list must not
+        change while the iterator is in use.
+        """
+        return iter(self._order)

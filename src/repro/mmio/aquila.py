@@ -27,7 +27,6 @@ from repro.common import constants, units
 from repro.common.errors import OutOfMemoryError, SegmentationFault, TransientDeviceError
 from repro.cache.aquila_cache import AquilaCache
 from repro.cache.base import CachePage
-from repro.devices.block import ZERO_PAGE
 from repro.devices.io_engines import DaxIO, IOPath
 from repro.hw.page_table import PTE
 from repro.fault.crash import CRASH
@@ -53,8 +52,6 @@ _F_HASH_INSERT = float(constants.HASHTABLE_INSERT_CYCLES)
 _F_ATOMIC = float(constants.LOCK_TRANSFER_CYCLES)
 _F_PTE_INSTALL = float(constants.AQUILA_PTE_INSTALL_CYCLES)
 _F_FAULT_MISC = float(constants.AQUILA_FAULT_MISC_CYCLES)
-
-_PAGE_MASK = units.PAGE_SIZE - 1
 
 
 class AquilaEngine(MmioEngine):
@@ -179,7 +176,7 @@ class AquilaEngine(MmioEngine):
         page.mapped_vpns.add(vpn)
         clock.charge("fault.pte_install", constants.AQUILA_PTE_INSTALL_CYCLES)
         clock.charge("fault.misc", constants.AQUILA_FAULT_MISC_CYCLES)
-        self.machine.tlb_of(thread)._insert(vpn)
+        self.machine.tlb_of(thread).fill(vpn)
 
         if is_write:
             # Write fault: mark dirty during the initial fault (Section 3.2).
@@ -320,16 +317,10 @@ class AquilaEngine(MmioEngine):
                 now = media_done
             device.reads += 1
             device.bytes_read += units.PAGE_SIZE
-            # store.read + pool.write for one aligned page, minus the
-            # chunk loop, join, and recopy (bytes are immutable, so
-            # storing the device's page object is the same bytes the
+            # pool.write minus its recopy (an aligned store.read returns
+            # the device's immutable page object, the same bytes the
             # copying path would store).
-            store = device.store
-            if offset & _PAGE_MASK:
-                data = store.read(offset, units.PAGE_SIZE)
-            else:
-                data = store._pages.get(offset >> units.PAGE_SHIFT, ZERO_PAGE)
-            cache.pool._data[frame] = data
+            cache.pool._data[frame] = device.store.read(offset, units.PAGE_SIZE)
             # cache.insert, fused: hash CAS install + LRU touch.
             page = CachePage(file, file_page, frame)
             key = page.key
@@ -414,7 +405,7 @@ class AquilaEngine(MmioEngine):
         pages = cache._pages
         count = cache.eviction_batch
         victims = []
-        for key in cache.lru._order:
+        for key in cache.lru.cold_keys():
             page = pages.get(key)
             if page is not None:
                 if page.dirty:

@@ -14,10 +14,10 @@ configurations is apples-to-apples.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional
 
 from repro.common import constants, units
-from repro.common.errors import OutOfMemoryError
 from repro.cache.base import CachePage
 from repro.cache.kernel_cache import KernelPageCache
 from repro.hw.machine import Machine
@@ -49,13 +49,10 @@ class BufferedIOEngine:
         page = self.cache.lookup(clock, thread.tid, file, file_page)
         if page is not None:
             return page
-        frame = self.cache.allocate_frame(clock)
-        if frame is None:
-            self._reclaim(thread)
-            frame = self.cache.allocate_frame(clock)
-            if frame is None:
-                raise OutOfMemoryError("page cache exhausted")
-        page = self.cache.insert(clock, thread.tid, file, file_page, frame)
+        (page,) = self.cache.insert_window(
+            clock, thread.tid, file, file_page, file_page + 1,
+            partial(self._reclaim, thread), set(),
+        )
         data = file.device.submit(
             clock,
             file.device_offset(file_page),
@@ -63,7 +60,7 @@ class BufferedIOEngine:
             is_write=False,
             wait_category="idle.io.buffered",
         )
-        self.cache.pool.write(frame, data)
+        self.cache.pool.write(page.frame, data)
         return page
 
     def _reclaim(self, thread: SimThread) -> None:

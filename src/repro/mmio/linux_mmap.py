@@ -18,6 +18,7 @@ Reproduces the behaviours the paper attributes to Linux:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional
 
 from repro.common import constants, units
@@ -97,10 +98,17 @@ class LinuxMmapEngine(MmioEngine):
         self.cache.remove(thread.clock, thread.tid, page)
 
     # -- fault handling ---------------------------------------------------------
+    #
+    # One straight-line protocol for every mode (traced or not, any CPI,
+    # fault injection, any device or readahead window): each lock, device
+    # command, retry and crash point is a real call, and the sub-spans
+    # fig7/fig8 read wrap the same code.  Other structures are reached
+    # through their public (batch) methods only.
 
     def _fault(self, thread: SimThread, vma: VMA, vpn: int, is_write: bool) -> int:
         clock = thread.clock
-        self.vmx.fault_entry(clock)
+        self.vmx.traps += 1   # ring 3 -> ring 0 trap
+        clock.charge("fault.trap", constants.TRAP_RING3_CYCLES)
         # No sub-spans around the vma/cache lookups: they are cheap, run on
         # every fault, and their cycles stay visible as charge categories
         # on the enclosing "fault" span.
@@ -108,7 +116,7 @@ class LinuxMmapEngine(MmioEngine):
         if checked is None or checked.vma_id != vma.vma_id:
             raise SegmentationFault(vpn << units.PAGE_SHIFT)
         file = vma.file
-        file_page = vma.file_page_of(vpn)
+        file_page = vma.file_start_page + (vpn - vma.start_vpn)
 
         page = self.cache.lookup(clock, thread.tid, file, file_page)
         if page is None:
@@ -120,25 +128,29 @@ class LinuxMmapEngine(MmioEngine):
         pte = self.page_table.install(vpn, page.frame, writable=False)
         page.mapped_vpns.add(vpn)
         clock.charge("fault.pte_install", constants.LINUX_PTE_INSTALL_CYCLES)
-        self.machine.tlb_of(thread)._insert(vpn)
-
+        self.machine.tlbs[thread.core].fill(vpn)
         if is_write:
-            return self._write_protect_fault(thread, vma, vpn, pte, in_fault=True)
+            self._mark_page_dirty(thread, page, pte)
         return page.frame
 
-    def _write_protect_fault(
-        self, thread: SimThread, vma: VMA, vpn: int, pte, in_fault: bool = False
-    ) -> int:
+    def _write_protect_fault(self, thread: SimThread, vma: VMA, vpn: int, pte) -> int:
+        """A store to a read-only PTE: full trap and VMA check, then dirty."""
         clock = thread.clock
-        if not in_fault:
-            # A separate protection fault: full trap + VMA check again.
-            self.vmx.fault_entry(clock)
-            self.vmas.lookup(clock, vpn)
-        file_page = vma.file_page_of(vpn)
-        page = self.cache.get_nocost(vma.file, file_page)
+        self.vmx.traps += 1
+        clock.charge("fault.trap", constants.TRAP_RING3_CYCLES)
+        self.vmas.lookup(clock, vpn)
+        page = self.cache.get_nocost(
+            vma.file, vma.file_start_page + (vpn - vma.start_vpn)
+        )
         if page is None:
             raise SegmentationFault(vpn << units.PAGE_SHIFT, "dirty fault on evicted page")
-        self.cache.mark_dirty(clock, thread.tid, page)   # takes the tree lock
+        self._mark_page_dirty(thread, page, pte)
+        return page.frame
+
+    def _mark_page_dirty(self, thread: SimThread, page: CachePage, pte) -> None:
+        """Mark ``page`` dirty (tree lock) and make its PTE writable and dirty."""
+        clock = thread.clock
+        self.cache.mark_dirty(clock, thread.tid, page)
         pte.writable = True
         pte.dirty = True
         clock.charge("fault.pte_install", constants.LINUX_PTE_INSTALL_CYCLES // 2)
@@ -147,7 +159,6 @@ class LinuxMmapEngine(MmioEngine):
         # first), so flushing it here would persist stale bytes and mark
         # it clean — losing the write on a later eviction.
         self._maybe_writeback(thread, exclude_key=page.key)
-        return page.frame
 
     # -- page-cache fill (miss path) ---------------------------------------------
 
@@ -161,118 +172,98 @@ class LinuxMmapEngine(MmioEngine):
         reads fill them — so the tree lock is *not* held across I/O.
         """
         clock = thread.clock
-        window = self._readahead_window(vma, file, file_page)
+        cache = self.cache
+        # Read-around window: one page under MADV_RANDOM, else centered
+        # on the fault, clamped to a quarter of the cache (the kernel
+        # backs off under memory pressure) and clipped to file and VMA.
+        advice = vma.advice
+        ra = (
+            1 if advice == MADV_RANDOM
+            else self.readahead_pages * 2 if advice == MADV_SEQUENTIAL
+            else self.readahead_pages
+        )
+        ra = min(ra, cache.capacity_pages // 4)
+        if ra <= 1:
+            first, last = file_page, file_page + 1
+        else:
+            start = max(0, file_page - ra // 2)
+            end = max(min(file.size_pages, start + ra), file_page + 1)
+            first = max(start, vma.file_start_page)
+            last = min(end, vma.file_start_page + vma.num_pages)
 
-        # Phase 1: allocate frames and install tree entries.  Each fresh
-        # page is pinned (PG_locked) until its data arrives so concurrent
-        # reclaim cannot steal it.
-        fresh: List[tuple] = []   # (page_index, frame)
+        # Phase 1: allocate frames and insert tree entries.  Each fresh
+        # page stays pinned (PG_locked) until its data arrives so
+        # concurrent reclaim cannot steal it.
+        pinned = self._pinned
         with TRACER.span("fault.alloc", clock):
-            for page_index in range(window[0], window[1]):
-                if self.cache.get_nocost(file, page_index) is not None:
-                    continue
-                frame = self._allocate_with_reclaim(thread)
-                self.cache.insert(clock, thread.tid, file, page_index, frame)
-                self._pinned.add((file.file_id, page_index))
-                fresh.append((page_index, frame))
-            # pins released after phase 2 below
+            fresh = cache.insert_window(
+                clock, thread.tid, file, first, last,
+                partial(self._reclaim_batch, thread), pinned,
+            )
 
-        # Phase 2: read device data into the new frames, merging
-        # device-contiguous runs; only the run containing the faulting
-        # page blocks, the rest is readahead.
-        run: List[tuple] = []
-
-        def flush_run() -> None:
-            if not run:
-                return
-            start_page = run[0][0]
-            nbytes = len(run) * units.PAGE_SIZE
-            offset = file.device_offset(start_page)
-            blocking = any(page_index == file_page for page_index, _ in run)
-            if blocking:
-                data = with_retries(
-                    clock,
-                    lambda: file.device.submit(
-                        clock, offset, nbytes, is_write=False,
-                        wait_category="idle.io.fault",
-                    ),
-                    "fault.io",
-                    self.retry_policy,
-                )
-                if not isinstance(file.device, PmemDevice):
-                    # Interrupt-driven completion: IRQ + wakeup + reschedule.
-                    clock.charge("fault.io.irq", constants.HOST_NVME_COMPLETION_CYCLES)
-            else:
-                try:
-                    file.device.submit_async(clock, offset, nbytes, is_write=False)
-                except TransientDeviceError:
-                    # Speculative readahead degrades instead of retrying:
-                    # drop the fresh pages so nobody sees unfilled frames.
-                    for page_index, _ in run:
-                        page = self.cache.get_nocost(file, page_index)
-                        if page is not None:
-                            self._pinned.discard((file.file_id, page_index))
-                            self.cache.remove(clock, thread.tid, page)
-                    self.readahead_aborted += len(run)
-                    run.clear()
-                    return
-                data = file.device.store.read(offset, nbytes)
-                self.readahead_reads += len(run)
-            for index, (_, frame) in enumerate(run):
-                self.cache.pool.write(
-                    frame, data[index * units.PAGE_SIZE : (index + 1) * units.PAGE_SIZE]
-                )
-            run.clear()
-
+        # Phase 2: read device data into the new frames, one command per
+        # device-contiguous run; only the run holding the faulting page
+        # blocks, the rest is readahead.
         with TRACER.span("fault.io", clock):
-            for page_index, frame in fresh:
-                if run and file.device_offset(page_index) != file.device_offset(
-                    run[-1][0]
-                ) + units.PAGE_SIZE:
-                    flush_run()
-                run.append((page_index, frame))
-            flush_run()
-        for page_index, _ in fresh:
-            self._pinned.discard((file.file_id, page_index))
+            device = file.device
+            pool = cache.pool
+            count = len(fresh)
+            begin = 0
+            while begin < count:
+                offset = file.device_offset(fresh[begin].file_page)
+                end = begin + 1
+                nbytes = units.PAGE_SIZE
+                while (
+                    end < count
+                    and file.device_offset(fresh[end].file_page) == offset + nbytes
+                ):
+                    end += 1
+                    nbytes += units.PAGE_SIZE
+                run = fresh[begin:end]
+                begin = end
+                # ``fresh`` is in file-page order and holds the faulting
+                # page, so the range test finds the one run containing it.
+                if run[0].file_page <= file_page <= run[-1].file_page:
+                    data = with_retries(
+                        clock,
+                        partial(device.submit, clock, offset, nbytes, is_write=False,
+                                wait_category="idle.io.fault"),
+                        "fault.io",
+                        self.retry_policy,
+                    )
+                    if not isinstance(device, PmemDevice):
+                        # Interrupt-driven completion: IRQ + wakeup + reschedule.
+                        clock.charge("fault.io.irq", constants.HOST_NVME_COMPLETION_CYCLES)
+                else:
+                    try:
+                        device.submit_async(clock, offset, nbytes, is_write=False)
+                    except TransientDeviceError:
+                        # Speculative readahead degrades instead of retrying:
+                        # drop the fresh pages so nobody sees unfilled frames.
+                        for page in run:
+                            pinned.discard(page.key)
+                            cache.remove(clock, thread.tid, page)
+                        self.readahead_aborted += len(run)
+                        continue
+                    data = device.store.read(offset, nbytes)
+                    self.readahead_reads += len(run)
+                for index, page in enumerate(run):
+                    pool.write(
+                        page.frame,
+                        data[index * units.PAGE_SIZE : (index + 1) * units.PAGE_SIZE],
+                    )
+        for page in fresh:
+            pinned.discard(page.key)
 
-        target = self.cache.get_nocost(file, file_page)
+        target = cache.get_nocost(file, file_page)
         if target is None:
             raise OutOfMemoryError("failed to populate faulting page")
         return target
 
-    def _readahead_window(self, vma: VMA, file: BackingFile, file_page: int):
-        if vma.advice == MADV_RANDOM:
-            ra = 1
-        elif vma.advice == MADV_SEQUENTIAL:
-            ra = self.readahead_pages * 2
-        else:
-            ra = self.readahead_pages
-        # Readahead cannot outgrow memory: clamp to a quarter of the cache
-        # (the kernel similarly backs off under memory pressure).
-        ra = max(1, min(ra, self.cache.capacity_pages // 4))
-        # Read-around: center the window on the fault, as fault-around does.
-        start = max(0, file_page - ra // 2)
-        end = min(file.size_pages, start + ra)
-        end = max(end, file_page + 1)
-        # Clip to the mapped range of the VMA.
-        vma_first = vma.file_start_page
-        vma_last = vma.file_start_page + vma.num_pages
-        return (max(start, vma_first), min(end, vma_last))
-
     # -- reclaim and writeback ---------------------------------------------------
 
-    def _allocate_with_reclaim(self, thread: SimThread) -> int:
-        frame = self.cache.allocate_frame(thread.clock)
-        if frame is not None:
-            return frame
-        self._direct_reclaim(thread)
-        frame = self.cache.allocate_frame(thread.clock)
-        if frame is None:
-            raise OutOfMemoryError("reclaim failed to free any page")
-        return frame
-
-    def _direct_reclaim(self, thread: SimThread) -> None:
-        """Evict a batch of cold pages in the faulting thread's context.
+    def _reclaim_batch(self, thread: SimThread) -> None:
+        """Direct reclaim: evict a batch of cold pages in the faulting thread.
 
         Busy mappings are skipped (trylock), as ``shrink_page_list`` does;
         a forced single-page eviction guarantees progress if every victim
@@ -281,45 +272,39 @@ class LinuxMmapEngine(MmioEngine):
         clock = thread.clock
         self.reclaim_runs += 1
         with TRACER.span("reclaim", clock):
-            self._reclaim_batch(thread)
-
-    def _reclaim_batch(self, thread: SimThread) -> None:
-        clock = thread.clock
-        victims = [
-            page
-            for page in self.cache.pick_victims(RECLAIM_BATCH_PAGES * 2)
-            if page.key not in self._pinned
-        ]
-        if not victims:
-            raise OutOfMemoryError("page cache empty but allocation failed")
-        victims = victims[:RECLAIM_BATCH_PAGES] if len(
-            victims
-        ) > RECLAIM_BATCH_PAGES else victims
-        clock.charge(
-            "reclaim.scan", constants.LINUX_RECLAIM_PER_PAGE_CYCLES * len(victims)
-        )
-        dirty = sorted(
-            (v for v in victims if v.dirty), key=lambda page: page.device_offset
-        )
-        if dirty:
-            self._write_back_pages(thread, dirty, sync=True, category="reclaim.writeback")
-            # Victims the trylock pass skips stay resident: they must be
-            # re-protected like any cleaned page.
-            self._mark_clean_and_protect(thread, dirty)
-        CRASH.point(f"{self.name}.reclaim")
-        removed = self.cache.remove_batch(clock, thread.tid, victims)
-        if not removed:
-            # Every mapping was busy: force one page out to make progress.
-            forced = victims[0]
-            self.cache.remove(clock, thread.tid, forced)
-            removed = [forced]
-        vpns: List[int] = []
-        for page in removed:
-            for vpn in page.mapped_vpns:
-                self.page_table.remove(vpn)
-                vpns.append(vpn)
-            page.mapped_vpns.clear()
-        self._shootdown(thread, vpns)
+            pinned = self._pinned
+            victims = [
+                page
+                for page in self.cache.pick_victims(RECLAIM_BATCH_PAGES * 2)
+                if page.key not in pinned
+            ][:RECLAIM_BATCH_PAGES]
+            if not victims:
+                raise OutOfMemoryError("page cache empty but allocation failed")
+            clock.charge(
+                "reclaim.scan", constants.LINUX_RECLAIM_PER_PAGE_CYCLES * len(victims)
+            )
+            dirty = sorted(
+                (v for v in victims if v.dirty), key=lambda page: page.device_offset
+            )
+            if dirty:
+                self._write_back_pages(thread, dirty, sync=True, category="reclaim.writeback")
+                # Victims the trylock pass skips stay resident: they must be
+                # re-protected like any cleaned page.
+                self._mark_clean_and_protect(thread, dirty)
+            CRASH.point(f"{self.name}.reclaim")
+            removed = self.cache.remove_batch(clock, thread.tid, victims)
+            if not removed:
+                # Every mapping was busy: force one page out to make progress.
+                forced = victims[0]
+                self.cache.remove(clock, thread.tid, forced)
+                removed = [forced]
+            vpns: List[int] = []
+            for page in removed:
+                if page.mapped_vpns:
+                    vpns.extend(page.mapped_vpns)
+                    page.mapped_vpns.clear()
+            self.page_table.remove_many(vpns)
+            self._shootdowns.shootdown(clock, thread.core, vpns)
 
     def _maybe_writeback(self, thread: SimThread, exclude_key=None) -> None:
         """Aggressive background writeback charged to the dirtying thread."""

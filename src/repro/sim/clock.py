@@ -102,7 +102,10 @@ class CycleClock:
             raise ValueError(f"negative charge: {cycles} for {category}")
         scaled = cycles * self.cpi_factor
         self.now += scaled
-        self.breakdown.add(category, scaled)
+        # Breakdown.add inlined (same module, same zero skip): this runs
+        # on every charge of every engine.
+        if scaled:
+            self.breakdown._cycles[category] += scaled
         span = self._obs_span
         if span is not None:
             span.charge(category, scaled)

@@ -1,17 +1,23 @@
-"""Structure guard: workload layers use public interfaces only.
+"""Structure guard: guarded modules use public interfaces only.
 
 The plan-driven workload layers (``repro.workloads``, ``repro.serve``,
 ``repro.cluster``) sit on top of the engine's ``retire`` primitive and
-the thread's public recorders; reaching into another object's private
-state is how per-caller fast paths crept in before.  This AST walk fails
-on any attribute read ``x._name`` whose base is not ``self`` or ``cls``
-(dunder attributes such as ``__name__`` are allowed).
+the thread's public recorders; the Linux fault protocol and its kernel
+page cache reach other structures through their public batch methods.
+Reaching into another object's private state is how per-caller fast
+paths crept in before.  This AST walk fails on any attribute read
+``x._name`` whose base is not ``self`` or ``cls`` (dunder attributes
+such as ``__name__`` are allowed).
 """
 
 import ast
 import os
 
+#: Plan-driven workload layers (every module below these packages).
 PACKAGES = ("src/repro/workloads", "src/repro/serve", "src/repro/cluster")
+
+#: The Linux fault protocol and its kernel page cache.
+FAULT_PROTOCOL_MODULES = ("src/repro/mmio/linux_mmap.py", "src/repro/cache/kernel_cache.py")
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
@@ -40,19 +46,30 @@ def test_guard_flags_foreign_private_reads():
     assert private_reads(source) == [(3, "thread.latencies._samples")]
 
 
-def test_workload_layers_read_no_foreign_private_attributes():
+def _offenders(paths):
     offenders = []
-    for package in PACKAGES:
-        for dirpath, _, filenames in os.walk(os.path.join(REPO, package)):
-            for filename in sorted(filenames):
-                if not filename.endswith(".py"):
-                    continue
-                path = os.path.join(dirpath, filename)
-                with open(path) as handle:
-                    source = handle.read()
-                rel = os.path.relpath(path, REPO)
-                offenders += [
-                    f"{rel}:{line}: {expr}"
-                    for line, expr in private_reads(source, path)
-                ]
+    for path in paths:
+        with open(path) as handle:
+            source = handle.read()
+        rel = os.path.relpath(path, REPO)
+        offenders += [
+            f"{rel}:{line}: {expr}" for line, expr in private_reads(source, path)
+        ]
+    return offenders
+
+
+def test_workload_layers_read_no_foreign_private_attributes():
+    paths = [
+        os.path.join(dirpath, filename)
+        for package in PACKAGES
+        for dirpath, _, filenames in os.walk(os.path.join(REPO, package))
+        for filename in sorted(filenames)
+        if filename.endswith(".py")
+    ]
+    offenders = _offenders(paths)
+    assert not offenders, "private reach-throughs:\n  " + "\n  ".join(offenders)
+
+
+def test_linux_fault_protocol_reads_no_foreign_private_attributes():
+    offenders = _offenders(os.path.join(REPO, module) for module in FAULT_PROTOCOL_MODULES)
     assert not offenders, "private reach-throughs:\n  " + "\n  ".join(offenders)

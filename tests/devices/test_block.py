@@ -38,6 +38,16 @@ class TestBackingStore:
         with pytest.raises(OutOfSpaceError):
             store.write(units.MIB - 1, b"ab")
 
+    def test_aligned_page_read_is_the_stored_page(self):
+        store = BackingStore(units.MIB)
+        data = bytes(range(256)) * 16
+        store.write_page(3, data)
+        assert store.read(3 * units.PAGE_SIZE, units.PAGE_SIZE) is store.read_page(3)
+        assert store.read(4 * units.PAGE_SIZE, units.PAGE_SIZE) == bytes(units.PAGE_SIZE)
+        assert store.read(3 * units.PAGE_SIZE + 1, units.PAGE_SIZE) == data[1:] + b"\x00"
+        with pytest.raises(OutOfSpaceError):
+            store.read(units.MIB, units.PAGE_SIZE)
+
     def test_spanning_write_read(self):
         store = BackingStore(units.MIB)
         data = b"X" * 10000   # spans 3 pages

@@ -40,6 +40,14 @@ class TestPageTable:
         assert table.remove(1) is None
         assert table.removals == 1
 
+    def test_remove_many(self):
+        table = PageTable()
+        for vpn in (1, 2, 3):
+            table.install(vpn, frame=vpn)
+        table.remove_many([1, 3, 4])
+        assert table.lookup(2).frame == 2 and len(table) == 1
+        assert table.removals == 2
+
     def test_reinstall_replaces(self):
         table = PageTable()
         table.install(1, frame=5)

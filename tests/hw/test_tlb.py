@@ -34,6 +34,17 @@ class TestTLB:
         assert not tlb.contains(2)
         assert tlb.contains(3)
 
+    def test_fill_is_free_and_most_recent(self):
+        tlb = TLB(capacity=2)
+        clock = CycleClock()
+        tlb.access(1, clock)
+        tlb.fill(2)
+        tlb.fill(1)                   # refresh 1 -> 2 is now LRU
+        tlb.fill(3)                   # evicts 2
+        assert tlb.resident_vpns() == {1, 3}
+        assert (tlb.hits, tlb.misses) == (0, 1)
+        assert clock.now == constants.TLB_MISS_WALK_CYCLES
+
     def test_invalidate(self):
         tlb = TLB()
         clock = CycleClock()

@@ -42,6 +42,17 @@ class TestFramePool:
         pool.mark_free(0)
         assert pool.read(0) == bytes(4096)
 
+    def test_free_many_scrubs(self):
+        pool = FramePool(10)
+        for frame in (2, 3, 4):
+            pool.mark_allocated(frame)
+            pool.write(frame, b"\xFF" * 4096)
+        pool.mark_free_many([2, 4])
+        assert pool.allocated_count() == 1 and pool.is_allocated(3)
+        assert pool.read(2) == pool.read(4) == bytes(4096)
+        with pytest.raises(OutOfMemoryError):
+            pool.mark_free_many([10])
+
     def test_allocated_accounting(self):
         pool = FramePool(10)
         pool.mark_allocated(1)
@@ -107,7 +118,7 @@ class TestApproxLRU:
         for i, key in enumerate(touches):
             lru.touch(key)
             last_touch[key] = i
-        order = lru.keys_cold_to_hot()
+        order = list(lru.cold_keys())
         staleness = [last_touch[k] for k in order]
         assert staleness == sorted(staleness)
 
