@@ -13,6 +13,7 @@ import math
 import pytest
 
 from repro.bench.setups import make_aquila_stack, make_kmmap_stack, make_linux_stack
+from repro.cache.partition import CachePartition
 from repro.common import units
 from repro.common.errors import ProtectionFault, SegmentationFault
 from repro.mmio.files import BackingFile
@@ -159,6 +160,69 @@ class TestLinuxTracing:
         if cache_pages < 160:
             assert engine.reclaim_runs > 0
             assert {"reclaim", "writeback.bg"} <= names
+
+
+def _run_tenants(batched, fastforward):
+    """An out-of-memory Aquila cell under every condition at once.
+
+    Two tenant files (160 pages each) share a 64-page cache under a
+    static QoS partition that lets tenant ``a`` keep only 8 pages, so
+    victim selection reorders the LRU walk.  32 threads on 16 physical
+    cores run at CPI 1.4, 30% of the accesses are stores (some victims
+    are dirty), and a span is open on every thread clock.
+    """
+    SimThread.reset_ids()
+    BackingFile.reset_ids()
+    stack = make_aquila_stack("pmem", 64)
+    engine = stack.engine
+    engine.fastforward = batched and fastforward
+    files = [stack.allocator.create(f"tenant-{name}", 160 * units.PAGE_SIZE)
+             for name in "ab"]
+    partition = CachePartition("static")
+    for name, file in zip("ab", files):
+        partition.assign(file.file_id, name)
+    partition.set_quota("a", 8)
+    partition.set_quota("b", 56)
+    engine.cache.partition = partition
+    executor = make_epoch_executor(batched, engine.run_ahead_unbounded_ok)
+    threads = []
+    mappings = []
+    with TRACER.isolated(enable=True):
+        for index in range(32):
+            thread = SimThread(core=index % engine.machine.topology.num_hw_threads)
+            threads.append(thread)
+            if len(mappings) < len(files):
+                mappings.append(engine.mmap(thread, files[len(mappings)]))
+                mappings[-1].madvise(thread, MADV_RANDOM)
+            work = access_workload(
+                thread, mappings[index % 2], 300, 0.3, False, 11,
+                partition_index=index // 2, partition_count=16,
+            )
+            executor.add(thread, _spanned(thread, work))
+        engine.machine.apply_smt_penalty(threads)
+        result = executor.run()
+        assert TRACER.dropped == 0
+        rows = _span_rows(TRACER)
+    return mmio_state_digest(stack, result), rows, engine, threads
+
+
+class TestAquilaOutOfMemory:
+    """One Aquila fault and eviction protocol in every executor mode."""
+
+    def test_partitioned_smt_write_mix_under_spans(self):
+        runs = {label: _run_tenants(batched, ff) for label, batched, ff in MODES}
+        reference, reference_rows, _, _ = runs["unbatched"]
+        for label in ("batched", "fastforward"):
+            digest, rows, _, _ = runs[label]
+            problems = diff_digests(reference, digest)
+            assert not problems, f"{label} diverged:\n  " + "\n  ".join(problems[:5])
+            assert rows == reference_rows, f"{label} span charges diverged"
+        _, rows, engine, threads = runs["fastforward"]
+        assert all(t.clock.cpi_factor == 1.4 for t in threads)
+        assert engine.eviction_batches > 0
+        assert engine.io_path.device.bytes_written > 0, "no dirty victim written back"
+        names = {row[4] for row in rows}
+        assert {"fault", "fault.alloc", "fault.io", "evict", "writeback.io"} <= names
 
 
 class TestRetireFaults:
