@@ -24,9 +24,8 @@ DEFAULT_THREAD_COUNTS = [1, 2, 4, 8, 16, 32]
 #: Default per-figure access budget.  40x the original 4096 (10x from the
 #: batched scheduler, another 4x from the analytic fast-forward): figure
 #: runs default to fast-forward mode, which retires in-memory re-access
-#: tails in closed form and replays out-of-memory faults fused, so
-#: figure-scale runs stay fast while stepping further toward the paper's
-#: full-scale access counts.
+#: tails in closed form, so figure-scale runs stay fast while stepping
+#: further toward the paper's full-scale access counts.
 DEFAULT_TOTAL_ACCESSES = 163840
 
 

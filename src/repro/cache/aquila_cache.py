@@ -168,11 +168,26 @@ class AquilaCache:
 
     def remove(self, clock: CycleClock, core: int, page: CachePage) -> None:
         """Drop an (already clean) page and recycle its frame."""
-        self.table.remove(clock, page.key)
-        self._pages.pop(page.key, None)
-        self.lru.remove(page.key)
-        self.freelist.free(clock, core, page.frame)
-        self.evictions += 1
+        self.remove_many(clock, core, [page])
+
+    def remove_many(self, clock: CycleClock, core: int, pages: List[CachePage]) -> None:
+        """Drop (already clean) pages and recycle their frames, in order.
+
+        Per page: the hash-table CAS remove, then the freelist free —
+        the charge order of ``remove`` called once per page.
+        """
+        table = self.table
+        freelist = self.freelist
+        resident = self._pages
+        keys = []
+        for page in pages:
+            key = page.key
+            keys.append(key)
+            table.remove(clock, key)
+            resident.pop(key, None)
+            freelist.free(clock, core, page.frame)
+        self.lru.remove_batch(keys)
+        self.evictions += len(pages)
 
     def dirty_pages_sorted(self, core: int) -> List[CachePage]:
         """Dirty pages of one core's tree in device-offset order.

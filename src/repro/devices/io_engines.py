@@ -22,6 +22,7 @@ All paths move real data through the device's backing store.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.common import constants
@@ -230,7 +231,7 @@ class DaxIO(IOPath):
     def read(self, clock: CycleClock, offset: int, nbytes: int, category: str = "io") -> bytes:
         return with_retries(
             clock,
-            lambda: self.device.dax_read(clock, self.fpu, offset, nbytes, category + ".dax"),
+            partial(self.device.dax_read, clock, self.fpu, offset, nbytes, category + ".dax"),
             category,
             self.retry_policy,
         )

@@ -73,9 +73,11 @@ class PmemDevice(BlockDevice):
         media_done = (
             self.media.admit(clock.now, nbytes) if self.media is not None else 0.0
         )
-        self._dax_fault(clock, offset, nbytes, is_write=False, data=None)
+        if self.faults is not None:
+            self._dax_fault(clock, offset, nbytes, is_write=False, data=None)
         fpu.charge_copy(clock, nbytes, category)
-        clock.wait_until(media_done, "idle.membw")
+        if media_done > clock.now:
+            clock.wait_until(media_done, "idle.membw")
         self.reads += 1
         self.bytes_read += nbytes
         return self.store.read(offset, nbytes)
@@ -92,9 +94,11 @@ class PmemDevice(BlockDevice):
         media_done = (
             self.media.admit(clock.now, len(data)) if self.media is not None else 0.0
         )
-        self._dax_fault(clock, offset, len(data), is_write=True, data=data)
+        if self.faults is not None:
+            self._dax_fault(clock, offset, len(data), is_write=True, data=data)
         fpu.charge_copy(clock, len(data), category)
-        clock.wait_until(media_done, "idle.membw")
+        if media_done > clock.now:
+            clock.wait_until(media_done, "idle.membw")
         self.writes += 1
         self.bytes_written += len(data)
         self.store.write(offset, data)
@@ -102,15 +106,14 @@ class PmemDevice(BlockDevice):
     def _dax_fault(
         self, clock: CycleClock, offset: int, nbytes: int, is_write: bool, data
     ) -> None:
-        """Consult the fault plan on the DAX path (poison/ECC stalls).
+        """Consult the armed fault plan on the DAX path (poison/ECC stalls).
 
         Latency spikes block the copy (charged as a fault-latency wait);
         errors model a poisoned line raising a machine-check the DAX
         layer reports as a transient failure; torn writes land a prefix
-        (cacheline-granular persistence without a fence).
+        (cacheline-granular persistence without a fence).  Callers skip
+        the call while no plan is armed.
         """
-        if self.faults is None:
-            return
         decision = self.faults.decide(clock.now, is_write, nbytes)
         if decision.kind == FAULT_NONE:
             return

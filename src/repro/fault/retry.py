@@ -61,20 +61,22 @@ def with_retries(
     ``<category>.retry_backoff`` cycles to ``clock`` before re-issuing.
     Raises :class:`DeviceError` once the policy is exhausted.
     """
+    try:
+        return attempt()
+    except TransientDeviceError as exc:
+        last_error = exc
     policy = policy if policy is not None else DEFAULT_RETRY_POLICY
-    last_error: Optional[TransientDeviceError] = None
-    for attempt_index in range(policy.max_attempts):
-        if attempt_index:
-            # Looked up per retry (not cached at import) so the counters
-            # survive METRICS.reset(); retries are rare, the cost is noise.
-            METRICS.counter(
-                "fault.retries", help="I/O commands retried after a transient fault"
-            ).inc()
-            with TRACER.span("fault.retry", clock):
-                clock.charge(
-                    category + ".retry_backoff",
-                    policy.backoff_cycles(attempt_index - 1),
-                )
+    for attempt_index in range(1, policy.max_attempts):
+        # Looked up per retry (not cached at import) so the counters
+        # survive METRICS.reset(); retries are rare, the cost is noise.
+        METRICS.counter(
+            "fault.retries", help="I/O commands retried after a transient fault"
+        ).inc()
+        with TRACER.span("fault.retry", clock):
+            clock.charge(
+                category + ".retry_backoff",
+                policy.backoff_cycles(attempt_index - 1),
+            )
         try:
             return attempt()
         except TransientDeviceError as exc:

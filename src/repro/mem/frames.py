@@ -67,17 +67,20 @@ class FramePool:
         return [f for f in range(self.total_frames) if self.node_of(f) == node]
 
     def _check(self, frame: int) -> None:
+        # Hot callers test the range inline and call this only to raise.
         if not 0 <= frame < self.total_frames:
             raise OutOfMemoryError(f"frame {frame} out of range")
 
     def mark_allocated(self, frame: int) -> None:
         """Record that ``frame`` is in use (freelist bookkeeping)."""
-        self._check(frame)
+        if not 0 <= frame < self.total_frames:
+            self._check(frame)
         self._allocated[frame] = True
 
     def mark_free(self, frame: int) -> None:
         """Record that ``frame`` is free and scrub its contents."""
-        self._check(frame)
+        if not 0 <= frame < self.total_frames:
+            self._check(frame)
         self._allocated[frame] = False
         self._data.pop(frame, None)
 
@@ -110,7 +113,8 @@ class FramePool:
 
     def write(self, frame: int, data: bytes) -> None:
         """Replace the contents of ``frame``."""
-        self._check(frame)
+        if not 0 <= frame < self.total_frames:
+            self._check(frame)
         if len(data) != units.PAGE_SIZE:
             raise ValueError(f"frame write must be {units.PAGE_SIZE} bytes")
         self._data[frame] = bytes(data)

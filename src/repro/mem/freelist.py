@@ -40,7 +40,8 @@ class TwoLevelFreelist:
         """``core_of_numa_node`` maps a core index to its NUMA node."""
         self.pool = pool
         self.num_cores = num_cores
-        self._node_of_core = core_of_numa_node
+        # Looked up on every batch move: tabulate the static map once.
+        self._node_of_core = [core_of_numa_node(core) for core in range(num_cores)]
         self.move_batch = move_batch
         self.core_threshold = core_threshold
         self._core_queues: List[Deque[int]] = [deque() for _ in range(num_cores)]
@@ -102,7 +103,7 @@ class TwoLevelFreelist:
         return frame
 
     def _refill_from_nodes(self, clock: CycleClock, core: int) -> None:
-        local_node = self._node_of_core(core)
+        local_node = self._node_of_core[core]
         order = [local_node] + [
             n for n in range(self.pool.numa_nodes) if n != local_node
         ]
@@ -138,7 +139,7 @@ class TwoLevelFreelist:
             self._spill_to_node(clock, core)
 
     def _spill_to_node(self, clock: CycleClock, core: int) -> None:
-        node = self._node_of_core(core)
+        node = self._node_of_core[core]
         core_queue = self._core_queues[core]
         take = min(self.move_batch, len(core_queue))
         clock.charge("cache.freelist.cas", constants.LOCK_TRANSFER_CYCLES)

@@ -22,6 +22,7 @@ from typing import Any, Iterator, List, Optional, Tuple
 
 RADIX_BITS = 6
 RADIX_FANOUT = 1 << RADIX_BITS   # 64, like the Linux kernel's radix tree
+_SLOT_MASK = RADIX_FANOUT - 1
 
 
 class _RadixNode:
@@ -38,6 +39,7 @@ class RadixTree:
     def __init__(self) -> None:
         self._root: Optional[_RadixNode] = None
         self._height = 0      # levels below the root
+        self._shifts = ()     # key shift per level below the root, top first
         self._max_key = -1    # largest key the tree can hold now (-1: no root)
         self._size = 0
 
@@ -59,6 +61,9 @@ class RadixTree:
             self._root = new_root
             self._height += 1
             self._max_key = (1 << (RADIX_BITS * (self._height + 1))) - 1
+        self._shifts = tuple(
+            RADIX_BITS * level for level in range(self._height, 0, -1)
+        )
 
     def insert(self, key: int, value: Any) -> bool:
         """Insert or replace; returns True when the key was new."""
@@ -69,15 +74,15 @@ class RadixTree:
         if key > self._max_key:
             self._extend(key)
         node = self._root
-        for level in range(self._height, 0, -1):
-            index = (key >> (RADIX_BITS * level)) & (RADIX_FANOUT - 1)
+        for shift in self._shifts:
+            index = (key >> shift) & _SLOT_MASK
             child = node.slots[index]
             if child is None:
                 child = _RadixNode()
                 node.slots[index] = child
                 node.count += 1
             node = child
-        index = key & (RADIX_FANOUT - 1)
+        index = key & _SLOT_MASK
         fresh = node.slots[index] is None
         if fresh:
             node.count += 1
@@ -90,12 +95,11 @@ class RadixTree:
         if key < 0 or key > self._max_key:
             return None
         node = self._root
-        for level in range(self._height, 0, -1):
-            index = (key >> (RADIX_BITS * level)) & (RADIX_FANOUT - 1)
-            node = node.slots[index]
+        for shift in self._shifts:
+            node = node.slots[(key >> shift) & _SLOT_MASK]
             if node is None:
                 return None
-        return node.slots[key & (RADIX_FANOUT - 1)]
+        return node.slots[key & _SLOT_MASK]
 
     def remove(self, key: int) -> Optional[Any]:
         """Delete ``key``; returns the removed value or None."""
@@ -103,14 +107,14 @@ class RadixTree:
             return None
         path: List[Tuple[_RadixNode, int]] = []
         node = self._root
-        for level in range(self._height, 0, -1):
-            index = (key >> (RADIX_BITS * level)) & (RADIX_FANOUT - 1)
+        for shift in self._shifts:
+            index = (key >> shift) & _SLOT_MASK
             child = node.slots[index]
             if child is None:
                 return None
             path.append((node, index))
             node = child
-        index = key & (RADIX_FANOUT - 1)
+        index = key & _SLOT_MASK
         value = node.slots[index]
         if value is None:
             return None

@@ -28,7 +28,6 @@ from repro.common.errors import OutOfMemoryError, SegmentationFault, TransientDe
 from repro.cache.aquila_cache import AquilaCache
 from repro.cache.base import CachePage
 from repro.devices.io_engines import DaxIO, IOPath
-from repro.hw.page_table import PTE
 from repro.fault.crash import CRASH
 from repro.hw.ept import EPT
 from repro.hw.machine import Machine
@@ -38,20 +37,6 @@ from repro.mmio.files import BackingFile
 from repro.mmio.vma import MADV_SEQUENTIAL, VMA, AquilaVMAStore
 from repro.obs import TRACER
 from repro.sim.executor import SimThread
-from repro.sim.locks import CacheLineTimeline
-
-#: Charge constants pre-coerced to float once: the fused replay adds them
-#: to breakdown buckets tens of thousands of times per run, and a float()
-#: per add is pure interpreter overhead (the values are identical).
-_F_TRAP = float(constants.TRAP_AQUILA_CYCLES)
-_F_VMA_LOOKUP = float(constants.AQUILA_VMA_LOOKUP_CYCLES)
-_F_CACHE_LOOKUP = float(constants.AQUILA_CACHE_LOOKUP_CYCLES)
-_F_LRU_UPDATE = float(constants.AQUILA_LRU_UPDATE_CYCLES)
-_F_FREELIST_OP = float(constants.FREELIST_OP_CYCLES)
-_F_HASH_INSERT = float(constants.HASHTABLE_INSERT_CYCLES)
-_F_ATOMIC = float(constants.LOCK_TRANSFER_CYCLES)
-_F_PTE_INSTALL = float(constants.AQUILA_PTE_INSTALL_CYCLES)
-_F_FAULT_MISC = float(constants.AQUILA_FAULT_MISC_CYCLES)
 
 
 class AquilaEngine(MmioEngine):
@@ -64,13 +49,6 @@ class AquilaEngine(MmioEngine):
     #: the 552-cycle fault entry, the mmap-class vmcall, or the msync
     #: entry + dirty-tree scan (100 + 220) — whichever is smallest.
     sync_preamble_cycles = 100 + constants.AQUILA_MSYNC_SCAN_CYCLES
-
-    #: The fused-path counters show in telemetry whether the fast path ran.
-    METRIC_FIELDS = {
-        **MmioEngine.METRIC_FIELDS,
-        "ff_faults": "ff_faults",
-        "ff_evictions": "ff_evictions",
-    }
 
     def __init__(
         self,
@@ -99,13 +77,6 @@ class AquilaEngine(MmioEngine):
             freelist_core_threshold=freelist_core_threshold,
         )
         self.io_path = io_path
-        # One 4 KiB DAX copy costs the same every time (pure function of
-        # the copy strategy); precompute it for the fused fault replay.
-        self._ff_copy_cost = (
-            io_path.fpu.copy_cost_cycles(units.PAGE_SIZE)
-            if isinstance(io_path, DaxIO)
-            else 0.0
-        )
         self.shootdown_batch = shootdown_batch
         self.readahead_pages = readahead_pages
         self._shootdowns = machine.make_shootdown_controller("aquila")
@@ -114,8 +85,6 @@ class AquilaEngine(MmioEngine):
             self.ept.grant(0, cache_pages * units.PAGE_SIZE)
         self.eviction_batches = 0
         self.readahead_aborted = 0
-        self.ff_faults = 0      # faults replayed by the fused fast path
-        self.ff_evictions = 0   # eviction batches replayed by the fused path
 
     # -- engine plumbing ------------------------------------------------------
 
@@ -151,6 +120,12 @@ class AquilaEngine(MmioEngine):
         return 50
 
     # -- fault handling ---------------------------------------------------------
+    #
+    # One straight-line protocol for every mode (traced or not, any CPI,
+    # fault injection, EPT, readahead, any I/O path or partition): each
+    # device command, retry, crash point and charge is a real call, and
+    # the sub-spans fig7/fig8 read wrap the same code.  Other structures
+    # are reached through their public (batch) methods only.
 
     def _fault(self, thread: SimThread, vma: VMA, vpn: int, is_write: bool) -> int:
         clock = thread.clock
@@ -162,26 +137,46 @@ class AquilaEngine(MmioEngine):
         if checked is None or checked.vma_id != vma.vma_id:
             raise SegmentationFault(vpn << units.PAGE_SHIFT)
         file = vma.file
-        file_page = vma.file_page_of(vpn)
+        file_page = vma.file_start_page + (vpn - vma.start_vpn)
+        cache = self.cache
 
-        page = self.cache.lookup(clock, file, file_page)
-        if page is None:
-            self.major_faults += 1
-            page = self._read_in(thread, vma, file, file_page)
-        else:
+        page = cache.lookup(clock, file, file_page)
+        if page is not None:
             self.minor_faults += 1
+        else:
+            # Miss: allocate (evicting a batch if the freelist is dry), copy
+            # the page in, CAS-install it.
+            self.major_faults += 1
+            with TRACER.span("fault.alloc", clock):
+                frame = self._allocate_with_eviction(thread)
+            if self.ept is not None:
+                # First touch of a fresh cache granule faults in EPT (1 GB
+                # granules make this essentially free; Section 3.5).
+                self.ept.translate(frame * units.PAGE_SIZE, clock)
+            with TRACER.span("fault.io", clock):
+                cache.pool.write(
+                    frame,
+                    self.io_path.read(
+                        clock, file.device_offset(file_page), units.PAGE_SIZE, "fault.io"
+                    ),
+                )
+            page = cache.insert(clock, file, file_page, frame)
+            if page.frame != frame:
+                # Lost the install race; recycle the speculative frame.
+                cache.freelist.free(clock, thread.core, frame)
+            if vma.advice == MADV_SEQUENTIAL and self.readahead_pages:
+                with TRACER.span("fault.readahead", clock):
+                    self._readahead(thread, vma, file, file_page)
 
-        writable = is_write
-        pte = self.page_table.install(vpn, page.frame, writable=writable)
+        pte = self.page_table.install(vpn, page.frame, writable=is_write)
         page.mapped_vpns.add(vpn)
         clock.charge("fault.pte_install", constants.AQUILA_PTE_INSTALL_CYCLES)
         clock.charge("fault.misc", constants.AQUILA_FAULT_MISC_CYCLES)
-        self.machine.tlb_of(thread).fill(vpn)
-
+        self.machine.tlbs[thread.core].fill(vpn)
         if is_write:
             # Write fault: mark dirty during the initial fault (Section 3.2).
             pte.dirty = True
-            self.cache.mark_dirty(clock, thread.core, page)
+            cache.mark_dirty(clock, thread.core, page)
         return page.frame
 
     def _write_protect_fault(self, thread: SimThread, vma: VMA, vpn: int, pte) -> int:
@@ -189,8 +184,9 @@ class AquilaEngine(MmioEngine):
         clock = thread.clock
         self.vmx.fault_entry(clock)
         self.vmas.lookup(clock, vpn)
-        file_page = vma.file_page_of(vpn)
-        page = self.cache.get_nocost(vma.file, file_page)
+        page = self.cache.get_nocost(
+            vma.file, vma.file_start_page + (vpn - vma.start_vpn)
+        )
         if page is None:
             raise SegmentationFault(vpn << units.PAGE_SHIFT, "dirty fault on evicted page")
         self.cache.mark_dirty(clock, thread.core, page)
@@ -199,388 +195,73 @@ class AquilaEngine(MmioEngine):
         clock.charge("fault.pte_install", constants.AQUILA_PTE_INSTALL_CYCLES // 2)
         return page.frame
 
-    # -- fused fast-forward fault replay ---------------------------------------
-
-    def _fault_fast(self, thread: SimThread, vma: VMA, vpn: int) -> Optional[int]:
-        """Fused replay of the clean read-fault protocol (fast-forward).
-
-        Performs exactly the state transitions and cycle charges of
-        ``_fault(is_write=False)`` — trap entry, VMA radix check with its
-        entry-line bookkeeping, hash lookup, miss read-in, PTE install,
-        TLB insert — but as straight-line code, skipping the per-charge
-        call machinery.  Anything with nontrivial timing semantics stays a
-        real call with the clock synced: freelist allocation, the DAX media
-        read (token-bucket admission, fractional waits), hash-table insert
-        (striped atomic timeline), and TLB shootdowns inside eviction.
-
-        Returns None — take the unfused path — whenever any modeled
-        behavior could differ: scaled CPI (SMT), an open observation span,
-        active tracing, EPT translation, a non-DAX I/O path, an armed
-        device fault plan, or sequential readahead.  The conformance tier
-        proves the replay bit-exact against both reference schedulers.
-        """
-        clock = thread.clock
-        io_path = self.io_path
-        if (
-            clock.cpi_factor != 1.0
-            or clock._obs_span is not None
-            or TRACER.enabled
-            or self.ept is not None
-            or self.vmx.domain is not ExecutionDomain.NONROOT_RING0
-            or not isinstance(io_path, DaxIO)
-            or io_path.device.faults is not None
-            or (vma.advice == MADV_SEQUENTIAL and self.readahead_pages)
-        ):
-            return None
-        now = clock.now
-        cycles = clock.breakdown._cycles
-        # vmx.fault_entry: 552-cycle non-root ring 0 exception delivery.
-        self.vmx.traps += 1
-        now += constants.TRAP_AQUILA_CYCLES
-        cycles["fault.trap"] += _F_TRAP
-        # vmas.lookup: radix validity check behind the per-entry lock line
-        # (zero-cost atomic: the line advances but never waits or charges).
-        # The flat mirror resolves the same entry the radix walk would.
-        vmas = self.vmas
-        vmas.lookups += 1
-        now += constants.AQUILA_VMA_LOOKUP_CYCLES
-        cycles["fault.vma_lookup"] += _F_VMA_LOOKUP
-        lines = vmas._entry_locks._lines
-        line = lines[hash(vpn) % len(lines)]
-        line.operations += 1
-        line._free_at = now
-        checked = vmas._flat.get(vpn)
-        if checked is None or checked.vma_id != vma.vma_id:
-            clock.now = now
-            raise SegmentationFault(vpn << units.PAGE_SHIFT)
-        file = vma.file
-        # file_page_of, minus the containment recheck the radix entry
-        # just proved.
-        file_page = vma.file_start_page + (vpn - vma.start_vpn)
-        # cache.lookup: wait-free hash probe.
-        cache = self.cache
-        cache.table.lookups += 1
-        now += constants.AQUILA_CACHE_LOOKUP_CYCLES
-        cycles["cache.hash.lookup"] += _F_CACHE_LOOKUP
-        page = cache.table._map.get((file.file_id, file_page))
-        if page is not None:
-            cache.hits += 1
-            cache.lru.touch(page.key)
-            now += constants.AQUILA_LRU_UPDATE_CYCLES
-            cycles["fault.lru"] += _F_LRU_UPDATE
-            self.minor_faults += 1
-        else:
-            cache.misses += 1
-            self.major_faults += 1
-            # _read_in, fused.  freelist.allocate: one lock-free op charge
-            # per attempt; the batched node refill (rare) runs for real.
-            freelist = cache.freelist
-            core = thread.core
-            core_queue = freelist._core_queues[core]
-            frame = None
-            for attempt in (0, 1):
-                now += constants.FREELIST_OP_CYCLES
-                cycles["cache.freelist"] += _F_FREELIST_OP
-                if not core_queue:
-                    clock.now = now
-                    freelist._refill_from_nodes(clock, core)
-                    now = clock.now
-                if core_queue:
-                    frame = core_queue.popleft()
-                    freelist.pool.mark_allocated(frame)
-                    freelist.allocations += 1
-                    break
-                if attempt:
-                    raise OutOfMemoryError("eviction freed no frames")
-                clock.now = now
-                if not self._evict_batch_ff(thread):
-                    self._evict_batch(thread)
-                now = clock.now
-            # DaxIO.read minus the retry wrapper (a first attempt is free
-            # and, with no fault plan armed, always succeeds): media
-            # admission runs for real, the copy and membw wait are fused.
-            device = io_path.device
-            offset = file.device_offset(file_page)
-            media = device.media
-            media_done = (
-                media.admit(now, units.PAGE_SIZE) if media is not None else 0.0
-            )
-            fpu = io_path.fpu
-            fpu.copies += 1
-            if fpu.use_simd:
-                fpu.state_saves += 1
-            copy_cost = self._ff_copy_cost
-            now += copy_cost
-            cycles["fault.io.dax"] += copy_cost
-            if media_done > now:
-                cycles["idle.membw"] += media_done - now
-                now = media_done
-            device.reads += 1
-            device.bytes_read += units.PAGE_SIZE
-            # pool.write minus its recopy (an aligned store.read returns
-            # the device's immutable page object, the same bytes the
-            # copying path would store).
-            cache.pool._data[frame] = device.store.read(offset, units.PAGE_SIZE)
-            # cache.insert, fused: hash CAS install + LRU touch.
-            page = CachePage(file, file_page, frame)
-            key = page.key
-            table = cache.table
-            now += constants.HASHTABLE_INSERT_CYCLES
-            cycles["cache.hash.insert"] += float(constants.HASHTABLE_INSERT_CYCLES)
-            stripes = table._stripes._lines
-            line = stripes[hash(key) % len(stripes)]
-            line.operations += 1
-            free_at = line._free_at
-            atomic_cost = constants.LOCK_TRANSFER_CYCLES
-            if free_at > now:
-                bound = now + atomic_cost * CacheLineTimeline.MAX_QUEUE
-                target = free_at if free_at < bound else bound
-                waited = target - now
-                cycles["idle.atomic"] += waited
-                line.total_wait_cycles += waited
-                now = target
-            line._free_at = now + atomic_cost
-            now += atomic_cost
-            cycles["atomic.op"] += float(atomic_cost)
-            existing = table._map.get(key)
-            if existing is not None:
-                # Lost the install race (unreachable in a sequential
-                # replay, kept for fidelity): use the winner's page and
-                # recycle the speculative frame.
-                page = existing
-            else:
-                table._map[key] = page
-                table.inserts += 1
-                cache._pages[key] = page
-                cache.lru.touch(key)
-                now += constants.AQUILA_LRU_UPDATE_CYCLES
-                cycles["fault.lru"] += float(constants.AQUILA_LRU_UPDATE_CYCLES)
-            if page.frame != frame:
-                clock.now = now
-                freelist.free(clock, core, frame)
-                now = clock.now
-        # page_table.install + tlb._insert, fused (same objects, same
-        # counters, same LRU motion).
-        page_table = self.page_table
-        page_table._entries[vpn] = PTE(frame=page.frame, accessed=True)
-        page_table.installs += 1
-        page.mapped_vpns.add(vpn)
-        now += constants.AQUILA_PTE_INSTALL_CYCLES
-        cycles["fault.pte_install"] += _F_PTE_INSTALL
-        now += constants.AQUILA_FAULT_MISC_CYCLES
-        cycles["fault.misc"] += _F_FAULT_MISC
-        clock.now = now
-        tlb = self.machine.tlbs[thread.core]
-        entries = tlb._entries
-        entries[vpn] = None
-        entries.move_to_end(vpn)
-        if len(entries) > tlb.capacity:
-            entries.popitem(last=False)
-        self.ff_faults += 1
-        return page.frame
-
-    def _evict_batch_ff(self, thread: SimThread) -> bool:
-        """Fused clean-eviction batch: fast-forward's steady-state path.
-
-        Replays ``_evict_batch`` charge-for-charge for the common
-        out-of-memory regime — a full batch of *clean* victims — fusing
-        the per-victim select / hash-remove / freelist bookkeeping into
-        local arithmetic.  The clock still steps through every charge in
-        the real order (bulk float adds are only used for breakdown
-        buckets that provably hold integer sums), stripe-line waits are
-        replayed individually (they can be fractional), and the TLB
-        shootdown runs for real.
-
-        Returns False — caller must run the real ``_evict_batch`` — when
-        any victim is dirty (writeback has real I/O semantics) or a crash
-        point is armed.  The pre-scan is cost- and mutation-free, so
-        falling back is always safe.
-        """
-        cache = self.cache
-        if cache.partition is not None:
-            # A QoS partition reorders victim selection away from the
-            # plain LRU walk this fused batch inlines; take the real
-            # ``_evict_batch`` -> ``pick_victims`` path instead.
-            return False
-        pages = cache._pages
-        count = cache.eviction_batch
-        victims = []
-        for key in cache.lru.cold_keys():
-            page = pages.get(key)
-            if page is not None:
-                if page.dirty:
-                    return False
-                victims.append(page)
-                if len(victims) >= count:
-                    break
-        if not victims or CRASH.active:
-            return False
-
-        clock = thread.clock
-        self.eviction_batches += 1
-        now = clock.now
-        cycles = clock.breakdown._cycles
-        n = len(victims)
-        # pick_victims: one LRU-select charge per victim.  The clock is
-        # stepped per charge (bit-exact against fractional bases); the
-        # bucket takes one bulk add (integer-valued sum, exact).
-        select = constants.LRU_VICTIM_SELECT_CYCLES
-        for _ in range(n):
-            now += select
-        cycles["evict.select"] += float(select * n)
-        # PTE teardown for every mapping of every victim (cost-free in the
-        # model) and the vpn list for the batched shootdown.
-        entries = self.page_table._entries
-        removals = 0
-        vpns: List[int] = []
-        for page in victims:
-            for vpn in page.mapped_vpns:
-                if entries.pop(vpn, None) is not None:
-                    removals += 1
-                vpns.append(vpn)
-            page.mapped_vpns.clear()
-        self.page_table.removals += removals
-        clock.now = now
-        self._shootdown(thread, vpns)
-        now = clock.now
-        # cache.remove per victim: hash remove (charge + striped atomic),
-        # page-map/LRU drop, freelist free with batched spill.
-        table = cache.table
-        tmap = table._map
-        stripes = table._stripes._lines
-        nstripes = len(stripes)
-        freelist = cache.freelist
-        pool = freelist.pool
-        core = thread.core
-        core_queue = freelist._core_queues[core]
-        threshold = freelist.core_threshold
-        hash_remove = constants.HASHTABLE_REMOVE_CYCLES
-        atomic_cost = constants.LOCK_TRANSFER_CYCLES
-        free_cost = constants.FREELIST_OP_CYCLES
-        queue_bound = atomic_cost * CacheLineTimeline.MAX_QUEUE
-        removed = 0
-        for page in victims:
-            key = page.key
-            now += hash_remove
-            line = stripes[hash(key) % nstripes]
-            line.operations += 1
-            free_at = line._free_at
-            if free_at > now:
-                bound = now + queue_bound
-                target = free_at if free_at < bound else bound
-                waited = target - now
-                cycles["idle.atomic"] += waited
-                line.total_wait_cycles += waited
-                now = target
-            line._free_at = now + atomic_cost
-            now += atomic_cost
-            if tmap.pop(key, None) is not None:
-                removed += 1
-            pages.pop(key, None)
-            pool.mark_free(page.frame)
-            now += free_cost
-            core_queue.append(page.frame)
-            if len(core_queue) > threshold:
-                clock.now = now
-                freelist._spill_to_node(clock, core)
-                now = clock.now
-        table.removes += removed
-        freelist.frees += n
-        cache.evictions += n
-        cycles["cache.hash.remove"] += float(hash_remove * n)
-        cycles["atomic.op"] += float(atomic_cost * n)
-        cycles["cache.freelist"] += float(free_cost * n)
-        cache.lru.remove_batch([page.key for page in victims])
-        clock.now = now
-        self.ff_evictions += 1
-        return True
-
-    # -- miss path -------------------------------------------------------------
-
-    def _read_in(
-        self, thread: SimThread, vma: VMA, file: BackingFile, file_page: int
-    ) -> CachePage:
-        clock = thread.clock
-        with TRACER.span("fault.alloc", clock):
-            frame = self._allocate_with_eviction(thread)
-        if self.ept is not None:
-            # First touch of a fresh cache granule faults in EPT (1 GB
-            # granules make this essentially free; Section 3.5).
-            self.ept.translate(frame * units.PAGE_SIZE, clock)
-        with TRACER.span("fault.io", clock):
-            data = self.io_path.read(
-                clock, file.device_offset(file_page), units.PAGE_SIZE, "fault.io"
-            )
-            self.cache.pool.write(frame, data)
-        page = self.cache.insert(clock, file, file_page, frame)
-        if page.frame != frame:
-            # Lost the install race; recycle the speculative frame.
-            self.cache.freelist.free(clock, thread.core, frame)
-        if vma.advice == MADV_SEQUENTIAL and self.readahead_pages:
-            with TRACER.span("fault.readahead", clock):
-                self._readahead(thread, vma, file, file_page)
-        return page
+    # -- readahead -------------------------------------------------------------
 
     def _readahead(
         self, thread: SimThread, vma: VMA, file: BackingFile, file_page: int
     ) -> None:
         """madvise-driven sequential prefetch (Section 3.2)."""
         clock = thread.clock
+        cache = self.cache
+        device = file.device
         last = min(file.size_pages, file_page + 1 + self.readahead_pages)
         for page_index in range(file_page + 1, last):
-            if self.cache.get_nocost(file, page_index) is not None:
+            if cache.get_nocost(file, page_index) is not None:
                 continue
             frame = self._allocate_with_eviction(thread)
             offset = file.device_offset(page_index)
             try:
-                file.device.submit_async(clock, offset, units.PAGE_SIZE, is_write=False)
+                device.submit_async(clock, offset, units.PAGE_SIZE, is_write=False)
             except TransientDeviceError:
                 # Readahead is speculative: degrade by abandoning the
                 # window rather than retrying — the demand fault that
                 # actually needs the page will retry through its io_path.
-                self.cache.freelist.free(clock, thread.core, frame)
+                cache.freelist.free(clock, thread.core, frame)
                 self.readahead_aborted += 1
                 break
-            self.cache.pool.write(frame, file.device.store.read(offset, units.PAGE_SIZE))
-            self.cache.insert(clock, file, page_index, frame)
+            cache.pool.write(frame, device.store.read(offset, units.PAGE_SIZE))
+            cache.insert(clock, file, page_index, frame)
 
     # -- eviction ---------------------------------------------------------------
 
     def _allocate_with_eviction(self, thread: SimThread) -> int:
-        frame = self.cache.allocate_frame(thread.clock, thread.core)
-        if frame is not None:
-            return frame
-        self._evict_batch(thread)
-        frame = self.cache.allocate_frame(thread.clock, thread.core)
+        freelist = self.cache.freelist
+        frame = freelist.allocate(thread.clock, thread.core)
         if frame is None:
-            raise OutOfMemoryError("eviction freed no frames")
+            self._evict_batch(thread)
+            frame = freelist.allocate(thread.clock, thread.core)
+            if frame is None:
+                raise OutOfMemoryError("eviction freed no frames")
         return frame
 
     def _evict_batch(self, thread: SimThread) -> None:
-        """Synchronously evict a batch of cold pages (Section 3.2)."""
+        """Synchronously evict a batch of cold pages (Section 3.2).
+
+        Dirty victims are written back in device-offset order first; then
+        every victim's PTEs go in one batched shootdown, and the victims
+        leave the cache in selection order.
+        """
         clock = thread.clock
+        cache = self.cache
         self.eviction_batches += 1
         with TRACER.span("evict", clock):
-            victims = self.cache.pick_victims(clock, self.cache.eviction_batch)
+            victims = cache.pick_victims(clock, cache.eviction_batch)
             if not victims:
                 raise OutOfMemoryError("cache empty but freelist dry")
-
             dirty = sorted(
                 (v for v in victims if v.dirty), key=lambda page: page.device_offset
             )
             if dirty:
                 self._write_back_dirty(thread, dirty, sync=True)
             CRASH.point(f"{self.name}.evict")
-
             vpns: List[int] = []
             for page in victims:
-                for vpn in page.mapped_vpns:
-                    self.page_table.remove(vpn)
-                    vpns.append(vpn)
-                page.mapped_vpns.clear()
+                if page.mapped_vpns:
+                    vpns.extend(page.mapped_vpns)
+                    page.mapped_vpns.clear()
+            self.page_table.remove_many(vpns)
             self._shootdown(thread, vpns)
-            for page in victims:
-                self.cache.remove(clock, thread.core, page)
+            cache.remove_many(clock, thread.core, victims)
 
     def _write_back_dirty(
         self, thread: SimThread, pages: List[CachePage], sync: bool

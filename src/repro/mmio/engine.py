@@ -123,8 +123,8 @@ class MmioEngine:
     #: Analytic fast-forward switch (see ``repro.sim.fastforward``).  When
     #: True *and* a run's gates hold (unbounded horizon, integer clock, no
     #: pending interference, vectorized plan), ``retire`` retires whole
-    #: all-hit windows in closed form and ``_ensure_mapped`` may take the
-    #: engine's fused fault path.  Off by default: unbatched mode stays a
+    #: all-hit windows in closed form.  Faults take the one reference
+    #: protocol in every mode.  Off by default: unbatched mode stays a
     #: pristine per-op reference, and hand-built stacks opt in explicitly.
     fastforward: bool = False
 
@@ -328,7 +328,7 @@ class MmioEngine:
             raise SegmentationFault(page_offset, "access to unmapped region")
         if is_write and not mapping.vma.prot & PROT_WRITE:
             raise ProtectionFault(page_offset, "write to read-only mapping")
-        self.machine.absorb_interference(thread)
+        self.machine.interference.absorb(thread.core, thread.clock)
         vpn = mapping.vma.start_vpn + (page_offset >> units.PAGE_SHIFT)
         pte = self.page_table.lookup(vpn)
         if pte is not None and (not is_write or pte.writable):
@@ -347,14 +347,6 @@ class MmioEngine:
         self.faults += 1
         if is_write:
             self._dirtied = True
-        elif self.fastforward:
-            # Fused fault fast path (read faults only): the engine may
-            # replay its whole fault protocol without span/call overhead,
-            # bit-identically; None means "not eligible, take the real
-            # path".  ``ff_faults`` on the subclass counts engagements.
-            frame = self._fault_fast(thread, mapping.vma, vpn)
-            if frame is not None:
-                return frame
         with TRACER.span("fault", thread.clock):
             return self._fault(thread, mapping.vma, vpn, is_write)
 
@@ -659,18 +651,6 @@ class MmioEngine:
         self.ff_runs += 1
         self.ff_hits += n
         return n
-
-    def _fault_fast(self, thread: SimThread, vma: VMA, vpn: int):
-        """Fused read-fault fast path hook; None = take the real path.
-
-        Subclasses with a fused replay of their fault protocol (see
-        ``AquilaEngine._fault_fast``) override this.  Implementations
-        must be charge- and state-identical to ``_fault`` for the cases
-        they accept, and must return None for anything they cannot prove
-        identical (tracing enabled, CPI scaling, device fault injection,
-        readahead, EPT translation, ...).
-        """
-        return None
 
     def run_ahead_unbounded_ok(self) -> bool:
         """Certificate for an *unbounded* hit-run-ahead horizon.

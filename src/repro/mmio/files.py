@@ -96,9 +96,11 @@ class ExtentFile(BackingFile):
         return self._device
 
     def device_offset(self, page_index: int) -> int:
-        if not 0 <= page_index < self.size_pages:
+        offset = page_index * units.PAGE_SIZE
+        # ``0 <= page_index < size_pages``, without the property call.
+        if page_index < 0 or offset >= self.size_bytes:
             raise OutOfSpaceError(f"page {page_index} beyond file {self.name}")
-        return self.base_offset + page_index * units.PAGE_SIZE
+        return self.base_offset + offset
 
     def contiguous_run(self, page_index: int, max_pages: int) -> int:
         return min(max_pages, self.size_pages - page_index)

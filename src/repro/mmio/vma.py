@@ -157,12 +157,6 @@ class AquilaVMAStore(VMAStore):
     def __init__(self, stripes: int = 1024) -> None:
         super().__init__()
         self._radix = RadixTree()
-        # Flat dict mirror of the radix entries.  The radix tree is the
-        # modeled structure (its walk order backs the charge model); the
-        # mirror exists so the fast-forward replay can resolve the same
-        # vpn -> VMA entry in one probe.  Both are updated only here, so
-        # they cannot diverge.
-        self._flat = {}
         self._entry_locks = StripedAtomicTimeline(stripes, "vma.radix")
         # Single shared refcount, off the common path (Section 3.4).
         self.refcount = 0
@@ -173,7 +167,6 @@ class AquilaVMAStore(VMAStore):
         clock.charge("vma.update", constants.AQUILA_VMA_LOOKUP_CYCLES)
         for vpn in range(vma.start_vpn, vma.end_vpn):
             self._radix.insert(vpn, vma)
-            self._flat[vpn] = vma
         clock.charge("vma.update", 5 * vma.num_pages)
         self.refcount += 1
 
@@ -181,7 +174,6 @@ class AquilaVMAStore(VMAStore):
         clock.charge("vma.update", constants.AQUILA_VMA_LOOKUP_CYCLES)
         for vpn in range(vma.start_vpn, vma.end_vpn):
             self._radix.remove(vpn)
-            self._flat.pop(vpn, None)
         clock.charge("vma.update", 5 * vma.num_pages)
         self.refcount -= 1
 

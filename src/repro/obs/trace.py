@@ -38,15 +38,18 @@ PROCESS_NAME = "repro-sim"
 
 
 class _NoopSpan:
-    """Shared do-nothing context manager for disabled tracing."""
+    """Shared do-nothing context manager for disabled tracing.
+
+    Both hooks are ``"".format``, a C builtin that ignores its arguments
+    and returns the falsy ``""``: entering and leaving a disabled span
+    runs no Python frame, and an exception raised inside the block still
+    propagates.  Disabled spans sit on every fault path, so this is most
+    of their cost.
+    """
 
     __slots__ = ()
 
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
+    __enter__ = __exit__ = staticmethod("".format)
 
 
 _NOOP = _NoopSpan()

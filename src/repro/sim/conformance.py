@@ -41,7 +41,7 @@ from repro.sim.executor import SimThread
 
 #: Counters that report on the batching/fast-forward machinery itself
 #: (how many runs, how many ops retired inside runs, how many analytic
-#: windows / fused faults / fused evictions engaged) plus the
+#: windows engaged and how many accesses they retired) plus the
 #: ``fastforward`` mode switch.  They are mode *metadata*, not simulation
 #: outcomes, and are the only state allowed to differ between modes.
 MODE_COUNTERS = frozenset(
@@ -50,8 +50,6 @@ MODE_COUNTERS = frozenset(
         "batched_hits",
         "ff_runs",
         "ff_hits",
-        "ff_faults",
-        "ff_evictions",
         "fastforward",
     }
 )
@@ -88,6 +86,10 @@ def _canon(obj) -> str:
         items = sorted((_canon(k), _canon(v)) for k, v in obj.items())
         return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
     if isinstance(obj, (list, tuple)):
+        if {float} == set(map(type, obj)):
+            # All plain floats (latency streams): the per-item branch
+            # below would pick ``repr`` for each one anyway.
+            return "[" + ",".join(map(repr, obj)) + "]"
         return "[" + ",".join(_canon(v) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -390,7 +392,7 @@ def assert_fastforward_agrees(run, **kwargs) -> Dict:
     """Run ``run`` in all three modes — unbatched, batched, batched with
     analytic fast-forward — and assert the full state digests are
     bit-identical; returns the (shared) digest.  This is the fast-forward
-    tier's oracle: the closed forms and fused paths must be invisible
+    tier's oracle: the closed-form windows must be invisible
     against *both* reference schedules."""
     unbatched = run(batched=False, **kwargs)
     batched = run(batched=True, **kwargs)

@@ -263,18 +263,22 @@ class Executor:
                         next(it)
                     except StopIteration:
                         break
-                    if thread.clock.now < before:
+                    now = thread.clock.now
+                    if now < before:
                         raise SimulationError(
                             f"{thread.name} moved backwards in time "
-                            f"({before:.0f} -> {thread.clock.now:.0f})"
+                            f"({before:.0f} -> {now:.0f})"
                         )
                     steps += 1
                     if max_ops is not None and steps > max_ops:
                         raise SimulationError(
                             f"executor exceeded max_ops={max_ops}"
                         )
-                    if top is not None and (thread.clock.now, order) > top[:2]:
-                        heapq.heappush(heap, (thread.clock.now, order, thread, it))
+                    # (now, order) > top[:2], without building tuples.
+                    if top is not None and (
+                        now > top[0] or (now == top[0] and order > top[1])
+                    ):
+                        heapq.heappush(heap, (now, order, thread, it))
                         break
                     # Still the scheduling minimum: continue without a
                     # heap round-trip (identical schedule by construction).

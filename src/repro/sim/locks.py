@@ -90,8 +90,8 @@ class SpinlockTimeline:
             )
         self.acquisitions += 1
         LOCK_STATS.acquisitions += 1
-        waited = clock.wait_until(self._free_at, wait_category)
-        if waited > 0:
+        if self._free_at > clock.now:
+            waited = clock.wait_until(self._free_at, wait_category)
             self.contended_acquisitions += 1
             self.total_wait_cycles += waited
             LOCK_STATS.contended += 1
@@ -163,11 +163,11 @@ class RWLockTimeline:
         LOCK_STATS.acquisitions += 1
         before = clock.now
         self._word.atomic_op(clock, reserve=self.READER_WORD_RESERVE_CYCLES)
-        blocked = clock.wait_until(self._writer_done_at, wait_category)
-        self.total_wait_cycles += clock.now - before
-        if blocked > 0:
+        if self._writer_done_at > clock.now:
+            blocked = clock.wait_until(self._writer_done_at, wait_category)
             LOCK_STATS.contended += 1
             LOCK_STATS.wait_cycles += blocked
+        self.total_wait_cycles += clock.now - before
 
     def release_read(self, clock: CycleClock) -> None:
         """Drop a shared hold at the caller's current time."""
@@ -231,13 +231,18 @@ class CacheLineTimeline:
         """
         self.operations += 1
         reservation = reserve if reserve is not None else cost
-        # An atomic op's queueing delay is physically bounded by the line
-        # bouncing through every other core once; this also keeps the
-        # executor's op-granularity reordering from fabricating stalls.
-        bound = clock.now + reservation * self.MAX_QUEUE
-        waited = clock.wait_until(min(self._free_at, bound), wait_category)
-        self.total_wait_cycles += waited
         start = clock.now
+        free_at = self._free_at
+        if free_at > start:
+            # An atomic op's queueing delay is physically bounded by the
+            # line bouncing through every other core once; this also keeps
+            # the executor's op-granularity reordering from fabricating
+            # stalls.
+            bound = start + reservation * self.MAX_QUEUE
+            self.total_wait_cycles += clock.wait_until(
+                free_at if free_at < bound else bound, wait_category
+            )
+            start = clock.now
         clock.charge("atomic.op", cost)
         self._free_at = start + reservation
 

@@ -2,8 +2,9 @@
 
 The plan-driven workload layers (``repro.workloads``, ``repro.serve``,
 ``repro.cluster``) sit on top of the engine's ``retire`` primitive and
-the thread's public recorders; the Linux fault protocol and its kernel
-page cache reach other structures through their public batch methods.
+the thread's public recorders; the Linux and Aquila fault protocols and
+their page caches reach other structures through their public batch
+methods.
 Reaching into another object's private state is how per-caller fast
 paths crept in before.  This AST walk fails on any attribute read
 ``x._name`` whose base is not ``self`` or ``cls`` (dunder attributes
@@ -16,8 +17,13 @@ import os
 #: Plan-driven workload layers (every module below these packages).
 PACKAGES = ("src/repro/workloads", "src/repro/serve", "src/repro/cluster")
 
-#: The Linux fault protocol and its kernel page cache.
-FAULT_PROTOCOL_MODULES = ("src/repro/mmio/linux_mmap.py", "src/repro/cache/kernel_cache.py")
+#: The Linux and Aquila fault protocols and their page caches.
+FAULT_PROTOCOL_MODULES = (
+    "src/repro/mmio/linux_mmap.py",
+    "src/repro/cache/kernel_cache.py",
+    "src/repro/mmio/aquila.py",
+    "src/repro/cache/aquila_cache.py",
+)
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
@@ -70,6 +76,6 @@ def test_workload_layers_read_no_foreign_private_attributes():
     assert not offenders, "private reach-throughs:\n  " + "\n  ".join(offenders)
 
 
-def test_linux_fault_protocol_reads_no_foreign_private_attributes():
+def test_fault_protocols_read_no_foreign_private_attributes():
     offenders = _offenders(os.path.join(REPO, module) for module in FAULT_PROTOCOL_MODULES)
     assert not offenders, "private reach-throughs:\n  " + "\n  ".join(offenders)

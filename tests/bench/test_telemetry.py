@@ -6,7 +6,7 @@ against real sweep cells:
 * **byte-identity** — two runs of the same cell produce byte-identical
   deterministic telemetry views;
 * **conformance safety** — telemetry on/off changes no state digest and
-  no code path (the fused fault path runs either way);
+  no code path (the same hit loop, analytic windows and faults run);
 * **full coverage** — stage attribution accounts for every cycle every
   cell thread charged;
 * **worker isolation** — two cells executed back to back in one process
@@ -94,13 +94,14 @@ class TestConformanceSafety:
         observed = _execute_cell({**cell, "obs": {"telemetry": True}})
         plain = _execute_cell({**cell, "obs": {"telemetry": False}})
         assert observed["state_digest"] == plain["state_digest"]
-        fields = ("ff_faults", "ff_evictions", "batched_hits")
+        fields = ("batched_hits", "ff_runs", "ff_hits", "major_faults")
         on, off = ([getattr(e, f) for f in fields] for e in engines)
         assert on == off
-        assert on[0] > 0, "the fused fault path must run in a sweep cell"
+        assert on[0] > 0, "the batched hit loop must run in a sweep cell"
+        assert on[3] > 0, "the fault protocol must run in a sweep cell"
         metrics = observed["telemetry"]["metrics"]
-        assert metrics["engine.aquila.ff_faults"] == on[0]
-        assert metrics["engine.aquila.ff_evictions"] == on[1]
+        assert metrics["engine.aquila.batched_hits"] == on[0]
+        assert metrics["engine.aquila.faults.major"] == on[3]
         assert observed["telemetry"]["spans"] == {"finished": 0, "dropped": 0}
 
     def test_profiling_does_not_change_state_digest(self, tmp_path):

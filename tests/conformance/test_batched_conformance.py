@@ -175,8 +175,6 @@ class TestBatchingEngages:
             "batched_hits",
             "ff_runs",
             "ff_hits",
-            "ff_faults",
-            "ff_evictions",
             "fastforward",
         }
 

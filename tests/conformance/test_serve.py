@@ -112,7 +112,6 @@ class TestServeFastforwardEngages:
         engine = outcome.stack.engine
         assert engine.ff_runs > 0, "no analytic window retired"
         assert engine.ff_hits >= 64, "analytic windows below MIN_ANALYTIC_RUN"
-        assert engine.ff_faults > 0, "fused fault replay never engaged"
 
 
 class TestServeSweepWorkers:
