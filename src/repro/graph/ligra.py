@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Iterator, List, Set
 
+import numpy as np
+
 from repro.common import constants
 from repro.graph.mmap_heap import HeapArray
 from repro.graph.rmat import CSRGraph
@@ -29,6 +31,9 @@ UNVISITED = 0xFFFFFFFFFFFFFFFF
 
 #: Idle quantum a thread burns while polling the round barrier.
 _BARRIER_POLL_CYCLES = 2000
+
+#: CPU work per traversed edge, charged before its parent load.
+_EDGE_CHARGE = ("app.edge", constants.LIGRA_EDGE_CPU_CYCLES)
 
 
 class HeapGraph:
@@ -44,14 +49,12 @@ class HeapGraph:
         self._bulk_store(self.targets, graph.targets, thread)
 
     @staticmethod
-    def _bulk_store(array: HeapArray, values, thread: SimThread) -> None:
-        import struct
-
-        chunk_elems = 512
-        for start in range(0, len(values), chunk_elems):
-            chunk = values[start : start + chunk_elems]
-            data = struct.pack(f"<{len(chunk)}Q", *chunk)
-            array.heap.store(thread, array.offset + start * 8, data)
+    def _bulk_store(array: HeapArray, values: np.ndarray, thread: SimThread) -> None:
+        """Store ``values`` into ``array`` in 512-element chunks."""
+        data = values.astype("<u8").tobytes()
+        chunk_bytes = 512 * 8
+        for start in range(0, len(data), chunk_bytes):
+            array.heap.store(thread, array.offset + start, data[start : start + chunk_bytes])
 
     def neighbors(self, thread: SimThread, vertex: int) -> List[int]:
         """Adjacency list of ``vertex`` via heap loads."""
@@ -147,9 +150,17 @@ class ParallelBFS:
             for vertex in share:
                 op_start = thread.clock.now
                 thread.clock.charge("app.vertex", constants.LIGRA_VERTEX_CPU_CYCLES)
-                for neighbor in hgraph.neighbors(thread, vertex):
-                    thread.clock.charge("app.edge", constants.LIGRA_EDGE_CPU_CYCLES)
-                    if parents.read(thread, neighbor) == UNVISITED:
+                neighbors = hgraph.neighbors(thread, vertex)
+                plan = parents.load_plan(neighbors)
+                # Per neighbor: charge the edge work, read its parent, and
+                # claim it if unvisited.  The load run stops at each
+                # unvisited parent so the claim lands before the next read.
+                pos = 0
+                while pos < len(neighbors):
+                    values = parents.load_run(thread, plan, pos, _EDGE_CHARGE, UNVISITED)
+                    pos += len(values)
+                    if values[-1] == UNVISITED:
+                        neighbor = neighbors[pos - 1]
                         parents.write(thread, neighbor, vertex)
                         local_next.append(neighbor)
                 thread.record_op(op_start)

@@ -14,7 +14,7 @@ CPU work the application charges itself.
 from __future__ import annotations
 
 import struct
-from typing import List
+from typing import List, NamedTuple, Sequence, Tuple
 
 from repro.common import units
 from repro.common.errors import OutOfMemoryError
@@ -22,6 +22,19 @@ from repro.mmio.engine import Mapping
 from repro.sim.executor import SimThread
 
 _U64 = struct.Struct("<Q")
+
+
+class LoadPlan(NamedTuple):
+    """Where a list of array elements lives, for :meth:`HeapArray.load_run`.
+
+    ``pages`` and ``offsets`` place the elements before the first
+    out-of-range index (page and in-page byte offset on the heap);
+    ``length`` counts every index, in range or not.
+    """
+
+    pages: List[int]
+    offsets: List[int]
+    length: int
 
 
 class HeapArray:
@@ -52,7 +65,52 @@ class HeapArray:
         if count == 0:
             return []
         raw = self.heap.load(thread, self.offset + start * 8, count * 8)
-        return [ _U64.unpack_from(raw, i * 8)[0] for i in range(count) ]
+        return list(struct.unpack(f"<{count}Q", raw))
+
+    def load_plan(self, indices: Sequence[int]) -> LoadPlan:
+        """Locate the elements at ``indices`` for :meth:`load_run`."""
+        valid = len(indices)
+        if valid and (min(indices) < 0 or max(indices) >= self.length):
+            valid = next(k for k, i in enumerate(indices) if not 0 <= i < self.length)
+        base = self.offset
+        addresses = [base + i * 8 for i in indices[:valid]]
+        return LoadPlan(
+            [a >> units.PAGE_SHIFT for a in addresses],
+            [a & (units.PAGE_SIZE - 1) for a in addresses],
+            len(indices),
+        )
+
+    def load_run(
+        self,
+        thread: SimThread,
+        plan: LoadPlan,
+        index: int,
+        pre_charge: Tuple[str, float],
+        stop: int,
+    ) -> List[int]:
+        """Element loads from ``plan[index]`` on, until one reads ``stop``.
+
+        The same as, element by element, ``thread.clock.charge(*pre_charge)``
+        then :meth:`read`, stopping right after the first element equal
+        to ``stop``: same charges, same order, same values, and an
+        out-of-range index raises ``IndexError`` after its pre-charge.
+        Returns the values read; the last equals ``stop`` unless the
+        plan ran out first.
+        """
+        pages, offsets, length = plan
+        values: List[int] = []
+        if index < len(pages):
+            raw = self.heap.load_run(
+                thread, (pages, offsets), index, 8, pre_charge, _U64.pack(stop)
+            )
+            values = list(struct.unpack(f"<{len(raw)}Q", b"".join(raw)))
+            index += len(values)
+            if values[-1] == stop:
+                return values
+        if index < length:
+            thread.clock.charge(*pre_charge)
+            raise IndexError(f"index at plan position {index} out of range {self.length}")
+        return values
 
     def fill(self, thread: SimThread, value: int) -> None:
         """Initialize every element (bulk stores, page at a time)."""
@@ -105,6 +163,18 @@ class MmapHeap:
         """mmio store through the mapping."""
         self.mapping.store(thread, offset, data)
 
+    def load_run(
+        self,
+        thread: SimThread,
+        plan,
+        index: int,
+        nbytes: int,
+        pre_charge: Tuple[str, float],
+        stop: bytes,
+    ) -> List[bytes]:
+        """mmio load run through the mapping (``MmioEngine.load_run``)."""
+        return self.mapping.load_run(thread, plan, index, nbytes, pre_charge, stop)
+
 
 class DramHeap:
     """malloc/free baseline: plain memory, no I/O engine (Figure 6 DRAM bars)."""
@@ -138,3 +208,30 @@ class DramHeap:
     def store(self, thread: SimThread, offset: int, data: bytes) -> None:
         """Plain DRAM write."""
         self._data[offset : offset + len(data)] = data
+
+    def load_run(
+        self,
+        thread: SimThread,
+        plan,
+        index: int,
+        nbytes: int,
+        pre_charge: Tuple[str, float],
+        stop: bytes,
+    ) -> List[bytes]:
+        """Plain DRAM loads with ``MmioEngine.load_run``'s contract.
+
+        Each load pays only the caller's pre-charge; the run ends right
+        after a load that reads ``stop``.
+        """
+        pages, offsets = plan
+        charge = thread.clock.charge
+        data = self._data
+        values: List[bytes] = []
+        for i in range(index, len(pages)):
+            charge(*pre_charge)
+            start = pages[i] * units.PAGE_SIZE + offsets[i]
+            value = bytes(data[start : start + nbytes])
+            values.append(value)
+            if value == stop:
+                break
+        return values

@@ -27,6 +27,10 @@ from repro.sim.clock import CycleClock
 from repro.hw.tlb import TLB
 
 
+#: Breakdown category of absorbed interrupt work (``absorb``'s default).
+ABSORB_CATEGORY = "interference.ipi"
+
+
 class InterferenceAccount:
     """Pending asynchronous work (IPI handling) charged to a core.
 
@@ -47,7 +51,7 @@ class InterferenceAccount:
         """Queue ``cycles`` of interrupt work on ``core``, sent at ``when``."""
         self._pending.setdefault(core, []).append([when, cycles])
 
-    def absorb(self, core: int, clock: CycleClock, category: str = "interference.ipi") -> float:
+    def absorb(self, core: int, clock: CycleClock, category: str = ABSORB_CATEGORY) -> float:
         """Charge and clear the matured work for ``core``; returns cycles.
 
         Only posts issued at or before ``clock.now`` are delivered; work

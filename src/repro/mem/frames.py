@@ -108,7 +108,8 @@ class FramePool:
 
     def read(self, frame: int) -> bytes:
         """The 4 KiB contents of ``frame`` (zeros if never written)."""
-        self._check(frame)
+        if not 0 <= frame < self.total_frames:
+            self._check(frame)
         return self._data.get(frame, ZERO_PAGE)
 
     def write(self, frame: int, data: bytes) -> None:
@@ -130,7 +131,8 @@ class FramePool:
 
     def read_partial(self, frame: int, offset: int, nbytes: int) -> bytes:
         """Read ``nbytes`` at byte ``offset`` within ``frame``."""
-        self._check(frame)
+        if not 0 <= frame < self.total_frames:
+            self._check(frame)
         if offset < 0 or offset + nbytes > units.PAGE_SIZE:
             raise ValueError("partial read out of page bounds")
-        return self.read(frame)[offset : offset + nbytes]
+        return self._data.get(frame, ZERO_PAGE)[offset : offset + nbytes]

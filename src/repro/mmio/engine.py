@@ -22,6 +22,7 @@ from repro.common.errors import ProtectionFault, SegmentationFault
 from repro.devices.block import BlockDevice
 from repro.fault.crash import CRASH
 from repro.fault.retry import RetryPolicy, with_retries
+from repro.hw.ipi import ABSORB_CATEGORY
 from repro.hw.machine import Machine
 from repro.hw.page_table import PageTable
 from repro.hw.vmx import VMXCostModel
@@ -64,6 +65,47 @@ def _stepped_sum(total: float, step: float, count: int) -> float:
     return total
 
 
+#: Categories the hit loop charges itself (a pre-charge may not reuse them).
+_HIT_CATEGORIES = frozenset({"app.access", "tlb.miss_walk", ABSORB_CATEGORY})
+
+
+def _hit_charges(
+    hit_step: float, hits: int, walk_step: float, walks: int, walked_first: bool
+) -> List[Tuple[str, float, int]]:
+    """A hit run's ``(category, step, count)`` charges, in first-charge order.
+
+    Every hit charges ``app.access`` after its TLB walk, if any; so the
+    walk category comes first only when the run's first access walked.
+    """
+    access = ("app.access", hit_step, hits)
+    walk = ("tlb.miss_walk", walk_step, walks)
+    return [walk, access] if walked_first else [access, walk]
+
+
+def _flush_charges(cycles, span, charged, slots_only: bool = False) -> None:
+    """Apply stepped ``(category, step, count)`` charges to the ledgers.
+
+    The ledgers are the clock's breakdown ``cycles`` and the open
+    ``span``'s charges, if any.  A category absent from a ledger enters
+    it in list order, so listing charges in first-charge order keeps
+    each ledger's insertion order that of per-access ``clock.charge``
+    calls.  ``slots_only`` only inserts the missing categories, at 0.0:
+    the run is still going, and a direct charge is about to land.
+    """
+    ledgers = (cycles,) if span is None else (cycles, span.charges)
+    for ledger in ledgers:
+        for category, step, count in charged:
+            # ``clock.charge`` skips zero charges in the breakdown; spans
+            # record them.
+            if category is None or not count or (not step and ledger is cycles):
+                continue
+            if slots_only:
+                if category not in ledger:
+                    ledger[category] = 0.0
+            else:
+                ledger[category] = _stepped_sum(ledger.get(category, 0.0), step, count)
+
+
 class Mapping:
     """A live mapping handle returned by ``MmioEngine.mmap``."""
 
@@ -84,6 +126,18 @@ class Mapping:
     def store(self, thread: SimThread, offset: int, data: bytes) -> None:
         """Write ``data`` at byte ``offset`` within the mapping."""
         self.engine.store(thread, self, offset, data)
+
+    def load_run(
+        self,
+        thread: SimThread,
+        plan,
+        index: int,
+        nbytes: int,
+        pre_charge: Tuple[str, float],
+        stop: bytes,
+    ) -> List[bytes]:
+        """Consecutive loads until one reads ``stop`` (``MmioEngine.load_run``)."""
+        return self.engine.load_run(thread, self, plan, index, nbytes, pre_charge, stop)
 
     def msync(self, thread: SimThread) -> int:
         """Flush this mapping's dirty pages; returns pages written."""
@@ -383,7 +437,16 @@ class MmioEngine:
             and clock.now <= horizon
             and self._is_hit(mapping, page, is_write)
         ):
-            return self._hit_run(thread, mapping, plan, index, horizon, write_data)
+            retired = self._fast_forward(thread, mapping, plan, index, horizon)
+            latencies: List[float] = []
+            retired += self._hit_run(
+                thread, mapping, plan, index + retired, horizon, write_data, latencies
+            )
+            thread.latencies.extend(latencies)
+            thread.ops_completed += retired
+            self.hit_runs += 1
+            self.batched_hits += retired
+            return retired
         start = clock.now
         with TRACER.span("op.access", clock):
             if not 0 <= page < mapping.vma.num_pages:
@@ -399,6 +462,65 @@ class MmioEngine:
         thread.record_op(start)
         return 1
 
+    def load_run(
+        self,
+        thread: SimThread,
+        mapping: Mapping,
+        plan,
+        index: int,
+        nbytes: int,
+        pre_charge: Tuple[str, float],
+        stop: bytes,
+    ) -> List[bytes]:
+        """Load the accesses of ``plan`` from ``index`` until one reads ``stop``.
+
+        ``plan`` is two parallel sequences ``(pages, in_page_offsets)``,
+        one ``nbytes`` load per entry, each inside one page.  Before each
+        load the caller's own per-access work, ``pre_charge = (category,
+        cycles)``, is charged — the sequence is exactly ``clock.charge``
+        then :meth:`load`, access after access: same charges in the same
+        order, same TLB and PTE state, same values.  Runs of pure hits
+        retire through the hit loop with no horizon: no other thread
+        runs inside one executor step, so nothing can change the page
+        table or post interference behind the run.  Any other access
+        (fault, out of range, unmapped) takes :meth:`load` itself.
+
+        Returns the loaded values in order; the last equals ``stop``
+        unless the plan ran out first.  The caller records its op.
+        """
+        category, cycles = pre_charge
+        if cycles < 0:
+            raise ValueError(f"negative charge: {cycles} for {category}")
+        if category in _HIT_CATEGORIES:
+            raise ValueError(f"pre-charge category {category!r} is charged by the hit path")
+        pages, offsets = plan
+        accesses = (pages, offsets, [False] * len(pages))
+        # The hit loop loads as many bytes as its (unused) write data.
+        load_width = bytes(nbytes)
+        values: List[bytes] = []
+        latencies: List[float] = []
+        clock = thread.clock
+        total = len(pages)
+        while index < total:
+            page = pages[index]
+            if self._is_hit(mapping, page, False):
+                retired = self._hit_run(
+                    thread, mapping, accesses, index, math.inf, load_width, latencies,
+                    pre_charge, values, stop,
+                )
+                self.hit_runs += 1
+                self.batched_hits += retired
+                index += retired
+            else:
+                clock.charge(category, cycles)
+                values.append(
+                    self.load(thread, mapping, page * units.PAGE_SIZE + offsets[index], nbytes)
+                )
+                index += 1
+            if values[-1] == stop:
+                break
+        return values
+
     def _is_hit(self, mapping: Mapping, page: int, is_write: bool) -> bool:
         """Whether an access is a pure hardware hit: no software on its path."""
         vma = mapping.vma
@@ -409,6 +531,54 @@ class MmioEngine:
         pte = self.page_table.lookup(vma.start_vpn + page)
         return pte is not None and (not is_write or pte.writable)
 
+    def _fast_forward(
+        self, thread: SimThread, mapping: Mapping, plan, index: int, horizon: float
+    ) -> int:
+        """Retire whole all-hit windows of ``plan`` in closed form.
+
+        Only under the analytic gates (see ``repro.sim.fastforward``):
+        fast-forward on, unbounded horizon, CPI 1.0, no open span, no
+        pending interference, a vectorized plan, an integer clock, and a
+        miss-rate model that expects windows above the amortization
+        floor.  Returns how many accesses retired (0 when a gate fails);
+        the hit loop carries on from there.
+        """
+        vma = mapping.vma
+        clock = thread.clock
+        total = len(plan[0])
+        if not (
+            self.fastforward
+            and horizon == math.inf
+            and clock.cpi_factor == 1.0
+            and clock._obs_span is None
+            and total - index >= MIN_ANALYTIC_RUN
+            and thread.core not in self.machine.interference._pending
+            and vma.num_pages <= MAX_ANALYTIC_PAGES
+            and getattr(plan, "np_pages", None) is not None
+            and clock.now.is_integer()
+        ):
+            return 0
+        cache = getattr(self, "cache", None)
+        if cache is None or expected_hit_run_length(
+            self._mapped_vma_pages, cache.capacity_pages
+        ) < MIN_ANALYTIC_RUN:
+            return 0
+        # Each call retires at most MAX_ANALYTIC_WINDOW accesses (profiling
+        # cost stays bounded); loop while full windows keep retiring so
+        # long runs never fall to the per-op loop.  Every gate above is
+        # preserved across iterations: charges are integer (the clock
+        # stays integer), no other thread runs inside this call (pending
+        # interference cannot appear), and the plan arrays don't change.
+        tlb = self.machine.tlb_of(thread)
+        retired = 0
+        while total - index >= MIN_ANALYTIC_RUN:
+            window = self._hit_run_analytic(thread, vma, tlb, plan, index, total)
+            if not window:
+                break
+            index += window
+            retired += window
+        return retired
+
     def _hit_run(
         self,
         thread: SimThread,
@@ -417,20 +587,30 @@ class MmioEngine:
         index: int,
         horizon: float,
         write_data: bytes,
+        latencies: List[float],
+        pre_charge: Optional[Tuple[str, float]] = None,
+        loaded: Optional[List[bytes]] = None,
+        stop: Optional[bytes] = None,
     ) -> int:
         """Retire a run of consecutive pure-hit accesses in one step.
 
         The run starts at ``index`` and consumes while each access starts
         at or before ``horizon`` and hits: PTE present and writable when
-        needed.  Per access, the loop replays the hit branch of
+        needed.  Per access, the loop charges the caller's
+        ``pre_charge`` if any, then replays the hit branch of
         :meth:`_ensure_mapped` (absorb interference, TLB access, hit
-        charge) with the clock advanced op by op, so recorded latencies
-        are the stepped floats.  The per-category charges go through
-        running sums that start from the current breakdown (and open
-        span) value and add in stepped order, flushed once per run — bit
-        exact at any CPI factor.  A batched run is therefore cycle- and
-        state-identical to the same accesses retired one executor step at
-        a time, the property the ``tests/conformance`` tier checks.
+        charge) with the clock advanced op by op, and appends the
+        access's latency to ``latencies``.  With ``loaded`` it also
+        appends each load's bytes there, and ends the run right after
+        a load that reads ``stop``.
+
+        The per-category charges go through running sums that start from
+        the current breakdown (and open span) value and add in stepped
+        order, flushed once per run — bit exact at any CPI factor — and
+        new categories enter each ledger in the order their first charge
+        would have added them.  A run is therefore cycle- and
+        state-identical to the same accesses retired one at a time, the
+        property the ``tests/conformance`` tier checks.
 
         The caller has checked that the first access hits, so at least
         one is consumed; returns how many.
@@ -448,51 +628,23 @@ class MmioEngine:
         pending = interference._pending
         core = thread.core
         span = clock._obs_span
+        cycles = clock.breakdown._cycles
         total = len(pages_seq)
-        consumed = 0
-        if (
-            self.fastforward
-            and horizon == math.inf
-            and clock.cpi_factor == 1.0
-            and span is None
-            and total - index >= MIN_ANALYTIC_RUN
-            and core not in pending
-            and num_pages <= MAX_ANALYTIC_PAGES
-            and getattr(accesses, "np_pages", None) is not None
-            and clock.now.is_integer()
-        ):
-            # Analytic fast-forward: with an unbounded horizon the whole
-            # remaining all-hit window can retire in closed form (see
-            # ``repro.sim.fastforward``).  The miss-rate model skips the
-            # setup when steady-state eviction would cut windows below
-            # the amortization floor anyway.
-            cache = getattr(self, "cache", None)
-            if cache is not None and expected_hit_run_length(
-                self._mapped_vma_pages, cache.capacity_pages
-            ) >= MIN_ANALYTIC_RUN:
-                # Each call retires at most MAX_ANALYTIC_WINDOW accesses
-                # (profiling cost stays bounded); loop while full windows
-                # keep retiring so long runs never fall to the per-op
-                # loop.  Every gate above is preserved across iterations:
-                # charges are integer (the clock stays integer), no other
-                # thread runs inside this call (pending interference
-                # cannot appear), and the plan arrays don't change.
-                while total - index >= MIN_ANALYTIC_RUN:
-                    retired = self._hit_run_analytic(
-                        thread, vma, tlb, accesses, index, total
-                    )
-                    if not retired:
-                        break
-                    index += retired
-                    consumed += retired
         entries = tlb._entries
         move_to_end = entries.move_to_end
         tlb_capacity = tlb.capacity
         pool = self._pool()
+        read_partial = pool.read_partial
+        nbytes = len(write_data)
         hit_step = constants.LOAD_STORE_HIT_CYCLES * clock.cpi_factor
         walk_step = constants.TLB_MISS_WALK_CYCLES * clock.cpi_factor
-        latencies: List[float] = []
+        pre_category, pre_step = None, 0.0
+        if pre_charge is not None:
+            pre_category = pre_charge[0]
+            pre_step = pre_charge[1] * clock.cpi_factor
         append = latencies.append
+        first = index
+        first_walk = -1
         walks = 0
         now = clock.now
         while index < total and now <= horizon:
@@ -508,8 +660,20 @@ class MmioEngine:
                 # latency matches unbatched execution.
                 break
             start = now
+            now += pre_step
             if core in pending:
                 clock.now = now
+                if ABSORB_CATEGORY not in cycles or (
+                    span is not None and ABSORB_CATEGORY not in span.charges
+                ):
+                    # The absorb may add its category to a ledger; first
+                    # give the categories this run has charged so far
+                    # their slots, so it lands after them as it would.
+                    done = index - first
+                    charged = [(pre_category, pre_step, done + 1)] + _hit_charges(
+                        hit_step, done, walk_step, walks, first_walk == first
+                    )
+                    _flush_charges(cycles, span, charged, slots_only=True)
                 interference.absorb(core, clock)
                 now = clock.now
             if vpn in entries:
@@ -518,44 +682,39 @@ class MmioEngine:
             else:
                 tlb.misses += 1
                 now += walk_step
+                if not walks:
+                    first_walk = index
                 walks += 1
                 entries[vpn] = None
                 if len(entries) > tlb_capacity:
                     entries.popitem(last=False)
             now += hit_step
             pte.accessed = True
-            if is_write:
-                pool.write_partial(pte.frame, offsets_seq[index], write_data)
             append(now - start)
             index += 1
+            if is_write:
+                pool.write_partial(pte.frame, offsets_seq[index - 1], write_data)
+            elif loaded is not None:
+                value = read_partial(pte.frame, offsets_seq[index - 1], nbytes)
+                loaded.append(value)
+                if value == stop:
+                    break
         clock.now = now
-        hits = len(latencies)
+        hits = index - first
         if hits:
-            ledgers = [clock.breakdown._cycles]
-            if span is not None:
-                ledgers.append(span.charges)
-            for ledger in ledgers:
-                if walks:
-                    ledger["tlb.miss_walk"] = _stepped_sum(
-                        ledger.get("tlb.miss_walk", 0.0), walk_step, walks
-                    )
-                ledger["app.access"] = _stepped_sum(
-                    ledger.get("app.access", 0.0), hit_step, hits
-                )
-            thread.latencies.extend(latencies)
-            consumed += hits
-        thread.ops_completed += consumed
-        self.hit_runs += 1
-        self.batched_hits += consumed
-        return consumed
+            charged = [(pre_category, pre_step, hits)] + _hit_charges(
+                hit_step, hits, walk_step, walks, first_walk == first
+            )
+            _flush_charges(cycles, span, charged)
+        return hits
 
     def _hit_run_analytic(
         self, thread: SimThread, vma: VMA, tlb, plan, index: int, total: int
     ) -> int:
         """Retire a window of all-hit loads in closed form.
 
-        Called from :meth:`_hit_run` — repeatedly, while full windows
-        keep retiring — under the analytic gates (unbounded horizon,
+        Called from :meth:`_fast_forward` — repeatedly, while full
+        windows keep retiring — under the analytic gates (unbounded horizon,
         integer clock, no pending interference, vectorized plan, CPI 1.0,
         no open span).  The window is cut at the first write, the first
         out-of-bounds page, the first access whose PTE is missing, and

@@ -2,7 +2,9 @@
 
 The plan-driven workload layers (``repro.workloads``, ``repro.serve``,
 ``repro.cluster``) sit on top of the engine's ``retire`` primitive and
-the thread's public recorders; the Linux and Aquila fault protocols and
+the thread's public recorders, and the graph layer (``repro.graph``) on
+its ``load``/``store``/``load_run`` surface; the Linux and Aquila fault
+protocols and
 their page caches reach other structures through their public batch
 methods.
 Reaching into another object's private state is how per-caller fast
@@ -14,8 +16,14 @@ such as ``__name__`` are allowed).
 import ast
 import os
 
-#: Plan-driven workload layers (every module below these packages).
-PACKAGES = ("src/repro/workloads", "src/repro/serve", "src/repro/cluster")
+#: Plan-driven workload layers and the graph layer (every module below
+#: these packages).
+PACKAGES = (
+    "src/repro/workloads",
+    "src/repro/serve",
+    "src/repro/cluster",
+    "src/repro/graph",
+)
 
 #: The Linux and Aquila fault protocols and their page caches.
 FAULT_PROTOCOL_MODULES = (
