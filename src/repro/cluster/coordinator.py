@@ -170,12 +170,9 @@ class ClientPlan:
         total = config.total_ops
         key_draws = counter_draws(config.seed, _TAG_KEY, total)
         offset_draws = counter_draws(config.seed, _TAG_OFFSET, total)
-        if not isinstance(key_draws, list):
-            key_draws = key_draws.tolist()
-            offset_draws = offset_draws.tolist()
-        self.keys: List[int] = key_draws
-        self.pages: List[int] = [k % config.dataset_pages for k in key_draws]
-        self.offsets: List[int] = [d % (units.PAGE_SIZE - 8) for d in offset_draws]
+        self.keys: List[int] = key_draws.tolist()
+        self.pages: List[int] = (key_draws % config.dataset_pages).tolist()
+        self.offsets: List[int] = (offset_draws % (units.PAGE_SIZE - 8)).tolist()
         fraction = config.write_fraction
         if fraction <= 0.0:
             self.writes = [False] * total
@@ -184,9 +181,7 @@ class ClientPlan:
         else:
             threshold = min(int(fraction * 2.0 ** 64), (1 << 64) - 1)
             write_draws = counter_draws(config.seed, _TAG_WRITE, total)
-            if not isinstance(write_draws, list):
-                write_draws = write_draws.tolist()
-            self.writes = [d < threshold for d in write_draws]
+            self.writes = (write_draws < threshold).tolist()
 
     def epoch_window(self, epoch: int, epoch_ops: int) -> range:
         """Global op indices of epoch ``epoch``."""

@@ -29,17 +29,12 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-try:
-    import numpy as _np
-except ImportError:          # plans fall back to pure-Python, same values
-    _np = None
-
 from repro.cluster.bus import ShardMessage
 from repro.common import units
 from repro.mmio.files import BackingFile
 from repro.mmio.vma import MADV_RANDOM
 from repro.sim.conformance import stack_state_digest
-from repro.sim.executor import SimThread, make_epoch_executor
+from repro.sim.executor import Executor, SimThread
 from repro.sim.fastforward import AccessPlan
 from repro.workloads.microbench import WRITE_DATA
 
@@ -179,11 +174,7 @@ class ShardSim:
         engine = self.engine
         thread = self.thread
         pages_seq, offsets_seq, writes_seq = ops.pages, ops.offsets, ops.writes
-        np_pages = np_writes = None
-        if _np is not None:
-            np_pages = _np.asarray(pages_seq, dtype=_np.int64)
-            np_writes = _np.asarray(writes_seq, dtype=bool)
-        plan = AccessPlan.build(pages_seq, offsets_seq, writes_seq, np_pages, np_writes)
+        plan = AccessPlan(pages_seq, offsets_seq, writes_seq)
         cursor = thread.clock.now
         index = 0
         total = len(pages_seq)
@@ -230,8 +221,12 @@ class ShardSim:
         self._apply_inbox(inbox)
         outbox: List[ShardMessage] = []
         if len(served):
-            executor = make_epoch_executor(
-                self.batched, self.engine.run_ahead_unbounded_ok
+            # The epoch barrier is a fresh executor over the shard's
+            # persistent thread: no run-ahead state (horizons,
+            # certificates) survives an epoch boundary, and message
+            # delivery always happens between executor runs (DESIGN.md §13).
+            executor = Executor(
+                batched=self.batched, quiescent=self.engine.run_ahead_unbounded_ok
             )
             executor.add(self.thread, self._serve_workload(served, outbox))
             executor.run()

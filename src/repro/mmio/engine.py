@@ -414,10 +414,11 @@ class MmioEngine:
     ) -> int:
         """Retire the next operations of ``plan`` from ``index``.
 
-        ``plan`` is three parallel sequences ``(pages, in_page_offsets,
-        is_write_flags)``, one entry per access, each access inside one
-        page; a store writes ``write_data`` and a load reads as many
-        bytes (and discards them: a load changes no state).  In batched mode (``thread.run_horizon``
+        ``plan`` is an :class:`~repro.sim.fastforward.AccessPlan`: three
+        parallel sequences ``(pages, in_page_offsets, is_write_flags)``,
+        one entry per access, each access inside one page; a store writes
+        ``write_data`` and a load reads as many bytes (and discards them:
+        a load changes no state).  In batched mode (``thread.run_horizon``
         is set) a run of consecutive pure hits retires in one step
         through the hit loop.  Otherwise — and whenever the next access
         needs the fault path — exactly one access retires through the
@@ -538,10 +539,10 @@ class MmioEngine:
 
         Only under the analytic gates (see ``repro.sim.fastforward``):
         fast-forward on, unbounded horizon, CPI 1.0, no open span, no
-        pending interference, a vectorized plan, an integer clock, and a
-        miss-rate model that expects windows above the amortization
-        floor.  Returns how many accesses retired (0 when a gate fails);
-        the hit loop carries on from there.
+        pending interference, an integer clock, and a miss-rate model
+        that expects windows above the amortization floor.  Returns how
+        many accesses retired (0 when a gate fails); the hit loop
+        carries on from there.
         """
         vma = mapping.vma
         clock = thread.clock
@@ -554,7 +555,6 @@ class MmioEngine:
             and total - index >= MIN_ANALYTIC_RUN
             and thread.core not in self.machine.interference._pending
             and vma.num_pages <= MAX_ANALYTIC_PAGES
-            and getattr(plan, "np_pages", None) is not None
             and clock.now.is_integer()
         ):
             return 0
@@ -715,9 +715,9 @@ class MmioEngine:
 
         Called from :meth:`_fast_forward` — repeatedly, while full
         windows keep retiring — under the analytic gates (unbounded horizon,
-        integer clock, no pending interference, vectorized plan, CPI 1.0,
-        no open span).  The window is cut at the first write, the first
-        out-of-bounds page, the first access whose PTE is missing, and
+        integer clock, no pending interference, CPI 1.0, no open span).
+        The window is cut at the first write, the first out-of-bounds
+        page, the first access whose PTE is missing, and
         the first access that would overflow the TLB, re-profiling until
         the cuts are stable; what remains is applied in bulk — cycle
         total, per-stage breakdown, per-access latencies, TLB counters
@@ -727,7 +727,7 @@ class MmioEngine:
         number of accesses retired; 0 means "fall back to the loop".
         """
         np_writes = plan.np_writes
-        if np_writes is not None and np_writes[index : index + MIN_ANALYTIC_RUN].any():
+        if np_writes[index : index + MIN_ANALYTIC_RUN].any():
             return 0  # a write lands before the amortization floor
         np_pages = plan.np_pages
         num_pages = vma.num_pages

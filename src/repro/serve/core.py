@@ -31,17 +31,14 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-try:
-    import numpy as _np
-except ImportError:          # plans fall back to pure-Python, same values
-    _np = None
+import numpy as np
 
 from repro.common import units
 from repro.mmio.vma import MADV_RANDOM
 from repro.serve.admission import AdmissionQueue
 from repro.serve.arrivals import BurstPhase, burst_schedule, poisson_schedule
 from repro.serve.qos import build_partition
-from repro.sim.executor import RunResult, SimThread, make_epoch_executor
+from repro.sim.executor import Executor, RunResult, SimThread
 from repro.sim.fastforward import AccessPlan
 from repro.sim.rand import counter_draws, derive_seed
 from repro.sim.stats import LatencyRecorder
@@ -150,58 +147,38 @@ class ServeOutcome:
 
 def _request_plan(
     base: int, dataset_pages: int, count: int, write_fraction: float
-) -> Tuple[List[int], List[int], List[bool]]:
+) -> AccessPlan:
     """One tenant's request plan: uniform random (page, offset, is_write).
 
-    Same counter-stream idiom as the microbenchmark's ``_op_plan`` —
-    bulk draws, bit-identical with or without numpy — but kept as plain
-    lists: batched serving re-slices the plan per admission batch, so
-    per-batch :class:`AccessPlan` views are built on demand instead.
+    Same counter-stream idiom and the same
+    :class:`~repro.sim.fastforward.AccessPlan` as the microbenchmark's
+    ``_op_plan``, in every executor mode.  Unbatched serving retires from
+    it directly; batched serving re-slices it per admission batch
+    (:func:`_batch_plan`).
     """
-    page_draws = counter_draws(base, _TAG_PAGE, count)
-    offset_draws = counter_draws(base, _TAG_OFFSET, count)
-    if _np is not None and not isinstance(page_draws, list):
-        pages = (page_draws % dataset_pages).astype(_np.int64).tolist()
-        offsets = (offset_draws % (units.PAGE_SIZE - 8)).astype(_np.int64).tolist()
-    else:
-        pages = [d % dataset_pages for d in page_draws]
-        offsets = [d % (units.PAGE_SIZE - 8) for d in offset_draws]
+    pages = counter_draws(base, _TAG_PAGE, count) % dataset_pages
+    offsets = counter_draws(base, _TAG_OFFSET, count) % (units.PAGE_SIZE - 8)
     if write_fraction <= 0.0:
-        writes = [False] * count
+        writes = np.zeros(count, dtype=bool)
     elif write_fraction >= 1.0:
-        writes = [True] * count
+        writes = np.ones(count, dtype=bool)
     else:
         threshold = min(int(write_fraction * 2.0 ** 64), (1 << 64) - 1)
-        write_draws = counter_draws(base, _TAG_WRITE, count)
-        if _np is not None and not isinstance(write_draws, list):
-            writes = (write_draws < threshold).tolist()
-        else:
-            writes = [d < threshold for d in write_draws]
-    return pages, offsets, writes
+        writes = counter_draws(base, _TAG_WRITE, count) < threshold
+    return AccessPlan(pages, offsets, writes)
 
 
-def _batch_plan(
-    batch: List[int],
-    pages_seq: List[int],
-    offsets_seq: List[int],
-    writes_seq: List[bool],
-) -> AccessPlan:
+def _batch_plan(batch: List[int], plan: AccessPlan) -> AccessPlan:
     """An :class:`AccessPlan` over the pending requests of one batch."""
-    pages = [pages_seq[i] for i in batch]
-    offsets = [offsets_seq[i] for i in batch]
-    writes = [writes_seq[i] for i in batch]
-    np_pages = np_writes = None
-    if _np is not None:
-        np_pages = _np.asarray(pages, dtype=_np.int64)
-        np_writes = _np.asarray(writes, dtype=bool)
-    return AccessPlan.build(pages, offsets, writes, np_pages, np_writes)
+    index = np.asarray(batch, dtype=np.intp)
+    return AccessPlan(plan.np_pages[index], plan.np_offsets[index], plan.np_writes[index])
 
 
 def serve_workload(
     thread: SimThread,
     mapping,
     arrivals: List[int],
-    plan: Tuple[List[int], List[int], List[bool]],
+    plan: AccessPlan,
     stats: TenantStats,
 ) -> Iterator[None]:
     """One tenant's FIFO server loop over ``mapping``.
@@ -217,7 +194,6 @@ def serve_workload(
     clock = thread.clock
     queue = stats.queue
     sojourns = stats.sojourns
-    pages_seq, offsets_seq, writes_seq = plan
     total = len(arrivals)
     pending: deque = deque()
     next_req = 0
@@ -249,7 +225,7 @@ def serve_workload(
         else:
             # A hit run consumes consecutive plan entries, so batched
             # steps retire over a plan of just the pending requests.
-            step_plan = _batch_plan(list(pending), pages_seq, offsets_seq, writes_seq)
+            step_plan = _batch_plan(list(pending), plan)
             index = 0
         consumed = engine.retire(thread, mapping, step_plan, index, WRITE_DATA)
         for latency in thread.latencies.last(consumed):
@@ -291,9 +267,7 @@ def run_serve(config: ServeConfig) -> ServeOutcome:
     )
     if partition is not None:
         engine.cache.partition = partition
-    executor = make_epoch_executor(
-        config.batched, engine.run_ahead_unbounded_ok if config.batched else None
-    )
+    executor = Executor(batched=config.batched, quiescent=engine.run_ahead_unbounded_ok)
     threads: List[SimThread] = []
     tenants: List[TenantStats] = []
     for index, spec in enumerate(config.tenants):

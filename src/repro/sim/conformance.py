@@ -319,7 +319,7 @@ def run_explicit_cell(
     from repro.mmio.files import ExtentAllocator
     from repro.hw.machine import Machine
     from repro.mmio.explicit import BLOCK_SIZE, ExplicitIOEngine
-    from repro.sim.executor import Executor, SYNC_HORIZON_CYCLES
+    from repro.sim.executor import Executor
     from repro.sim.rand import derive_seed
 
     SimThread.reset_ids()
@@ -342,7 +342,7 @@ def run_explicit_cell(
                 thread.record_op(start)
                 yield
 
-        executor = Executor(epoch_cycles=SYNC_HORIZON_CYCLES if batched else None)
+        executor = Executor(batched=batched)
         threads = []
         for i in range(num_threads):
             thread = SimThread(core=i % machine.topology.num_hw_threads)

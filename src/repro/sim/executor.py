@@ -14,7 +14,7 @@ This gives deterministic, single-OS-thread simulation of up to the paper's
 Batched (epoch) mode
 --------------------
 
-``Executor(epoch_cycles=...)`` enables the high-throughput scheduler.  Two
+``Executor(batched=True)`` enables the high-throughput scheduler.  Two
 mechanisms remove heap round-trips without changing any simulated outcome
 (DESIGN.md "The batching invariant" has the full argument):
 
@@ -162,23 +162,22 @@ class RunResult:
 class Executor:
     """Runs a set of (thread, workload-iterator) pairs to completion.
 
-    ``epoch_cycles`` enables batched mode: before each step the executor
+    ``batched`` enables batched mode: before each step the executor
     publishes a run-ahead horizon on the thread (``thread.run_horizon``),
     and keeps stepping a thread without heap round-trips while it remains
-    the scheduling minimum.  The quantum is clamped to
-    :data:`SYNC_HORIZON_CYCLES` — the bound under which batched execution
-    is provably bit-identical to unbatched execution (module docstring).
+    the scheduling minimum.  The quantum is :data:`SYNC_HORIZON_CYCLES` —
+    the bound under which batched execution is provably bit-identical to
+    unbatched execution (module docstring).  Unbatched mode is the
+    pristine per-op reference and ignores ``quiescent``.
     """
 
     def __init__(
         self,
-        epoch_cycles: Optional[float] = None,
+        batched: bool = False,
         quiescent: Optional[Callable[[], bool]] = None,
     ) -> None:
         self._entries: List[tuple] = []
-        if epoch_cycles is not None and epoch_cycles < 0:
-            raise ValueError("epoch_cycles must be non-negative")
-        self.epoch_cycles = epoch_cycles
+        self.batched = batched
         #: Optional certificate callable (e.g.
         #: ``MmioEngine.run_ahead_unbounded_ok``): while it returns True,
         #: no operation any thread can take mutates cross-thread-visible
@@ -202,7 +201,7 @@ class Executor:
         ``max_ops`` bounds total executor steps as a runaway guard (in
         batched mode one step may retire a whole hit-run of operations).
         """
-        if self.epoch_cycles is not None:
+        if self.batched:
             return self._run_batched(max_ops)
         heap: List[tuple] = []
         for order, (thread, it) in enumerate(self._entries):
@@ -237,7 +236,7 @@ class Executor:
         state inside a run-ahead window, so run-ahead degrades to zero
         quantum when any two runnable threads share a core.
         """
-        quantum = min(self.epoch_cycles, SYNC_HORIZON_CYCLES)
+        quantum = SYNC_HORIZON_CYCLES
         cores = [thread.core for thread, _ in self._entries]
         if len(set(cores)) != len(cores):
             quantum = 0.0
@@ -287,27 +286,6 @@ class Executor:
                 thread.run_horizon = None
 
         return RunResult([t for t, _ in self._entries])
-
-
-def make_epoch_executor(
-    batched: bool, quiescent: Optional[Callable[[], bool]] = None
-) -> Executor:
-    """The standard batched/unbatched executor wiring, in one place.
-
-    Every workload driver (microbenchmark, serving layer, cluster shard
-    epochs) builds its executor the same way: batched mode runs with the
-    proven :data:`SYNC_HORIZON_CYCLES` quantum and the engine's
-    quiescence certificate; unbatched mode is the pristine per-op
-    reference with neither.  Cluster shards call this once per epoch —
-    the epoch barrier is a fresh executor over the shard's persistent
-    threads, so no run-ahead state (horizons, certificates) can survive
-    an epoch boundary and message delivery always happens between
-    executor runs (DESIGN.md §13).
-    """
-    return Executor(
-        epoch_cycles=SYNC_HORIZON_CYCLES if batched else None,
-        quiescent=quiescent if batched else None,
-    )
 
 
 def run_threads(

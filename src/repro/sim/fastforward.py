@@ -45,12 +45,9 @@ profiling cost will amortize.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
-try:
-    import numpy as _np
-except ImportError:      # pragma: no cover - numpy ships with the toolchain
-    _np = None
+import numpy as np
 
 #: Minimum accesses an analytic window must retire to amortize its numpy
 #: setup; shorter prospective runs fall through to the Python hit loop.
@@ -67,35 +64,30 @@ MAX_ANALYTIC_WINDOW = 1 << 17
 MAX_ANALYTIC_PAGES = 1 << 22
 
 
-def numpy_available() -> bool:
-    """Whether the vectorized closed forms can run at all."""
-    return _np is not None
-
-
 class AccessPlan(tuple):
-    """A thread's precomputed access plan with optional vectorized views.
+    """A thread's precomputed access plan over int64/bool arrays.
 
-    Behaves exactly like the historical 3-tuple ``(pages,
-    in_page_offsets, is_write_flags)`` of parallel Python lists — every
-    existing consumer (the one-op path, the hit loop) unpacks
-    it unchanged — while optionally carrying ``np_pages`` (int64) and
-    ``np_writes`` (bool) numpy views of the same values for the analytic
-    fast-forward path.  The arrays are derived from the *same draws* as
-    the lists (never recomputed), so list and array entries are equal by
-    construction.
+    Unpacks as the 3-tuple ``(pages, in_page_offsets, is_write_flags)``
+    that ``MmioEngine.retire`` and its hit loop index op by op.  Each
+    entry is a ``memoryview`` of a contiguous array, so indexing yields
+    plain Python ints and bools, never numpy scalars (which must not
+    leak into clocks, dict keys or digested state).  The arrays behind
+    the views stay reachable as ``np_pages``, ``np_offsets`` and
+    ``np_writes``: the analytic fast-forward profiles windows of them,
+    and callers re-slice them into sub-plans.  Every executor mode runs
+    the same plan; only the engine decides whether to read the arrays.
     """
 
-    #: int64 array equal to the pages list, or None (no numpy / caller
-    #: built the plan by hand).
-    np_pages = None
-    #: bool array equal to the writes list, or None.
-    np_writes = None
-
-    @classmethod
-    def build(cls, pages, offsets, writes, np_pages=None, np_writes=None):
-        """Assemble a plan from parallel lists plus optional array views."""
-        plan = cls((pages, offsets, writes))
+    def __new__(cls, pages, offsets, writes):
+        """Plan over ``pages``/``offsets`` (as int64) and ``writes`` (as bool)."""
+        np_pages = np.ascontiguousarray(pages, dtype=np.int64)
+        np_offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        np_writes = np.ascontiguousarray(writes, dtype=bool)
+        plan = super().__new__(
+            cls, (memoryview(np_pages), memoryview(np_offsets), memoryview(np_writes))
+        )
         plan.np_pages = np_pages
+        plan.np_offsets = np_offsets
         plan.np_writes = np_writes
         return plan
 
@@ -105,12 +97,8 @@ def write_cut(np_writes, index: int, limit: int) -> int:
 
     The analytic path handles pure loads only (stores mutate frame bytes
     and PTE dirty protocol state per access), so the window is cut just
-    before the first write and the hit loop takes over there.  ``None``
-    for ``np_writes`` means the plan carries no write flags and the
-    window is treated as all-reads.
+    before the first write and the hit loop takes over there.
     """
-    if np_writes is None:
-        return limit
     window = np_writes[index:limit]
     if not window.any():
         return limit
@@ -129,12 +117,12 @@ def window_profile(window, num_pages: int) -> Tuple:
     so the result is deterministic — fancy-index assignment is not.
     """
     n = int(window.shape[0])
-    positions = _np.arange(n, dtype=_np.int64)
-    first = _np.full(num_pages, n, dtype=_np.int64)
-    _np.minimum.at(first, window, positions)
-    last = _np.full(num_pages, -1, dtype=_np.int64)
-    _np.maximum.at(last, window, positions)
-    touched = _np.flatnonzero(last >= 0)
+    positions = np.arange(n, dtype=np.int64)
+    first = np.full(num_pages, n, dtype=np.int64)
+    np.minimum.at(first, window, positions)
+    last = np.full(num_pages, -1, dtype=np.int64)
+    np.maximum.at(last, window, positions)
+    touched = np.flatnonzero(last >= 0)
     return touched, first, last
 
 

@@ -4,6 +4,10 @@ Every stochastic component (YCSB key chooser, R-MAT generator,
 microbenchmark offsets) draws from its own named stream derived from a
 single experiment seed, so runs are bit-reproducible and components do not
 perturb each other when one consumes more randomness.
+
+Counter streams (:func:`counter_draws`) come out in bulk as numpy
+``uint64`` arrays, the form every access plan is built from; numpy is a
+required dependency, with no scalar fallback.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ import hashlib
 import math
 import random
 from typing import Iterator, List
+
+import numpy as np
 
 
 def derive_seed(master_seed: int, stream_name: str) -> int:
@@ -35,8 +41,8 @@ def mix64(value: int) -> int:
 
     Counter-based alternative to a stateful rng: ``mix64(base + PHI*i)``
     yields draw *i* of a stream directly, so draws can be generated in any
-    order, in bulk (see :func:`counter_draws`), or lazily — always with
-    identical values.
+    order, one at a time or in bulk (see :func:`counter_draws`), always
+    with identical values.
     """
     z = value & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -44,21 +50,18 @@ def mix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
-def counter_draws(base: int, tag: int, count: int):
+def counter_draws(base: int, tag: int, count: int) -> np.ndarray:
     """``count`` 64-bit draws of the counter stream ``(base, tag)``.
 
-    Returns a ``numpy.uint64`` array when numpy is available and a plain
-    list of ints otherwise — **bit-identical values either way** (the
-    vectorized path is the same splitmix64 arithmetic on wrapping uint64).
-    Each ``tag`` names an independent stream over the same base seed, so a
-    caller can skip a stream entirely without perturbing the others —
-    unlike a shared sequential rng, where every consumer shifts the rest.
+    Returns a ``numpy.uint64`` array whose element *i* equals
+    ``mix64(start + PHI*i)``: the same splitmix64 arithmetic, vectorized
+    on wrapping uint64 (``tests/sim/test_rand.py`` pins it to the scalar
+    form).  Each ``tag`` names an independent stream over the same base
+    seed, so a caller can skip a stream entirely without perturbing the
+    others — unlike a shared sequential rng, where every consumer shifts
+    the rest.
     """
     start = (base ^ mix64(tag)) & _MASK64
-    try:
-        import numpy as np
-    except ImportError:
-        return [mix64(start + _SPLITMIX_PHI * i) for i in range(count)]
     z = start + np.uint64(_SPLITMIX_PHI) * np.arange(count, dtype=np.uint64)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -76,9 +79,9 @@ def exponential_interarrivals(
     clamped to >= 1.  The log/round step runs in pure Python over the int
     draws (never through numpy float kernels), so gap *i* is a pure
     function of ``(base, tag, i, mean_cycles)`` and regeneration is
-    byte-identical on every platform, with or without numpy.  Integer
-    stamps also keep open-loop arrival clocks on whole cycles, which the
-    engine's analytic fast-forward gate requires (``now.is_integer()``).
+    byte-identical on every platform.  Integer stamps also keep
+    open-loop arrival clocks on whole cycles, which the engine's
+    analytic fast-forward gate requires (``now.is_integer()``).
 
     The +0.5 centering keeps the transform unbiased and the argument of
     ``log`` strictly inside (0, 1): the gap mean converges to
@@ -88,9 +91,7 @@ def exponential_interarrivals(
     """
     if mean_cycles <= 0:
         raise ValueError("mean_cycles must be positive")
-    draws = counter_draws(base, tag, count)
-    if not isinstance(draws, list):
-        draws = draws.tolist()
+    draws = counter_draws(base, tag, count).tolist()
     scale = -float(mean_cycles)
     inv_span = 1.0 / 2.0 ** 64
     return [

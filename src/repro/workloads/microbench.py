@@ -21,17 +21,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
-try:
-    import numpy as _np
-except ImportError:          # plans fall back to pure-Python, same values
-    _np = None
+import numpy as np
 
 from repro.common import units
 from repro.mmio.engine import Mapping
 from repro.mmio.vma import MADV_RANDOM
-from repro.sim.executor import RunResult, SimThread, make_epoch_executor
+from repro.sim.executor import Executor, RunResult, SimThread
 from repro.sim.fastforward import AccessPlan
 from repro.sim.rand import counter_draws, derive_seed
 
@@ -56,21 +53,16 @@ class MicrobenchConfig:
     #: on cache-hit-heavy cells).
     batched: bool = True
     #: Allow the engine's analytic fast-forward (closed-form retirement of
-    #: quiescent all-hit windows; see ``repro.sim.fastforward``).  Only effective together with
-    #: ``batched`` — unbatched mode always stays the pristine per-op
-    #: reference the conformance tier compares against.
+    #: quiescent all-hit windows; see ``repro.sim.fastforward``).  Only
+    #: effective together with ``batched`` — unbatched mode always stays
+    #: the pristine per-op reference the conformance tier compares
+    #: against.  The flag switches the engine only: every mode runs the
+    #: same array-backed :class:`~repro.sim.fastforward.AccessPlan`.
     fastforward: bool = True
 
 
 #: Tags naming the independent counter streams of one thread's plan.
 _TAG_PAGE, _TAG_OFFSET, _TAG_WRITE = 1, 2, 3
-
-
-def _mod(draws, span: int):
-    """``draws % span`` as a list of ints (numpy array or list input)."""
-    if _np is not None and not isinstance(draws, list):
-        return (draws % span).tolist()
-    return [d % span for d in draws]
 
 
 def _op_plan(
@@ -82,16 +74,14 @@ def _op_plan(
     seed: int,
     partition_index: int,
     partition_count: int,
-    lazy: bool = False,
 ) -> AccessPlan:
-    """Precompute one thread's access plan as three parallel lists:
-    ``(pages, in_page_offsets, is_write_flags)``.
+    """Precompute one thread's access plan ``(pages, in_page_offsets,
+    is_write_flags)``.
 
     Draws come from per-thread counter streams (``repro.sim.rand.mix64``),
-    generated in bulk — vectorized when numpy is present, pure Python
-    otherwise, bit-identical values either way.  The modulo page/offset
-    picks carry a uniformity skew below 2^-50 for page-scale spans,
-    invisible at simulation scale; the plan is a pure function of
+    generated in bulk as uint64 arrays.  The modulo page/offset picks
+    carry a uniformity skew below 2^-50 for page-scale spans, invisible
+    at simulation scale; the plan is a pure function of
     ``(seed, thread.tid)``.
 
     When ``touch_once`` asks for more accesses than the thread's partition
@@ -99,72 +89,33 @@ def _op_plan(
     random owned pages — pure cache hits whenever the dataset fits in
     memory, which is what the batched fast path accelerates.
 
-    The returned :class:`~repro.sim.fastforward.AccessPlan` unpacks as
-    the historical 3-tuple; when numpy is present it also carries int64
-    page / bool write array views of the same values so the engine's
-    analytic fast-forward can profile windows without re-materializing.
+    The plan is built the same way in every executor mode: an
+    :class:`~repro.sim.fastforward.AccessPlan` over the int64 page,
+    int64 offset and bool write arrays, which the hit loop indexes
+    through memoryviews and the analytic fast-forward profiles directly.
     """
     base = derive_seed(seed, f"mb-{thread.tid}")
     total_pages = mapping.size_bytes >> units.PAGE_SHIFT
-    np_pages = np_writes = None
-    # Lazy mode (fast-forward only): keep the draws as arrays and hand
-    # out memoryviews of them instead of materializing Python lists —
-    # the analytic path consumes the arrays directly, and the slow path
-    # touches only a sliver of the plan.  A memoryview indexes to Python
-    # ints and bools, never numpy scalars (which must not leak into
-    # clocks, dict keys or digested state).  Values are identical either
-    # way, so the fast-forward digest conformance covers this too.
-    lazy = lazy and _np is not None
     if touch_once:
         # Each thread owns an interleaved share of the pages, permuted.
-        pages = list(range(partition_index, total_pages, partition_count))
-        random.Random(base).shuffle(pages)
-        if accesses <= len(pages) or not pages:
-            sequence = pages[:accesses]
-        else:
-            draws = counter_draws(base, _TAG_PAGE, accesses - len(pages))
-            if _np is not None and not isinstance(draws, list):
-                # Array-first: one conversion of the final sequence
-                # instead of round-tripping picks through Python lists.
-                owned = _np.asarray(pages, dtype=_np.int64)
-                np_pages = _np.concatenate(
-                    [owned, owned[(draws % len(pages)).astype(_np.int64)]]
-                )
-                sequence = memoryview(np_pages) if lazy else np_pages.tolist()
-            else:
-                sequence = pages + [pages[d % len(pages)] for d in draws]
+        owned = list(range(partition_index, total_pages, partition_count))
+        random.Random(base).shuffle(owned)
+        pages = np.asarray(owned[:accesses], dtype=np.int64)
+        if accesses > len(owned) and owned:
+            draws = counter_draws(base, _TAG_PAGE, accesses - len(owned))
+            pages = np.concatenate([pages, pages[(draws % len(owned)).astype(np.int64)]])
     else:
-        draws = counter_draws(base, _TAG_PAGE, accesses)
-        if _np is not None and not isinstance(draws, list):
-            np_pages = (draws % total_pages).astype(_np.int64)
-            sequence = memoryview(np_pages) if lazy else np_pages.tolist()
-        else:
-            sequence = [d % total_pages for d in draws]
-    offset_draws = counter_draws(base, _TAG_OFFSET, accesses)
-    if lazy and not isinstance(offset_draws, list):
-        offsets = memoryview(offset_draws % (units.PAGE_SIZE - 8))
-    else:
-        offsets = _mod(offset_draws, units.PAGE_SIZE - 8)
+        pages = counter_draws(base, _TAG_PAGE, accesses) % total_pages
+    offsets = counter_draws(base, _TAG_OFFSET, accesses) % (units.PAGE_SIZE - 8)
     if write_fraction <= 0.0:
-        if _np is not None:
-            np_writes = _np.zeros(accesses, dtype=bool)
-        writes = memoryview(np_writes) if lazy else [False] * accesses
+        writes = np.zeros(accesses, dtype=bool)
     elif write_fraction >= 1.0:
-        if _np is not None:
-            np_writes = _np.ones(accesses, dtype=bool)
-        writes = memoryview(np_writes) if lazy else [True] * accesses
+        writes = np.ones(accesses, dtype=bool)
     else:
         # draw/2^64 < write_fraction, computed in integers (exact).
         threshold = min(int(write_fraction * 2.0 ** 64), (1 << 64) - 1)
-        draws = counter_draws(base, _TAG_WRITE, accesses)
-        if _np is not None and not isinstance(draws, list):
-            np_writes = draws < threshold
-            writes = memoryview(np_writes) if lazy else np_writes.tolist()
-        else:
-            writes = [d < threshold for d in draws]
-    if _np is not None and np_pages is None:
-        np_pages = _np.asarray(sequence, dtype=_np.int64)
-    return AccessPlan.build(sequence, offsets, writes, np_pages, np_writes)
+        writes = counter_draws(base, _TAG_WRITE, accesses) < threshold
+    return AccessPlan(pages, offsets, writes)
 
 
 def access_workload(
@@ -196,7 +147,6 @@ def access_workload(
         seed,
         partition_index,
         partition_count,
-        lazy=engine.fastforward,
     )
     index = 0
     total = len(plan[0])
@@ -224,7 +174,7 @@ def run_microbench(
             raise ValueError("need one file per thread for the private-file mode")
 
     engine.fastforward = bool(config.batched and config.fastforward)
-    executor = make_epoch_executor(config.batched, engine.run_ahead_unbounded_ok)
+    executor = Executor(batched=config.batched, quiescent=engine.run_ahead_unbounded_ok)
     threads = []
     shared_mapping: Optional[Mapping] = None
     for index in range(config.num_threads):

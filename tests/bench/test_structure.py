@@ -11,6 +11,10 @@ Reaching into another object's private state is how per-caller fast
 paths crept in before.  This AST walk fails on any attribute read
 ``x._name`` whose base is not ``self`` or ``cls`` (dunder attributes
 such as ``__name__`` are allowed).
+
+A second walk covers all of ``repro``: no ``except ImportError``
+handler, so no module keeps a fallback twin for a missing declared
+dependency.
 """
 
 import ast
@@ -87,3 +91,52 @@ def test_workload_layers_read_no_foreign_private_attributes():
 def test_fault_protocols_read_no_foreign_private_attributes():
     offenders = _offenders(os.path.join(REPO, module) for module in FAULT_PROTOCOL_MODULES)
     assert not offenders, "private reach-throughs:\n  " + "\n  ".join(offenders)
+
+
+def import_fallbacks(source: str, filename: str = "<string>"):
+    """Lines of every ``except ImportError`` (or ``ModuleNotFoundError``) handler.
+
+    The declared dependencies (``pyproject.toml``) are required: a
+    fallback for a missing one is a second code path no install runs.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            continue
+        types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        names = {t.id if isinstance(t, ast.Name) else getattr(t, "attr", None) for t in types}
+        if names & {"ImportError", "ModuleNotFoundError"}:
+            found.append(node.lineno)
+    return found
+
+
+def test_guard_flags_import_fallbacks():
+    source = (
+        "try:\n"
+        "    import numpy as np\n"
+        "except ImportError:\n"
+        "    np = None\n"
+        "try:\n"
+        "    pass\n"
+        "except (ValueError, ModuleNotFoundError):\n"
+        "    pass\n"
+        "try:\n"
+        "    pass\n"
+        "except KeyError:\n"
+        "    pass\n"
+    )
+    assert import_fallbacks(source) == [3, 7]
+
+
+def test_package_has_no_import_fallbacks():
+    offenders = []
+    for dirpath, _, filenames in os.walk(os.path.join(REPO, "src/repro")):
+        for filename in sorted(filenames):
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, filename)
+            with open(path) as handle:
+                source = handle.read()
+            rel = os.path.relpath(path, REPO)
+            offenders += [f"{rel}:{line}" for line in import_fallbacks(source, path)]
+    assert not offenders, "import fallbacks:\n  " + "\n  ".join(offenders)

@@ -21,19 +21,11 @@ style (200+ generated cases, deterministic by seed):
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.sim.conformance import MMIO_ENGINE_KINDS, run_cell
-from repro.sim.fastforward import (
-    expected_hit_run_length,
-    numpy_available,
-    window_profile,
-    write_cut,
-)
-
-np = pytest.importorskip("numpy") if numpy_available() else None
-if np is None:  # pragma: no cover - numpy ships with the toolchain
-    pytest.skip("closed forms require numpy", allow_module_level=True)
+from repro.sim.fastforward import expected_hit_run_length, window_profile, write_cut
 
 #: Unit-property volume: seeded random windows per closed form.
 PROFILE_CASES = 200
@@ -98,9 +90,6 @@ class TestWriteCutProperty:
                     expected = pos
                     break
             assert write_cut(arr, index, limit) == expected, f"case {case}"
-
-    def test_none_means_all_reads(self):
-        assert write_cut(None, 3, 17) == 17
 
 
 class TestMissRateModel:

@@ -77,14 +77,6 @@ class TestEnginePreambleDeclarations:
 
 
 class TestExecutorBatchedMode:
-    def test_negative_epoch_rejected(self):
-        try:
-            Executor(epoch_cycles=-1.0)
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("negative epoch_cycles accepted")
-
     def test_horizon_published_and_cleared(self):
         seen = []
 
@@ -94,7 +86,7 @@ class TestExecutorBatchedMode:
                 thread.clock.charge("x", 10)
                 yield
 
-        executor = Executor(epoch_cycles=SYNC_HORIZON_CYCLES)
+        executor = Executor(batched=True)
         thread = SimThread(core=0)
         executor.add(thread, workload(thread))
         executor.run()
@@ -126,7 +118,7 @@ class TestExecutorBatchedMode:
                 thread.clock.charge("x", 100)
                 yield
 
-        executor = Executor(epoch_cycles=SYNC_HORIZON_CYCLES)
+        executor = Executor(batched=True)
         threads = [SimThread(core=0), SimThread(core=0)]  # same hw thread
         for t in threads:
             executor.add(t, workload(t))
@@ -149,9 +141,9 @@ class TestExecutorBatchedMode:
             return workload
 
         events_u, events_b = [], []
-        for events, epoch in ((events_u, None), (events_b, SYNC_HORIZON_CYCLES)):
+        for events, batched in ((events_u, False), (events_b, True)):
             SimThread.reset_ids()
-            executor = Executor(epoch_cycles=epoch)
+            executor = Executor(batched=batched)
             ta, tb = SimThread(core=0), SimThread(core=1)
             executor.add(ta, make(events, "a")(ta))
             executor.add(tb, make(events, "b")(tb))

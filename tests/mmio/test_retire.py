@@ -20,7 +20,7 @@ from repro.mmio.files import BackingFile
 from repro.mmio.vma import MADV_RANDOM, PROT_READ
 from repro.obs import TRACER
 from repro.sim.conformance import diff_digests, mmio_state_digest
-from repro.sim.executor import SimThread, make_epoch_executor
+from repro.sim.executor import Executor, SimThread
 from repro.sim.fastforward import AccessPlan
 from repro.workloads.microbench import WRITE_DATA, access_workload
 
@@ -81,7 +81,7 @@ def _run(engine_kind, batched, fastforward, num_threads, write_fraction, spans,
     engine = stack.engine
     engine.fastforward = batched and fastforward
     file = stack.allocator.create("retire", 160 * units.PAGE_SIZE)
-    executor = make_epoch_executor(batched, engine.run_ahead_unbounded_ok)
+    executor = Executor(batched=batched, quiescent=engine.run_ahead_unbounded_ok)
     threads = []
     rows = None
     with TRACER.isolated(enable=spans):
@@ -184,7 +184,7 @@ def _run_tenants(batched, fastforward):
     partition.set_quota("a", 8)
     partition.set_quota("b", 56)
     engine.cache.partition = partition
-    executor = make_epoch_executor(batched, engine.run_ahead_unbounded_ok)
+    executor = Executor(batched=batched, quiescent=engine.run_ahead_unbounded_ok)
     threads = []
     mappings = []
     with TRACER.isolated(enable=True):
@@ -257,7 +257,7 @@ class TestRetireFaults:
     def test_out_of_range_page(self, engine_kind, mode):
         engine, mapping, thread = self._setup(engine_kind, mode)
         for page in (self.PAGES + 3, -1):
-            plan = AccessPlan.build([0, page], [16, 40], [False, False])
+            plan = AccessPlan([0, page], [16, 40], [False, False])
             assert engine.retire(thread, mapping, plan, 0, WRITE_DATA) == 1
             got = self._raised(
                 lambda: engine.retire(thread, mapping, plan, 1, WRITE_DATA)
@@ -272,7 +272,7 @@ class TestRetireFaults:
     @pytest.mark.parametrize("mode", MODES, ids=[m[0] for m in MODES])
     def test_store_to_read_only_mapping(self, engine_kind, mode):
         engine, mapping, thread = self._setup(engine_kind, mode, prot=PROT_READ)
-        plan = AccessPlan.build([0, 0], [16, 24], [False, True])
+        plan = AccessPlan([0, 0], [16, 24], [False, True])
         assert engine.retire(thread, mapping, plan, 0, WRITE_DATA) == 1
         got = self._raised(lambda: engine.retire(thread, mapping, plan, 1, WRITE_DATA))
         want = self._raised(lambda: mapping.store(thread, 24, WRITE_DATA))

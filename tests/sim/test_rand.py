@@ -1,5 +1,6 @@
 """Deterministic random streams and YCSB distributions."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +13,13 @@ from repro.sim.rand import (
     derive_seed,
     exponential_interarrivals,
     fnv1a_64,
+    mix64,
     stream,
 )
+
+#: splitmix64 increment; the counter stream's draw i is mix64(start + PHI*i).
+PHI = 0x9E3779B97F4A7C15
+MASK64 = (1 << 64) - 1
 
 
 class TestSeeding:
@@ -38,6 +44,45 @@ class TestFNV:
     @given(st.integers(min_value=0, max_value=1 << 64 - 1))
     def test_in_64bit_range(self, value):
         assert 0 <= fnv1a_64(value) < 1 << 64
+
+
+def _reference_draws(base, tag, count):
+    """The scalar splitmix64 counter stream, one Python int per draw."""
+    start = (base ^ mix64(tag)) & MASK64
+    return [mix64(start + PHI * i) for i in range(count)]
+
+
+def _base_for_start(start, tag):
+    """The base whose ``(base, tag)`` stream starts its counter at ``start``."""
+    return start ^ mix64(tag)
+
+
+class TestCounterDrawsParity:
+    """The vectorized uint64 stream equals the scalar mix64 reference."""
+
+    PAIRS = [
+        (0, 0),
+        (1, 1),
+        (derive_seed(7, "mb-0"), 3),
+        (MASK64, 2),
+        # Counter starts within count*PHI of 2**64: the uint64 sums wrap
+        # within the first draws.
+        (_base_for_start(MASK64, 5), 5),
+        (_base_for_start((1 << 64) - PHI, 21), 21),
+        (_base_for_start((1 << 64) - 3 * PHI // 2, 9), 9),
+    ]
+
+    @pytest.mark.parametrize("count", [0, 1, 10_000])
+    @pytest.mark.parametrize("base, tag", PAIRS)
+    def test_matches_scalar_reference(self, base, tag, count):
+        draws = counter_draws(base, tag, count)
+        assert draws.dtype == np.uint64
+        assert draws.shape == (count,)
+        assert draws.tolist() == _reference_draws(base, tag, count)
+
+    def test_reference_wraps(self):
+        start = (_base_for_start(MASK64, 5) ^ mix64(5)) & MASK64
+        assert start + PHI > MASK64
 
 
 class TestExponentialInterarrivals:
@@ -87,9 +132,7 @@ class TestExponentialInterarrivals:
         import math
 
         base = derive_seed(33, "gaps")
-        draws = counter_draws(base, 4, 16)
-        if not isinstance(draws, list):
-            draws = draws.tolist()
+        draws = counter_draws(base, 4, 16).tolist()
         expected = [
             max(1, round(-self.MEAN * math.log((d + 0.5) / 2.0**64)))
             for d in draws
