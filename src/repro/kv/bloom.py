@@ -22,10 +22,13 @@ def _hash_pair(key: bytes) -> tuple:
 class BloomFilter:
     """Fixed-size bloom filter over byte-string keys."""
 
-    def __init__(self, num_keys: int, bits_per_key: int = 10) -> None:
-        self.num_bits = max(64, num_keys * bits_per_key)
-        self.num_probes = max(1, min(30, round(bits_per_key * math.log(2))))
-        self._bits = bytearray((self.num_bits + 7) // 8)
+    def __init__(self, num_keys: int, bits_per_key: int = 10, *,
+                 num_bits: int = 0, num_probes: int = 0, bits: bytes = b"") -> None:
+        """Sized for ``num_keys`` at ``bits_per_key``, or restored from a
+        serialized filter's ``num_bits``, ``num_probes`` and ``bits``."""
+        self.num_bits = num_bits or max(64, num_keys * bits_per_key)
+        self.num_probes = num_probes or max(1, min(30, round(bits_per_key * math.log(2))))
+        self._bits = bytearray(bits or (self.num_bits + 7) // 8)
 
     def add(self, key: bytes) -> None:
         """Insert a key."""
@@ -57,9 +60,5 @@ class BloomFilter:
     def from_bytes(cls, data: bytes) -> "BloomFilter":
         """Deserialize a filter produced by :meth:`to_bytes`."""
         num_bits = int.from_bytes(data[:4], "little")
-        probes = data[4]
-        instance = cls.__new__(cls)
-        instance.num_bits = num_bits
-        instance.num_probes = probes
-        instance._bits = bytearray(data[5 : 5 + (num_bits + 7) // 8])
-        return instance
+        return cls(0, num_bits=num_bits, num_probes=data[4],
+                   bits=data[5 : 5 + (num_bits + 7) // 8])

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from typing import Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common import units
 from repro.mmio.engine import Mapping
@@ -30,6 +31,11 @@ _HEADER = struct.Struct("<BH")
 _ENTRY_FIXED = struct.Struct("<HQ")
 
 NODE_SIZE = units.PAGE_SIZE
+
+#: A decoded node's entries, immutable because callers keep them.
+Entries = Tuple[Tuple[bytes, int], ...]
+#: ``(is_leaf, entries, keys)`` of one decoded node.
+Node = Tuple[bool, Entries, Tuple[bytes, ...]]
 
 
 def _encode_node(is_leaf: bool, entries: List[Tuple[bytes, int]]) -> bytes:
@@ -62,6 +68,24 @@ def node_capacity(key_len: int) -> int:
     return (NODE_SIZE - _HEADER.size) // per_entry
 
 
+def default_fanout(max_key_len: int) -> int:
+    """Fanout ``FileBTree.build`` uses for keys of at most ``max_key_len`` bytes."""
+    return max(4, node_capacity(max_key_len))
+
+
+def pages_needed(entry_count: int, max_key_len: int) -> int:
+    """Index pages a default-fanout bulk load of ``entry_count`` entries writes."""
+    fanout = default_fanout(max_key_len)
+    pages = 0
+    nodes = entry_count
+    while nodes:
+        nodes = -(-nodes // fanout)
+        pages += nodes
+        if nodes == 1:
+            break
+    return pages
+
+
 class PageAllocator:
     """Allocates index pages from the top of the volume downward.
 
@@ -87,18 +111,30 @@ class PageAllocator:
 
 
 class FileBTree:
-    """Immutable bulk-loaded B+tree stored in a mapping."""
+    """Immutable bulk-loaded B+tree stored in a mapping.
+
+    Every node visit loads the node's full page through the mapping and
+    counts in ``node_reads``, so the simulated accesses are those of a
+    tree that parses each page it reads.  The host decodes a page only
+    when its bytes differ from the ones this tree last decoded there:
+    frames can change without a ``store`` through this tree (a direct
+    cache-coherence write, index pages reused after ``recover``), so the
+    memo is checked against the loaded bytes, never trusted by page.
+    """
 
     def __init__(self, mapping: Mapping, root_page: Optional[int], height: int,
                  first_key: Optional[bytes], last_key: Optional[bytes],
-                 entry_count: int) -> None:
+                 entry_count: int, max_key_len: int = 0) -> None:
         self.mapping = mapping
         self.root_page = root_page
         self.height = height
         self.first_key = first_key
         self.last_key = last_key
         self.entry_count = entry_count
+        self.max_key_len = max_key_len
         self.node_reads = 0
+        # page -> (bytes last decoded there, decoded node); host-only.
+        self._nodes: Dict[int, Tuple[bytes, Node]] = {}
 
     @classmethod
     def build(
@@ -112,9 +148,9 @@ class FileBTree:
         """Bulk-load ``sorted_entries`` (strictly increasing keys)."""
         if not sorted_entries:
             return cls(mapping, None, 0, None, None, 0)
+        max_key_len = max(len(key) for key, _ in sorted_entries)
         if fanout is None:
-            max_key = max(len(key) for key, _ in sorted_entries)
-            fanout = max(4, node_capacity(max_key))
+            fanout = default_fanout(max_key_len)
 
         def write_level(entries: List[Tuple[bytes, int]], is_leaf: bool) -> List[Tuple[bytes, int]]:
             parents: List[Tuple[bytes, int]] = []
@@ -139,12 +175,21 @@ class FileBTree:
             first_key=sorted_entries[0][0],
             last_key=sorted_entries[-1][0],
             entry_count=len(sorted_entries),
+            max_key_len=max_key_len,
         )
 
-    def _read_node(self, thread: SimThread, page: int) -> Tuple[bool, List[Tuple[bytes, int]]]:
+    def _read_node(self, thread: SimThread, page: int) -> Node:
+        """``(is_leaf, entries, keys)`` of ``page``: one full-page load,
+        decoded only if its bytes differ from those last decoded here."""
         self.node_reads += 1
         blob = self.mapping.load(thread, page * units.PAGE_SIZE, NODE_SIZE)
-        return _decode_node(blob)
+        memo = self._nodes.get(page)
+        if memo is not None and memo[0] == blob:
+            return memo[1]
+        is_leaf, entries = _decode_node(blob)
+        node = (is_leaf, tuple(entries), tuple(map(itemgetter(0), entries)))
+        self._nodes[page] = (blob, node)
+        return node
 
     def lookup(self, thread: SimThread, key: bytes) -> Optional[int]:
         """Log-pointer for ``key`` or None (each node visit is mmio)."""
@@ -154,27 +199,25 @@ class FileBTree:
             return None
         page = self.root_page
         while True:
-            is_leaf, entries = self._read_node(thread, page)
-            keys = [k for k, _ in entries]
+            is_leaf, entries, keys = self._read_node(thread, page)
+            slot = bisect_left(keys, key)
             if is_leaf:
-                slot = bisect_left(keys, key)
                 if slot < len(keys) and keys[slot] == key:
                     return entries[slot][1]
                 return None
             # Internal keys are the last key of each child: descend into
             # the first child whose last key >= the search key.
-            slot = bisect_left(keys, key)
             if slot >= len(entries):
                 return None
             page = entries[slot][1]
 
-    def _leaf_pages(self, thread: SimThread) -> Iterator[List[Tuple[bytes, int]]]:
+    def _leaf_pages(self, thread: SimThread) -> Iterator[Entries]:
         """All leaves left-to-right (spill input / scans)."""
         if self.root_page is None:
             return
 
-        def walk(page: int) -> Iterator[List[Tuple[bytes, int]]]:
-            is_leaf, entries = self._read_node(thread, page)
+        def walk(page: int) -> Iterator[Entries]:
+            is_leaf, entries, _ = self._read_node(thread, page)
             if is_leaf:
                 yield entries
             else:

@@ -208,33 +208,9 @@ class MmioEnv(StorageEnv):
 
     def append(self, thread: SimThread, file: BackingFile, offset: int, data: bytes) -> None:
         _BulkWriter.bulk_write(thread, file, offset, data)
-        self._update_cached_range(thread, file, offset, data)
-
-    def _update_cached_range(
-        self, thread: SimThread, file: BackingFile, offset: int, data: bytes
-    ) -> None:
-        """Keep engine-cached pages coherent with a direct device write.
-
-        ``bulk_write`` bypasses the engine cache.  A stale cached page
-        overlapping the appended range would serve old bytes to loads
-        and — if dirty — clobber the freshly appended bytes on the next
-        msync, silently losing acknowledged WAL data.
-        """
-        if not data:
-            return
-        pool = self.engine._pool()
-        first = offset >> units.PAGE_SHIFT
-        last = (offset + len(data) - 1) >> units.PAGE_SHIFT
-        for page_index in range(first, last + 1):
-            page = self.engine._cached_page(file, page_index)
-            if page is None:
-                continue
-            page_start = page_index << units.PAGE_SHIFT
-            lo = max(offset, page_start)
-            hi = min(offset + len(data), page_start + units.PAGE_SIZE)
-            frame_data = bytearray(pool.read(page.frame))
-            frame_data[lo - page_start : hi - page_start] = data[lo - offset : hi - offset]
-            pool.write(page.frame, bytes(frame_data))
+        # bulk_write bypasses the engine cache; a stale (or dirty) cached
+        # page would otherwise hide or clobber acknowledged WAL bytes.
+        self.engine.update_cached_range(file, offset, data)
 
     def msync_all(self, thread: SimThread) -> int:
         """Flush every live mapping (shutdown/checkpoint)."""

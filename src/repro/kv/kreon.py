@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.common import constants, units
 from repro.common.errors import OutOfSpaceError
 from repro.fault.crash import CRASH
-from repro.kv.btree import FileBTree, PageAllocator
+from repro.kv.btree import FileBTree, PageAllocator, pages_needed
 from repro.kv.memtable import TOMBSTONE
 from repro.mmio.engine import Mapping, MmioEngine
 from repro.mmio.files import BackingFile
@@ -111,14 +111,37 @@ class Kreon:
     def spill(self, thread: SimThread) -> None:
         """Merge L0 into L1 (and cascade if a level overflows).
 
-        Spills merge *index entries only*; values stay in the log.
+        Spills merge *index entries only*; values stay in the log.  Index
+        pages grow down towards the log, so a spill that might reach the
+        log tail raises ``OutOfSpaceError`` before it changes anything.
         """
         if not self.l0:
             return
+        lowest_page = self.allocator.low_water_page - self._spill_page_bound()
+        if lowest_page * units.PAGE_SIZE < self.log_tail:
+            raise OutOfSpaceError("spill's index pages would overwrite the value log")
         self.spills += 1
         entries = sorted(self.l0.items())
         self.l0 = {}
         self._merge_into_level(thread, 0, entries)
+
+    def _spill_page_bound(self) -> int:
+        """Most index pages the next spill can write, cascades included.
+
+        Uses tree metadata only, no mmio: each merge holds at most the
+        sum of its inputs, so the bound never undercounts.
+        """
+        count = len(self.l0)
+        key_len = max(map(len, self.l0))
+        pages = 0
+        for level_index, tree in enumerate(self.levels):
+            if tree is not None:
+                count += tree.entry_count
+                key_len = max(key_len, tree.max_key_len)
+            pages += pages_needed(count, key_len)
+            if count <= self.l0_max_entries * (self.level_ratio ** (level_index + 1)):
+                break
+        return pages
 
     def _merge_into_level(
         self, thread: SimThread, level_index: int, new_entries: List[Tuple[bytes, int]]

@@ -15,7 +15,7 @@ Engines differ only in what a *fault* costs and how the cache behaves.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common import constants, units
 from repro.common.errors import ProtectionFault, SegmentationFault
@@ -344,35 +344,38 @@ class MmioEngine:
 
     def load(self, thread: SimThread, mapping: Mapping, offset: int, nbytes: int) -> bytes:
         """Memory-read through the mapping; faults on unmapped pages."""
+        end = self._check_bounds(mapping, offset, nbytes)
         chunks = []
-        for page_offset, in_page, take in self._split(mapping, offset, nbytes):
-            frame = self._ensure_mapped(thread, mapping, page_offset, is_write=False)
+        pos = offset
+        while pos < end:
+            in_page = pos & (units.PAGE_SIZE - 1)
+            take = min(end - pos, units.PAGE_SIZE - in_page)
+            frame = self._ensure_mapped(thread, mapping, pos - in_page, is_write=False)
             chunks.append(self._pool().read_partial(frame, in_page, take))
-        return b"".join(chunks)
+            pos += take
+        return chunks[0] if len(chunks) == 1 else b"".join(chunks)
 
     def store(self, thread: SimThread, mapping: Mapping, offset: int, data: bytes) -> None:
         """Memory-write through the mapping; faults for dirty tracking."""
-        written = 0
-        for page_offset, in_page, take in self._split(mapping, offset, len(data)):
-            frame = self._ensure_mapped(thread, mapping, page_offset, is_write=True)
-            self._pool().write_partial(frame, in_page, data[written : written + take])
-            written += take
+        end = self._check_bounds(mapping, offset, len(data))
+        pos = offset
+        while pos < end:
+            in_page = pos & (units.PAGE_SIZE - 1)
+            take = min(end - pos, units.PAGE_SIZE - in_page)
+            frame = self._ensure_mapped(thread, mapping, pos - in_page, is_write=True)
+            start = pos - offset
+            self._pool().write_partial(frame, in_page, data[start : start + take])
+            pos += take
 
-    def _split(
-        self, mapping: Mapping, offset: int, nbytes: int
-    ) -> Iterable[Tuple[int, int, int]]:
-        if offset < 0 or nbytes < 0 or offset + nbytes > mapping.size_bytes:
+    @staticmethod
+    def _check_bounds(mapping: Mapping, offset: int, nbytes: int) -> int:
+        """End of ``[offset, +nbytes)``; raises before any charge if outside."""
+        end = offset + nbytes
+        if offset < 0 or nbytes < 0 or end > mapping.size_bytes:
             raise SegmentationFault(
                 offset, f"access [{offset}, +{nbytes}) outside mapping"
             )
-        pos = offset
-        remaining = nbytes
-        while remaining > 0:
-            in_page = pos & (units.PAGE_SIZE - 1)
-            take = min(remaining, units.PAGE_SIZE - in_page)
-            yield (pos - in_page, in_page, take)
-            pos += take
-            remaining -= take
+        return end
 
     def _ensure_mapped(
         self, thread: SimThread, mapping: Mapping, page_offset: int, is_write: bool
@@ -863,6 +866,29 @@ class MmioEngine:
         for page in pages:
             self._drop_page(thread, page)
         return len(pages)
+
+    def update_cached_range(self, file: BackingFile, offset: int, data: bytes) -> None:
+        """Copy ``data`` into the cached pages of ``file`` it overlaps.
+
+        Keeps the cache coherent with a write that went straight to the
+        device: a stale cached page overlapping the range would serve old
+        bytes to loads and, if dirty, clobber the new bytes on the next
+        msync.  Pages not cached are left alone, and nothing is charged.
+        """
+        if not data:
+            return
+        pool = self._pool()
+        end = offset + len(data)
+        first = offset >> units.PAGE_SHIFT
+        last = (end - 1) >> units.PAGE_SHIFT
+        for page_index in range(first, last + 1):
+            page = self._cached_page(file, page_index)
+            if page is None:
+                continue
+            page_start = page_index << units.PAGE_SHIFT
+            lo = max(offset, page_start)
+            hi = min(end, page_start + units.PAGE_SIZE)
+            pool.write_partial(page.frame, lo - page_start, data[lo - offset : hi - offset])
 
     def _pages_of_file(self, file_id: int) -> List[CachePage]:
         raise NotImplementedError

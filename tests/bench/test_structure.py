@@ -2,11 +2,11 @@
 
 The plan-driven workload layers (``repro.workloads``, ``repro.serve``,
 ``repro.cluster``) sit on top of the engine's ``retire`` primitive and
-the thread's public recorders, and the graph layer (``repro.graph``) on
-its ``load``/``store``/``load_run`` surface; the Linux and Aquila fault
-protocols and
-their page caches reach other structures through their public batch
-methods.
+the thread's public recorders, the graph layer (``repro.graph``) on its
+``load``/``store``/``load_run`` surface, and the key-value stores
+(``repro.kv``) on the engine's mmap surface; the Linux and Aquila fault
+protocols and their page caches reach other structures through their
+public batch methods.
 Reaching into another object's private state is how per-caller fast
 paths crept in before.  This AST walk fails on any attribute read
 ``x._name`` whose base is not ``self`` or ``cls`` (dunder attributes
@@ -20,13 +20,14 @@ dependency.
 import ast
 import os
 
-#: Plan-driven workload layers and the graph layer (every module below
-#: these packages).
+#: Plan-driven workload layers, the graph layer and the key-value stores
+#: (every module below these packages).
 PACKAGES = (
     "src/repro/workloads",
     "src/repro/serve",
     "src/repro/cluster",
     "src/repro/graph",
+    "src/repro/kv",
 )
 
 #: The Linux and Aquila fault protocols and their page caches.

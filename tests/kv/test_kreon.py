@@ -7,6 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.setups import make_kreon
+from repro.common import units
+from repro.common.errors import OutOfSpaceError
 from repro.sim.executor import SimThread
 
 
@@ -68,6 +70,49 @@ class TestBasics:
         assert store.get(thread, b"key-0050") == b"NEW"
         store.spill(thread)
         assert store.get(thread, b"key-0050") == b"NEW"
+
+
+class TestOutOfSpace:
+    def test_spill_never_overwrites_the_log(self):
+        """A spill whose index pages would reach the log tail raises first."""
+        store, _, thread = make_kreon(
+            "kmmap", volume_bytes=16 * units.PAGE_SIZE, l0_max_entries=1000
+        )
+        acknowledged = {}
+        with pytest.raises(OutOfSpaceError):
+            for i in range(1000):
+                key, value = b"key-%04d" % i, bytes([i]) * 1000
+                store.put(thread, key, value)
+                acknowledged[key] = value
+        # The log tail sits inside the page the spill would take next.
+        assert store.log_tail > (store.allocator.low_water_page - 1) * units.PAGE_SIZE
+        with pytest.raises(OutOfSpaceError):
+            store.spill(thread)
+        assert store.spills == 0
+        assert store.allocator.allocated == []
+        assert len(store.l0) == len(acknowledged)
+        for key, value in acknowledged.items():
+            assert store.get(thread, key) == value
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_spill_page_bound_never_undercounts(seed):
+    """The pre-spill space check counts every page a spill, cascades included, writes."""
+    store, _, thread = make_kreon(
+        "kmmap", device_kind="pmem", cache_pages=256,
+        volume_bytes=4 << 20, capacity_bytes=64 << 20, l0_max_entries=8,
+    )
+    store.level_ratio = 2   # level 0 cascades past 16 entries
+    rng = random.Random(seed)
+    for _ in range(12):
+        for _ in range(rng.randrange(1, 8)):
+            # 300-byte keys: a fanout of 13, so trees span several pages.
+            store.put(thread, (b"%03d" % rng.randrange(100)) * 100, b"v")
+        bound = store._spill_page_bound()
+        before = len(store.allocator.allocated)
+        store.spill(thread)
+        assert len(store.allocator.allocated) - before <= bound
 
 
 class TestScan:

@@ -59,6 +59,117 @@ class TestBasicIO:
             mapping.store(thread, 0, b"nope")
 
 
+def _reference_split(mapping, offset, nbytes):
+    """The page split ``load``/``store`` used to run through, kept as an oracle."""
+    if offset < 0 or nbytes < 0 or offset + nbytes > mapping.size_bytes:
+        raise SegmentationFault(offset, f"access [{offset}, +{nbytes}) outside mapping")
+    pos = offset
+    remaining = nbytes
+    while remaining > 0:
+        in_page = pos & (units.PAGE_SIZE - 1)
+        take = min(remaining, units.PAGE_SIZE - in_page)
+        yield (pos - in_page, in_page, take)
+        pos += take
+        remaining -= take
+
+
+def _reference_load(engine, thread, mapping, offset, nbytes):
+    chunks = []
+    for page_offset, in_page, take in _reference_split(mapping, offset, nbytes):
+        frame = engine._ensure_mapped(thread, mapping, page_offset, is_write=False)
+        chunks.append(engine._pool().read_partial(frame, in_page, take))
+    return b"".join(chunks)
+
+
+def _reference_store(engine, thread, mapping, offset, data):
+    written = 0
+    for page_offset, in_page, take in _reference_split(mapping, offset, len(data)):
+        frame = engine._ensure_mapped(thread, mapping, page_offset, is_write=True)
+        engine._pool().write_partial(frame, in_page, data[written : written + take])
+        written += take
+
+
+_END = 8 * units.PAGE_SIZE
+#: (offset, nbytes) at every page and mapping boundary of an 8-page file.
+BOUNDARY_CASES = {
+    "empty-at-start": (0, 0),
+    "empty-at-end": (_END, 0),
+    "last-byte-of-page": (units.PAGE_SIZE - 1, 1),
+    "one-full-page": (units.PAGE_SIZE, units.PAGE_SIZE),
+    "straddles-two-pages": (units.PAGE_SIZE - 10, 20),
+    "spans-three-pages": (units.PAGE_SIZE - 10, units.PAGE_SIZE + 20),
+    "ends-at-mapping-end": (_END - 100, 100),
+    "one-byte-past-end": (_END - 100, 101),
+    "negative-offset": (-1, 4),
+}
+_OUT_OF_RANGE = {"one-byte-past-end", "negative-offset"}
+
+
+def _cold_setup(make_stack):
+    """An 8-page mapping whose pages hold data on the device, none cached."""
+    stack, file, thread, mapping = _setup(make_stack, file_pages=8)
+    mapping.store(thread, 0, bytes(range(256)) * (_END // 256))
+    mapping.msync(thread)
+    stack.engine.invalidate_file(thread, file)
+    mapping.load(thread, units.PAGE_SIZE, 8)   # page 1 cached and mapped
+    return stack, thread, mapping
+
+
+def _observed(stack, thread):
+    engine = stack.engine
+    return (
+        thread.clock.now,
+        list(thread.clock.breakdown.as_dict().items()),
+        engine.faults,
+        engine.major_faults,
+        engine.minor_faults,
+        engine.wp_faults,
+    )
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
+class TestAccessBoundaries:
+    """``load``/``store`` equal the per-page split loop at every boundary."""
+
+    def test_load_matches_reference(self, make_stack, case):
+        offset, nbytes = BOUNDARY_CASES[case]
+        stack, thread, mapping = _cold_setup(make_stack)
+        ref_stack, ref_thread, ref_mapping = _cold_setup(make_stack)
+        before = _observed(stack, thread)
+        assert before == _observed(ref_stack, ref_thread)
+        if case in _OUT_OF_RANGE:
+            with pytest.raises(SegmentationFault):
+                mapping.load(thread, offset, nbytes)
+            with pytest.raises(SegmentationFault):
+                _reference_load(ref_stack.engine, ref_thread, ref_mapping, offset, nbytes)
+            assert _observed(stack, thread) == before
+        else:
+            value = mapping.load(thread, offset, nbytes)
+            expected = _reference_load(
+                ref_stack.engine, ref_thread, ref_mapping, offset, nbytes
+            )
+            assert value == expected and len(value) == nbytes
+        assert _observed(stack, thread) == _observed(ref_stack, ref_thread)
+
+    def test_store_matches_reference(self, make_stack, case):
+        offset, nbytes = BOUNDARY_CASES[case]
+        data = bytes(255 - i % 256 for i in range(max(nbytes, 0)))
+        stack, thread, mapping = _cold_setup(make_stack)
+        ref_stack, ref_thread, ref_mapping = _cold_setup(make_stack)
+        before = _observed(stack, thread)
+        if case in _OUT_OF_RANGE:
+            with pytest.raises(SegmentationFault):
+                mapping.store(thread, offset, data)
+            with pytest.raises(SegmentationFault):
+                _reference_store(ref_stack.engine, ref_thread, ref_mapping, offset, data)
+            assert _observed(stack, thread) == before
+        else:
+            mapping.store(thread, offset, data)
+            _reference_store(ref_stack.engine, ref_thread, ref_mapping, offset, data)
+        assert _observed(stack, thread) == _observed(ref_stack, ref_thread)
+        assert mapping.load(thread, 0, _END) == ref_mapping.load(ref_thread, 0, _END)
+
+
 class TestFaultAccounting:
     def test_first_access_faults_second_hits(self, make_stack):
         stack, _, thread, mapping = _setup(make_stack)
