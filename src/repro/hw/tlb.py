@@ -13,7 +13,7 @@ for two reasons in this reproduction:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, Set
+from typing import Iterable, List, Set
 
 from repro.common import constants
 from repro.sim.clock import CycleClock
@@ -53,6 +53,57 @@ class TLB:
         self._entries.move_to_end(vpn)
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
+
+    def access_window(self, vpns, distinct, firsts, lasts) -> List[int]:
+        """Translate a window of accesses in order, uncharged; returns walks.
+
+        ``vpns`` is the window (an int64 array); ``distinct`` holds its
+        distinct vpns and ``firsts``/``lasts`` their first/last positions
+        in it (aligned int64 arrays).  Hit/miss counters and the LRU
+        order end exactly as ``len(vpns)`` calls of :meth:`access` would
+        leave them; the caller charges the walks.  Returns the ascending
+        window positions that missed (walked).
+
+        When every new vpn fits in the free slots nothing is evicted:
+        the walks are the new vpns' first occurrences, and the recency
+        tail is the touched vpns by last occurrence, so the cost is
+        O(distinct vpns).  Otherwise the LRU is replayed access by
+        access.
+        """
+        entries = self._entries
+        new = [i for i, vpn in enumerate(distinct.tolist()) if vpn not in entries]
+        if len(new) > self.capacity - len(entries):
+            walked = self._replay(vpns.tolist())
+        else:
+            walked = sorted(firsts[new].tolist())
+            move_to_end = entries.move_to_end
+            for vpn in distinct[lasts.argsort()].tolist():
+                entries[vpn] = None
+                move_to_end(vpn)
+        self.misses += len(walked)
+        self.hits += len(vpns) - len(walked)
+        return walked
+
+    def _replay(self, vpns: List[int]) -> List[int]:
+        """Step the LRU through ``vpns``; the positions that missed."""
+        entries = self._entries
+        move_to_end = entries.move_to_end
+        popitem = entries.popitem
+        capacity = self.capacity
+        size = len(entries)
+        walked: List[int] = []
+        append = walked.append
+        for pos, vpn in enumerate(vpns):
+            if vpn in entries:
+                move_to_end(vpn)
+            else:
+                append(pos)
+                entries[vpn] = None
+                if size < capacity:
+                    size += 1
+                else:
+                    popitem(False)
+        return walked
 
     def contains(self, vpn: int) -> bool:
         """Whether the TLB currently caches ``vpn`` (no cost, no LRU touch)."""

@@ -46,6 +46,7 @@ from repro.sim.fastforward import (
     MAX_ANALYTIC_WINDOW,
     MIN_ANALYTIC_RUN,
     expected_hit_run_length,
+    stepped_clock,
     window_profile,
     write_cut,
 )
@@ -175,11 +176,12 @@ class MmioEngine:
     sync_preamble_cycles: float = constants.SYSCALL_CYCLES
 
     #: Analytic fast-forward switch (see ``repro.sim.fastforward``).  When
-    #: True *and* a run's gates hold (unbounded horizon, integer clock, no
-    #: pending interference, vectorized plan), ``retire`` retires whole
-    #: all-hit windows in closed form.  Faults take the one reference
-    #: protocol in every mode.  Off by default: unbatched mode stays a
-    #: pristine per-op reference, and hand-built stacks opt in explicitly.
+    #: True *and* a run's gates hold (unbounded horizon, no pending
+    #: interference, a miss-rate model that expects long hit runs),
+    #: ``retire`` retires whole all-hit windows in closed form.  Faults
+    #: take the one reference protocol in every mode.  Off by default:
+    #: unbatched mode stays a pristine per-op reference, and hand-built
+    #: stacks opt in explicitly.
     fastforward: bool = False
 
     #: Counter attributes exposed as ``engine.<name>.*`` pull metrics.
@@ -541,24 +543,21 @@ class MmioEngine:
         """Retire whole all-hit windows of ``plan`` in closed form.
 
         Only under the analytic gates (see ``repro.sim.fastforward``):
-        fast-forward on, unbounded horizon, CPI 1.0, no open span, no
-        pending interference, an integer clock, and a miss-rate model
-        that expects windows above the amortization floor.  Returns how
-        many accesses retired (0 when a gate fails); the hit loop
-        carries on from there.
+        fast-forward on, unbounded horizon, no pending interference, and
+        a miss-rate model that expects windows above the amortization
+        floor.  CPI, clock value, TLB pressure and tracing are no gates:
+        the closed form is exact for each.  Returns how many accesses
+        retired (0 when a gate fails); the hit loop carries on from
+        there.
         """
         vma = mapping.vma
-        clock = thread.clock
         total = len(plan[0])
         if not (
             self.fastforward
             and horizon == math.inf
-            and clock.cpi_factor == 1.0
-            and clock._obs_span is None
             and total - index >= MIN_ANALYTIC_RUN
             and thread.core not in self.machine.interference._pending
             and vma.num_pages <= MAX_ANALYTIC_PAGES
-            and clock.now.is_integer()
         ):
             return 0
         cache = getattr(self, "cache", None)
@@ -569,9 +568,9 @@ class MmioEngine:
         # Each call retires at most MAX_ANALYTIC_WINDOW accesses (profiling
         # cost stays bounded); loop while full windows keep retiring so
         # long runs never fall to the per-op loop.  Every gate above is
-        # preserved across iterations: charges are integer (the clock
-        # stays integer), no other thread runs inside this call (pending
-        # interference cannot appear), and the plan arrays don't change.
+        # preserved across iterations: no other thread runs inside this
+        # call (pending interference cannot appear), and the plan arrays
+        # don't change.
         tlb = self.machine.tlb_of(thread)
         retired = 0
         while total - index >= MIN_ANALYTIC_RUN:
@@ -717,17 +716,21 @@ class MmioEngine:
         """Retire a window of all-hit loads in closed form.
 
         Called from :meth:`_fast_forward` — repeatedly, while full
-        windows keep retiring — under the analytic gates (unbounded horizon,
-        integer clock, no pending interference, CPI 1.0, no open span).
-        The window is cut at the first write, the first out-of-bounds
-        page, the first access whose PTE is missing, and
-        the first access that would overflow the TLB, re-profiling until
-        the cuts are stable; what remains is applied in bulk — cycle
-        total, per-stage breakdown, per-access latencies, TLB counters
-        and final recency order, PTE accessed bits — bit-identically to
-        stepping the same accesses through the loop (the invariant
-        ``tests/conformance/test_fastforward.py`` checks).  Returns the
-        number of accesses retired; 0 means "fall back to the loop".
+        windows keep retiring — under the analytic gates (unbounded
+        horizon, no pending interference).  The window is cut at the
+        first write, the first out-of-bounds page and the first access
+        whose PTE is missing, re-profiling until the cuts are stable.
+        What remains is applied in bulk, bit-identically to stepping the
+        same accesses through :meth:`_hit_run` (the invariant
+        ``tests/conformance/test_fastforward.py`` checks): the TLB
+        replays the window through ``TLB.access_window`` and reports
+        which accesses walked; :func:`~repro.sim.fastforward.stepped_clock`
+        accumulates the CPI-scaled walk and hit adds in stepped order
+        into the clock and the per-access latencies; the breakdown (and
+        open span) take the loop's own ``_hit_charges``/``_flush_charges``
+        flush, so new categories enter each ledger in stepped order; and
+        every touched PTE gets its accessed bit.  Returns the number of
+        accesses retired; 0 means "fall back to the loop".
         """
         np_writes = plan.np_writes
         if np_writes[index : index + MIN_ANALYTIC_RUN].any():
@@ -742,74 +745,34 @@ class MmioEngine:
         oob = (window < 0) | (window >= num_pages)
         if oob.any():
             limit = index + int(oob.argmax())
-        pte_entries = self.page_table._entries
-        entries = tlb._entries
+        lookup = self.page_table.lookup
         while True:
             n = limit - index
             if n < MIN_ANALYTIC_RUN:
                 return 0
             window = np_pages[index:limit]
             touched, first, last = window_profile(window, num_pages)
-            # One membership pass over the distinct pages classifies the
-            # window: pages with no PTE cut it (the loop would break and
-            # fall to the fault path there); pages absent from the TLB
-            # will each insert once (a walk) at their first occurrence.
-            miss_cut = n
-            new_firsts = []
-            for page in touched.tolist():
-                vpn = start_vpn + page
-                if vpn not in pte_entries:
-                    pos = int(first[page])
-                    if pos < miss_cut:
-                        miss_cut = pos
-                elif vpn not in entries:
-                    new_firsts.append(int(first[page]))
-            if miss_cut < n:
-                limit = index + miss_cut
-                continue
-            room = tlb.capacity - len(entries)
-            if len(new_firsts) > room:
-                # The (room+1)-th distinct new page would evict a TLB
-                # entry; the closed form assumes no eviction, so end the
-                # window just before that access and re-profile.
-                new_firsts.sort()
-                limit = index + new_firsts[room]
-                continue
-            break
+            # Pages with no PTE cut the window: the loop would break and
+            # fall to the fault path there.
+            distinct = touched + start_vpn
+            firsts = first[touched]
+            ptes = [lookup(vpn) for vpn in distinct.tolist()]
+            missing = [pos for pos, pte in zip(firsts.tolist(), ptes) if pte is None]
+            if not missing:
+                break
+            limit = index + min(missing)
+        walked = tlb.access_window(window + start_vpn, distinct, firsts, last[touched])
         clock = thread.clock
-        now = clock.now
-        walks = len(new_firsts)
-        hit_cost = constants.LOAD_STORE_HIT_CYCLES
-        walk_cost = constants.TLB_MISS_WALK_CYCLES
-        add = hit_cost * n + walk_cost * walks
-        if now + add >= 2.0**53:
-            return 0  # stepped float adds would no longer be exact
-        latencies = [float(hit_cost)] * n
-        if walks:
-            walk_lat = float(hit_cost + walk_cost)
-            for pos in new_firsts:
-                latencies[pos] = walk_lat
-        thread.latencies.extend(latencies)
-        cycles = clock.breakdown._cycles
-        cycles["app.access"] += float(hit_cost * n)
-        if walks:
-            cycles["tlb.miss_walk"] += float(walk_cost * walks)
-        tlb.hits += n - walks
-        tlb.misses += walks
-        move_to_end = entries.move_to_end
-        pte_get = pte_entries.get
-        # Stepped execution leaves touched pages at the TLB's recency
-        # tail ordered by *last* occurrence (hits move-to-end, first
-        # misses insert at the end); replay exactly that order.
-        order = last[touched].argsort()
-        for page in touched[order].tolist():
-            vpn = start_vpn + page
-            pte_get(vpn).accessed = True
-            if vpn in entries:
-                move_to_end(vpn)
-            else:
-                entries[vpn] = None
-        clock.now = now + add
+        hit_step = constants.LOAD_STORE_HIT_CYCLES * clock.cpi_factor
+        walk_step = constants.TLB_MISS_WALK_CYCLES * clock.cpi_factor
+        clock.now, latencies = stepped_clock(clock.now, n, walked, hit_step, walk_step)
+        thread.latencies.extend(latencies.tolist())
+        charged = _hit_charges(
+            hit_step, n, walk_step, len(walked), bool(walked) and walked[0] == 0
+        )
+        _flush_charges(clock.breakdown._cycles, clock._obs_span, charged)
+        for pte in ptes:
+            pte.accessed = True
         self.ff_runs += 1
         self.ff_hits += n
         return n

@@ -3,10 +3,8 @@
 Arrival processes are materialized up front as monotonically increasing
 *integer* cycle stamps — a pure function of ``(seed, tag)`` via the
 counter-based splitmix64 streams in :mod:`repro.sim.rand`.  Integer
-stamps matter twice over: they make regeneration byte-identical on every
-platform (no float accumulation ambiguity), and they keep tenant clocks
-on whole cycles while a server waits for work, which the engine's
-analytic fast-forward gate requires (``now.is_integer()``).
+stamps make regeneration byte-identical on every platform (no float
+accumulation ambiguity).
 """
 
 from __future__ import annotations

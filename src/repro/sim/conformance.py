@@ -32,7 +32,10 @@ contend on different stripes (see ``BackingFile.reset_ids``).
 from __future__ import annotations
 
 import hashlib
+import json
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.common import units
 from repro.fault.plan import FaultPlan, FaultSpec, clear_plan, install_plan
@@ -77,29 +80,98 @@ def canonical_bytes(obj) -> bytes:
     bytes iff they compare equal under tuple/list unification — which is
     what lets a sweep worker in one process and a serial run in another
     agree on a cell's state hash.
+
+    numpy scalars raise ``TypeError``: their ``repr`` depends on the
+    numpy version and ``np.int64`` would hash like a string, so they
+    must never reach digested state (see ``AccessPlan``).
     """
     return _canon(obj).encode("utf-8")
 
 
-def _canon(obj) -> str:
-    if isinstance(obj, dict):
-        items = sorted((_canon(k), _canon(v)) for k, v in obj.items())
-        return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
-    if isinstance(obj, (list, tuple)):
-        if {float} == set(map(type, obj)):
-            # All plain floats (latency streams): the per-item branch
-            # below would pick ``repr`` for each one anyway.
-            return "[" + ",".join(map(repr, obj)) + "]"
-        return "[" + ",".join(_canon(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, float)):
-        return repr(obj)
-    if obj is None:
-        return "null"
-    import json
+#: Streams at least this long are checked for low cardinality first.
+_MEMO_MIN_LEN = 64
 
+#: About this many evenly spaced samples decide whether a stream's float
+#: reprs are memoized: at most half of them distinct.
+_MEMO_SAMPLES = 256
+
+#: JSON spellings of strings seen so far (keys and category names).
+_SPELLINGS: Dict[str, str] = {}
+_MAX_SPELLINGS = 1 << 12
+
+
+def _canon(obj) -> str:
+    # Exact-type dispatch; subclasses and everything else take the
+    # ``isinstance`` chain in :func:`_canon_other`.
+    return _CANON_BY_TYPE.get(type(obj), _canon_other)(obj)
+
+
+def _canon_dict(obj) -> str:
+    items = sorted(zip(map(_canon, obj), map(_canon, obj.values())))
+    return "{" + ",".join([k + ":" + v for k, v in items]) + "}"
+
+
+def _canon_seq(obj) -> str:
+    kinds = set(map(type, obj))
+    if kinds == {float}:
+        return "[" + _float_stream(obj) + "]"
+    if kinds == {int}:
+        return "[" + ",".join(map(int.__repr__, obj)) + "]"
+    return "[" + ",".join(map(_canon, obj)) + "]"
+
+
+def _float_stream(values) -> str:
+    """``",".join(map(repr, values))``, memoized for low-cardinality streams.
+
+    Latency streams repeat a handful of values, and a dict lookup is
+    much cheaper than float printing.  The memo is built only when a
+    spaced sample says the stream is low-cardinality, so a mostly
+    distinct stream never builds a full distinct set.  Streams holding a
+    zero are not memoized: ``0.0 == -0.0`` would share one spelling.
+    """
+    if len(values) >= _MEMO_MIN_LEN:
+        sample = values[:: len(values) // _MEMO_SAMPLES or 1]
+        if 2 * len(set(sample)) <= len(sample):
+            distinct = set(values)
+            if 0.0 not in distinct:
+                spelled = dict(zip(distinct, map(float.__repr__, distinct)))
+                return ",".join(map(spelled.__getitem__, values))
+    return ",".join(map(float.__repr__, values))
+
+
+def _canon_str(obj: str) -> str:
+    spelled = _SPELLINGS.get(obj)
+    if spelled is None:
+        if len(_SPELLINGS) >= _MAX_SPELLINGS:
+            _SPELLINGS.clear()
+        spelled = _SPELLINGS[obj] = json.dumps(obj)
+    return spelled
+
+
+def _canon_other(obj) -> str:
+    if isinstance(obj, np.generic):
+        raise TypeError(
+            f"numpy scalar {obj!r} in digested state; convert it to a Python value"
+        )
+    if isinstance(obj, dict):
+        return _canon_dict(obj)
+    if isinstance(obj, (list, tuple)):
+        return _canon_seq(obj)
+    if isinstance(obj, (int, float)):  # bool cannot be subclassed
+        return repr(obj)
     return json.dumps(str(obj))
+
+
+_CANON_BY_TYPE = {
+    float: float.__repr__,
+    int: int.__repr__,
+    str: _canon_str,
+    dict: _canon_dict,
+    list: _canon_seq,
+    tuple: _canon_seq,
+    bool: lambda obj: "true" if obj else "false",
+    type(None): lambda obj: "null",
+}
 
 
 def hash_digest(digest) -> str:
@@ -367,18 +439,25 @@ def run_explicit_cell(
 
 
 def diff_digests(unbatched: Dict, batched: Dict) -> List[str]:
-    """Human-readable list of every key where the two digests disagree."""
+    """Human-readable list of every key where the two digests disagree.
+
+    Strict: values must compare equal *and* serialize to the same
+    :func:`canonical_bytes`, so ``1`` vs ``1.0`` or ``0.0`` vs ``-0.0`` —
+    equal under ``==`` but different state hashes — count as
+    disagreements.
+    """
     problems = []
     for key in sorted(set(unbatched) | set(batched)):
         a, b = unbatched.get(key), batched.get(key)
-        if a != b:
+        if a != b or _canon(a) != _canon(b):
             problems.append(f"{key}: unbatched={a!r} != batched={b!r}")
     return problems
 
 
 def assert_modes_agree(run, **kwargs) -> Dict:
     """Run ``run`` (a ``run_cell``-style callable) in both modes and
-    assert bit-identical digests; returns the (shared) digest."""
+    assert bit-identical digests (strictly, see :func:`diff_digests`);
+    returns the (shared) digest."""
     unbatched = run(batched=False, **kwargs)
     batched = run(batched=True, **kwargs)
     problems = diff_digests(unbatched, batched)
@@ -391,9 +470,10 @@ def assert_modes_agree(run, **kwargs) -> Dict:
 def assert_fastforward_agrees(run, **kwargs) -> Dict:
     """Run ``run`` in all three modes — unbatched, batched, batched with
     analytic fast-forward — and assert the full state digests are
-    bit-identical; returns the (shared) digest.  This is the fast-forward
-    tier's oracle: the closed-form windows must be invisible
-    against *both* reference schedules."""
+    bit-identical (strictly, see :func:`diff_digests`); returns the
+    (shared) digest.  This is the fast-forward tier's oracle: the
+    closed-form windows must be invisible against *both* reference
+    schedules."""
     unbatched = run(batched=False, **kwargs)
     batched = run(batched=True, **kwargs)
     fastforward = run(batched=True, fastforward=True, **kwargs)

@@ -9,37 +9,42 @@ processor models, applied to the mmio access protocol.
 
 The contract mirrors the batching invariant one level up: the analytic
 path must be **bit-identical** to stepping the same accesses through the
-hit loop.  That holds because, inside a window proven to be all
-hits with no TLB eviction and no pending interference:
+hit loop.  That holds because, inside a window proven to be all hits
+with no pending interference:
 
-* every access charges the same integer cycle counts (6-cycle hit, plus
-  a 100-cycle walk on each page's first TLB miss), and sums of integers
-  below 2**53 are exact under any association, so one bulk float add
-  equals the stepped adds;
-* the per-access latency of access *i* is a pure function of whether it
-  is the first occurrence of a not-yet-resident page — computable for
-  the whole window from a first-occurrence profile;
+* the hit loop advances the clock by a fixed sequence of float adds —
+  per access the CPI-scaled walk (if it walks), then the CPI-scaled
+  hit — and :func:`stepped_clock` performs exactly those adds in that
+  order with ``np.cumsum`` (``add.accumulate`` is a sequential
+  left-to-right loop, not a pairwise sum), at any CPI and any clock
+  magnitude; each latency is the difference of two running sums, as
+  the loop's ``now - start`` is;
+* which accesses walk is the TLB's own LRU replay over the window
+  (``TLB.access_window``): with room for every new page it follows
+  from the window's first-occurrence profile, otherwise it is stepped
+  entry by entry;
 * the final TLB recency order is "all untouched entries, then touched
-  pages by last occurrence" — computable from a last-occurrence profile.
+  pages by last occurrence" when nothing is evicted — computable from a
+  last-occurrence profile.
 
-What the closed forms must know about a window is therefore only the
+What the closed forms must know about a window is therefore the
 **first and last occurrence position of every page**, which
 :func:`window_profile` computes with unbuffered ``ufunc.at`` scatter
 reductions (deterministic under duplicate indices, unlike fancy-index
 assignment, and ~40x faster than an ``np.unique`` formulation at the
-headline cell's window sizes).
+headline cell's window sizes), plus the walk positions.
 
 Safety gates (the certificate refinement): the engine *cuts* the window
-at the first write, the first out-of-bounds page, the first access whose
-PTE is missing, and the first access that would overflow the TLB, then
-re-profiles until the cuts are stable — so an access is only ever
-retired analytically if the hit loop would have retired it identically.
-Anything after the cut falls back to the loop.  A window is only
-attempted at all when the executor granted an *unbounded* horizon (the
-quiescence certificate ``run_ahead_unbounded_ok``, or a solo thread) and
-:func:`expected_hit_run_length` — the analytic miss-rate model that
-extends the certificate to steady-state eviction regimes — predicts the
-profiling cost will amortize.
+at the first write, the first out-of-bounds page and the first access
+whose PTE is missing, then re-profiles until the cuts are stable — so
+an access is only ever retired analytically if the hit loop would have
+retired it identically.  Anything after the cut falls back to the loop.
+A window is only attempted at all when the executor granted an
+*unbounded* horizon (the quiescence certificate
+``run_ahead_unbounded_ok``, or a solo thread), no interference is
+pending on the core, and :func:`expected_hit_run_length` — the analytic
+miss-rate model that extends the certificate to steady-state eviction
+regimes — predicts the profiling cost will amortize.
 """
 
 from __future__ import annotations
@@ -124,6 +129,38 @@ def window_profile(window, num_pages: int) -> Tuple:
     np.maximum.at(last, window, positions)
     touched = np.flatnonzero(last >= 0)
     return touched, first, last
+
+
+def stepped_clock(
+    now: float, count: int, walked, hit_step: float, walk_step: float
+) -> Tuple[float, np.ndarray]:
+    """Clock and latencies after ``count`` stepped hits from ``now``.
+
+    Access ``i`` adds ``walk_step`` first if ``i`` is in ``walked`` (an
+    ascending sequence of positions), then ``hit_step``.  The adds are
+    laid out in that order and accumulated from ``now`` by ``np.cumsum``,
+    which performs the same IEEE adds, in the same order, as the loop
+    ``now += step`` — so the result is bit for bit the stepped one at
+    any step values and any clock magnitude.  Returns the final clock
+    and the float64 array of per-access latencies, each the difference
+    of the running sums after and before its access.
+    """
+    walked = np.asarray(walked, dtype=np.int64)
+    walks = int(walked.shape[0])
+    adds = np.full(count + walks + 1, hit_step, dtype=np.float64)
+    adds[0] = now
+    # Access i ends after its hit add, at i + 1 + (walks at positions <= i);
+    # the k-th walk sits just before its access's hit add.
+    ends = np.arange(1, count + 1, dtype=np.int64)
+    if walks:
+        adds[walked + np.arange(1, walks + 1, dtype=np.int64)] = walk_step
+        walked_at = np.zeros(count, dtype=np.int64)
+        walked_at[walked] = 1
+        ends += np.cumsum(walked_at)
+    sums = np.cumsum(adds)
+    finish = sums[ends]
+    latencies = np.diff(finish, prepend=sums[0])
+    return float(sums[-1]), latencies
 
 
 def expected_hit_run_length(mapped_pages: int, capacity_pages: int) -> float:

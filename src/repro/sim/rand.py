@@ -79,9 +79,7 @@ def exponential_interarrivals(
     clamped to >= 1.  The log/round step runs in pure Python over the int
     draws (never through numpy float kernels), so gap *i* is a pure
     function of ``(base, tag, i, mean_cycles)`` and regeneration is
-    byte-identical on every platform.  Integer stamps also keep
-    open-loop arrival clocks on whole cycles, which the engine's
-    analytic fast-forward gate requires (``now.is_integer()``).
+    byte-identical on every platform.
 
     The +0.5 centering keeps the transform unbiased and the argument of
     ``log`` strictly inside (0, 1): the gap mean converges to

@@ -5,9 +5,10 @@ style (200+ generated cases, deterministic by seed):
 
 * **Unit properties** — the vectorized closed forms in
   ``repro.sim.fastforward`` (:func:`window_profile`, :func:`write_cut`,
-  :func:`expected_hit_run_length`) are re-derived with naive Python
-  loops over random windows and must agree exactly, duplicates and
-  degenerate shapes included.
+  :func:`stepped_clock`, :func:`expected_hit_run_length`) are re-derived
+  with naive Python loops over random windows and must agree exactly,
+  duplicates, degenerate shapes, non-integer steps and clocks near 2**53
+  included.
 
 * **Whole-kernel properties** — seed-generated random cell configs run
   batched with and without fast-forward; the full-state digests (cycle
@@ -15,7 +16,8 @@ style (200+ generated cases, deterministic by seed):
   order, cache byte checksums) must be equal.  The config generator
   deliberately wanders across the certificate's terrain: in-memory and
   out-of-memory datasets, write mixes, touch-once vs re-access, solo
-  threads, SMT oversubscription, and interleaved-thread schedules.
+  threads (some over more pages than the TLB holds), SMT thread counts
+  (CPI 1.4) and oversubscription, and interleaved-thread schedules.
 """
 
 import math
@@ -24,12 +26,18 @@ import random
 import numpy as np
 import pytest
 
-from repro.sim.conformance import MMIO_ENGINE_KINDS, run_cell
-from repro.sim.fastforward import expected_hit_run_length, window_profile, write_cut
+from repro.sim.conformance import MMIO_ENGINE_KINDS, diff_digests, run_cell
+from repro.sim.fastforward import (
+    expected_hit_run_length,
+    stepped_clock,
+    window_profile,
+    write_cut,
+)
 
 #: Unit-property volume: seeded random windows per closed form.
 PROFILE_CASES = 200
 WRITE_CUT_CASES = 100
+STEPPED_CLOCK_CASES = 200
 
 #: Whole-kernel volume: seeded random cell configs, in batches to keep
 #: pytest output readable (like the differential suite).
@@ -92,6 +100,51 @@ class TestWriteCutProperty:
             assert write_cut(arr, index, limit) == expected, f"case {case}"
 
 
+class TestSteppedClockProperty:
+    """stepped_clock == the hit loop's ``now += step`` sequence, bit for bit."""
+
+    @staticmethod
+    def _naive(now, count, walked, hit_step, walk_step):
+        walked = set(walked)
+        latencies = []
+        for pos in range(count):
+            start = now
+            if pos in walked:
+                now += walk_step
+            now += hit_step
+            latencies.append(now - start)
+        return now, latencies
+
+    def test_matches_naive_loop(self):
+        rng = random.Random(0xC10C)
+        for case in range(STEPPED_CLOCK_CASES):
+            count = rng.randint(0, 300)
+            density = rng.choice((0.0, 0.05, 0.5, 1.0))
+            walked = [pos for pos in range(count) if rng.random() < density]
+            cpi = rng.choice((1.0, 1.4, rng.uniform(1.0, 3.0)))
+            hit_step, walk_step = 6 * cpi, 100 * cpi
+            now = rng.choice(
+                (
+                    0.0,
+                    float(rng.randrange(1 << 40)),
+                    rng.uniform(0.0, 1e12),
+                    2.0**53 - rng.randrange(4096),
+                    2.0**53 + 2.0 * rng.randrange(64),
+                    rng.uniform(2.0**52, 2.0**54),
+                )
+            )
+            end, latencies = stepped_clock(now, count, walked, hit_step, walk_step)
+            expected_end, expected = self._naive(now, count, walked, hit_step, walk_step)
+            assert end.hex() == expected_end.hex(), f"case {case}"
+            assert [x.hex() for x in latencies.tolist()] == [x.hex() for x in expected], (
+                f"case {case}"
+            )
+
+    def test_no_accesses(self):
+        end, latencies = stepped_clock(12.5, 0, [], 8.4, 140.0)
+        assert end == 12.5 and latencies.shape == (0,)
+
+
 class TestMissRateModel:
     """expected_hit_run_length: the certificate's eviction-regime model."""
 
@@ -113,8 +166,14 @@ class TestMissRateModel:
 
 def _random_cell_config(rng):
     """One seed-generated kernel cell wandering the certificate terrain."""
-    num_threads = rng.choice([1, 1, 2, 4, 4, 8, 16, 33, 36])
+    # 17-32 threads share physical cores: CPI 1.4 without oversubscription.
+    num_threads = rng.choice([1, 1, 2, 4, 4, 8, 16, 20, 32, 33, 36])
     dataset_pages = rng.choice([24, 64, 160, 192, 256, 384])
+    accesses = rng.choice([70, 150, 300, 500])
+    if num_threads == 1 and rng.random() < 0.3:
+        # More pages than the 1536-entry TLB holds, re-read.
+        dataset_pages = rng.choice([1600, 2048])
+        accesses = rng.choice([2500, 4000])
     cache_pages = rng.choice(
         [dataset_pages // 2, dataset_pages - 1, dataset_pages,
          dataset_pages + 1, 2 * dataset_pages, 256]
@@ -122,7 +181,7 @@ def _random_cell_config(rng):
     return dict(
         engine_kind=rng.choice(MMIO_ENGINE_KINDS),
         num_threads=num_threads,
-        accesses_per_thread=rng.choice([70, 150, 300, 500]),
+        accesses_per_thread=accesses,
         dataset_pages=dataset_pages,
         cache_pages=max(1, cache_pages),
         write_fraction=rng.choice([0.0, 0.0, 0.0, 0.1, 0.25, 0.5]),
@@ -133,9 +192,9 @@ def _random_cell_config(rng):
 
 
 def _assert_digests_equal(cfg, with_ff, without_ff):
-    assert with_ff == without_ff, (
-        f"fast-forward digest diverged for config {cfg}: differing keys "
-        f"{[k for k in with_ff if with_ff[k] != without_ff.get(k)]}"
+    problems = diff_digests(without_ff, with_ff)
+    assert not problems, (
+        f"fast-forward digest diverged for config {cfg}: " + "\n  ".join(problems[:5])
     )
 
 

@@ -139,6 +139,13 @@ class TestHitLoopExactness:
         assert sum(1 for row in rows if row[1] == 0) == num_threads
         assert any(dict(row[5]).get("app.access") for row in rows if row[1] == 0)
 
+    @pytest.mark.parametrize("num_threads", [1, 32])
+    def test_read_only_spans_fast_forward(self, num_threads):
+        # Read-only, so analytic windows retire under the open spans (at
+        # CPI 1.4 with 32 threads) and must charge them as the loop does.
+        runs = _assert_modes_agree("aquila", num_threads, 0.0, spans=True)
+        assert runs["fastforward"][2].ff_runs > 0
+
 
 class TestLinuxTracing:
     """Tracing wraps the linux fault protocol; it never changes what runs."""
