@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.bench.setups import make_aquila_stack, make_linux_stack
+from repro.bench.setups import make_stack
 from repro.common import units
 from repro.workloads.microbench import MicrobenchConfig, run_microbench
 
@@ -89,10 +89,7 @@ def _run_config_with_stack(
         num_threads, shared_file, in_memory, cache_pages, total_accesses
     )
     capacity = sizing["capacity_bytes"]
-    if engine_kind == "linux":
-        stack = make_linux_stack(device_kind, cache_pages, capacity_bytes=capacity)
-    else:
-        stack = make_aquila_stack(device_kind, cache_pages, capacity_bytes=capacity)
+    stack = make_stack(engine_kind, device_kind, cache_pages, capacity_bytes=capacity)
 
     if shared_file:
         files = stack.allocator.create(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.bench.setups import make_aquila_stack, make_linux_stack
+from repro.bench.setups import make_stack
 from repro.common import units
 from repro.graph.ligra import ParallelBFS
 from repro.graph.mmap_heap import DramHeap, MmapHeap
@@ -55,8 +55,7 @@ def run_bfs_config(
         stack = None
     else:
         cache_pages = max(32, int(heap_pages * cache_fraction))
-        maker = make_linux_stack if engine_kind == "linux" else make_aquila_stack
-        stack = maker(device_kind, cache_pages, capacity_bytes=512 * units.MIB)
+        stack = make_stack(engine_kind, device_kind, cache_pages)
         file = stack.allocator.create("ligra-heap", (heap_pages + 16) * units.PAGE_SIZE)
         mapping = stack.engine.mmap(setup, file)
         # Graph traversal is random access: Ligra's conversion maps the

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.bench.setups import make_aquila_stack, make_linux_stack, scaled_pages
+from repro.bench.setups import make_aquila_stack, make_stack
 from repro.common import units
 from repro.mmio.vma import MADV_RANDOM
 from repro.obs import DEFAULT_CYCLE_BUCKETS, METRICS
@@ -62,10 +62,8 @@ def run_fault_benchmark(
     write_fraction: float = 0.0,
 ) -> Dict:
     """Single-thread microbenchmark run; returns mean fault cost + breakdown."""
-    if engine_kind == "linux":
-        stack = make_linux_stack(device_kind, cache_pages)
-    else:
-        stack = make_aquila_stack(device_kind, cache_pages, io_path=io_path)
+    options = {} if io_path is None else {"io_path": io_path}
+    stack = make_stack(engine_kind, device_kind, cache_pages, **options)
     file = stack.allocator.create("mb-data", dataset_pages * units.PAGE_SIZE)
     config = MicrobenchConfig(
         num_threads=1,

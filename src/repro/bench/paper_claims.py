@@ -64,7 +64,8 @@ def _within(measured: float, paper: float, tol: float) -> bool:
 # -- extraction helpers --------------------------------------------------------
 
 
-def _need(cells: Cells, cell_id: str) -> dict:
+def need_cell(cells: Cells, cell_id: str) -> dict:
+    """The manifest record of ``cell_id``; ``KeyError`` names the missing cell."""
     if cell_id not in cells:
         raise KeyError(
             f"manifest is missing cell {cell_id!r} needed by a paper claim "
@@ -99,8 +100,8 @@ def _fig5_ratio_range(
     ratios = []
     for device in devices:
         for threads in fig5_threads(cells, variant):
-            num = _need(cells, f"fig5{variant}/{device}/t{threads}/{numerator}")
-            den = _need(cells, f"fig5{variant}/{device}/t{threads}/{denominator}")
+            num = need_cell(cells, f"fig5{variant}/{device}/t{threads}/{numerator}")
+            den = need_cell(cells, f"fig5{variant}/{device}/t{threads}/{denominator}")
             ratios.append(num["throughput"] / max(1e-9, den["throughput"]))
     return min(ratios), max(ratios)
 
@@ -111,8 +112,8 @@ def _fig5_all_cells_beat(
     wins = total = 0
     for device in ("pmem", "nvme"):
         for threads in fig5_threads(cells, variant):
-            win = _need(cells, f"fig5{variant}/{device}/t{threads}/{winner}")
-            lose = _need(cells, f"fig5{variant}/{device}/t{threads}/{loser}")
+            win = need_cell(cells, f"fig5{variant}/{device}/t{threads}/{winner}")
+            lose = need_cell(cells, f"fig5{variant}/{device}/t{threads}/{loser}")
             total += 1
             wins += win["throughput"] > lose["throughput"]
     return wins, total
@@ -120,8 +121,8 @@ def _fig5_all_cells_beat(
 
 def fig6_speedup(cells: Cells, variant: str, threads: int) -> float:
     """Linux-pmem over Aquila-pmem BFS execution-cycle ratio."""
-    linux = _need(cells, f"fig6{variant}/linux-pmem/t{threads}")
-    aquila = _need(cells, f"fig6{variant}/aquila-pmem/t{threads}")
+    linux = need_cell(cells, f"fig6{variant}/linux-pmem/t{threads}")
+    aquila = need_cell(cells, f"fig6{variant}/aquila-pmem/t{threads}")
     return linux["execution_cycles"] / aquila["execution_cycles"]
 
 
@@ -138,8 +139,8 @@ def fig9_mean_ratio(cells: Cells, device: str, field: str, invert: bool) -> floa
     )
     ratios = []
     for workload in workloads:
-        kmmap = _need(cells, f"fig9/{device}/{workload}/kmmap")
-        aquila = _need(cells, f"fig9/{device}/{workload}/aquila")
+        kmmap = need_cell(cells, f"fig9/{device}/{workload}/kmmap")
+        aquila = need_cell(cells, f"fig9/{device}/{workload}/aquila")
         if invert:
             ratios.append(kmmap[field] / max(1e-9, aquila[field]))
         else:
@@ -149,14 +150,14 @@ def fig9_mean_ratio(cells: Cells, device: str, field: str, invert: bool) -> floa
 
 def fig10_speedup(cells: Cells, variant: str, sharing: str, threads: int) -> float:
     """Aquila over Linux throughput for one fig10 cell pair."""
-    linux = _need(cells, f"fig10{variant}/{sharing}/linux/t{threads}")
-    aquila = _need(cells, f"fig10{variant}/{sharing}/aquila/t{threads}")
+    linux = need_cell(cells, f"fig10{variant}/{sharing}/linux/t{threads}")
+    aquila = need_cell(cells, f"fig10{variant}/{sharing}/aquila/t{threads}")
     return aquila["throughput"] / max(1e-9, linux["throughput"])
 
 
 def _fig10_latency_ratio(cells: Cells, variant: str, threads: int, field: str) -> float:
-    linux = _need(cells, f"fig10{variant}/shared/linux/t{threads}")
-    aquila = _need(cells, f"fig10{variant}/shared/aquila/t{threads}")
+    linux = need_cell(cells, f"fig10{variant}/shared/linux/t{threads}")
+    aquila = need_cell(cells, f"fig10{variant}/shared/aquila/t{threads}")
     return linux[field] / max(1e-9, aquila[field])
 
 
@@ -207,10 +208,10 @@ def _fig5b_aquila_nvme(cells: Cells) -> Measured:
 
 def _s61_latency(cells: Cells) -> Measured:
     ratios = [
-        _need(cells, f"fig5b/pmem/t{threads}/direct")["mean_latency_cycles"]
+        need_cell(cells, f"fig5b/pmem/t{threads}/direct")["mean_latency_cycles"]
         / max(
             1e-9,
-            _need(cells, f"fig5b/pmem/t{threads}/aquila")["mean_latency_cycles"],
+            need_cell(cells, f"fig5b/pmem/t{threads}/aquila")["mean_latency_cycles"],
         )
         for threads in fig5_threads(cells, "b")
     ]
@@ -247,22 +248,22 @@ def _fig6b_speedup(cells: Cells) -> Measured:
 
 def _fig6c_user_share(cells: Cells) -> Measured:
     threads = _fig6_max_threads(cells, "a")
-    linux = _need(cells, f"fig6a/linux-pmem/t{threads}")["user_pct"]
-    aquila = _need(cells, f"fig6a/aquila-pmem/t{threads}")["user_pct"]
+    linux = need_cell(cells, f"fig6a/linux-pmem/t{threads}")["user_pct"]
+    aquila = need_cell(cells, f"fig6a/aquila-pmem/t{threads}")["user_pct"]
     display = f"{linux:.1f}% → {aquila:.1f}%"
     return display, ("shape ✓" if aquila > linux else "✗")
 
 
 def _fig7_cache_mgmt(cells: Cells) -> Measured:
-    ratio = _need(cells, "fig7/direct")["sections"]["cache_mgmt"] / max(
-        1.0, _need(cells, "fig7/aquila")["sections"]["cache_mgmt"]
+    ratio = need_cell(cells, "fig7/direct")["sections"]["cache_mgmt"] / max(
+        1.0, need_cell(cells, "fig7/aquila")["sections"]["cache_mgmt"]
     )
     return _x(ratio), ("=" if _within(ratio, 2.58, 0.15) else "shape ✓")
 
 
 def _fig7_throughput(cells: Cells) -> Measured:
-    gain = _need(cells, "fig7/aquila")["throughput"] / max(
-        1.0, _need(cells, "fig7/direct")["throughput"]
+    gain = need_cell(cells, "fig7/aquila")["throughput"] / max(
+        1.0, need_cell(cells, "fig7/direct")["throughput"]
     )
     display = f"+{(gain - 1) * 100:.0f}%"
     if _within(gain, 1.40, 0.1):
@@ -271,33 +272,33 @@ def _fig7_throughput(cells: Cells) -> Measured:
 
 
 def _fig7_get_cpu(cells: Cells) -> Measured:
-    aquila = _need(cells, "fig7/aquila")["sections"]["get"]
-    direct = _need(cells, "fig7/direct")["sections"]["get"]
+    aquila = need_cell(cells, "fig7/aquila")["sections"]["get"]
+    direct = need_cell(cells, "fig7/direct")["sections"]["get"]
     display = f"{_k(aquila)} vs {_k(direct)}"
     return display, ("=" if aquila > direct else "✗")
 
 
 def _fig8a_linux_total(cells: Cells) -> Measured:
-    mean = _need(cells, "fig8a/linux")["mean_access_cycles"]
+    mean = need_cell(cells, "fig8a/linux")["mean_access_cycles"]
     return f"{mean:.0f}", ("=" if _within(mean, 5380, 0.05) else "shape ✓")
 
 
 def _fig8a_trap_ratio(cells: Cells) -> Measured:
-    linux = _need(cells, "fig8a/linux")["breakdown"]["trap/exception"]
-    aquila = _need(cells, "fig8a/aquila")["breakdown"]["trap/exception"]
+    linux = need_cell(cells, "fig8a/linux")["breakdown"]["trap/exception"]
+    aquila = need_cell(cells, "fig8a/aquila")["breakdown"]["trap/exception"]
     ratio = linux / max(1e-9, aquila)
     return _x(ratio), ("exact" if _within(ratio, 2.33, 0.01) else "=")
 
 
 def _fig8a_reduction(cells: Cells) -> Measured:
-    linux = _need(cells, "fig8a/linux")["mean_access_cycles"]
-    aquila = _need(cells, "fig8a/aquila")["mean_access_cycles"]
+    linux = need_cell(cells, "fig8a/linux")["mean_access_cycles"]
+    aquila = need_cell(cells, "fig8a/aquila")["mean_access_cycles"]
     return f"{(1 - aquila / linux) * 100:.0f}%", "see D2"
 
 
 def _fig8b_ratio(cells: Cells) -> Measured:
-    linux = _need(cells, "fig8b/linux")["steady_mean_cycles"]
-    aquila = _need(cells, "fig8b/aquila")["steady_mean_cycles"]
+    linux = need_cell(cells, "fig8b/linux")["steady_mean_cycles"]
+    aquila = need_cell(cells, "fig8b/aquila")["steady_mean_cycles"]
     ratio = linux / max(1e-9, aquila)
     if _within(ratio, 2.06, 0.1):
         return _x(ratio), "="
@@ -305,7 +306,7 @@ def _fig8b_ratio(cells: Cells) -> Measured:
 
 
 def _fig8b_no_dominator(cells: Cells) -> Measured:
-    cell = _need(cells, "fig8b/aquila")
+    cell = need_cell(cells, "fig8b/aquila")
     breakdown = cell["breakdown"]
     total = cell["steady_mean_cycles"]
     non_io = {
@@ -319,7 +320,7 @@ def _fig8b_no_dominator(cells: Cells) -> Measured:
 
 
 def _fig8c_cache_hit(cells: Cells) -> Measured:
-    mean = _need(cells, "fig8c/Cache-Hit")["mean_access_cycles"]
+    mean = need_cell(cells, "fig8c/Cache-Hit")["mean_access_cycles"]
     if abs(mean - 2179) < 1.0:
         return f"{mean:.0f}", "exact"
     return f"{mean:.0f}", ("=" if _within(mean, 2179, 0.05) else "shape ✓")
@@ -334,8 +335,8 @@ def _device_cycles(payload: dict) -> float:
 
 
 def _fig8c_host_vs_dax(cells: Cells) -> Measured:
-    host = _need(cells, "fig8c/HOST-pmem")
-    dax = _need(cells, "fig8c/DAX-pmem")
+    host = need_cell(cells, "fig8c/HOST-pmem")
+    dax = need_cell(cells, "fig8c/DAX-pmem")
     io_ratio = _device_cycles(host) / max(1e-9, _device_cycles(dax))
     total_ratio = host["mean_access_cycles"] / max(1e-9, dax["mean_access_cycles"])
     display = f"{_x(io_ratio)} (I/O component; total {total_ratio:.1f}×)"
@@ -343,8 +344,8 @@ def _fig8c_host_vs_dax(cells: Cells) -> Measured:
 
 
 def _fig8c_host_vs_spdk(cells: Cells) -> Measured:
-    ratio = _need(cells, "fig8c/HOST-NVMe")["mean_access_cycles"] / max(
-        1e-9, _need(cells, "fig8c/SPDK-NVMe")["mean_access_cycles"]
+    ratio = need_cell(cells, "fig8c/HOST-NVMe")["mean_access_cycles"] / max(
+        1e-9, need_cell(cells, "fig8c/SPDK-NVMe")["mean_access_cycles"]
     )
     return _x(ratio), ("=" if _within(ratio, 1.53, 0.1) else "shape ✓")
 
@@ -416,7 +417,7 @@ def _s65_tails(cells: Cells) -> Measured:
 
 def _serve_victim_p99(cells: Cells, engine: str, policy: str, intensity: int) -> float:
     """Pooled victim p99 of one serve cell (the serve headline statistic)."""
-    return _need(cells, f"serve/{engine}/{policy}/a{intensity}")["victim_p99_cycles"]
+    return need_cell(cells, f"serve/{engine}/{policy}/a{intensity}")["victim_p99_cycles"]
 
 
 def _serve_antagonist_inflates(engine: str):
@@ -470,8 +471,8 @@ def _cluster_scaleout(engine: str):
     """
 
     def measure(cells: Cells) -> Measured:
-        one = _need(cells, f"cluster/{engine}/s1")["throughput"]
-        four = _need(cells, f"cluster/{engine}/s4")["throughput"]
+        one = need_cell(cells, f"cluster/{engine}/s1")["throughput"]
+        four = need_cell(cells, f"cluster/{engine}/s4")["throughput"]
         display = f"{_m(one)} → {_m(four)} ({_x(four / one)})"
         return display, ("=" if four > one else "✗")
 
@@ -482,8 +483,8 @@ def _cluster_failover_serves_all(cells: Cells) -> Measured:
     """A mid-epoch primary kill must lose no client op: the ring promotes
     replicas and the coordinator re-routes the victim's unserved tail."""
     for engine in ("aquila", "kmmap", "linux"):
-        clean = _need(cells, f"cluster/{engine}/s4")
-        failed = _need(cells, f"cluster/{engine}/s4-failover")
+        clean = need_cell(cells, f"cluster/{engine}/s4")
+        failed = need_cell(cells, f"cluster/{engine}/s4-failover")
         ok = (
             failed["client_ops"] == clean["client_ops"]
             and failed["rerouted_ops"] > 0
@@ -491,7 +492,7 @@ def _cluster_failover_serves_all(cells: Cells) -> Measured:
         )
         if not ok:
             return f"{engine}: {failed['client_ops']}/{clean['client_ops']}", "✗"
-    failed = _need(cells, "cluster/aquila/s4-failover")
+    failed = need_cell(cells, "cluster/aquila/s4-failover")
     display = (
         f"{failed['client_ops']} ops, {failed['rerouted_ops']} rerouted, 1 dead"
     )
@@ -502,14 +503,14 @@ def _cluster_failover_degrades_bounded(cells: Cells) -> Measured:
     """Losing 1 of 4 shards must cost throughput — but the degraded
     cluster must still beat the single machine, for every engine."""
     for engine in ("aquila", "kmmap", "linux"):
-        one = _need(cells, f"cluster/{engine}/s1")["throughput"]
-        four = _need(cells, f"cluster/{engine}/s4")["throughput"]
-        failed = _need(cells, f"cluster/{engine}/s4-failover")["throughput"]
+        one = need_cell(cells, f"cluster/{engine}/s1")["throughput"]
+        four = need_cell(cells, f"cluster/{engine}/s4")["throughput"]
+        failed = need_cell(cells, f"cluster/{engine}/s4-failover")["throughput"]
         if not one < failed < four:
             return f"{engine}: {_m(one)} / {_m(failed)} / {_m(four)}", "✗"
-    one = _need(cells, "cluster/aquila/s1")["throughput"]
-    four = _need(cells, "cluster/aquila/s4")["throughput"]
-    failed = _need(cells, "cluster/aquila/s4-failover")["throughput"]
+    one = need_cell(cells, "cluster/aquila/s1")["throughput"]
+    four = need_cell(cells, "cluster/aquila/s4")["throughput"]
+    failed = need_cell(cells, "cluster/aquila/s4-failover")["throughput"]
     display = f"s1 {_m(one)} < killed {_m(failed)} < s4 {_m(four)} (aquila)"
     return display, "="
 

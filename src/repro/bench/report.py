@@ -316,9 +316,9 @@ def _summary_section(cells: Dict[str, dict]) -> List[str]:
 
 
 def _cell(cells: Dict[str, dict], cell_id: str) -> dict:
-    from repro.bench.paper_claims import _need
+    from repro.bench.paper_claims import need_cell
 
-    return _need(cells, cell_id)
+    return need_cell(cells, cell_id)
 
 
 def _fig5_section(cells: Dict[str, dict]) -> List[str]:

@@ -130,6 +130,24 @@ def make_kmmap_stack(
     return Stack(machine, device, engine, ExtentAllocator(device))
 
 
+def make_stack(
+    engine_kind: str,
+    device_kind: str = "pmem",
+    cache_pages: int = 2048,
+    capacity_bytes: int = 512 * units.MIB,
+    **options,
+) -> Stack:
+    """The mmio stack of ``engine_kind`` (``linux``, ``aquila`` or ``kmmap``).
+
+    ``options`` go to that kind's maker (``readahead_pages`` for linux,
+    ``io_path`` for aquila); an unknown kind raises ``ValueError``.
+    """
+    makers = {"linux": make_linux_stack, "aquila": make_aquila_stack, "kmmap": make_kmmap_stack}
+    if engine_kind not in makers:
+        raise ValueError(f"unknown mmio engine kind {engine_kind!r}")
+    return makers[engine_kind](device_kind, cache_pages, capacity_bytes, **options)
+
+
 def make_rocksdb(
     mode: str,
     device_kind: str = "pmem",

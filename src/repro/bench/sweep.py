@@ -97,13 +97,13 @@ class WallClock:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._obs_track = None
-        self._obs_span = None
+        self.obs_track = None
+        self.obs_span = None
 
     def charge(self, category: str, cycles: float) -> None:
         """Advance by ``cycles`` wall-cycles, sleeping them for real."""
-        if self._obs_span is not None:
-            self._obs_span.charge(category, cycles)
+        if self.obs_span is not None:
+            self.obs_span.charge(category, cycles)
         self.now += cycles
         time.sleep(cycles / units.CPU_FREQ_HZ)
 

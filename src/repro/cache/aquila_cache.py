@@ -214,6 +214,10 @@ class AquilaCache:
         """Cost-free peek for tests."""
         return self._pages.get((file.file_id, file_page))
 
+    def pages(self) -> List[CachePage]:
+        """Snapshot of all resident pages (the hash table's contents)."""
+        return list(self._pages.values())
+
     # -- dynamic resizing (paper Section 3.5) -----------------------------------
 
     def grow(self, additional_pages: int) -> List[int]:

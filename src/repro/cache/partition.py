@@ -25,7 +25,7 @@ cache decision (the serve conformance tier covers it).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 #: Victim-selection policies understood by the serve layer.
 POLICIES = ("none", "static", "proportional")
@@ -58,14 +58,6 @@ class CachePartition:
         if quota_pages < 0:
             raise ValueError("quota must be non-negative")
         self._quota_pages[tenant] = quota_pages
-
-    def tenant_of(self, file_id: int) -> Optional[str]:
-        """Owning tenant of a file id (None when unassigned)."""
-        return self._tenant_of_file.get(file_id)
-
-    def quota_of(self, tenant: str) -> Optional[int]:
-        """Quota of a tenant in pages (None when unset)."""
-        return self._quota_pages.get(tenant)
 
     def quotas(self) -> Dict[str, int]:
         """Copy of the quota table (for payloads and tests)."""

@@ -18,7 +18,7 @@ operation*, not serialization, exactly the paper's framing.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common import constants
 from repro.obs import METRICS
@@ -64,6 +64,10 @@ class UserSpaceCache:
     def resident_blocks(self) -> int:
         """Blocks currently cached."""
         return sum(len(shard) for shard in self._shards.values())
+
+    def blocks(self) -> List[Tuple[Tuple[int, int], bytes]]:
+        """Snapshot of every cached ``((file_id, block), data)`` pair."""
+        return [item for shard in self._shards.values() for item in shard.items()]
 
     def get(
         self, clock: CycleClock, thread_id: int, file_id: int, block: int

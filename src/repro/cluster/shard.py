@@ -103,20 +103,8 @@ class ShardSim:
     """One shard's stack, server thread, and epoch loop."""
 
     def __init__(self, shard_id: int, params: Dict) -> None:
-        from repro.bench.setups import (
-            make_aquila_stack,
-            make_kmmap_stack,
-            make_linux_stack,
-        )
+        from repro.bench.setups import make_stack
 
-        makers = {
-            "aquila": make_aquila_stack,
-            "kmmap": make_kmmap_stack,
-            "linux": make_linux_stack,
-        }
-        engine_kind = params["engine_kind"]
-        if engine_kind not in makers:
-            raise ValueError(f"unknown cluster engine kind {engine_kind!r}")
         # Same local id space in every backend: a shard built as the Nth
         # of a serial run must equal one built alone in a fresh worker.
         SimThread.reset_ids()
@@ -124,8 +112,8 @@ class ShardSim:
         self.shard_id = shard_id
         self.dataset_pages = int(params["dataset_pages"])
         self.batched = bool(params["batched"])
-        self.stack = makers[engine_kind](
-            params.get("device_kind", "pmem"), int(params["cache_pages"])
+        self.stack = make_stack(
+            params["engine_kind"], params.get("device_kind", "pmem"), int(params["cache_pages"])
         )
         self.engine = self.stack.engine
         self.engine.fastforward = bool(

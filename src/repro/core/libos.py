@@ -202,7 +202,7 @@ class Aquila:
         else:
             needed = current - new_cache_pages
             while cache.freelist.free_count() < needed:
-                self.engine._evict_batch(thread)
+                self.engine.evict_batch(thread)
             shrunk = cache.shrink_free(needed)
             if self.engine.ept is not None and shrunk:
                 # The host reclaims EPT backing only in whole granules

@@ -111,6 +111,14 @@ class BackingStore:
         """Number of pages that have ever been written."""
         return len(self._pages)
 
+    def snapshot(self) -> Dict[int, bytes]:
+        """A copy of every written page, by page index (durable state)."""
+        return dict(self._pages)
+
+    def restore(self, pages: Dict[int, bytes]) -> None:
+        """Replace the stored contents with a :meth:`snapshot`'s pages."""
+        self._pages = dict(pages)
+
 
 class DeviceTimeline:
     """Enforces a device's IOPS cap across all submitting threads.

@@ -93,7 +93,7 @@ class CrashController:
 
 def snapshot_devices(devices: Sequence) -> DeviceSnapshot:
     """Copy the durable page contents of each device's backing store."""
-    return {device.name: dict(device.store._pages) for device in devices}
+    return {device.name: device.store.snapshot() for device in devices}
 
 
 def restore_devices(devices: Sequence, snapshot: DeviceSnapshot) -> None:
@@ -107,7 +107,7 @@ def restore_devices(devices: Sequence, snapshot: DeviceSnapshot) -> None:
         pages = snapshot.get(device.name)
         if pages is None:
             raise KeyError(f"snapshot has no state for device {device.name!r}")
-        device.store._pages = dict(pages)
+        device.store.restore(pages)
 
 
 #: The process-wide controller every boundary hook reports to.

@@ -92,24 +92,12 @@ def _make_stack(kind: str, cache_pages: int, capacity_bytes: int):
     from repro.hw.machine import Machine
     from repro.mmio.explicit import ExplicitIOEngine
 
-    if kind == "aquila":
-        return setups.make_aquila_stack(
-            "pmem", cache_pages=cache_pages, capacity_bytes=capacity_bytes
-        )
-    if kind == "linux":
-        return setups.make_linux_stack(
-            "pmem", cache_pages=cache_pages, capacity_bytes=capacity_bytes
-        )
-    if kind == "kmmap":
-        return setups.make_kmmap_stack(
-            "pmem", cache_pages=cache_pages, capacity_bytes=capacity_bytes
-        )
     if kind == "explicit":
         machine = Machine()
         device = setups.make_device("pmem", capacity_bytes)
         engine = ExplicitIOEngine(machine, cache_pages=cache_pages)
         return setups.Stack(machine, device, engine, ExtentAllocator(device))
-    raise ValueError(f"unknown engine kind {kind!r}")
+    return setups.make_stack(kind, "pmem", cache_pages, capacity_bytes)
 
 
 def _durable_bytes(file: BackingFile) -> bytes:

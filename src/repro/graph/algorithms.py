@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterator, List
 
 from repro.common import constants
-from repro.graph.ligra import HeapGraph, _SharedRound  # reuse barrier pattern
+from repro.graph.ligra import HeapGraph
 from repro.graph.rmat import CSRGraph
 from repro.sim.executor import Executor, RunResult, SimThread
 

@@ -86,10 +86,6 @@ class EPT:
             self._mappings[index] = host_base
         return host_base + (gpa % self.granule_bytes)
 
-    def is_backed(self, gpa: int) -> bool:
-        """Whether ``gpa`` already has a host backing granule."""
-        return self._granule_index(gpa) in self._mappings
-
     def granted_bytes(self) -> int:
         """Total bytes of GPA space currently granted."""
         return len(self._valid) * self.granule_bytes
@@ -97,7 +93,3 @@ class EPT:
     def backed_bytes(self) -> int:
         """Total bytes of GPA space with installed host backing."""
         return len(self._mappings) * self.granule_bytes
-
-    def expected_faults_for(self, nbytes: int) -> int:
-        """EPT faults needed to touch ``nbytes`` of fresh GPA space."""
-        return max(1, units.pages(nbytes) * units.PAGE_SIZE // self.granule_bytes)

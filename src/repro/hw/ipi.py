@@ -45,6 +45,9 @@ class InterferenceAccount:
 
     def __init__(self) -> None:
         self._pending: Dict[int, List[List[float]]] = {}
+        #: Live read-only view of the cores with posts queued (matured or
+        #: not): ``core in pending_cores`` is a C-speed test.
+        self.pending_cores = self._pending.keys()
         self.total_delivered = 0.0
 
     def post(self, core: int, cycles: float, when: float = 0.0) -> None:

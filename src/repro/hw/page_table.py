@@ -14,7 +14,7 @@ which the engine marks the page dirty and sets the writable bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 
 @dataclass
@@ -35,17 +35,13 @@ class PageTable:
     """Per-process page table mapping virtual page numbers to frames."""
 
     def __init__(self) -> None:
-        self._entries: Dict[int, PTE] = {}
+        entries: Dict[int, PTE] = {}
+        self._entries = entries
+        #: ``lookup(vpn)``: the PTE for ``vpn`` or None when not present.
+        #: The entry dict's own ``get``, so a hit costs one C call.
+        self.lookup: Callable[[int], Optional[PTE]] = entries.get
         self.installs = 0
         self.removals = 0
-
-    def lookup(self, vpn: int) -> Optional[PTE]:
-        """The PTE for ``vpn`` or None when not present."""
-        return self._entries.get(vpn)
-
-    def is_mapped(self, vpn: int) -> bool:
-        """Whether ``vpn`` has a present mapping."""
-        return vpn in self._entries
 
     def install(self, vpn: int, frame: int, writable: bool = False) -> PTE:
         """Create (or replace) the mapping for ``vpn``."""
@@ -99,6 +95,10 @@ class PageTable:
             for vpn in sorted(self._entries):
                 if start_vpn <= vpn < end:
                     yield vpn, self._entries[vpn]
+
+    def entries(self) -> Iterator[Tuple[int, PTE]]:
+        """Iterate every present ``(vpn, PTE)`` mapping (insertion order)."""
+        return iter(self._entries.items())
 
     def __len__(self) -> int:
         return len(self._entries)

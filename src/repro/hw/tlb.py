@@ -26,7 +26,15 @@ class TLB:
         if capacity <= 0:
             raise ValueError("TLB capacity must be positive")
         self.capacity = capacity
-        self._entries: "OrderedDict[int, None]" = OrderedDict()
+        entries: "OrderedDict[int, None]" = OrderedDict()
+        self._entries = entries
+        #: Live read-only view of the cached vpns: ``vpn in tlb.resident``
+        #: tests membership at C speed, with no cost and no LRU touch.
+        self.resident = entries.keys()
+        #: ``touch(vpn)``: make a cached ``vpn`` most recently used, at C
+        #: speed and no cost.  The hit loop pairs it with ``resident``
+        #: per access and :meth:`fill` per walk.
+        self.touch = entries.move_to_end
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -105,17 +113,13 @@ class TLB:
                     popitem(False)
         return walked
 
-    def contains(self, vpn: int) -> bool:
-        """Whether the TLB currently caches ``vpn`` (no cost, no LRU touch)."""
-        return vpn in self._entries
-
     def contains_any(self, vpns: Iterable[int]) -> bool:
         """Whether any vpn of a batch is cached (no cost, no LRU touch).
 
         Set-disjointness instead of a per-vpn probe loop: shootdown target
         selection scans every core's TLB against batches of up to 512 vpns.
         """
-        return not self._entries.keys().isdisjoint(vpns)
+        return not self.resident.isdisjoint(vpns)
 
     def invalidate(self, vpn: int) -> None:
         """Drop one entry (functional part of INVLPG)."""

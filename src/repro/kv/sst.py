@@ -166,11 +166,6 @@ class SSTable:
         self.block_reads = 0
         self.bloom_negatives = 0
 
-    @property
-    def entries_overlap(self) -> Tuple[bytes, bytes]:
-        """Key range [first, last] this table covers."""
-        return (self.first_key, self.last_key)
-
     def overlaps(self, first: bytes, last: bytes) -> bool:
         """Whether this table's range intersects [first, last]."""
         return not (self.last_key < first or last < self.first_key)

@@ -62,10 +62,6 @@ class FramePool:
         per_node = (self.total_frames + self.numa_nodes - 1) // self.numa_nodes
         return min(frame // per_node, self.numa_nodes - 1)
 
-    def frames_of_node(self, node: int) -> List[int]:
-        """All frame ids on ``node``."""
-        return [f for f in range(self.total_frames) if self.node_of(f) == node]
-
     def _check(self, frame: int) -> None:
         # Hot callers test the range inline and call this only to raise.
         if not 0 <= frame < self.total_frames:

@@ -88,9 +88,6 @@ class AquilaEngine(MmioEngine):
 
     # -- engine plumbing ------------------------------------------------------
 
-    def _pool(self):
-        return self.cache.pool
-
     def _cached_page(self, file: BackingFile, file_page: int) -> Optional[CachePage]:
         return self.cache.get_nocost(file, file_page)
 
@@ -228,13 +225,13 @@ class AquilaEngine(MmioEngine):
         freelist = self.cache.freelist
         frame = freelist.allocate(thread.clock, thread.core)
         if frame is None:
-            self._evict_batch(thread)
+            self.evict_batch(thread)
             frame = freelist.allocate(thread.clock, thread.core)
             if frame is None:
                 raise OutOfMemoryError("eviction freed no frames")
         return frame
 
-    def _evict_batch(self, thread: SimThread) -> None:
+    def evict_batch(self, thread: SimThread) -> None:
         """Synchronously evict a batch of cold pages (Section 3.2).
 
         Dirty victims are written back in device-offset order first; then
@@ -293,6 +290,7 @@ class AquilaEngine(MmioEngine):
         Intercepted in ring 0: no vmcall, a plain function call
         (Section 4.4).
         """
+        self._require_active(mapping, "msync")
         with TRACER.span("msync", thread.clock):
             thread.clock.charge("msync.entry", 100)
             # Merging the per-core dirty trees to build the flush set costs

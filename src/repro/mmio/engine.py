@@ -52,20 +52,6 @@ from repro.sim.fastforward import (
 )
 
 
-def _stepped_sum(total: float, step: float, count: int) -> float:
-    """``total`` after ``count`` stepped float adds of ``step``.
-
-    Equals the per-op ``+=`` sequence bit for bit: integer-valued sums
-    below 2**53 are exact under any association, so they take one
-    multiply; anything else (a CPI-scaled step) replays the adds.
-    """
-    if step.is_integer() and total.is_integer() and total + step * count < 2.0**53:
-        return total + step * count
-    for _ in range(count):
-        total += step
-    return total
-
-
 #: Categories the hit loop charges itself (a pre-charge may not reuse them).
 _HIT_CATEGORIES = frozenset({"app.access", "tlb.miss_walk", ABSORB_CATEGORY})
 
@@ -81,30 +67,6 @@ def _hit_charges(
     access = ("app.access", hit_step, hits)
     walk = ("tlb.miss_walk", walk_step, walks)
     return [walk, access] if walked_first else [access, walk]
-
-
-def _flush_charges(cycles, span, charged, slots_only: bool = False) -> None:
-    """Apply stepped ``(category, step, count)`` charges to the ledgers.
-
-    The ledgers are the clock's breakdown ``cycles`` and the open
-    ``span``'s charges, if any.  A category absent from a ledger enters
-    it in list order, so listing charges in first-charge order keeps
-    each ledger's insertion order that of per-access ``clock.charge``
-    calls.  ``slots_only`` only inserts the missing categories, at 0.0:
-    the run is still going, and a direct charge is about to land.
-    """
-    ledgers = (cycles,) if span is None else (cycles, span.charges)
-    for ledger in ledgers:
-        for category, step, count in charged:
-            # ``clock.charge`` skips zero charges in the breakdown; spans
-            # record them.
-            if category is None or not count or (not step and ledger is cycles):
-                continue
-            if slots_only:
-                if category not in ledger:
-                    ledger[category] = 0.0
-            else:
-                ledger[category] = _stepped_sum(ledger.get(category, 0.0), step, count)
 
 
 class Mapping:
@@ -258,6 +220,7 @@ class MmioEngine:
 
     def madvise(self, thread: SimThread, mapping: Mapping, advice: int) -> None:
         """Record access-pattern advice (affects readahead)."""
+        self._require_active(mapping, "madvise")
         if advice not in (
             MADV_NORMAL,
             MADV_RANDOM,
@@ -270,8 +233,18 @@ class MmioEngine:
         mapping.vma.advice = advice
 
     def msync(self, thread: SimThread, mapping: Mapping) -> int:
-        """Write back this mapping's dirty pages (device-offset order)."""
+        """Write back this mapping's dirty pages (device-offset order).
+
+        Like every call on a mapping, raises ``SegmentationFault`` before
+        any charge once the mapping is unmapped (Linux: ``ENOMEM``).
+        """
         raise NotImplementedError
+
+    @staticmethod
+    def _require_active(mapping: Mapping, call: str) -> None:
+        """Raise ``SegmentationFault`` if ``mapping`` was unmapped."""
+        if not mapping.active:
+            raise SegmentationFault(0, f"{call} on unmapped region")
 
     def mprotect(self, thread: SimThread, mapping: Mapping, prot: int) -> None:
         """Change an area's protection flags.
@@ -280,8 +253,7 @@ class MmioEngine:
         the stale translations down; granting it back is lazy — the next
         store takes a protection fault as usual.
         """
-        if not mapping.active:
-            raise SegmentationFault(0, "mprotect on unmapped region")
+        self._require_active(mapping, "mprotect")
         self._ranges_disturbed = True
         self._charge_range_update(thread)
         vma = mapping.vma
@@ -303,8 +275,7 @@ class MmioEngine:
         and pages beyond a shrunken end simply lose their mappings (their
         cached data is untouched — mremap does not truncate the file).
         """
-        if not mapping.active:
-            raise SegmentationFault(0, "mremap on unmapped region")
+        self._require_active(mapping, "mremap")
         if new_num_pages <= 0:
             raise ValueError("mapping must keep at least one page")
         old = mapping.vma
@@ -353,7 +324,7 @@ class MmioEngine:
             in_page = pos & (units.PAGE_SIZE - 1)
             take = min(end - pos, units.PAGE_SIZE - in_page)
             frame = self._ensure_mapped(thread, mapping, pos - in_page, is_write=False)
-            chunks.append(self._pool().read_partial(frame, in_page, take))
+            chunks.append(self.frame_pool().read_partial(frame, in_page, take))
             pos += take
         return chunks[0] if len(chunks) == 1 else b"".join(chunks)
 
@@ -366,7 +337,7 @@ class MmioEngine:
             take = min(end - pos, units.PAGE_SIZE - in_page)
             frame = self._ensure_mapped(thread, mapping, pos - in_page, is_write=True)
             start = pos - offset
-            self._pool().write_partial(frame, in_page, data[start : start + take])
+            self.frame_pool().write_partial(frame, in_page, data[start : start + take])
             pos += take
 
     @staticmethod
@@ -464,7 +435,7 @@ class MmioEngine:
                 thread, mapping, page * units.PAGE_SIZE, is_write
             )
             if is_write:
-                self._pool().write_partial(frame, offsets[index], write_data)
+                self.frame_pool().write_partial(frame, offsets[index], write_data)
         thread.record_op(start)
         return 1
 
@@ -556,7 +527,7 @@ class MmioEngine:
             self.fastforward
             and horizon == math.inf
             and total - index >= MIN_ANALYTIC_RUN
-            and thread.core not in self.machine.interference._pending
+            and thread.core not in self.machine.interference.pending_cores
             and vma.num_pages <= MAX_ANALYTIC_PAGES
         ):
             return 0
@@ -606,13 +577,13 @@ class MmioEngine:
         appends each load's bytes there, and ends the run right after
         a load that reads ``stop``.
 
-        The per-category charges go through running sums that start from
-        the current breakdown (and open span) value and add in stepped
-        order, flushed once per run — bit exact at any CPI factor — and
-        new categories enter each ledger in the order their first charge
-        would have added them.  A run is therefore cycle- and
-        state-identical to the same accesses retired one at a time, the
-        property the ``tests/conformance`` tier checks.
+        The run's charges are booked once, in first-charge order, through
+        :meth:`~repro.sim.clock.CycleClock.book_run` (stepped adds, bit
+        exact at any CPI factor), and the TLB's hit and miss counters
+        once; the TLB's LRU steps through its own ``resident``/``touch``/
+        ``fill``.  A run is therefore cycle- and state-identical to the
+        same accesses retired one at a time, the property the
+        ``tests/conformance`` tier checks.
 
         The caller has checked that the first access hits, so at least
         one is consumed; returns how many.
@@ -623,19 +594,17 @@ class MmioEngine:
         start_vpn = vma.start_vpn
         clock = thread.clock
         pages_seq, offsets_seq, writes_seq = accesses
-        pte_get = self.page_table._entries.get
+        pte_get = self.page_table.lookup
         machine = self.machine
         tlb = machine.tlb_of(thread)
+        resident = tlb.resident
+        touch = tlb.touch
+        fill = tlb.fill
         interference = machine.interference
-        pending = interference._pending
+        pending = interference.pending_cores
         core = thread.core
-        span = clock._obs_span
-        cycles = clock.breakdown._cycles
         total = len(pages_seq)
-        entries = tlb._entries
-        move_to_end = entries.move_to_end
-        tlb_capacity = tlb.capacity
-        pool = self._pool()
+        pool = self.frame_pool()
         read_partial = pool.read_partial
         nbytes = len(write_data)
         hit_step = constants.LOAD_STORE_HIT_CYCLES * clock.cpi_factor
@@ -648,6 +617,7 @@ class MmioEngine:
         first = index
         first_walk = -1
         walks = 0
+        slotted = -1
         now = clock.now
         while index < total and now <= horizon:
             page = pages_seq[index]
@@ -665,31 +635,28 @@ class MmioEngine:
             now += pre_step
             if core in pending:
                 clock.now = now
-                if ABSORB_CATEGORY not in cycles or (
-                    span is not None and ABSORB_CATEGORY not in span.charges
-                ):
-                    # The absorb may add its category to a ledger; first
-                    # give the categories this run has charged so far
-                    # their slots, so it lands after them as it would.
-                    done = index - first
-                    charged = [(pre_category, pre_step, done + 1)] + _hit_charges(
-                        hit_step, done, walk_step, walks, first_walk == first
-                    )
-                    _flush_charges(cycles, span, charged, slots_only=True)
+                # The absorb may add its category to a ledger; first give
+                # the categories this run has charged so far their slots,
+                # so it lands after them as it would.  Where it adds
+                # nothing, early slots leave the flush's key order.  Slots
+                # stay, so only a category first charged since the last
+                # booking (the hit, then the walk) needs a new one.
+                done = index - first
+                kinds = (done > 0) + (walks > 0)
+                if kinds > slotted:
+                    slotted = kinds
+                    charged = _hit_charges(hit_step, done, walk_step, walks, first_walk == first)
+                    clock.book_run([(pre_category, pre_step, done + 1)] + charged, slots_only=True)
                 interference.absorb(core, clock)
                 now = clock.now
-            if vpn in entries:
-                move_to_end(vpn)
-                tlb.hits += 1
+            if vpn in resident:
+                touch(vpn)
             else:
-                tlb.misses += 1
                 now += walk_step
                 if not walks:
                     first_walk = index
                 walks += 1
-                entries[vpn] = None
-                if len(entries) > tlb_capacity:
-                    entries.popitem(last=False)
+                fill(vpn)
             now += hit_step
             pte.accessed = True
             append(now - start)
@@ -703,11 +670,11 @@ class MmioEngine:
                     break
         clock.now = now
         hits = index - first
+        tlb.hits += hits - walks
+        tlb.misses += walks
         if hits:
-            charged = [(pre_category, pre_step, hits)] + _hit_charges(
-                hit_step, hits, walk_step, walks, first_walk == first
-            )
-            _flush_charges(cycles, span, charged)
+            charged = _hit_charges(hit_step, hits, walk_step, walks, first_walk == first)
+            clock.book_run([(pre_category, pre_step, hits)] + charged)
         return hits
 
     def _hit_run_analytic(
@@ -727,10 +694,11 @@ class MmioEngine:
         which accesses walked; :func:`~repro.sim.fastforward.stepped_clock`
         accumulates the CPI-scaled walk and hit adds in stepped order
         into the clock and the per-access latencies; the breakdown (and
-        open span) take the loop's own ``_hit_charges``/``_flush_charges``
-        flush, so new categories enter each ledger in stepped order; and
-        every touched PTE gets its accessed bit.  Returns the number of
-        accesses retired; 0 means "fall back to the loop".
+        open span) take the loop's own ``_hit_charges`` through
+        ``CycleClock.book_run``, so new categories enter each ledger in
+        stepped order; and every touched PTE gets its accessed bit.
+        Returns the number of accesses retired; 0 means "fall back to
+        the loop".
         """
         np_writes = plan.np_writes
         if np_writes[index : index + MIN_ANALYTIC_RUN].any():
@@ -767,10 +735,8 @@ class MmioEngine:
         walk_step = constants.TLB_MISS_WALK_CYCLES * clock.cpi_factor
         clock.now, latencies = stepped_clock(clock.now, n, walked, hit_step, walk_step)
         thread.latencies.extend(latencies.tolist())
-        charged = _hit_charges(
-            hit_step, n, walk_step, len(walked), bool(walked) and walked[0] == 0
-        )
-        _flush_charges(clock.breakdown._cycles, clock._obs_span, charged)
+        walked_first = bool(walked) and walked[0] == 0
+        clock.book_run(_hit_charges(hit_step, n, walk_step, len(walked), walked_first))
         for pte in ptes:
             pte.accessed = True
         self.ff_runs += 1
@@ -840,7 +806,7 @@ class MmioEngine:
         """
         if not data:
             return
-        pool = self._pool()
+        pool = self.frame_pool()
         end = offset + len(data)
         first = offset >> units.PAGE_SHIFT
         last = (end - 1) >> units.PAGE_SHIFT
@@ -872,9 +838,9 @@ class MmioEngine:
     def _cached_page(self, file: BackingFile, file_page: int) -> Optional[CachePage]:
         raise NotImplementedError
 
-    def _pool(self):
+    def frame_pool(self):
         """The frame pool holding this engine's cached data."""
-        raise NotImplementedError
+        return self.cache.pool
 
     def _shootdown(self, thread: SimThread, vpns: List[int]) -> None:
         raise NotImplementedError
@@ -916,7 +882,7 @@ class MmioEngine:
         until the last write completes (msync semantics); otherwise writes
         are queued and only CPU submission cost is paid now.
         """
-        pool = self._pool()
+        pool = self.frame_pool()
         completions: List[float] = []
         with TRACER.span("writeback.io", thread.clock):
             for run in self._merge_runs(pages):

@@ -76,6 +76,7 @@ class KmmapEngine(AquilaEngine):
 
     def msync(self, thread, mapping) -> int:
         """CoW-timestamp msync: a syscall, then the shared flush logic."""
+        self._require_active(mapping, "msync")
         with TRACER.span("msync.syscall", thread.clock):
             self.vmx.syscall(thread.clock, "syscall.msync")
         return super().msync(thread, mapping)

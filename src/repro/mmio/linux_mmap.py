@@ -79,9 +79,6 @@ class LinuxMmapEngine(MmioEngine):
 
     # -- engine plumbing ------------------------------------------------------
 
-    def _pool(self):
-        return self.cache.pool
-
     def _cached_page(self, file: BackingFile, file_page: int) -> Optional[CachePage]:
         return self.cache.get_nocost(file, file_page)
 
@@ -346,6 +343,7 @@ class LinuxMmapEngine(MmioEngine):
 
     def msync(self, thread: SimThread, mapping: Mapping) -> int:
         """Synchronously flush the mapping's dirty pages."""
+        self._require_active(mapping, "msync")
         with TRACER.span("msync", thread.clock):
             self.vmx.syscall(thread.clock, "syscall.msync")
             file = mapping.vma.file

@@ -12,7 +12,7 @@ The process-wide :data:`TRACER` is disabled by default.  When disabled,
 branch, so instrumented hot paths cost one call per would-be span.  When
 enabled, :class:`~repro.sim.clock.CycleClock` routes every ``charge`` /
 ``wait_until`` to the innermost open span of that clock (see
-``CycleClock._obs_span``), giving per-span category breakdowns for free.
+``CycleClock.obs_span``), giving per-span category breakdowns for free.
 
 Finished spans land in a bounded ring buffer (oldest dropped first) and
 export as Chrome ``trace_event`` JSON, so any run can be opened in
@@ -220,25 +220,25 @@ class Tracer:
                     f"span {name!r} needs an explicit clock (no enclosing span)"
                 )
             clock = self._current._clock
-        track = clock._obs_track
+        track = clock.obs_track
         if track is None or track[0] != self.epoch:
             index = len(self._tracks)
             self._tracks.append(getattr(clock, "owner_name", "") or f"clock-{index}")
             track = (self.epoch, index)
-            clock._obs_track = track
+            clock.obs_track = track
         span = Span(self, name, clock, track[1])
-        parent = clock._obs_span
+        parent = clock.obs_span
         span._parent = parent
         span.depth = 0 if parent is None else parent.depth + 1
         span._prev = self._current
-        clock._obs_span = span
+        clock.obs_span = span
         self._current = span
         return span
 
     def _close(self, span: Span) -> None:
         clock = span._clock
         span.end = clock.now
-        clock._obs_span = span._parent
+        clock.obs_span = span._parent
         self._current = span._prev
         if span._parent is not None:
             span._parent.child_cycles += span.end - span.begin

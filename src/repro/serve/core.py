@@ -236,24 +236,11 @@ def serve_workload(
         yield
 
 
-#: Stack factories by serve engine kind.
-_STACK_MAKERS = {
-    "aquila": "make_aquila_stack",
-    "kmmap": "make_kmmap_stack",
-    "linux": "make_linux_stack",
-}
-
-
 def run_serve(config: ServeConfig) -> ServeOutcome:
     """Run one serve cell: N tenants over one shared stack."""
     from repro.bench import setups
 
-    maker = _STACK_MAKERS.get(config.engine_kind)
-    if maker is None:
-        raise ValueError(f"unknown serve engine kind: {config.engine_kind!r}")
-    stack = getattr(setups, maker)(
-        device_kind=config.device_kind, cache_pages=config.cache_pages
-    )
+    stack = setups.make_stack(config.engine_kind, config.device_kind, config.cache_pages)
     engine = stack.engine
     engine.fastforward = bool(config.batched and config.fastforward)
     files = [

@@ -4,7 +4,6 @@ from repro.sim.clock import Breakdown, CycleClock
 from repro.sim.executor import Executor, RunResult, SimThread, run_threads
 from repro.sim.locks import (
     CacheLineTimeline,
-    LockRegistry,
     RWLockTimeline,
     SpinlockTimeline,
     StripedAtomicTimeline,
@@ -27,7 +26,6 @@ __all__ = [
     "SimThread",
     "run_threads",
     "CacheLineTimeline",
-    "LockRegistry",
     "RWLockTimeline",
     "SpinlockTimeline",
     "StripedAtomicTimeline",

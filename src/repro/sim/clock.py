@@ -8,7 +8,7 @@ recover a full breakdown of where cycles went (paper Figures 6(c), 7, 8).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.common import units
 
@@ -70,6 +70,20 @@ class Breakdown:
         return f"Breakdown({parts})"
 
 
+def _stepped_sum(total: float, step: float, count: int) -> float:
+    """``total`` after ``count`` stepped float adds of ``step``.
+
+    Equals the per-op ``+=`` sequence bit for bit: integer-valued sums
+    below 2**53 are exact under any association, so they take one
+    multiply; anything else (a CPI-scaled step) replays the adds.
+    """
+    if step.is_integer() and total.is_integer() and total + step * count < 2.0**53:
+        return total + step * count
+    for _ in range(count):
+        total += step
+    return total
+
+
 class CycleClock:
     """Logical clock for one simulated thread.
 
@@ -89,12 +103,12 @@ class CycleClock:
         self.cpi_factor = 1.0
         #: Display name for trace export (set by the owning SimThread).
         self.owner_name = ""
-        # repro.obs tracing state, managed by the global Tracer: the
-        # innermost open span on this clock (charges attribute to it) and
-        # the tracer-local (epoch, track-id) pair.  Kept as plain
-        # attributes so the disabled-tracing cost is one None check.
-        self._obs_span = None
-        self._obs_track = None
+        #: repro.obs tracing state, written only by the global Tracer: the
+        #: innermost open span on this clock (charges attribute to it) and
+        #: the tracer-local (epoch, track-id) pair.  Plain attributes, so
+        #: the disabled-tracing cost of ``charge`` is one None check.
+        self.obs_span = None
+        self.obs_track = None
 
     def charge(self, category: str, cycles: float) -> None:
         """Advance the clock by ``cycles`` of active work (scaled by SMT)."""
@@ -106,7 +120,7 @@ class CycleClock:
         # on every charge of every engine.
         if scaled:
             self.breakdown._cycles[category] += scaled
-        span = self._obs_span
+        span = self.obs_span
         if span is not None:
             span.charge(category, scaled)
 
@@ -117,10 +131,44 @@ class CycleClock:
             return 0.0
         self.now = time
         self.breakdown.add(category, waited)
-        span = self._obs_span
+        span = self.obs_span
         if span is not None:
             span.charge(category, waited)
         return waited
+
+    def book_run(
+        self,
+        charges: Iterable[Tuple[Optional[str], float, int]],
+        slots_only: bool = False,
+    ) -> None:
+        """Book a run of stepped charges into the breakdown and open span.
+
+        ``charges`` lists ``(category, step, count)``: ``count`` charges
+        of ``step`` already-scaled cycles each (a None category books
+        nothing).  Each ledger ends bit for bit as that many
+        :meth:`charge` calls would leave it: the same stepped float adds,
+        the same zero-charge skip in the breakdown (spans record zero
+        charges), and a category new to a ledger enters it in list
+        order — so listing charges in first-charge order keeps each
+        ledger's insertion order.  ``now`` is left to the caller, which
+        steps it access by access to take latencies.
+
+        ``slots_only`` only inserts the missing categories, at 0.0: the
+        run is still going, and a direct ``charge`` is about to land
+        after the categories it has charged so far.
+        """
+        cycles = self.breakdown._cycles
+        span = self.obs_span
+        ledgers = (cycles,) if span is None else (cycles, span.charges)
+        for ledger in ledgers:
+            for category, step, count in charges:
+                if category is None or not count or (not step and ledger is cycles):
+                    continue
+                if slots_only:
+                    if category not in ledger:
+                        ledger[category] = 0.0
+                else:
+                    ledger[category] = _stepped_sum(ledger.get(category, 0.0), step, count)
 
     @property
     def seconds(self) -> float:

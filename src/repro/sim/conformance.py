@@ -200,14 +200,14 @@ def _thread_digest(thread: SimThread) -> Dict:
         "clock": thread.clock.now,
         "ops": thread.ops_completed,
         "latencies": tuple(thread.latencies.samples()),
-        "breakdown": dict(thread.clock.breakdown._cycles),
+        "breakdown": thread.clock.breakdown.as_dict(),
     }
 
 
 def _page_table_digest(page_table) -> Dict[int, Tuple]:
     return {
         vpn: (pte.frame, pte.writable, pte.dirty, pte.accessed)
-        for vpn, pte in page_table._entries.items()
+        for vpn, pte in page_table.entries()
     }
 
 
@@ -222,33 +222,23 @@ def _tlb_digest(machine) -> List[Dict]:
     ]
 
 
-def _file_id_of(key_head) -> int:
-    return key_head if isinstance(key_head, int) else key_head.file_id
-
-
 def _mmio_cache_digest(cache, pool) -> List[Tuple]:
     """Sorted (file_id, page, frame, dirty, data-checksum) tuples."""
-    if hasattr(cache, "table"):          # Aquila / kmmap lock-free table
-        items = cache.table._map.items()
-    else:                                # Linux kernel page cache
-        items = cache._pages.items()
-    rows = []
-    for key, page in items:
-        rows.append(
-            (
-                _file_id_of(key[0]),
-                key[1],
-                page.frame,
-                bool(page.dirty),
-                _sha(pool.read(page.frame)),
-            )
+    return sorted(
+        (
+            page.file.file_id,
+            page.file_page,
+            page.frame,
+            bool(page.dirty),
+            _sha(pool.read(page.frame)),
         )
-    return sorted(rows)
+        for page in cache.pages()
+    )
 
 
 def _device_digest(device) -> List[Tuple[int, str]]:
     return sorted(
-        (index, _sha(data)) for index, data in device.store._pages.items()
+        (index, _sha(data)) for index, data in device.store.snapshot().items()
     )
 
 
@@ -276,7 +266,7 @@ def mmio_state_digest(stack, result, plan: Optional[FaultPlan] = None) -> Dict:
     """
     digest = _common_digest(stack, result, plan)
     digest["page_table"] = _page_table_digest(stack.engine.page_table)
-    digest["cache"] = _mmio_cache_digest(stack.engine.cache, stack.engine._pool())
+    digest["cache"] = _mmio_cache_digest(stack.engine.cache, stack.engine.frame_pool())
     return digest
 
 
@@ -318,27 +308,15 @@ def run_cell(
     fast-forward on top of batching (it has no effect unbatched), giving
     the third mode :func:`assert_fastforward_agrees` compares.
     """
-    from repro.bench.setups import (
-        make_aquila_stack,
-        make_kmmap_stack,
-        make_linux_stack,
-    )
+    from repro.bench.setups import make_stack
     from repro.workloads.microbench import MicrobenchConfig, run_microbench
-
-    makers = {
-        "aquila": make_aquila_stack,
-        "linux": make_linux_stack,
-        "kmmap": make_kmmap_stack,
-    }
-    if engine_kind not in makers:
-        raise ValueError(f"unknown mmio engine kind {engine_kind!r}")
 
     SimThread.reset_ids()
     BackingFile.reset_ids()
     plan = FaultPlan(fault_seed, fault_spec) if fault_spec is not None else None
     install_plan(plan)
     try:
-        stack = makers[engine_kind](device_kind, cache_pages)
+        stack = make_stack(engine_kind, device_kind, cache_pages)
         if shared_file:
             files = stack.allocator.create(
                 "conf-shared", dataset_pages * units.PAGE_SIZE
@@ -360,10 +338,7 @@ def run_cell(
             fastforward=fastforward,
         )
         result = run_microbench(stack.engine, files, config)
-        digest = _common_digest(stack, result, plan)
-        digest["page_table"] = _page_table_digest(stack.engine.page_table)
-        digest["cache"] = _mmio_cache_digest(stack.engine.cache, stack.engine._pool())
-        return digest
+        return mmio_state_digest(stack, result, plan)
     finally:
         clear_plan()
 
@@ -429,8 +404,7 @@ def run_explicit_cell(
         )
         digest["cache"] = sorted(
             (key[0], key[1], _sha(data))
-            for shard in engine.cache._shards.values()
-            for key, data in shard.items()
+            for key, data in engine.cache.blocks()
         )
         digest["cache_counters"] = _numeric_state(engine.cache)
         return digest

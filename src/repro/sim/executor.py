@@ -14,18 +14,19 @@ This gives deterministic, single-OS-thread simulation of up to the paper's
 Batched (epoch) mode
 --------------------
 
-``Executor(batched=True)`` enables the high-throughput scheduler.  Two
-mechanisms remove heap round-trips without changing any simulated outcome
-(DESIGN.md "The batching invariant" has the full argument):
+Both modes share one scheduling loop with **min-run continuation**:
+after stepping a thread, keep stepping it as long as it would be popped
+next anyway (its ``(clock, order)`` key is still below the heap top).
+This is the identical schedule by construction.
 
-* **min-run continuation** — after stepping a thread, keep stepping it as
-  long as it would be popped next anyway (its ``(clock, order)`` key is
-  still <= the heap top).  This is the identical schedule by construction.
-* **hit-run run-ahead** — before each step the executor publishes
-  ``thread.run_horizon = heap_top_clock + quantum``; workloads may retire a
-  *run* of consecutive pure cache-hit operations up to that horizon in one
-  step (via ``MmioEngine.retire``), re-entering the heap only on a miss,
-  a lock acquisition, a protection change, or the horizon (epoch) boundary.
+``Executor(batched=True)`` enables the high-throughput scheduler: hit-run
+run-ahead, without changing any simulated outcome (DESIGN.md "The
+batching invariant" has the full argument).  Before each step the
+executor publishes ``thread.run_horizon = heap_top_clock + quantum``;
+workloads may retire a *run* of consecutive pure cache-hit operations up
+to that horizon in one step (via ``MmioEngine.retire``), re-entering the
+heap only on a miss, a lock acquisition, a protection change, or the
+horizon (epoch) boundary.
 
 Run-ahead is safe because hit operations only touch state that no other
 thread can observe within the quantum: every cross-thread-visible mutation
@@ -39,7 +40,7 @@ unbatched execution would have ordered before it
 (``tests/conformance/test_invariant.py`` checks the inequality, the
 conformance suite checks the consequence bit-exactly).
 
-A third mechanism lifts the horizon entirely when the workload can prove
+A further mechanism lifts the horizon entirely when the workload can prove
 quiescence: ``Executor(..., quiescent=cert)`` takes a certificate callable
 (``MmioEngine.run_ahead_unbounded_ok``) that returns True only while *no*
 operation any thread can take mutates cross-thread-visible state — every
@@ -163,12 +164,11 @@ class Executor:
     """Runs a set of (thread, workload-iterator) pairs to completion.
 
     ``batched`` enables batched mode: before each step the executor
-    publishes a run-ahead horizon on the thread (``thread.run_horizon``),
-    and keeps stepping a thread without heap round-trips while it remains
-    the scheduling minimum.  The quantum is :data:`SYNC_HORIZON_CYCLES` —
-    the bound under which batched execution is provably bit-identical to
-    unbatched execution (module docstring).  Unbatched mode is the
-    pristine per-op reference and ignores ``quiescent``.
+    publishes a run-ahead horizon on the thread (``thread.run_horizon``).
+    The quantum is :data:`SYNC_HORIZON_CYCLES`, the bound under which
+    batched execution is provably bit-identical to unbatched execution
+    (module docstring).  Unbatched mode is the pristine per-op reference
+    and ignores ``quiescent``.
     """
 
     def __init__(
@@ -198,44 +198,20 @@ class Executor:
     def run(self, max_ops: Optional[int] = None) -> RunResult:
         """Step threads in min-clock order until all workloads finish.
 
+        One loop serves both modes: a stepped thread keeps running while
+        its ``(clock, order)`` key stays below the heap top — exactly
+        when a pop would return it again, so min-run continuation is the
+        identical schedule by construction.  Batched mode also publishes
+        a run-ahead horizon before each step; unbatched mode leaves
+        ``thread.run_horizon`` None.  Threads sharing a hardware thread
+        would expose each other's TLB state inside a run-ahead window,
+        so the horizon degrades to zero quantum when any two runnable
+        threads share a core.
+
         ``max_ops`` bounds total executor steps as a runaway guard (in
         batched mode one step may retire a whole hit-run of operations).
         """
-        if self.batched:
-            return self._run_batched(max_ops)
-        heap: List[tuple] = []
-        for order, (thread, it) in enumerate(self._entries):
-            thread.run_horizon = None
-            heap.append((thread.clock.now, order, thread, it))
-        heapq.heapify(heap)
-
-        steps = 0
-        while heap:
-            _, order, thread, it = heapq.heappop(heap)
-            try:
-                before = thread.clock.now
-                next(it)
-                if thread.clock.now < before:
-                    raise SimulationError(
-                        f"{thread.name} moved backwards in time "
-                        f"({before:.0f} -> {thread.clock.now:.0f})"
-                    )
-            except StopIteration:
-                continue
-            steps += 1
-            if max_ops is not None and steps > max_ops:
-                raise SimulationError(f"executor exceeded max_ops={max_ops}")
-            heapq.heappush(heap, (thread.clock.now, order, thread, it))
-
-        return RunResult([t for t, _ in self._entries])
-
-    def _run_batched(self, max_ops: Optional[int]) -> RunResult:
-        """Epoch-batched scheduling: min-run continuation + hit run-ahead.
-
-        Threads sharing a hardware thread would expose each other's TLB
-        state inside a run-ahead window, so run-ahead degrades to zero
-        quantum when any two runnable threads share a core.
-        """
+        batched = self.batched
         quantum = SYNC_HORIZON_CYCLES
         cores = [thread.core for thread, _ in self._entries]
         if len(set(cores)) != len(cores):
@@ -244,6 +220,7 @@ class Executor:
 
         heap: List[tuple] = []
         for order, (thread, it) in enumerate(self._entries):
+            thread.run_horizon = None
             heap.append((thread.clock.now, order, thread, it))
         heapq.heapify(heap)
 
@@ -253,10 +230,11 @@ class Executor:
                 _, order, thread, it = heapq.heappop(heap)
                 top = heap[0] if heap else None
                 while True:
-                    if top is None or (quiescent is not None and quiescent()):
-                        thread.run_horizon = math.inf
-                    else:
-                        thread.run_horizon = top[0] + quantum
+                    if batched:
+                        if top is None or (quiescent is not None and quiescent()):
+                            thread.run_horizon = math.inf
+                        else:
+                            thread.run_horizon = top[0] + quantum
                     before = thread.clock.now
                     try:
                         next(it)

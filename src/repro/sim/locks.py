@@ -20,7 +20,7 @@ without real concurrency.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.common import constants
 from repro.common.errors import SimulationError
@@ -275,22 +275,3 @@ class StripedAtomicTimeline:
     def total_wait_cycles(self) -> float:
         """Aggregate wait across all stripes."""
         return sum(line.total_wait_cycles for line in self._lines)
-
-
-class LockRegistry:
-    """Named lock lookup for profiling-style reports in benchmarks."""
-
-    def __init__(self) -> None:
-        self._locks: Dict[str, object] = {}
-
-    def register(self, lock: object, name: str) -> None:
-        """Track ``lock`` under ``name``."""
-        self._locks[name] = lock
-
-    def get(self, name: str) -> object:
-        """Fetch a registered lock by name."""
-        return self._locks[name]
-
-    def names(self) -> list:
-        """Sorted registered lock names."""
-        return sorted(self._locks)

@@ -139,10 +139,6 @@ class LatencyRecorder:
         counts[-1] = len(ordered) - prev
         return counts
 
-    def mean_us(self) -> float:
-        """Average latency in microseconds."""
-        return units.cycles_to_us(self.mean())
-
     def summary(self) -> Dict[str, float]:
         """Dict with count/mean/p50/p99/p999/max in cycles."""
         return {

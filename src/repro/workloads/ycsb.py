@@ -124,14 +124,6 @@ class YCSBDriver:
                 thread, make_key(index), make_value(index, self.config.value_bytes)
             )
 
-    def load_workload(self, thread: SimThread, start: int, count: int) -> Iterator[None]:
-        """Executor-style iterator loading records [start, start+count)."""
-        for index in range(start, start + count):
-            self.store.put(
-                thread, make_key(index), make_value(index, self.config.value_bytes)
-            )
-            yield
-
     # -- run phase ---------------------------------------------------------------
 
     def _key_chooser(self, stream: str):

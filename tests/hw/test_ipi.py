@@ -44,8 +44,8 @@ class TestShootdownController:
         controller = ShootdownController(tlbs, InterferenceAccount(), "aquila")
         sent = controller.shootdown(CycleClock(), 0, [7])
         assert sent == 2
-        assert not tlbs[1].contains(7)
-        assert not tlbs[3].contains(7)
+        assert 7 not in tlbs[1].resident
+        assert 7 not in tlbs[3].resident
 
     def test_local_invalidation_always_happens(self):
         tlbs = _tlbs()
@@ -53,7 +53,7 @@ class TestShootdownController:
         tlbs[0].access(9, warm)
         controller = ShootdownController(tlbs, InterferenceAccount(), "linux")
         controller.shootdown(CycleClock(), 0, [9])
-        assert not tlbs[0].contains(9)
+        assert 9 not in tlbs[0].resident
 
     def test_interference_posted_to_victims(self):
         tlbs = _tlbs()

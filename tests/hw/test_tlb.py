@@ -30,9 +30,9 @@ class TestTLB:
         tlb.access(2, clock)
         tlb.access(1, clock)          # refresh 1 -> 2 is now LRU
         tlb.access(3, clock)          # evicts 2
-        assert tlb.contains(1)
-        assert not tlb.contains(2)
-        assert tlb.contains(3)
+        assert 1 in tlb.resident
+        assert 2 not in tlb.resident
+        assert 3 in tlb.resident
 
     def test_fill_is_free_and_most_recent(self):
         tlb = TLB(capacity=2)
@@ -50,7 +50,7 @@ class TestTLB:
         clock = CycleClock()
         tlb.access(5, clock)
         tlb.invalidate(5)
-        assert not tlb.contains(5)
+        assert 5 not in tlb.resident
         assert tlb.invalidations == 1
         tlb.invalidate(5)   # absent: no count
         assert tlb.invalidations == 1
@@ -68,7 +68,7 @@ class TestTLB:
         clock = CycleClock()
         tlb.access(1, clock)
         tlb.flush()
-        assert not tlb.contains(1)
+        assert 1 not in tlb.resident
         assert tlb.flushes == 1
 
     def test_miss_ratio(self):

@@ -77,7 +77,7 @@ def _reference_load(engine, thread, mapping, offset, nbytes):
     chunks = []
     for page_offset, in_page, take in _reference_split(mapping, offset, nbytes):
         frame = engine._ensure_mapped(thread, mapping, page_offset, is_write=False)
-        chunks.append(engine._pool().read_partial(frame, in_page, take))
+        chunks.append(engine.frame_pool().read_partial(frame, in_page, take))
     return b"".join(chunks)
 
 
@@ -85,7 +85,7 @@ def _reference_store(engine, thread, mapping, offset, data):
     written = 0
     for page_offset, in_page, take in _reference_split(mapping, offset, len(data)):
         frame = engine._ensure_mapped(thread, mapping, page_offset, is_write=True)
-        engine._pool().write_partial(frame, in_page, data[written : written + take])
+        engine.frame_pool().write_partial(frame, in_page, data[written : written + take])
         written += take
 
 
@@ -244,6 +244,19 @@ class TestMunmap:
         mapping.munmap(thread)
         mapping2 = stack.engine.mmap(thread, file)
         assert mapping2.load(thread, 123, 19) == b"persist across maps"
+
+    @pytest.mark.parametrize(
+        "call, args",
+        [("madvise", (MADV_RANDOM,)), ("msync", ()), ("mprotect", (PROT_READ,)), ("mremap", (4,))],
+    )
+    def test_calls_on_unmapped_mapping_fault_before_any_charge(self, make_stack, call, args):
+        _, _, thread, mapping = _setup(make_stack)
+        mapping.store(thread, 0, b"dirty")
+        mapping.munmap(thread)
+        before = (thread.clock.now, thread.clock.breakdown.as_dict())
+        with pytest.raises(SegmentationFault, match=f"{call} on unmapped region"):
+            getattr(mapping, call)(thread, *args)
+        assert (thread.clock.now, thread.clock.breakdown.as_dict()) == before
 
 
 class TestEviction:

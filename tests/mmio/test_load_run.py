@@ -162,7 +162,7 @@ def _observe(run, engine_kind, variant, plan, addresses, index, stop):
         "digest": mmio_state_digest(stack, RunResult([thread])),
         "breakdown": list(thread.clock.breakdown.as_dict().items()),
         "spans": spans,
-        "tlb_order": [list(tlb._entries) for tlb in stack.machine.tlbs],
+        "tlb_order": [list(tlb.resident) for tlb in stack.machine.tlbs],
         "pending": stack.machine.interference.pending(thread.core),
         "engine": stack.engine,
     }

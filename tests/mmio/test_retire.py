@@ -8,6 +8,7 @@ with a span open on every thread clock — and check that the one-op path
 raises exactly what ``Mapping.load``/``Mapping.store`` raise.
 """
 
+import contextlib
 import math
 
 import pytest
@@ -20,7 +21,7 @@ from repro.mmio.files import BackingFile
 from repro.mmio.vma import MADV_RANDOM, PROT_READ
 from repro.obs import TRACER
 from repro.sim.conformance import diff_digests, mmio_state_digest
-from repro.sim.executor import Executor, SimThread
+from repro.sim.executor import Executor, RunResult, SimThread
 from repro.sim.fastforward import AccessPlan
 from repro.workloads.microbench import WRITE_DATA, access_workload
 
@@ -285,3 +286,85 @@ class TestRetireFaults:
         want = self._raised(lambda: mapping.store(thread, 24, WRITE_DATA))
         assert got == want
         assert got[0] is ProtectionFault
+
+
+class TestRetireInterference:
+    """Interference maturing inside a hit run keeps the ledgers' key order.
+
+    The analogue of ``test_load_run``'s interference variant for
+    ``retire``: a fresh thread at CPI 1.4 retires a store/load plan over
+    resident, writable pages while posts mature mid-run.  The run first
+    hits the pages still in the TLB, then walks.  The first absorb adds
+    ``interference.ipi`` to a ledger that already holds the run's first
+    categories, either before the walks start (``tlb.miss_walk`` then
+    enters last) or after; later absorbs find it present.  Retired as
+    one batched hit run or one op at a time, the breakdown must hold the
+    same values in the same key order.
+    """
+
+    PAGES = 24
+    TLB_CAPACITY = 8
+    LATER_POSTS = (900, 2000)
+
+    def _observe(self, engine_kind, batched, span_open, first_post):
+        SimThread.reset_ids()
+        BackingFile.reset_ids()
+        stack = MAKERS[engine_kind]("pmem", 64)
+        engine = stack.engine
+        for tlb in stack.machine.tlbs:
+            tlb.capacity = self.TLB_CAPACITY
+        file = stack.allocator.create("ipi", self.PAGES * units.PAGE_SIZE)
+        setup = SimThread(core=0)
+        mapping = engine.mmap(setup, file)
+        mapping.madvise(setup, MADV_RANDOM)
+        for page in range(self.PAGES):
+            mapping.store(setup, page * units.PAGE_SIZE, WRITE_DATA)
+        # The last TLB_CAPACITY pages stored are still cached: the run
+        # hits them first, then walks for every older page.
+        recent = list(range(self.PAGES - self.TLB_CAPACITY, self.PAGES))
+        pages = recent + list(range(self.PAGES)) * 3
+        offsets = [(17 * i) % 4000 for i in range(len(pages))]
+        plan = AccessPlan(pages, offsets, [i % 3 == 0 for i in range(len(pages))])
+        thread = SimThread(core=0)
+        thread.clock.now = setup.clock.now
+        thread.clock.cpi_factor = 1.4
+        for when in (first_post,) + self.LATER_POSTS:
+            stack.machine.interference.post(thread.core, 700, thread.clock.now + when)
+        with TRACER.isolated(enable=span_open):
+            with TRACER.span("cell", thread.clock) if span_open else contextlib.nullcontext():
+                thread.run_horizon = math.inf if batched else None
+                index = 0
+                while index < len(pages):
+                    index += engine.retire(thread, mapping, plan, index, WRITE_DATA)
+                thread.run_horizon = None
+        return {
+            "breakdown": list(thread.clock.breakdown.as_dict().items()),
+            "digest": mmio_state_digest(stack, RunResult([thread])),
+            "tlb_order": [list(tlb.resident) for tlb in stack.machine.tlbs],
+            "pending": stack.machine.interference.pending(thread.core),
+            "batched_hits": engine.batched_hits,
+        }
+
+    #: First post send time (cycles after the run starts) -> the order
+    #: it must leave among the hit loop's categories: inside the TLB-hit
+    #: prefix, or after the first walk.
+    ORDERS = {
+        20: ["app.access", "interference.ipi", "tlb.miss_walk"],
+        150: ["app.access", "tlb.miss_walk", "interference.ipi"],
+    }
+
+    @pytest.mark.parametrize("first_post", sorted(ORDERS))
+    @pytest.mark.parametrize("span_open", [False, True], ids=["no-span", "span"])
+    @pytest.mark.parametrize("engine_kind", sorted(MAKERS))
+    def test_batched_run_keeps_breakdown_key_order(self, engine_kind, span_open, first_post):
+        reference = self._observe(engine_kind, False, span_open, first_post)
+        candidate = self._observe(engine_kind, True, span_open, first_post)
+        problems = diff_digests(reference["digest"], candidate["digest"])
+        assert not problems, "state diverged:\n  " + "\n  ".join(problems[:5])
+        for key in ("breakdown", "tlb_order", "pending"):
+            assert candidate[key] == reference[key], f"{key} diverged"
+        assert reference["batched_hits"] == 0
+        assert candidate["batched_hits"] > 2 * self.PAGES
+        assert candidate["pending"] == 0, "a post never matured"
+        expected = self.ORDERS[first_post]
+        assert [c for c, _ in candidate["breakdown"] if c in expected] == expected

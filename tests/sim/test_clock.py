@@ -4,7 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.obs import TRACER
 from repro.sim.clock import Breakdown, CycleClock
+
+#: Per-charge raw cycles the run draws from: integers, fractions and zero.
+RAW_STEPS = st.sampled_from([0, 0.0, 1, 6, 100, 55, 0.5, 2.25, 1 / 3])
+
+#: One run: distinct categories, each with a raw step and a count.
+RUNS = st.lists(
+    st.tuples(st.sampled_from("abcdefgh"), RAW_STEPS, st.integers(0, 40)),
+    max_size=5,
+    unique_by=lambda entry: entry[0],
+)
 
 
 class TestCycleClock:
@@ -55,6 +66,94 @@ class TestCycleClock:
             clock.charge(f"cat{i % 3}", cycles)
         assert clock.now == pytest.approx(sum(charges))
         assert clock.breakdown.total() == pytest.approx(sum(charges))
+
+
+def _ledgers(span_open, cpi, before, act):
+    """``(breakdown items, span charge items)`` after ``act(clock)``.
+
+    The clock runs at ``cpi`` with ``before`` charged first, under an
+    open span when ``span_open``; both ledgers keep their key order.
+    """
+    clock = CycleClock()
+    clock.cpi_factor = cpi
+    with TRACER.isolated(enable=span_open):
+        if span_open:
+            with TRACER.span("run", clock) as span:
+                for category, raw in before:
+                    clock.charge(category, raw)
+                act(clock)
+                charges = list(span.charges.items())
+        else:
+            for category, raw in before:
+                clock.charge(category, raw)
+            act(clock)
+            charges = None
+    return list(clock.breakdown.as_dict().items()), charges
+
+
+def _stepped(run, absorb=None):
+    """The per-access reference: ``clock.charge`` calls round by round.
+
+    Round ``i`` charges every category whose count exceeds ``i``, in list
+    order, as a hit loop charges each access; ``absorb = (after, category,
+    raw)`` charges once more after ``after`` rounds.
+    """
+    def act(clock):
+        for i in range(max((count for _, _, count in run), default=0) + 1):
+            if absorb is not None and i == absorb[0]:
+                clock.charge(absorb[1], absorb[2])
+            for category, raw, count in run:
+                if i < count:
+                    clock.charge(category, raw)
+    return act
+
+
+class TestBookRun:
+    """``CycleClock.book_run`` equals the stepped ``charge`` calls it replaces."""
+
+    @given(
+        run=RUNS,
+        cpi=st.sampled_from([1.0, 1.4]),
+        before=st.lists(st.tuples(st.sampled_from("aceij"), RAW_STEPS), max_size=4),
+        span_open=st.booleans(),
+    )
+    def test_run_equals_stepped_charges(self, run, cpi, before, span_open):
+        def book(clock):
+            clock.book_run([(c, raw * clock.cpi_factor, n) for c, raw, n in run])
+
+        assert _ledgers(span_open, cpi, before, book) == _ledgers(
+            span_open, cpi, before, _stepped(run)
+        )
+
+    @given(
+        run=RUNS,
+        cpi=st.sampled_from([1.0, 1.4]),
+        before=st.lists(st.tuples(st.sampled_from("aceij"), RAW_STEPS), max_size=4),
+        span_open=st.booleans(),
+        after=st.integers(0, 41),
+        absorb=st.tuples(st.sampled_from("ijk"), RAW_STEPS),
+    )
+    def test_slots_then_direct_charge_equals_stepped(
+        self, run, cpi, before, span_open, after, absorb
+    ):
+        """Slots for the charges so far, a direct charge, then the whole run."""
+        run = [entry for entry in run if entry[0] not in "ijk"]
+
+        def book(clock):
+            so_far = [(c, raw * clock.cpi_factor, min(n, after)) for c, raw, n in run]
+            clock.book_run(so_far, slots_only=True)
+            clock.charge(*absorb)
+            clock.book_run([(c, raw * clock.cpi_factor, n) for c, raw, n in run])
+
+        last = max((n for _, _, n in run), default=0)
+        assert _ledgers(span_open, cpi, before, book) == _ledgers(
+            span_open, cpi, before, _stepped(run, (min(after, last), *absorb))
+        )
+
+    def test_none_category_and_zero_count_book_nothing(self):
+        clock = CycleClock()
+        clock.book_run([(None, 5.0, 3), ("a", 5.0, 0)])
+        assert clock.breakdown.as_dict() == {} and clock.now == 0
 
 
 class TestBreakdown:
