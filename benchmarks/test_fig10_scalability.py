@@ -1,32 +1,39 @@
-"""Figure 10: scalability of Aquila vs Linux mmap (paper Section 6.5)."""
-
-from repro.bench.experiments.fig10 import run_fig10a, run_fig10b
+from repro.bench.paper_claims import fig10_speedup
 from repro.bench.report import Table, print_claims, ratio_line
 
 THREADS = [1, 2, 4, 8, 16, 32]
 
 
-def _show(rows, title):
+def _throughputs(cells, variant, sharing, engine):
+    return [
+        cells[f"fig10{variant}/{sharing}/{engine}/t{threads}"]["throughput"]
+        for threads in THREADS
+    ]
+
+
+def _show(cells, variant, sharing, title):
     table = Table(title, ["threads", "linux ops/s", "aquila ops/s", "speedup"])
-    for row in rows:
+    linux = _throughputs(cells, variant, sharing, "linux")
+    aquila = _throughputs(cells, variant, sharing, "aquila")
+    for index, threads in enumerate(THREADS):
         table.add_row(
-            row["threads"],
-            row["linux"]["throughput"],
-            row["aquila"]["throughput"],
-            row["speedup"],
+            threads,
+            linux[index],
+            aquila[index],
+            fig10_speedup(cells, variant, sharing, threads),
         )
     table.show()
 
 
-def test_fig10a_in_memory(once):
+def test_fig10a_in_memory(figure):
     """Dataset fits in memory: shared-file speedup grows with threads."""
-    results = once(run_fig10a, thread_counts=THREADS)
-    _show(results["shared"], "Figure 10(a): in-memory dataset, one shared file")
-    _show(results["private"], "Figure 10(a): in-memory dataset, private file per thread")
+    cells = figure("fig10a", threads=THREADS)
+    _show(cells, "a", "shared", "Figure 10(a): in-memory dataset, one shared file")
+    _show(cells, "a", "private", "Figure 10(a): in-memory dataset, private file per thread")
 
-    shared_1 = results["shared"][0]["speedup"]
-    shared_32 = results["shared"][-1]["speedup"]
-    private_32 = results["private"][-1]["speedup"]
+    shared_1 = fig10_speedup(cells, "a", "shared", 1)
+    shared_32 = fig10_speedup(cells, "a", "shared", 32)
+    private_32 = fig10_speedup(cells, "a", "private", 32)
     print_claims(
         "Figure 10(a) paper-vs-measured",
         [
@@ -40,35 +47,34 @@ def test_fig10a_in_memory(once):
     assert shared_32 > 2.5 * shared_1, "shared-file gap must widen with threads"
     assert private_32 < shared_32, "private files avoid the shared-lock collapse"
     # Linux shared-file throughput must plateau (tree-lock serialization).
-    linux_shared = [row["linux"]["throughput"] for row in results["shared"]]
+    linux_shared = _throughputs(cells, "a", "shared", "linux")
     assert linux_shared[-1] < 3 * linux_shared[2], "Linux must stop scaling"
     # Aquila keeps scaling well past Linux's plateau.
-    aquila_shared = [row["aquila"]["throughput"] for row in results["shared"]]
+    aquila_shared = _throughputs(cells, "a", "shared", "aquila")
     assert aquila_shared[-1] > 6 * aquila_shared[0]
 
 
-def test_fig10b_out_of_memory(once):
+def test_fig10b_out_of_memory(figure):
     """Dataset 12.5x the cache: evictions amplify the gap (up to ~12.9x)."""
-    results = once(run_fig10b, thread_counts=THREADS)
-    _show(results["shared"], "Figure 10(b): out-of-memory dataset, one shared file")
-    _show(results["private"], "Figure 10(b): out-of-memory dataset, private file per thread")
+    cells = figure("fig10b", threads=THREADS)
+    _show(cells, "b", "shared", "Figure 10(b): out-of-memory dataset, one shared file")
+    _show(cells, "b", "private", "Figure 10(b): out-of-memory dataset, private file per thread")
 
-    shared_1 = results["shared"][0]["speedup"]
-    shared_32 = results["shared"][-1]["speedup"]
+    shared_1 = fig10_speedup(cells, "b", "shared", 1)
+    shared_32 = fig10_speedup(cells, "b", "shared", 32)
+    private_32 = fig10_speedup(cells, "b", "private", 32)
     print_claims(
         "Figure 10(b) paper-vs-measured",
         [
             ratio_line("shared-file speedup @1t", 2.17, shared_1),
             ratio_line("shared-file speedup @32t", 12.92, shared_32),
-            ratio_line(
-                "private-file speedup @32t", 2.84, results["private"][-1]["speedup"]
-            ),
+            ratio_line("private-file speedup @32t", 2.84, private_32),
         ],
     )
 
     assert shared_1 > 1.3
     assert shared_32 > 8.0, "out-of-memory shared-file gap should reach ~13x"
-    assert shared_32 > results["private"][-1]["speedup"]
+    assert shared_32 > private_32
 
 
 def test_fig10_writes_behave_like_reads(once):
@@ -118,10 +124,10 @@ def test_fig10_writes_behave_like_reads(once):
     assert by_threads[16] > by_threads[1], "write gap widens with threads"
 
 
-def test_fig10_tail_latency(once):
+def test_fig10_tail_latency(figure):
     """Section 6.5 latency claims: Aquila's tails are far lower under load."""
-    results = once(run_fig10b, thread_counts=[32])
-    shared = results["shared"][0]
+    cells = figure("fig10b", threads=[32])
+    shared = {engine: cells[f"fig10b/shared/{engine}/t32"] for engine in ("linux", "aquila")}
     p99_ratio = shared["linux"]["p99_cycles"] / max(1.0, shared["aquila"]["p99_cycles"])
     p999_ratio = shared["linux"]["p999_cycles"] / max(1.0, shared["aquila"]["p999_cycles"])
     mean_ratio = shared["linux"]["mean_latency_cycles"] / max(

@@ -1,103 +1,103 @@
 """Figure 5: RocksDB YCSB-C throughput across the three I/O modes."""
 
-from repro.bench.experiments.fig5 import run_fig5a, run_fig5b
+from repro.bench.paper_claims import fig5_threads
 from repro.bench.report import Table, print_claims, ratio_line
 
-THREADS = [1, 4, 8]
+THREADS = [1, 4, 16]
+DEVICES = ("pmem", "nvme")
 
 
-def _show(results, title):
+def _rows(cells, variant):
+    """(device, threads, {mode: payload}) per fig5 row, in grid order."""
+    return [
+        (
+            device,
+            threads,
+            {
+                mode: cells[f"fig5{variant}/{device}/t{threads}/{mode}"]
+                for mode in ("direct", "mmap", "aquila")
+            },
+        )
+        for device in DEVICES
+        for threads in fig5_threads(cells, variant)
+    ]
+
+
+def _show(rows, title):
     table = Table(
         title,
         ["device", "threads", "read/write", "mmap", "aquila", "aq/mmap", "aq/direct"],
     )
-    for device, rows in results.items():
-        for row in rows:
-            direct = row["direct"]["throughput"]
-            mmap = row["mmap"]["throughput"]
-            aquila = row["aquila"]["throughput"]
-            table.add_row(
-                device,
-                row["threads"],
-                direct,
-                mmap,
-                aquila,
-                aquila / mmap,
-                aquila / direct,
-            )
+    for device, threads, row in rows:
+        direct = row["direct"]["throughput"]
+        mmap = row["mmap"]["throughput"]
+        aquila = row["aquila"]["throughput"]
+        table.add_row(device, threads, direct, mmap, aquila, aquila / mmap, aquila / direct)
     table.show()
 
 
-def test_fig5a_dataset_fits_in_memory(once):
+def test_fig5a_dataset_fits_in_memory(figure):
     """Fig 5(a): mmap > read/write in memory; Aquila up to ~1.15x over mmap."""
-    results = once(run_fig5a, thread_counts=THREADS)
-    _show(results, "Figure 5(a): YCSB-C throughput (ops/s), dataset fits the cache")
+    rows = _rows(figure("fig5a", threads=THREADS), "a")
+    _show(rows, "Figure 5(a): YCSB-C throughput (ops/s), dataset fits the cache")
 
     claims = []
-    for device, rows in results.items():
-        for row in rows:
-            claims.append(
-                ratio_line(
-                    f"{device} @{row['threads']}t aquila/mmap (paper <=1.15)",
-                    1.15,
-                    row["aquila"]["throughput"] / row["mmap"]["throughput"],
-                )
+    for device, threads, row in rows:
+        claims.append(
+            ratio_line(
+                f"{device} @{threads}t aquila/mmap (paper <=1.15)",
+                1.15,
+                row["aquila"]["throughput"] / row["mmap"]["throughput"],
             )
+        )
     print_claims("Figure 5(a) paper-vs-measured", claims)
 
-    for device, rows in results.items():
-        for row in rows:
-            # "mmap is faster than read/write calls" for in-memory datasets.
-            assert (
-                row["mmap"]["throughput"] > 0.95 * row["direct"]["throughput"]
-            ), f"{device}@{row['threads']}t: mmap should not lose to read/write in memory"
-            # Aquila is at least as fast as mmap.
-            assert row["aquila"]["throughput"] > row["mmap"]["throughput"]
+    for device, threads, row in rows:
+        # "mmap is faster than read/write calls" for in-memory datasets.
+        assert (
+            row["mmap"]["throughput"] > 0.95 * row["direct"]["throughput"]
+        ), f"{device}@{threads}t: mmap should not lose to read/write in memory"
+        # Aquila is at least as fast as mmap.
+        assert row["aquila"]["throughput"] > row["mmap"]["throughput"]
 
 
-def test_fig5b_dataset_exceeds_memory(once):
+def test_fig5b_dataset_exceeds_memory(figure):
     """Fig 5(b): mmap collapses (readahead); Aquila beats direct I/O on pmem."""
-    results = once(run_fig5b, thread_counts=THREADS)
-    _show(results, "Figure 5(b): YCSB-C throughput (ops/s), dataset 4x the cache")
+    rows = _rows(figure("fig5b", threads=THREADS), "b")
+    _show(rows, "Figure 5(b): YCSB-C throughput (ops/s), dataset 4x the cache")
 
     claims = []
-    for device, rows in results.items():
-        for row in rows:
-            claims.append(
-                ratio_line(
-                    f"{device} @{row['threads']}t aquila/direct "
-                    f"(paper pmem 1.18-1.65, nvme ~1 at saturation)",
-                    None,
-                    row["aquila"]["throughput"] / row["direct"]["throughput"],
-                )
+    for device, threads, row in rows:
+        claims.append(
+            ratio_line(
+                f"{device} @{threads}t aquila/direct "
+                f"(paper pmem 1.18-1.65, nvme ~1 at saturation)",
+                None,
+                row["aquila"]["throughput"] / row["direct"]["throughput"],
             )
+        )
     print_claims("Figure 5(b) paper-vs-measured", claims)
 
-    for device, rows in results.items():
-        for row in rows:
-            # "Linux mmap performs poorly compared to read/write I/O" —
-            # the 128 KB readahead amplifies reads 32x.
-            assert (
-                row["mmap"]["throughput"] < row["direct"]["throughput"]
-            ), f"{device}@{row['threads']}t: mmap must collapse out of memory"
-            # Aquila improves on explicit I/O.
-            assert row["aquila"]["throughput"] > row["direct"]["throughput"]
+    for device, threads, row in rows:
+        # "Linux mmap performs poorly compared to read/write I/O" —
+        # the 128 KB readahead amplifies reads 32x.
+        assert (
+            row["mmap"]["throughput"] < row["direct"]["throughput"]
+        ), f"{device}@{threads}t: mmap must collapse out of memory"
+        # Aquila improves on explicit I/O.
+        assert row["aquila"]["throughput"] > row["direct"]["throughput"]
     # The pmem advantage exceeds the NVMe advantage (device-bound there).
-    pmem_gain = results["pmem"][-1]["aquila"]["throughput"] / results["pmem"][-1][
-        "direct"
-    ]["throughput"]
-    nvme_gain = results["nvme"][-1]["aquila"]["throughput"] / results["nvme"][-1][
-        "direct"
-    ]["throughput"]
+    top = {device: row for device, _, row in rows}   # each device's last row
+    pmem_gain = top["pmem"]["aquila"]["throughput"] / top["pmem"]["direct"]["throughput"]
+    nvme_gain = top["nvme"]["aquila"]["throughput"] / top["nvme"]["direct"]["throughput"]
     assert pmem_gain > nvme_gain, "faster devices show Aquila's benefit more"
 
 
-def test_fig5_latency_claims(once):
+def test_fig5_latency_claims(figure):
     """Section 6.1: Aquila achieves lower average and tail latency."""
-    results = once(run_fig5b, thread_counts=[4])
+    rows = _rows(figure("fig5b", threads=[4]), "b")
     claims = []
-    for device, rows in results.items():
-        row = rows[0]
+    for device, _, row in rows:
         avg_ratio = row["direct"]["mean_latency_cycles"] / row["aquila"][
             "mean_latency_cycles"
         ]

@@ -1,89 +1,104 @@
 """Figure 6: extending the application heap over fast storage (Ligra BFS)."""
 
-import pytest
-
-from repro.bench.experiments.fig6 import run_fig6a, run_fig6b, run_fig6c
+from repro.bench.paper_claims import fig6_speedup
 from repro.bench.report import Table, print_claims, ratio_line
 
 PAPER_SPEEDUPS_8GB = {1: 1.56, 8: 2.54, 16: 4.14}
 THREADS = [1, 8, 16]
-VERTICES = 25000
+LABELS = ["linux-pmem", "aquila-pmem", "linux-nvme", "aquila-nvme", "dram"]
 
 
-def _show(rows, title):
+def _bar(cells, variant, label, threads):
+    return cells[f"fig6{variant}/{label}/t{threads}"]
+
+
+def _vs_dram(cells, variant, label, threads):
+    """Execution-cycle ratio of one engine bar over the DRAM-only run."""
+    return (
+        _bar(cells, variant, label, threads)["execution_cycles"]
+        / _bar(cells, variant, "dram", threads)["execution_cycles"]
+    )
+
+
+def _show(cells, variant, threads, title):
     table = Table(
         title,
         ["threads", "mmap-pmem ms", "aquila-pmem ms", "mmap-nvme ms",
          "aquila-nvme ms", "dram ms", "aq-speedup(pmem)"],
     )
-    for row in rows:
+    for count in threads:
         table.add_row(
-            row["threads"],
-            row["linux-pmem"]["execution_seconds"] * 1000,
-            row["aquila-pmem"]["execution_seconds"] * 1000,
-            row["linux-nvme"]["execution_seconds"] * 1000,
-            row["aquila-nvme"]["execution_seconds"] * 1000,
-            row["dram--"]["execution_seconds"] * 1000,
-            row["speedup_pmem"],
+            count,
+            *[
+                _bar(cells, variant, label, count)["execution_seconds"] * 1000
+                for label in LABELS
+            ],
+            fig6_speedup(cells, variant, count),
         )
     table.show()
 
 
-def test_fig6a_small_cache(once):
+def test_fig6a_small_cache(figure):
     """8 GB-equivalent cache: Aquila up to ~4.14x faster than mmap at 16t."""
-    rows = once(run_fig6a, num_vertices=VERTICES, thread_counts=THREADS)
-    _show(rows, "Figure 6(a): BFS execution time, small (8GB-equiv) DRAM cache")
+    cells = figure("fig6a", threads=THREADS)
+    _show(cells, "a", THREADS, "Figure 6(a): BFS execution time, small (8GB-equiv) DRAM cache")
 
     claims = []
-    for row in rows:
+    for threads in THREADS:
         claims.append(
             ratio_line(
-                f"aquila/mmap speedup @{row['threads']}t",
-                PAPER_SPEEDUPS_8GB[row["threads"]],
-                row["speedup_pmem"],
+                f"aquila/mmap speedup @{threads}t",
+                PAPER_SPEEDUPS_8GB[threads],
+                fig6_speedup(cells, "a", threads),
             )
         )
         claims.append(
             ratio_line(
-                f"mmap slowdown vs DRAM @{row['threads']}t (paper up to 11.8x)",
+                f"mmap slowdown vs DRAM @{threads}t (paper up to 11.8x)",
                 None,
-                row["mmap_vs_dram"],
+                _vs_dram(cells, "a", "linux-pmem", threads),
             )
         )
     print_claims("Figure 6(a) paper-vs-measured", claims)
 
-    by_threads = {row["threads"]: row for row in rows}
     # Aquila beats mmap at every thread count.
-    for row in rows:
-        assert row["speedup_pmem"] > 1.1, f"@{row['threads']}t Aquila must win"
+    for threads in THREADS:
+        assert fig6_speedup(cells, "a", threads) > 1.1, f"@{threads}t Aquila must win"
     # The gap grows with threads (scalability of the custom cache).
-    assert by_threads[16]["speedup_pmem"] > by_threads[1]["speedup_pmem"]
+    assert fig6_speedup(cells, "a", 16) > fig6_speedup(cells, "a", 1)
     # mmap pays a large penalty vs DRAM-only; Aquila closes much of it.
-    assert by_threads[16]["mmap_vs_dram"] > 2.0
-    assert by_threads[16]["aquila_vs_dram"] < by_threads[16]["mmap_vs_dram"]
+    assert _vs_dram(cells, "a", "linux-pmem", 16) > 2.0
+    assert _vs_dram(cells, "a", "aquila-pmem", 16) < _vs_dram(cells, "a", "linux-pmem", 16)
     # BFS results identical across configurations (functional correctness).
-    visited = {row["threads"]: row["aquila-pmem"]["visited"] for row in rows}
+    visited = {
+        threads: _bar(cells, "a", "aquila-pmem", threads)["visited"] for threads in THREADS
+    }
     assert len(set(visited.values())) == 1
-    for row in rows:
-        assert row["aquila-pmem"]["visited"] == row["linux-pmem"]["visited"]
-        assert row["aquila-pmem"]["visited"] == row["dram--"]["visited"]
+    for threads in THREADS:
+        aquila = _bar(cells, "a", "aquila-pmem", threads)["visited"]
+        assert aquila == _bar(cells, "a", "linux-pmem", threads)["visited"]
+        assert aquila == _bar(cells, "a", "dram", threads)["visited"]
 
 
-def test_fig6b_larger_cache(once):
+def test_fig6b_larger_cache(figure):
     """16 GB-equivalent cache: gap narrows but Aquila still wins (<=2.3x)."""
-    rows = once(run_fig6b, num_vertices=VERTICES, thread_counts=[16])
-    _show(rows, "Figure 6(b): BFS execution time, larger (16GB-equiv) DRAM cache")
-    row = rows[0]
+    cells = figure("fig6b", threads=[16])
+    _show(cells, "b", [16], "Figure 6(b): BFS execution time, larger (16GB-equiv) DRAM cache")
+    speedup = fig6_speedup(cells, "b", 16)
     print_claims(
         "Figure 6(b) paper-vs-measured",
-        [ratio_line("aquila/mmap speedup @16t", 2.3, row["speedup_pmem"])],
+        [ratio_line("aquila/mmap speedup @16t", 2.3, speedup)],
     )
-    assert 1.0 < row["speedup_pmem"] < 5.0
+    assert 1.0 < speedup < 5.0
 
 
-def test_fig6c_time_breakdown(once):
+def test_fig6c_time_breakdown(figure):
     """mmap burns its time in system+idle; Aquila shifts it to user work."""
-    results = once(run_fig6c, num_vertices=VERTICES)
+    cells = figure("fig6a", threads=[16])
+    results = {
+        "linux": _bar(cells, "a", "linux-pmem", 16),
+        "aquila": _bar(cells, "a", "aquila-pmem", 16),
+    }
     table = Table(
         "Figure 6(c): execution-time breakdown, 16 threads, small cache (%)",
         ["engine", "user", "system", "idle"],

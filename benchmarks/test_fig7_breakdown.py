@@ -1,6 +1,6 @@
 """Figure 7: RocksDB read-path cycle breakdown (paper Section 6.3)."""
 
-from repro.bench.experiments.fig7 import run_fig7
+from repro.bench.paper_claims import fig7_cache_mgmt_ratio, fig7_throughput_gain
 from repro.bench.report import Table, print_claims, ratio_line
 
 PAPER = {
@@ -9,9 +9,12 @@ PAPER = {
 }
 
 
-def test_fig7_cycle_breakdown(once):
+def test_fig7_cycle_breakdown(figure):
     """Aquila needs ~2.58x fewer cache-management cycles, ~40% more throughput."""
-    results = once(run_fig7)
+    cells = figure("fig7")
+    results = {mode: cells[f"fig7/{mode}"] for mode in ("direct", "aquila")}
+    cache_mgmt_ratio = fig7_cache_mgmt_ratio(cells)
+    throughput_gain = fig7_throughput_gain(cells)
 
     table = Table(
         "Figure 7: RocksDB cycles per get (YCSB-C, dataset 4x cache, pmem)",
@@ -30,8 +33,8 @@ def test_fig7_cycle_breakdown(once):
     print_claims(
         "Figure 7 paper-vs-measured",
         [
-            ratio_line("cache-mgmt cycles direct/aquila", 2.58, results["cache_mgmt_ratio"]),
-            ratio_line("throughput aquila/direct", 1.40, results["throughput_gain"]),
+            ratio_line("cache-mgmt cycles direct/aquila", 2.58, cache_mgmt_ratio),
+            ratio_line("throughput aquila/direct", 1.40, throughput_gain),
         ],
     )
 
@@ -49,11 +52,11 @@ def test_fig7_cycle_breakdown(once):
     # Cache management dominates the explicit-I/O read path (~69% in paper).
     assert direct["cache_mgmt"] / direct["total"] > 0.5
     # Aquila cuts cache management by at least 2x (paper: 2.58x).
-    assert results["cache_mgmt_ratio"] > 2.0
+    assert cache_mgmt_ratio > 2.0
     # Aquila's get CPU is higher (TLB pressure) but its total is lower.
     assert aquila["get"] >= direct["get"]
     assert aquila["total"] < direct["total"]
     # End-to-end throughput improves by >=25% (paper: 40%).
-    assert results["throughput_gain"] > 1.25
+    assert throughput_gain > 1.25
     # Aquila device I/O is cheaper thanks to the SIMD memcpy.
     assert aquila["device_io"] < direct["device_io"]

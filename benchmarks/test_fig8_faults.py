@@ -1,15 +1,14 @@
 """Figure 8: page-fault overhead breakdowns (paper Section 6.4)."""
 
-from repro.bench.experiments.fig8 import run_fig8a, run_fig8b, run_fig8c
 from repro.bench.report import Table, print_claims, ratio_line
 from repro.common import constants
 
 
-def test_fig8a_in_memory_fault_cost(once):
+def test_fig8a_in_memory_fault_cost(figure):
     """Fig 8(a): Linux ~5380 cycles/fault on pmem; Aquila's trap is 2.33x lower."""
-    results = once(run_fig8a)
-    linux = results["linux"]
-    aquila = results["aquila"]
+    cells = figure("fig8a")
+    linux = cells["fig8a/linux"]
+    aquila = cells["fig8a/aquila"]
 
     table = Table(
         "Figure 8(a): page-fault breakdown, pmem, dataset fits in memory (cycles/fault)",
@@ -42,11 +41,11 @@ def test_fig8a_in_memory_fault_cost(once):
     assert linux["breakdown"]["trap/exception"] > aquila["breakdown"]["trap/exception"]
 
 
-def test_fig8b_out_of_memory_fault_cost(once):
+def test_fig8b_out_of_memory_fault_cost(figure):
     """Fig 8(b): with evictions, Aquila ~2.06x lower overhead than mmap."""
-    results = once(run_fig8b)
-    linux = results["linux"]
-    aquila = results["aquila"]
+    cells = figure("fig8b")
+    linux = cells["fig8b/linux"]
+    aquila = cells["fig8b/aquila"]
 
     table = Table(
         "Figure 8(b): fault breakdown with evictions (8GB cache / 100GB data, cycles/access)",
@@ -78,9 +77,12 @@ def test_fig8b_out_of_memory_fault_cost(once):
         assert value <= 0.4 * non_io_total, f"{component} dominates Aquila's overhead"
 
 
-def test_fig8c_device_access_paths(once):
+def test_fig8c_device_access_paths(figure):
     """Fig 8(c): Cache-Hit 2179 cycles; host paths beat by DAX/SPDK."""
-    results = once(run_fig8c)
+    results = {
+        cell_id.split("/")[1]: payload["mean_access_cycles"]
+        for cell_id, payload in figure("fig8c").items()
+    }
 
     table = Table(
         "Figure 8(c): Aquila device-access paths (cycles/fault)",

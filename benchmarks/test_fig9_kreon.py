@@ -1,6 +1,7 @@
 """Figure 9: Kreon over kmmap vs Kreon over Aquila (paper Section 6.4)."""
 
-from repro.bench.experiments.fig9 import ALL_WORKLOADS, run_fig9
+from repro.bench.experiments.fig9 import ALL_WORKLOADS
+from repro.bench.paper_claims import fig9_mean_ratio
 from repro.bench.report import Table, print_claims, ratio_line
 
 PAPER = {
@@ -9,9 +10,34 @@ PAPER = {
 }
 
 
-def test_fig9_all_workloads(once):
+def _rows(cells):
+    """One row per (device, workload) with both engines and their ratios."""
+    rows = []
+    for device in ("nvme", "pmem"):
+        workloads = {cid.split("/")[2] for cid in cells if cid.startswith(f"fig9/{device}/")}
+        for workload in sorted(workloads):
+            kmmap = cells[f"fig9/{device}/{workload}/kmmap"]
+            aquila = cells[f"fig9/{device}/{workload}/aquila"]
+            rows.append(
+                {
+                    "device": device,
+                    "workload": workload,
+                    "kmmap": kmmap,
+                    "aquila": aquila,
+                    "throughput_ratio": aquila["throughput"]
+                    / max(1.0, kmmap["throughput"]),
+                    "avg_latency_ratio": kmmap["mean_latency_cycles"]
+                    / max(1.0, aquila["mean_latency_cycles"]),
+                    "p999_ratio": kmmap["p999_cycles"] / max(1.0, aquila["p999_cycles"]),
+                }
+            )
+    return rows
+
+
+def test_fig9_all_workloads(figure):
     """All six YCSB workloads, single thread, dataset 2x the cache."""
-    rows = once(run_fig9)
+    cells = figure("fig9")
+    rows = _rows(cells)
 
     table = Table(
         "Figure 9: Kreon kmmap vs Aquila (YCSB A-F, 1 thread, 16GB data / 8GB cache)",
@@ -32,10 +58,9 @@ def test_fig9_all_workloads(once):
 
     claims = []
     for device in ("nvme", "pmem"):
-        device_rows = [r for r in rows if r["device"] == device]
-        avg_thr = sum(r["throughput_ratio"] for r in device_rows) / len(device_rows)
-        avg_lat = sum(r["avg_latency_ratio"] for r in device_rows) / len(device_rows)
-        avg_tail = sum(r["p999_ratio"] for r in device_rows) / len(device_rows)
+        avg_thr = fig9_mean_ratio(cells, device, "throughput", invert=False)
+        avg_lat = fig9_mean_ratio(cells, device, "mean_latency_cycles", invert=True)
+        avg_tail = fig9_mean_ratio(cells, device, "p999_cycles", invert=True)
         claims.append(
             ratio_line(f"{device} mean throughput ratio", PAPER[device]["throughput"], avg_thr)
         )

@@ -3,7 +3,8 @@ and the sweep orchestrator.
 
 Entry points:
 
-* ``python -m repro.bench <figure>`` — run one figure's cells inline;
+* ``python -m repro.bench <figure>`` — run one figure's sweep cells
+  in-process and print its EXPERIMENTS.md section;
 * ``python -m repro.bench sweep`` — run every figure cell through the
   multiprocess, resumable orchestrator (:mod:`repro.bench.sweep`);
 * ``python -m repro.bench report`` — regenerate EXPERIMENTS.md from a

@@ -1,7 +1,10 @@
 """Command-line experiment runner: ``python -m repro.bench <command>``.
 
-Regenerates any of the paper's figures without pytest, printing the same
-tables the benchmark suite does.  ``list`` shows what is available.
+A figure command (``fig5a`` ... ``fig10b``, ``serve``, ``cluster``) runs
+that figure's sweep cells in-process — the same cells, params and
+payloads the sweep records — and prints them with EXPERIMENTS.md's
+section renderer.  ``--threads`` / ``--workloads`` pick cells from the
+figure's grid.  ``list`` shows what is available.
 
 Beyond the single-figure commands:
 
@@ -19,129 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List
-
-from repro.bench.report import Table
-
-
-def _run_fig5(args) -> None:
-    from repro.bench.experiments.fig5 import run_fig5a, run_fig5b
-
-    runner = run_fig5a if args.experiment == "fig5a" else run_fig5b
-    results = runner(thread_counts=args.threads)
-    table = Table(
-        f"{args.experiment}: RocksDB YCSB-C throughput (ops/s)",
-        ["device", "threads", "read/write", "mmap", "aquila"],
-    )
-    for device, rows in results.items():
-        for row in rows:
-            table.add_row(
-                device,
-                row["threads"],
-                row["direct"]["throughput"],
-                row["mmap"]["throughput"],
-                row["aquila"]["throughput"],
-            )
-    table.show()
-
-
-def _run_fig6(args) -> None:
-    from repro.bench.experiments.fig6 import run_fig6a, run_fig6b
-
-    runner = run_fig6a if args.experiment == "fig6a" else run_fig6b
-    rows = runner(thread_counts=args.threads)
-    table = Table(
-        f"{args.experiment}: Ligra BFS execution time (ms)",
-        ["threads", "mmap-pmem", "aquila-pmem", "dram", "speedup"],
-    )
-    for row in rows:
-        table.add_row(
-            row["threads"],
-            row["linux-pmem"]["execution_seconds"] * 1000,
-            row["aquila-pmem"]["execution_seconds"] * 1000,
-            row["dram--"]["execution_seconds"] * 1000,
-            row["speedup_pmem"],
-        )
-    table.show()
-
-
-def _run_fig7(args) -> None:
-    from repro.bench.experiments.fig7 import run_fig7
-
-    results = run_fig7()
-    table = Table(
-        "fig7: RocksDB cycles per get",
-        ["section", "explicit I/O", "aquila"],
-    )
-    for section in ("device_io", "cache_mgmt", "get", "total"):
-        table.add_row(
-            section,
-            results["direct"]["sections"][section],
-            results["aquila"]["sections"][section],
-        )
-    table.show()
-    print(f"cache-mgmt ratio: {results['cache_mgmt_ratio']:.2f}x (paper 2.58x)")
-    print(f"throughput gain:  {results['throughput_gain']:.2f}x (paper 1.40x)")
-
-
-def _run_fig8(args) -> None:
-    from repro.bench.experiments.fig8 import run_fig8a, run_fig8b, run_fig8c
-
-    if args.experiment == "fig8c":
-        results = run_fig8c()
-        table = Table("fig8c: Aquila device-access paths", ["path", "cycles/fault"])
-        for label in ("Cache-Hit", "DAX-pmem", "HOST-pmem", "SPDK-NVMe", "HOST-NVMe"):
-            table.add_row(label, results[label])
-        table.show()
-        return
-    runner = run_fig8a if args.experiment == "fig8a" else run_fig8b
-    results = runner()
-    key = "mean_access_cycles" if args.experiment == "fig8a" else "steady_mean_cycles"
-    table = Table(
-        f"{args.experiment}: mean fault cost (cycles)", ["engine", "cycles"]
-    )
-    table.add_row("linux-mmap", results["linux"][key])
-    table.add_row("aquila", results["aquila"][key])
-    table.show()
-
-
-def _run_fig9(args) -> None:
-    from repro.bench.experiments.fig9 import run_fig9
-
-    rows = run_fig9(workloads=args.workloads)
-    table = Table(
-        "fig9: Kreon kmmap vs Aquila",
-        ["device", "workload", "thr ratio", "avg-lat ratio", "p99.9 ratio"],
-    )
-    for row in rows:
-        table.add_row(
-            row["device"],
-            row["workload"],
-            row["throughput_ratio"],
-            row["avg_latency_ratio"],
-            row["p999_ratio"],
-        )
-    table.show()
-
-
-def _run_fig10(args) -> None:
-    from repro.bench.experiments.fig10 import run_fig10a, run_fig10b
-
-    runner = run_fig10a if args.experiment == "fig10a" else run_fig10b
-    results = runner(thread_counts=args.threads)
-    for mode in ("shared", "private"):
-        table = Table(
-            f"{args.experiment} ({mode} file): throughput (ops/s)",
-            ["threads", "linux", "aquila", "speedup"],
-        )
-        for row in results[mode]:
-            table.add_row(
-                row["threads"],
-                row["linux"]["throughput"],
-                row["aquila"]["throughput"],
-                row["speedup"],
-            )
-        table.show()
+from typing import Dict, List, Optional
 
 
 def parse_fault_spec(spec: str):
@@ -186,19 +67,65 @@ def parse_fault_spec(spec: str):
     return seed, FaultSpec(**kwargs)
 
 
-EXPERIMENTS: Dict[str, Callable] = {
-    "fig5a": _run_fig5,
-    "fig5b": _run_fig5,
-    "fig6a": _run_fig6,
-    "fig6b": _run_fig6,
-    "fig7": _run_fig7,
-    "fig8a": _run_fig8,
-    "fig8b": _run_fig8,
-    "fig8c": _run_fig8,
-    "fig9": _run_fig9,
-    "fig10a": _run_fig10,
-    "fig10b": _run_fig10,
-}
+def figure_names() -> List[str]:
+    """The figure commands: every figure name of the sweep grid, in order."""
+    from repro.bench.sweep import enumerate_cells
+
+    return list(dict.fromkeys(cell["figure"] for cell in enumerate_cells()))
+
+
+def select_cells(
+    figure: str,
+    threads: Optional[List[int]] = None,
+    workloads: Optional[List[str]] = None,
+) -> List[Dict]:
+    """``figure``'s figure-scale sweep cells, narrowed by the CLI filters.
+
+    ``threads`` keeps cells whose ``num_threads`` is listed, ``workloads``
+    those whose ``workload`` is.  A filter that would select nothing
+    raises ``ValueError`` naming the valid values: a figure without that
+    axis (the figures that have it), or a value off the figure's grid.
+    """
+    from repro.bench.sweep import enumerate_cells
+
+    grid = enumerate_cells()
+    cells = [cell for cell in grid if cell["figure"] == figure]
+    if not cells:
+        known = ", ".join(dict.fromkeys(cell["figure"] for cell in grid))
+        raise ValueError(f"unknown figure {figure!r} (figures: {known})")
+    for option, key, values in (
+        ("--threads", "num_threads", threads),
+        ("--workloads", "workload", workloads),
+    ):
+        if values is None:
+            continue
+        axis = sorted({cell["params"][key] for cell in cells if key in cell["params"]})
+        if not axis:
+            having = dict.fromkeys(c["figure"] for c in grid if key in c["params"])
+            raise ValueError(
+                f"{figure} has no {option} axis; {option} applies to: "
+                + ", ".join(having)
+            )
+        off_grid = [value for value in values if value not in axis]
+        if off_grid:
+            raise ValueError(
+                f"{option} {' '.join(map(str, off_grid))} not in {figure}'s grid "
+                f"(valid: {' '.join(map(str, axis))})"
+            )
+        cells = [cell for cell in cells if cell["params"][key] in values]
+    return cells
+
+
+def figure_payloads(cells: List[Dict]) -> Dict[str, dict]:
+    """Run ``cells`` in-process, each hermetically; cell id -> payload.
+
+    Cells run through :func:`repro.bench.sweep.run_cell` under whatever
+    tracing, metrics and fault plan the caller installed, so a figure
+    command computes exactly the payloads the sweep records.
+    """
+    from repro.bench.sweep import run_cell
+
+    return {cell["cell_id"]: run_cell(cell)["payload"] for cell in cells}
 
 
 EPILOG = """\
@@ -206,6 +133,7 @@ examples:
   python -m repro.bench list
   python -m repro.bench fig8a --trace trace.json --metrics
   python -m repro.bench fig10b --threads 1 8 32
+  python -m repro.bench fig9 --workloads A C
   python -m repro.bench fig8c --faults "seed=42,error=0.01,latency=0.02"
   python -m repro.bench sweep --workers 4 --resume
   python -m repro.bench sweep --figures fig10 --scale bench --manifest /tmp/m.jsonl
@@ -215,8 +143,11 @@ examples:
   python -m repro.bench report                  # regenerate EXPERIMENTS.md
   python -m repro.bench report --check          # fail (exit 1) on doc drift
 
-observability and fault flags (added in PRs 1-2) apply to the figure
-commands; --metrics also reports the sweep orchestrator's own counters.
+a figure command runs that figure's figure-scale sweep cells, each
+hermetically, and prints its EXPERIMENTS.md section; --threads and
+--workloads pick cells from the figure's grid (exit 2 if they select
+nothing).  Observability and fault flags apply to the figure commands;
+--metrics also reports the sweep orchestrator's own counters.
 --faults is rejected for sweep: a fault plan is process-global mutable
 state, so injected runs are only deterministic per single-figure process.
 """
@@ -232,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS) + ["list", "sweep", "report"],
+        choices=figure_names() + ["list", "sweep", "report"],
         help="figure to regenerate, 'list', 'sweep' (parallel paper sweep), "
         "or 'report' (EXPERIMENTS.md regeneration)",
     )
@@ -242,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         nargs="+",
         default=None,
-        help="thread counts for sweep experiments",
+        help="run only the figure's cells with these thread counts "
+        "(values from the figure's grid)",
     )
     figure.add_argument(
         "--workloads",
@@ -482,7 +414,7 @@ def main(argv: List[str] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.experiment == "list":
         print("available experiments:")
-        for name in sorted(EXPERIMENTS):
+        for name in figure_names():
             print(f"  {name}")
         print("orchestration: sweep, report (see --help)")
         return 0
@@ -520,6 +452,11 @@ def main(argv: List[str] = None) -> int:
             lines = obs.write_openmetrics(args.openmetrics)
             print(f"openmetrics: wrote {lines} lines to {args.openmetrics}")
         return code
+    try:
+        cells = select_cells(args.experiment, args.threads, args.workloads)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.trace or args.metrics:
         from repro import obs
 
@@ -549,12 +486,15 @@ def main(argv: List[str] = None) -> int:
         fault_plan = FaultPlan(seed, spec)
         install_plan(fault_plan)
     try:
-        EXPERIMENTS[args.experiment](args)
+        payloads = figure_payloads(cells)
     finally:
         if fault_plan is not None:
             from repro.fault.plan import clear_plan
 
             clear_plan()
+    from repro.bench.report import render_section
+
+    print(render_section(cells[0]["runner"], payloads))
     if fault_plan is not None:
         print(f"faults: {fault_plan.total_faults()} injected (seed {fault_plan.seed})")
         for device, counts in sorted(fault_plan.summary().items()):

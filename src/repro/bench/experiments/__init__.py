@@ -1,7 +1,8 @@
 """Per-figure experiment runners (paper Section 6).
 
-Each module reproduces one figure and exposes two sweep entry points on
-top of its inline runners:
+Each module reproduces one figure, defined once by two entry points
+(the sweep, the figure CLI commands and the benchmark suites all run
+cells through them):
 
 * ``enumerate_cells(scale)`` — every figure cell as an independent,
   param-complete work unit (``scale="figure"`` for the paper grid,

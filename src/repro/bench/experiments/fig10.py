@@ -13,7 +13,7 @@ don't contend and the win is the per-fault cost gap (~2x).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.bench.setups import make_stack
 from repro.common import units
@@ -73,18 +73,22 @@ def size_fig10_cell(
     }
 
 
-def _run_config_with_stack(
+def run_cell(
     engine_kind: str,
     num_threads: int,
     shared_file: bool,
     in_memory: bool,
-    cache_pages: int = 2048,
-    total_accesses: int = DEFAULT_TOTAL_ACCESSES,
+    cache_pages: int,
+    total_accesses: int,
     device_kind: str = "pmem",
     batched: bool = True,
     fastforward: bool = True,
 ):
-    """One Figure 10 cell; returns ``(row, stack, result)`` for digesting."""
+    """One (engine, threads, sharing, fit) cell of Figure 10.
+
+    Returns ``(row, stack, result)``: the payload row plus the stack and
+    microbenchmark result, which :func:`run_sweep_cell` digests.
+    """
     sizing = size_fig10_cell(
         num_threads, shared_file, in_memory, cache_pages, total_accesses
     )
@@ -125,82 +129,12 @@ def _run_config_with_stack(
     return row, stack, result
 
 
-def run_config(
-    engine_kind: str,
-    num_threads: int,
-    shared_file: bool,
-    in_memory: bool,
-    cache_pages: int = 2048,
-    total_accesses: int = DEFAULT_TOTAL_ACCESSES,
-    device_kind: str = "pmem",
-    batched: bool = True,
-    fastforward: bool = True,
-) -> Dict:
-    """One (engine, threads, sharing, fit) cell of Figure 10."""
-    row, _, _ = _run_config_with_stack(
-        engine_kind,
-        num_threads,
-        shared_file,
-        in_memory,
-        cache_pages,
-        total_accesses,
-        device_kind,
-        batched,
-        fastforward,
-    )
-    return row
-
-
-def run_sweep(
-    shared_file: bool,
-    in_memory: bool,
-    thread_counts: Optional[List[int]] = None,
-    cache_pages: int = 2048,
-    total_accesses: int = DEFAULT_TOTAL_ACCESSES,
-) -> List[Dict]:
-    """Linux and Aquila across thread counts for one configuration."""
-    counts = thread_counts if thread_counts is not None else DEFAULT_THREAD_COUNTS
-    rows = []
-    for threads in counts:
-        linux = run_config(
-            "linux", threads, shared_file, in_memory, cache_pages, total_accesses
-        )
-        aquila = run_config(
-            "aquila", threads, shared_file, in_memory, cache_pages, total_accesses
-        )
-        rows.append(
-            {
-                "threads": threads,
-                "linux": linux,
-                "aquila": aquila,
-                "speedup": aquila["throughput"] / max(linux["throughput"], 1e-9),
-            }
-        )
-    return rows
-
-
-def run_fig10a(thread_counts: Optional[List[int]] = None, cache_pages: int = 2048) -> Dict:
-    """In-memory dataset: shared and private file sweeps."""
-    return {
-        "shared": run_sweep(True, True, thread_counts, cache_pages),
-        "private": run_sweep(False, True, thread_counts, cache_pages),
-    }
-
-
-def run_fig10b(thread_counts: Optional[List[int]] = None, cache_pages: int = 1024) -> Dict:
-    """Out-of-memory dataset: shared and private file sweeps."""
-    return {
-        "shared": run_sweep(True, False, thread_counts, cache_pages),
-        "private": run_sweep(False, False, thread_counts, cache_pages),
-    }
-
-
 def enumerate_cells(scale: str = "figure") -> List[Dict]:
     """Every Figure 10 cell as an independent sweep work unit.
 
     Grid: variant (a: in-memory, b: out-of-memory) x shared/private file
     x engine (linux, aquila) x thread count.  ``scale="figure"`` uses the
-    figure defaults (40960 accesses, 1-32 threads); ``scale="bench"``
+    figure grid (``DEFAULT_TOTAL_ACCESSES``, 1-32 threads); ``scale="bench"``
     shrinks the access budget and thread grid for tests and CI.  Params
     fully determine the run — the cell's config digest is a pure function
     of this dict.
@@ -242,5 +176,5 @@ def run_sweep_cell(params: Dict) -> Dict:
     """
     from repro.sim.conformance import mmio_state_digest
 
-    row, stack, result = _run_config_with_stack(**params)
+    row, stack, result = run_cell(**params)
     return {"payload": row, "state": mmio_state_digest(stack, result)}

@@ -84,67 +84,6 @@ def run_cell(
     }
 
 
-def run_sweep(
-    device_kind: str,
-    record_count: int,
-    cache_pages: int,
-    thread_counts: List[int],
-    ops_per_thread: int = 400,
-    modes: Optional[List[str]] = None,
-) -> List[Dict]:
-    """All modes across thread counts for one device/dataset setting."""
-    rows = []
-    for num_threads in thread_counts:
-        cells = {}
-        for mode in modes if modes is not None else MODES:
-            cells[mode] = run_cell(
-                mode,
-                device_kind,
-                record_count,
-                cache_pages,
-                num_threads,
-                ops_per_thread,
-            )
-        rows.append({"threads": num_threads, **cells})
-    return rows
-
-
-def run_fig5a(
-    thread_counts: Optional[List[int]] = None,
-    record_count: int = 4096,
-    cache_pages: Optional[int] = None,
-    ops_per_thread: int = 300,
-) -> Dict[str, List[Dict]]:
-    """Dataset fits in cache (paper: 8 GB records / 8 GB cache).
-
-    The cache gets ~30% headroom over the raw record bytes to cover SST
-    metadata (index/filter/footer blocks), the equivalent of the paper's
-    dataset fitting its 8 GB cache after format overheads.
-    """
-    counts = thread_counts if thread_counts is not None else [1, 4, 16]
-    if cache_pages is None:
-        dataset_pages = record_count // 4   # 1 KB records, 4 per page
-        cache_pages = int(dataset_pages * 1.3)
-    return {
-        "pmem": run_sweep("pmem", record_count, cache_pages, counts, ops_per_thread),
-        "nvme": run_sweep("nvme", record_count, cache_pages, counts, ops_per_thread),
-    }
-
-
-def run_fig5b(
-    thread_counts: Optional[List[int]] = None,
-    record_count: int = 8192,
-    cache_pages: int = 512,
-    ops_per_thread: int = 300,
-) -> Dict[str, List[Dict]]:
-    """Dataset 4x the cache (paper: 32 GB records / 8 GB cache)."""
-    counts = thread_counts if thread_counts is not None else [1, 4, 16]
-    return {
-        "pmem": run_sweep("pmem", record_count, cache_pages, counts, ops_per_thread),
-        "nvme": run_sweep("nvme", record_count, cache_pages, counts, ops_per_thread),
-    }
-
-
 def enumerate_cells(scale: str = "figure") -> List[Dict]:
     """Every Figure 5 cell as an independent sweep work unit.
 
@@ -159,7 +98,10 @@ def enumerate_cells(scale: str = "figure") -> List[Dict]:
     else:
         counts, ops = [1, 4], 150
         records_a, records_b = 1024, 2048
-    cache_a = int((records_a // 4) * 1.3)   # fig5a: dataset + 30% headroom
+    # fig5a: 1 KB records, 4 per page, plus ~30% headroom for SST
+    # metadata (index/filter/footer blocks) — the paper's 8 GB dataset
+    # fitting its 8 GB cache after format overheads.
+    cache_a = int((records_a // 4) * 1.3)
     cache_b = 512 if scale == "figure" else 128
     cells = []
     for variant, records, cache_pages in (

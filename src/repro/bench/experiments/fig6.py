@@ -14,7 +14,7 @@ DRAM-only (malloc) runs are the reference point.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.bench.setups import make_stack
 from repro.common import units
@@ -89,72 +89,11 @@ def run_bfs_config(
     }
 
 
-def run_fig6(
-    cache_fraction: float,
-    num_vertices: int = 25000,
-    thread_counts: Optional[List[int]] = None,
-    engines: Optional[List[tuple]] = None,
-) -> List[Dict]:
-    """A Figure 6(a) or 6(b) sweep (fraction 1/8 or 1/4 of the heap)."""
-    counts = thread_counts if thread_counts is not None else [1, 8, 16]
-    configs = engines if engines is not None else [
-        ("linux", "pmem"),
-        ("aquila", "pmem"),
-        ("linux", "nvme"),
-        ("aquila", "nvme"),
-        ("dram", "-"),
-    ]
-    rows = []
-    for num_threads in counts:
-        cells = {}
-        reference = {}
-        for engine_kind, device_kind in configs:
-            cell = run_bfs_config(
-                engine_kind, device_kind, num_vertices, num_threads, cache_fraction
-            )
-            cells[f"{engine_kind}-{device_kind}"] = cell
-            reference[(engine_kind, device_kind)] = cell
-        row = {"threads": num_threads, **cells}
-        if ("linux", "pmem") in reference and ("aquila", "pmem") in reference:
-            row["speedup_pmem"] = (
-                reference[("linux", "pmem")]["execution_cycles"]
-                / reference[("aquila", "pmem")]["execution_cycles"]
-            )
-        if ("dram", "-") in reference and ("aquila", "pmem") in reference:
-            row["aquila_vs_dram"] = (
-                reference[("aquila", "pmem")]["execution_cycles"]
-                / reference[("dram", "-")]["execution_cycles"]
-            )
-            row["mmap_vs_dram"] = (
-                reference[("linux", "pmem")]["execution_cycles"]
-                / reference[("dram", "-")]["execution_cycles"]
-            )
-        rows.append(row)
-    return rows
-
-
 #: The paper's DRAM limits relative to the graph: Ligra's 64 GB footprint
 #: is mostly allocation slack; the BFS working set is the 18 GB graph, so
 #: 8 GB of DRAM holds ~44% of it and 16 GB ~89%.
 CACHE_FRACTION_8GB = 8.0 / 18.0
 CACHE_FRACTION_16GB = 16.0 / 18.0
-
-
-def run_fig6a(num_vertices: int = 25000, thread_counts: Optional[List[int]] = None):
-    """8 GB DRAM case: cache holds ~44% of the graph."""
-    return run_fig6(CACHE_FRACTION_8GB, num_vertices, thread_counts)
-
-
-def run_fig6b(num_vertices: int = 25000, thread_counts: Optional[List[int]] = None):
-    """16 GB DRAM case: cache holds ~89% of the graph."""
-    return run_fig6(CACHE_FRACTION_16GB, num_vertices, thread_counts)
-
-
-def run_fig6c(num_vertices: int = 25000, num_threads: int = 16) -> Dict[str, Dict]:
-    """Breakdown at 16 threads with the small cache (paper Figure 6(c))."""
-    linux = run_bfs_config("linux", "pmem", num_vertices, num_threads, CACHE_FRACTION_8GB)
-    aquila = run_bfs_config("aquila", "pmem", num_vertices, num_threads, CACHE_FRACTION_8GB)
-    return {"linux": linux, "aquila": aquila}
 
 
 #: Engine/device bars of Figures 6(a)/(b), in display order.

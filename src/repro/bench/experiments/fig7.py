@@ -23,7 +23,7 @@ charged total by the benchmark suite (they must agree within 1%).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from repro.bench.setups import make_rocksdb
 from repro.obs import TRACER, CycleAttribution
@@ -67,9 +67,9 @@ def _sections_from_trace(att: CycleAttribution, gets: int) -> Dict[str, float]:
 
 def run_mode(
     mode: str,
-    record_count: int = 16384,
-    operations: int = 2000,
-    cache_pages: int = 1024,
+    record_count: int,
+    operations: int,
+    cache_pages: int,
     device_kind: str = "pmem",
 ) -> Dict:
     """Load, compact, then measure a YCSB-C read phase for one mode."""
@@ -126,23 +126,6 @@ def run_mode(
         "p999_cycles": latencies.p999(),
         "not_found": driver.stats.not_found,
         "db_stats": db.stats(),
-    }
-
-
-def run_fig7(
-    record_count: int = 16384,
-    operations: int = 2000,
-    cache_pages: int = 1024,
-) -> Dict[str, Dict]:
-    """Both modes of Figure 7."""
-    direct = run_mode("direct", record_count, operations, cache_pages)
-    aquila = run_mode("aquila", record_count, operations, cache_pages)
-    return {
-        "direct": direct,
-        "aquila": aquila,
-        "cache_mgmt_ratio": direct["sections"]["cache_mgmt"]
-        / max(1.0, aquila["sections"]["cache_mgmt"]),
-        "throughput_gain": aquila["throughput"] / max(1.0, direct["throughput"]),
     }
 
 

@@ -9,7 +9,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.bench.setups import make_aquila_stack, make_stack
 from repro.common import units
@@ -96,61 +96,24 @@ def run_fault_benchmark(
     }
 
 
-def run_fig8a(accesses: int = 800) -> Dict[str, Dict]:
-    """In-memory fault cost: Linux vs Aquila on pmem."""
-    dataset = accesses + 64
-    cache = dataset + 64
-    linux = run_fault_benchmark("linux", dataset, cache, accesses)
-    aquila = run_fault_benchmark("aquila", dataset, cache, accesses)
-    return {"linux": linux, "aquila": aquila}
+def in_memory_pages(accesses: int) -> Tuple[int, int]:
+    """(dataset, cache) pages of the in-memory cells, Figs 8(a) and 8(c).
 
-
-def run_fig8b(cache_pages: int = 512, accesses: Optional[int] = None) -> Dict[str, Dict]:
-    """Out-of-memory fault cost (evictions in the common path).
-
-    Preserves the paper's 8 GB : 100 GB cache:dataset ratio; accesses run
-    long enough that the second half of the run is in eviction steady
-    state, which ``steady_mean_cycles`` reports.
+    Touch-once over ``accesses`` pages plus slack, with a cache larger
+    than the dataset, so no cell ever evicts.
     """
-    dataset = cache_pages * 100 // 8
-    if accesses is None:
-        accesses = cache_pages * 3
-    linux = run_fault_benchmark(
-        "linux", dataset, cache_pages, accesses, touch_once=False
-    )
-    aquila = run_fault_benchmark(
-        "aquila", dataset, cache_pages, accesses, touch_once=False
-    )
-    return {"linux": linux, "aquila": aquila}
-
-
-def run_fig8c(accesses: int = 600) -> Dict[str, float]:
-    """Aquila device-access paths: mean fault cost per path."""
     dataset = accesses + 64
-    cache = dataset + 64
-    results: Dict[str, float] = {}
-    for label, device_kind, io_path in [
-        ("DAX-pmem", "pmem", "dax"),
-        ("HOST-pmem", "pmem", "host"),
-        ("SPDK-NVMe", "nvme", "spdk"),
-        ("HOST-NVMe", "nvme", "host"),
-    ]:
-        outcome = run_fault_benchmark(
-            "aquila", dataset, cache, accesses, device_kind=device_kind, io_path=io_path
-        )
-        results[label] = outcome["mean_access_cycles"]
-    results["Cache-Hit"] = _run_cache_hit(accesses)
-    return results
+    return dataset, dataset + 64
 
 
-def _run_cache_hit(accesses: int) -> float:
+def run_cache_hit(accesses: int) -> float:
     """Faults that find the page already in the DRAM cache.
 
     Touch every page (populating the cache), unmap, remap, touch again:
     the second pass faults but needs no I/O.
     """
-    dataset = accesses + 64
-    stack = make_aquila_stack("pmem", cache_pages=dataset + 64, io_path="dax")
+    dataset, cache_pages = in_memory_pages(accesses)
+    stack = make_aquila_stack("pmem", cache_pages=cache_pages, io_path="dax")
     file = stack.allocator.create("hit-data", dataset * units.PAGE_SIZE)
     thread = SimThread(core=0)
     mapping = stack.engine.mmap(thread, file)
@@ -251,16 +214,18 @@ def run_sweep_cell(params: Dict) -> Dict:
 
     variant = params["variant"]
     if variant == "hit":
-        mean = _run_cache_hit(params["accesses"])
+        mean = run_cache_hit(params["accesses"])
         payload = {"label": "Cache-Hit", "mean_access_cycles": mean}
         return {"payload": payload, "state": payload}
     if variant == "a":
         accesses = params["accesses"]
-        dataset = accesses + 64
         outcome = run_fault_benchmark(
-            params["engine_kind"], dataset, dataset + 64, accesses
+            params["engine_kind"], *in_memory_pages(accesses), accesses
         )
     elif variant == "b":
+        # The paper's 8 GB : 100 GB cache:dataset ratio; the run is long
+        # enough that its second half is in eviction steady state, which
+        # ``steady_mean_cycles`` reports.
         cache_pages = params["cache_pages"]
         outcome = run_fault_benchmark(
             params["engine_kind"],
@@ -271,11 +236,9 @@ def run_sweep_cell(params: Dict) -> Dict:
         )
     else:
         accesses = params["accesses"]
-        dataset = accesses + 64
         outcome = run_fault_benchmark(
             "aquila",
-            dataset,
-            dataset + 64,
+            *in_memory_pages(accesses),
             accesses,
             device_kind=params["device_kind"],
             io_path=params["io_path"],

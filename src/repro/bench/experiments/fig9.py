@@ -10,7 +10,7 @@ All six YCSB workloads, single thread, dataset 2x the DRAM cache
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.bench.setups import make_kreon
 from repro.common import units
@@ -25,9 +25,9 @@ def run_cell(
     engine_kind: str,
     device_kind: str,
     workload: str,
-    record_count: int = 8192,
-    cache_pages: int = 1024,
-    operations: int = 1500,
+    record_count: int,
+    cache_pages: int,
+    operations: int,
 ) -> Dict:
     """One (engine, device, workload) cell of Figure 9."""
     store, stack, setup_thread = make_kreon(
@@ -68,40 +68,6 @@ def run_cell(
         "not_found": driver.stats.not_found,
         "store_stats": store.stats(),
     }
-
-
-def run_fig9(
-    device_kinds: Optional[List[str]] = None,
-    workloads: Optional[List[str]] = None,
-    record_count: int = 8192,
-    cache_pages: int = 1024,
-    operations: int = 1500,
-) -> List[Dict]:
-    """kmmap vs Aquila cells across devices and workloads."""
-    rows = []
-    for device_kind in device_kinds if device_kinds is not None else ["nvme", "pmem"]:
-        for workload in workloads if workloads is not None else ALL_WORKLOADS:
-            kmmap = run_cell(
-                "kmmap", device_kind, workload, record_count, cache_pages, operations
-            )
-            aquila = run_cell(
-                "aquila", device_kind, workload, record_count, cache_pages, operations
-            )
-            rows.append(
-                {
-                    "device": device_kind,
-                    "workload": workload,
-                    "kmmap": kmmap,
-                    "aquila": aquila,
-                    "throughput_ratio": aquila["throughput"]
-                    / max(1.0, kmmap["throughput"]),
-                    "avg_latency_ratio": kmmap["mean_latency_cycles"]
-                    / max(1.0, aquila["mean_latency_cycles"]),
-                    "p999_ratio": kmmap["p999_cycles"]
-                    / max(1.0, aquila["p999_cycles"]),
-                }
-            )
-    return rows
 
 
 def enumerate_cells(scale: str = "figure") -> List[Dict]:

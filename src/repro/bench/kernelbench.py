@@ -63,7 +63,7 @@ FASTFORWARD_FLOORS: Dict[str, float] = {
     "fig10b_shared_16t": 0.9,
 }
 
-#: (name, fig10 run_config kwargs).  Each cell runs once per mode.
+#: (name, fig10 ``run_cell`` kwargs).  Each cell runs once per mode.
 CELLS: List[tuple] = [
     (
         "fig10a_shared_16t",
@@ -119,7 +119,7 @@ def _run_cell_modes(kwargs: Dict, repeats: int) -> Dict[str, Dict]:
     """
     import gc
 
-    from repro.bench.experiments.fig10 import run_config
+    from repro.bench.experiments.fig10 import run_cell
     from repro.mmio.files import BackingFile
     from repro.sim.executor import SimThread
 
@@ -134,13 +134,13 @@ def _run_cell_modes(kwargs: Dict, repeats: int) -> Dict[str, Dict]:
                 gc.collect()
                 gc.disable()
                 start = time.perf_counter()
-                result = run_config(
+                row, _, _ = run_cell(
                     batched=batched, fastforward=fastforward, **kwargs
                 )
                 wall = time.perf_counter() - start
                 if gc_was_enabled:
                     gc.enable()
-                ops = result["ops"]
+                ops = row["ops"]
                 if best[mode] is None or wall < best[mode]:
                     best[mode] = wall
     finally:
@@ -202,11 +202,12 @@ def run_benchmark(repeats: int = 3) -> Dict:
     }
 
 
-def measure_stage_shares(total_accesses: int = 40960) -> Dict[str, float]:
+def measure_stage_shares(total_accesses: Optional[int] = None) -> Dict[str, float]:
     """Deterministic per-stage cycle shares of the headline configuration.
 
-    Runs the headline cell's config (at the short 40960-access size, so
-    this adds well under a second) once, batched, inside an isolated
+    Runs the headline configuration at the short ``fig10a_shared_16t``
+    size of :data:`CELLS` (so this adds well under a second; a smaller
+    ``total_accesses`` overrides it) once, batched, inside an isolated
     registry scope, and folds its threads' cycle breakdowns through the
     default stage rules.  Simulated cycles are seed-deterministic, so two
     runs on any machines produce identical shares — which is what lets the
@@ -214,23 +215,18 @@ def measure_stage_shares(total_accesses: int = 40960) -> Dict[str, float]:
     *wall-clock* regression to the stage whose *simulated* share moved.
     """
     from repro import obs
-    from repro.bench.experiments.fig10 import run_config
+    from repro.bench.experiments.fig10 import run_cell
     from repro.mmio.files import BackingFile
     from repro.obs import events as obs_events
     from repro.sim.executor import SimThread
 
+    kwargs = dict(dict(CELLS)["fig10a_shared_16t"])
+    if total_accesses is not None:
+        kwargs["total_accesses"] = total_accesses
     with obs.METRICS.isolated(enable=True):
         SimThread.reset_ids()
         BackingFile.reset_ids()
-        run_config(
-            batched=True,
-            engine_kind="aquila",
-            num_threads=16,
-            shared_file=True,
-            in_memory=True,
-            cache_pages=2048,
-            total_accesses=total_accesses,
-        )
+        run_cell(batched=True, **kwargs)
         telemetry = obs_events.collect_cell_telemetry()
     return obs_events.stage_shares(telemetry)
 

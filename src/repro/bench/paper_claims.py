@@ -126,6 +126,18 @@ def fig6_speedup(cells: Cells, variant: str, threads: int) -> float:
     return linux["execution_cycles"] / aquila["execution_cycles"]
 
 
+def fig7_cache_mgmt_ratio(cells: Cells) -> float:
+    """Explicit-I/O over Aquila cache-management cycles per get."""
+    direct = need_cell(cells, "fig7/direct")["sections"]["cache_mgmt"]
+    return direct / max(1.0, need_cell(cells, "fig7/aquila")["sections"]["cache_mgmt"])
+
+
+def fig7_throughput_gain(cells: Cells) -> float:
+    """Aquila over explicit-I/O RocksDB throughput."""
+    aquila = need_cell(cells, "fig7/aquila")["throughput"]
+    return aquila / max(1.0, need_cell(cells, "fig7/direct")["throughput"])
+
+
 def fig9_mean_ratio(cells: Cells, device: str, field: str, invert: bool) -> float:
     """Mean over YCSB workloads of the per-workload kmmap:aquila ratio.
 
@@ -255,16 +267,12 @@ def _fig6c_user_share(cells: Cells) -> Measured:
 
 
 def _fig7_cache_mgmt(cells: Cells) -> Measured:
-    ratio = need_cell(cells, "fig7/direct")["sections"]["cache_mgmt"] / max(
-        1.0, need_cell(cells, "fig7/aquila")["sections"]["cache_mgmt"]
-    )
+    ratio = fig7_cache_mgmt_ratio(cells)
     return _x(ratio), ("=" if _within(ratio, 2.58, 0.15) else "shape ✓")
 
 
 def _fig7_throughput(cells: Cells) -> Measured:
-    gain = need_cell(cells, "fig7/aquila")["throughput"] / max(
-        1.0, need_cell(cells, "fig7/direct")["throughput"]
-    )
+    gain = fig7_throughput_gain(cells)
     display = f"+{(gain - 1) * 100:.0f}%"
     if _within(gain, 1.40, 0.1):
         return display, "="

@@ -350,6 +350,8 @@ def _fig5_section(cells: Dict[str, dict]) -> List[str]:
                         _ratio(aquila / max(1e-9, direct)),
                     )
                 )
+        if not rows:
+            continue
         lines.append(f"**{title}**")
         lines.append("")
         lines += _md_table(
@@ -379,11 +381,12 @@ def _fig6_section(cells: Dict[str, dict]) -> List[str]:
     ]
     labels = ["linux-pmem", "aquila-pmem", "linux-nvme", "aquila-nvme", "dram"]
     for variant in ("a", "b"):
+        present = [label for label in labels if _fig6_threads(cells, variant, label)]
+        if not present:
+            continue
+        counts = _fig6_threads(cells, variant, present[0])
         rows = []
-        for label in labels:
-            counts = _fig6_threads(cells, variant, label)
-            if not counts:
-                continue
+        for label in present:
             cycles = [
                 _cell(cells, f"fig6{variant}/{label}/t{threads}")["execution_cycles"]
                 for threads in counts
@@ -391,12 +394,18 @@ def _fig6_section(cells: Dict[str, dict]) -> List[str]:
             rows.append(
                 (label, *[f"{value / 1e6:.1f}M" for value in cycles])
             )
-            header = ["config"] + [f"{threads}t" for threads in counts]
         lines.append(f"**Fig 6({variant})**")
         lines.append("")
-        lines += _md_table(header, rows)
+        lines += _md_table(["config"] + [f"{threads}t" for threads in counts], rows)
         lines.append("")
-    top = _fig6_threads(cells, "a", "aquila-pmem")[-1]
+    # 6(c) splits CPU time at variant (a)'s largest thread count that has
+    # both pmem bars.
+    both = set(_fig6_threads(cells, "a", "linux-pmem")) & set(
+        _fig6_threads(cells, "a", "aquila-pmem")
+    )
+    if not both:
+        return lines[:-1]
+    top = max(both)
     linux = _cell(cells, f"fig6a/linux-pmem/t{top}")
     aquila = _cell(cells, f"fig6a/aquila-pmem/t{top}")
     lines += [
@@ -409,6 +418,8 @@ def _fig6_section(cells: Dict[str, dict]) -> List[str]:
 
 
 def _fig7_section(cells: Dict[str, dict]) -> List[str]:
+    from repro.bench.paper_claims import fig7_cache_mgmt_ratio, fig7_throughput_gain
+
     direct = _cell(cells, "fig7/direct")
     aquila = _cell(cells, "fig7/aquila")
     rows = []
@@ -424,8 +435,8 @@ def _fig7_section(cells: Dict[str, dict]) -> List[str]:
                 _ops(row["throughput"]),
             )
         )
-    ratio = direct["sections"]["cache_mgmt"] / max(1.0, aquila["sections"]["cache_mgmt"])
-    gain = aquila["throughput"] / max(1.0, direct["throughput"])
+    ratio = fig7_cache_mgmt_ratio(cells)
+    gain = fig7_throughput_gain(cells)
     return [
         "### Figure 7 — RocksDB read-path cycle breakdown",
         "",
@@ -450,7 +461,9 @@ def _fig8_section(cells: Dict[str, dict]) -> List[str]:
     ]
     rows_a = []
     for engine in ("linux", "aquila"):
-        row = _cell(cells, f"fig8a/{engine}")
+        row = cells.get(f"fig8a/{engine}")
+        if row is None:
+            continue
         breakdown = row["breakdown"]
         device = sum(
             cycles
@@ -465,30 +478,32 @@ def _fig8_section(cells: Dict[str, dict]) -> List[str]:
                 f"{device:.0f}",
             )
         )
-    lines.append("**Fig 8(a): in-memory fault cost**")
-    lines.append("")
-    lines += _md_table(["engine", "mean fault", "trap/exception", "device"], rows_a)
-    lines.append("")
     rows_b = [
-        (
-            engine,
-            f"{_cell(cells, f'fig8b/{engine}')['steady_mean_cycles']:.0f}",
-        )
+        (engine, f"{cells[f'fig8b/{engine}']['steady_mean_cycles']:.0f}")
         for engine in ("linux", "aquila")
+        if f"fig8b/{engine}" in cells
     ]
-    lines.append("**Fig 8(b): fault cost with evictions (steady state)**")
-    lines.append("")
-    lines += _md_table(["engine", "steady mean fault"], rows_b)
-    lines.append("")
-    rows_c = []
-    for label in ("DAX-pmem", "HOST-pmem", "SPDK-NVMe", "HOST-NVMe", "Cache-Hit"):
-        rows_c.append(
-            (label, f"{_cell(cells, f'fig8c/{label}')['mean_access_cycles']:.0f}")
-        )
-    lines.append("**Fig 8(c): Aquila device-access paths**")
-    lines.append("")
-    lines += _md_table(["path", "mean fault"], rows_c)
-    return lines
+    rows_c = [
+        (label, f"{cells[f'fig8c/{label}']['mean_access_cycles']:.0f}")
+        for label in ("DAX-pmem", "HOST-pmem", "SPDK-NVMe", "HOST-NVMe", "Cache-Hit")
+        if f"fig8c/{label}" in cells
+    ]
+    for title, columns, rows in (
+        (
+            "**Fig 8(a): in-memory fault cost**",
+            ["engine", "mean fault", "trap/exception", "device"],
+            rows_a,
+        ),
+        (
+            "**Fig 8(b): fault cost with evictions (steady state)**",
+            ["engine", "steady mean fault"],
+            rows_b,
+        ),
+        ("**Fig 8(c): Aquila device-access paths**", ["path", "mean fault"], rows_c),
+    ):
+        if rows:
+            lines += [title, "", *_md_table(columns, rows), ""]
+    return lines[:-1]
 
 
 def _fig9_section(cells: Dict[str, dict]) -> List[str]:
@@ -752,18 +767,34 @@ def _observability_section(manifest_path: str) -> List[str]:
     return lines
 
 
+#: The measured-figure section renderer of each sweep runner, in
+#: document order.  Each renders whichever of its family's cells are
+#: present, so a single-figure CLI run prints the same table rows as
+#: EXPERIMENTS.md.
+SECTIONS = {
+    "fig5": _fig5_section,
+    "fig6": _fig6_section,
+    "fig7": _fig7_section,
+    "fig8": _fig8_section,
+    "fig9": _fig9_section,
+    "fig10": _fig10_section,
+    "serve": _serve_section,
+    "cluster": _cluster_section,
+}
+
+
+def render_section(runner: str, cells: Dict[str, dict]) -> str:
+    """The markdown section of sweep runner ``runner`` over ``cells``.
+
+    ``cells`` maps cell id to payload and may hold any subset of the
+    runner's grid; only the variants, bars and rows present render.
+    """
+    return "\n".join(SECTIONS[runner](cells))
+
+
 def _measured_sections(cells: Dict[str, dict]) -> List[str]:
     lines = ["## Measured figures", ""]
-    for section in (
-        _fig5_section,
-        _fig6_section,
-        _fig7_section,
-        _fig8_section,
-        _fig9_section,
-        _fig10_section,
-        _serve_section,
-        _cluster_section,
-    ):
+    for section in SECTIONS.values():
         lines += section(cells)
         lines.append("")
     return lines[:-1]

@@ -152,6 +152,24 @@ def enumerate_cells(
     return cells
 
 
+def run_cell(cell: Dict) -> Dict:
+    """Run one enumerated cell hermetically; returns ``run_sweep_cell``'s output.
+
+    Resets the process-global ``SimThread`` / ``BackingFile`` id counters
+    first, so the cell's op streams (seeded by thread ids) and therefore
+    its payload and state are the same whatever ran earlier in this
+    process.  Returns ``{"payload": ..., "state": ...}``.  The sweep's
+    workers and the single-figure CLI commands both run cells through
+    here, under whatever observability scope the caller has set up.
+    """
+    from repro.mmio.files import BackingFile
+    from repro.sim.executor import SimThread
+
+    SimThread.reset_ids()
+    BackingFile.reset_ids()
+    return _module_for(cell["runner"]).run_sweep_cell(dict(cell["params"]))
+
+
 def _jsonable(obj):
     """``obj`` with JSON-safe containers (tuples become lists)."""
     return json.loads(json.dumps(obj, default=str))
@@ -174,7 +192,6 @@ def _run_cell_observed(cell: Dict, telemetry: bool, profile_dir: Optional[str]):
     from repro.obs import profiling as obs_profiling
     from repro.sim.locks import LOCK_STATS
 
-    module = _module_for(cell["runner"])
     extras: Dict = {}
     with obs.TRACER.isolated(enable=False), obs.METRICS.isolated(enable=True):
         LOCK_STATS.reset()
@@ -189,11 +206,9 @@ def _run_cell_observed(cell: Dict, telemetry: bool, profile_dir: Optional[str]):
         )
         start = time.perf_counter()
         if profile_dir:
-            out, profiler = obs_profiling.profile_call(
-                module.run_sweep_cell, dict(cell["params"])
-            )
+            out, profiler = obs_profiling.profile_call(run_cell, cell)
         else:
-            out = module.run_sweep_cell(dict(cell["params"]))
+            out = run_cell(cell)
         wall = time.perf_counter() - start
         if telemetry:
             snapshot = obs_events.collect_cell_telemetry(wall_seconds=wall)
@@ -213,7 +228,7 @@ def _run_cell_observed(cell: Dict, telemetry: bool, profile_dir: Optional[str]):
 
 
 def _execute_cell(cell: Dict) -> Dict:
-    """One hermetic cell execution (no retry): reset ids, run, digest.
+    """One hermetic cell execution (no retry): :func:`run_cell`, then digest.
 
     Observability options ride in the cell dict's reserved ``obs`` key
     (set by :func:`run_sweep`, never part of the config digest):
@@ -221,20 +236,14 @@ def _execute_cell(cell: Dict) -> Dict:
     isolated obs scopes; ``profile_dir`` wraps the cell in cProfile and
     writes content-addressed artifacts there.
     """
-    from repro.mmio.files import BackingFile
-    from repro.sim.executor import SimThread
-
-    SimThread.reset_ids()
-    BackingFile.reset_ids()
     opts = cell.get("obs") or {}
     telemetry = opts.get("telemetry", True)
     profile_dir = opts.get("profile_dir")
     if telemetry or profile_dir:
         out, wall, extras = _run_cell_observed(cell, telemetry, profile_dir)
     else:
-        module = _module_for(cell["runner"])
         start = time.perf_counter()
-        out = module.run_sweep_cell(dict(cell["params"]))
+        out = run_cell(cell)
         wall = time.perf_counter() - start
         extras = {}
     state = out["state"] if out.get("state") is not None else out["payload"]

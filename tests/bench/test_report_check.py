@@ -4,9 +4,12 @@ import os
 
 import pytest
 
+from repro.bench.cli import select_cells
 from repro.bench.report import (
     check_experiments_md,
     generate_experiments_md,
+    load_cell_payloads,
+    render_section,
     write_experiments_md,
 )
 from repro.bench.sweep import run_sweep
@@ -77,3 +80,30 @@ def test_committed_doc_matches_committed_manifest():
     """
     problems = check_experiments_md(COMMITTED_DOC, COMMITTED_MANIFEST)
     assert problems == [], "\n".join(problems[:40])
+
+
+@pytest.mark.parametrize(
+    "figure, threads, blocks, header, rows",
+    [
+        ("fig5a", None, ["Fig 5(a)"], "| device | threads |", 6),
+        ("fig5b", [4], ["Fig 5(b)"], "| device | threads |", 2),
+        ("fig6b", [16], ["Fig 6(b)"], "| config | 16t |", 5),
+        ("fig6a", [1, 8], ["Fig 6(a)", "Fig 6(c)** — 8-thread"], "| config | 1t | 8t |", 5),
+        ("fig8b", None, ["Fig 8(b)"], "| engine | steady mean fault |", 2),
+        ("fig8c", None, ["Fig 8(c)"], "| path | mean fault |", 5),
+    ],
+)
+def test_sections_render_partial_grids(figure, threads, blocks, header, rows):
+    """A section over any CLI selection renders just the blocks and rows present."""
+    cells = select_cells(figure, threads=threads)
+    committed = load_cell_payloads(COMMITTED_MANIFEST)
+    text = render_section(
+        cells[0]["runner"], {c["cell_id"]: committed[c["cell_id"]] for c in cells}
+    )
+    assert text.count("**Fig ") == len(blocks), text
+    for block in blocks:
+        assert f"**{block}" in text, text
+    assert header in text, text
+    lines = text.splitlines()
+    tables = sum(line.startswith("|---") for line in lines)
+    assert sum(line.startswith("|") for line in lines) - 2 * tables == rows, text

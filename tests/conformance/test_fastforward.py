@@ -268,7 +268,7 @@ class TestFigureCells:
 
     @pytest.mark.parametrize("cell_id", ["fig10a/shared/linux/t1", "fig10a/shared/aquila/t32"])
     def test_modes_agree_down_to_breakdown_order(self, cell_id):
-        from repro.bench.experiments.fig10 import _run_config_with_stack
+        from repro.bench.experiments.fig10 import run_cell
         from repro.bench.sweep import enumerate_cells
 
         (params,) = [c["params"] for c in enumerate_cells(["fig10a"]) if c["cell_id"] == cell_id]
@@ -276,7 +276,7 @@ class TestFigureCells:
         for batched, fastforward in MODES:
             SimThread.reset_ids()
             BackingFile.reset_ids()
-            _, stack, result = _run_config_with_stack(
+            _, stack, result = run_cell(
                 **params, batched=batched, fastforward=fastforward
             )
             orders = [list(t.clock.breakdown.as_dict()) for t in result.threads]

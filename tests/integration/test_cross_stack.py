@@ -110,9 +110,15 @@ class TestDeterminism:
     """The whole simulation is bit-deterministic."""
 
     def test_repeated_runs_identical(self):
-        from repro.bench.experiments.fig8 import run_fig8a
+        from repro.bench.experiments.fig8 import in_memory_pages, run_fault_benchmark
 
-        a = run_fig8a(accesses=100)
-        b = run_fig8a(accesses=100)
+        def fig8a():
+            return {
+                engine: run_fault_benchmark(engine, *in_memory_pages(100), 100)
+                for engine in ("linux", "aquila")
+            }
+
+        a = fig8a()
+        b = fig8a()
         assert a["linux"]["mean_access_cycles"] == b["linux"]["mean_access_cycles"]
         assert a["aquila"]["mean_access_cycles"] == b["aquila"]["mean_access_cycles"]

@@ -9,7 +9,7 @@ import pytest
 from repro.bench.experiments.fig5 import run_cell as fig5_cell
 from repro.bench.experiments.fig6 import heap_pages_for, run_bfs_config
 from repro.bench.experiments.fig9 import run_cell as fig9_cell
-from repro.bench.experiments.fig10 import run_sweep
+from repro.bench.experiments.fig10 import run_cell as fig10_cell
 
 
 class TestFig5Runner:
@@ -53,11 +53,12 @@ class TestFig9Runner:
 
 class TestFig10Runner:
     def test_sweep_shape(self):
-        rows = run_sweep(
-            shared_file=True, in_memory=True,
-            thread_counts=[1, 2], cache_pages=256, total_accesses=128,
-        )
-        assert [row["threads"] for row in rows] == [1, 2]
-        for row in rows:
-            assert row["speedup"] > 0
-            assert row["linux"]["ops"] == row["aquila"]["ops"]
+        for threads in (1, 2):
+            linux, aquila = (
+                fig10_cell(engine, threads, True, True,
+                           cache_pages=256, total_accesses=128)[0]
+                for engine in ("linux", "aquila")
+            )
+            assert linux["threads"] == aquila["threads"] == threads
+            assert aquila["throughput"] / max(linux["throughput"], 1e-9) > 0
+            assert linux["ops"] == aquila["ops"]

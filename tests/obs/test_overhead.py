@@ -25,12 +25,13 @@ def _disabled_span_cost(iterations: int = 200_000) -> float:
 
 
 def test_disabled_tracing_overhead_under_5_percent():
-    from repro.bench.experiments.fig8 import run_fig8a
+    from repro.bench.experiments.fig8 import in_memory_pages, run_fault_benchmark
 
     assert not TRACER.enabled
     noops_before = TRACER.noop_requests
     start = time.perf_counter()
-    run_fig8a()
+    for engine in ("linux", "aquila"):
+        run_fault_benchmark(engine, *in_memory_pages(800), 800)
     run_seconds = time.perf_counter() - start
     span_calls = TRACER.noop_requests - noops_before
 

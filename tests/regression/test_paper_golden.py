@@ -61,9 +61,12 @@ class TestFig8Goldens:
     """Figure 8: page-fault cost, Linux vs Aquila (paper Section 6.4)."""
 
     def test_fig8a_fault_cost(self):
-        from repro.bench.experiments.fig8 import run_fig8a
+        from repro.bench.experiments.fig8 import in_memory_pages, run_fault_benchmark
 
-        r = run_fig8a(accesses=200)
+        r = {
+            engine: run_fault_benchmark(engine, *in_memory_pages(200), 200)
+            for engine in ("linux", "aquila")
+        }
         linux = r["linux"]["mean_access_cycles"]
         aquila = r["aquila"]["mean_access_cycles"]
         check_golden("fig8a linux fault cycles", linux, 5460.0,
@@ -75,9 +78,21 @@ class TestFig8Goldens:
                      "paper full-scale ratio ~1.83x (5380 vs ~2943)")
 
     def test_fig8c_device_paths(self):
-        from repro.bench.experiments.fig8 import run_fig8c
+        from repro.bench.experiments.fig8 import (
+            FIG8C_PATHS,
+            in_memory_pages,
+            run_cache_hit,
+            run_fault_benchmark,
+        )
 
-        r = run_fig8c(accesses=150)
+        r = {
+            label: run_fault_benchmark(
+                "aquila", *in_memory_pages(150), 150,
+                device_kind=device_kind, io_path=io_path,
+            )["mean_access_cycles"]
+            for label, device_kind, io_path in FIG8C_PATHS
+        }
+        r["Cache-Hit"] = run_cache_hit(150)
         check_golden("fig8c Cache-Hit", r["Cache-Hit"], 2179.0,
                      "Cache-Hit fault = 2179 cycles (Fig 8c, exact)")
         check_golden("fig8c DAX-pmem", r["DAX-pmem"], 3787.8333333333335,
@@ -98,14 +113,19 @@ class TestFig7Goldens:
     """Figure 7: RocksDB cycle breakdown, explicit I/O vs Aquila."""
 
     def test_fig7_ratios(self):
-        from repro.bench.experiments.fig7 import run_fig7
+        from repro.bench.experiments.fig7 import run_mode
+        from repro.bench.paper_claims import fig7_cache_mgmt_ratio, fig7_throughput_gain
 
-        r = run_fig7(record_count=4096, operations=600, cache_pages=256)
-        check_golden("fig7 cache-mgmt ratio", r["cache_mgmt_ratio"],
+        cells = {
+            f"fig7/{mode}": run_mode(mode, record_count=4096, operations=600,
+                                     cache_pages=256)
+            for mode in ("direct", "aquila")
+        }
+        check_golden("fig7 cache-mgmt ratio", fig7_cache_mgmt_ratio(cells),
                      2.654004152059097,
                      "explicit I/O spends 2.58x Aquila's cycles on cache "
                      "management (Fig 7)")
-        check_golden("fig7 throughput gain", r["throughput_gain"],
+        check_golden("fig7 throughput gain", fig7_throughput_gain(cells),
                      1.6186812719264623,
                      "mmap path gains 1.40x over pread/pwrite (Fig 7)")
 
@@ -154,18 +174,18 @@ class TestFig10Goldens:
 
     @staticmethod
     def _speedup(shared, in_memory, cache_pages, total_accesses):
-        from repro.bench.experiments.fig10 import run_config
+        from repro.bench.experiments.fig10 import run_cell
 
         SimThread.reset_ids()
         BackingFile.reset_ids()
-        linux = run_config("linux", 16, shared, in_memory,
-                           cache_pages=cache_pages,
-                           total_accesses=total_accesses)
+        linux, _, _ = run_cell("linux", 16, shared, in_memory,
+                               cache_pages=cache_pages,
+                               total_accesses=total_accesses)
         SimThread.reset_ids()
         BackingFile.reset_ids()
-        aquila = run_config("aquila", 16, shared, in_memory,
-                            cache_pages=cache_pages,
-                            total_accesses=total_accesses)
+        aquila, _, _ = run_cell("aquila", 16, shared, in_memory,
+                                cache_pages=cache_pages,
+                                total_accesses=total_accesses)
         return linux["throughput"], aquila["throughput"]
 
     def test_fig10a_shared_16_threads(self):
