@@ -14,15 +14,15 @@ Beyond the single-figure commands:
   ``--check`` verify the committed doc matches the regeneration.
 
 Exit codes: 0 success; 1 a sweep cell failed / a state digest mismatched
-the manifest / ``report --check`` found drift; 2 bad arguments or
-unreadable inputs.
+the manifest / ``report --check`` found drift; 2 bad arguments (including
+an option that does not apply to the command) or unreadable inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 
 def parse_fault_spec(spec: str):
@@ -147,10 +147,51 @@ a figure command runs that figure's figure-scale sweep cells, each
 hermetically, and prints its EXPERIMENTS.md section; --threads and
 --workloads pick cells from the figure's grid (exit 2 if they select
 nothing).  Observability and fault flags apply to the figure commands;
---metrics also reports the sweep orchestrator's own counters.
+--metrics also reports the sweep orchestrator's own counters.  An option
+given to a command it does not apply to exits 2.
 --faults is rejected for sweep: a fault plan is process-global mutable
 state, so injected runs are only deterministic per single-figure process.
 """
+
+
+#: The commands that are not figures.
+COMMANDS = ("list", "sweep", "report")
+
+#: How an option group names every figure command at once.
+FIGURES = "the figure commands"
+
+
+def _option_group(parser, title: str, commands: Tuple[str, ...]):
+    """Add argument group ``title``; returns its ``add_argument``.
+
+    Each option added through it is recorded in ``parser.serves`` as
+    ``(action, commands)``: the commands (``FIGURES`` for every figure
+    command) that option applies to.
+    """
+    group = parser.add_argument_group(title)
+
+    def add_argument(*flags, **kwargs):
+        action = group.add_argument(*flags, **kwargs)
+        parser.serves.append((action, commands))
+        return action
+
+    return add_argument
+
+
+def misapplied_option(parser, args) -> Optional[str]:
+    """The error for an option set on a command it does not serve.
+
+    An option counts as set when its value differs from its parser
+    default.  Returns ``None`` when every set option serves the command.
+    """
+    command = args.experiment if args.experiment in COMMANDS else FIGURES
+    for action, commands in parser.serves:
+        if command not in commands and getattr(args, action.dest) != action.default:
+            return (
+                f"{action.option_strings[-1]} does not apply to {args.experiment}; "
+                f"it applies to: {', '.join(commands)}"
+            )
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,14 +202,15 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+    parser.serves = []
     parser.add_argument(
         "experiment",
-        choices=figure_names() + ["list", "sweep", "report"],
+        choices=figure_names() + list(COMMANDS),
         help="figure to regenerate, 'list', 'sweep' (parallel paper sweep), "
         "or 'report' (EXPERIMENTS.md regeneration)",
     )
-    figure = parser.add_argument_group("figure options")
-    figure.add_argument(
+    figure = _option_group(parser, "figure options", (FIGURES,))
+    figure(
         "--threads",
         type=int,
         nargs="+",
@@ -176,22 +218,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only the figure's cells with these thread counts "
         "(values from the figure's grid)",
     )
-    figure.add_argument(
+    figure(
         "--workloads",
         type=str,
         nargs="+",
         default=None,
         help="YCSB workloads for fig9 (default: all of A-F)",
     )
-    obsgroup = parser.add_argument_group("observability and faults")
-    obsgroup.add_argument(
+    obsgroup = _option_group(
+        parser, "observability and faults", (FIGURES, "sweep")
+    )
+    obsgroup(
         "--trace",
         metavar="PATH",
         default=None,
         help="record a cycle trace and write Chrome trace-event JSON to PATH "
         "(in sweep mode: orchestrator-level per-cell wall-time spans)",
     )
-    obsgroup.add_argument(
+    obsgroup(
         "--faults",
         metavar="SPEC",
         default=None,
@@ -201,19 +245,19 @@ def build_parser() -> argparse.ArgumentParser:
             "(figure commands only; rejected for sweep)"
         ),
     )
-    obsgroup.add_argument(
+    obsgroup(
         "--metrics",
         action="store_true",
         help="collect counters/gauges/histograms and print a metrics table",
     )
-    sweep = parser.add_argument_group("sweep options")
-    sweep.add_argument(
+    sweep = _option_group(parser, "sweep options", ("sweep",))
+    sweep(
         "--workers",
         type=int,
         default=1,
         help="worker processes for sweep (1 = serial in-process; default 1)",
     )
-    sweep.add_argument(
+    sweep(
         "--figures",
         nargs="+",
         metavar="FIG",
@@ -221,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict the sweep to figures matching these prefixes "
         "(e.g. 'fig10' or 'fig5b fig9')",
     )
-    sweep.add_argument(
+    sweep(
         "--cluster-shards",
         type=int,
         metavar="N",
@@ -229,24 +273,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only the cluster figure family, restricted to cells with "
         "this shard count (failover cells included when N matches)",
     )
-    sweep.add_argument(
+    sweep(
         "--scale",
         choices=["figure", "bench"],
         default="figure",
         help="cell sizing: 'figure' = paper grid (default), 'bench' = "
         "shrunk grid for tests/CI",
     )
-    sweep.add_argument(
+    sweep(
         "--resume",
         action="store_true",
         help="skip cells already complete in the manifest (same config digest)",
     )
-    sweep.add_argument(
+    sweep(
         "--verify",
         action="store_true",
         help="re-run manifest-complete cells and fail on state-digest mismatch",
     )
-    sweep.add_argument(
+    sweep(
         "--dashboard",
         nargs="?",
         const="live",
@@ -255,52 +299,47 @@ def build_parser() -> argparse.ArgumentParser:
         help="render the sweep live: 'live' (default when flag is bare) is an "
         "ANSI in-place view, 'log' prints deterministic one-line events for CI",
     )
-    sweep.add_argument(
+    sweep(
         "--profile",
         action="store_true",
         help="wrap each cell in cProfile and write content-addressed "
         "pstats/hotspot artifacts under <manifest dir>/profiles",
     )
-    sweep.add_argument(
-        "--no-telemetry",
-        action="store_true",
-        help="skip per-cell telemetry snapshots in manifest records",
-    )
-    sweep.add_argument(
+    sweep(
         "--openmetrics",
         metavar="PATH",
         default=None,
         help="after the sweep, dump the orchestrator metrics registry as "
         "OpenMetrics-style text to PATH (requires --metrics)",
     )
-    sweep.add_argument(
+    sweep(
         "--history",
         metavar="PATH",
         default=None,
         help="bench-trajectory JSONL to append the sweep record to "
         "(default: BENCH_history.jsonl next to the manifest)",
     )
-    sweep.add_argument(
+    sweep(
         "--no-history",
         action="store_true",
         help="do not append a record to the bench-trajectory history",
     )
-    shared = parser.add_argument_group("sweep/report shared options")
-    shared.add_argument(
+    shared = _option_group(parser, "sweep/report shared options", ("sweep", "report"))
+    shared(
         "--manifest",
         metavar="PATH",
         default=None,
         help="run-manifest path (default: benchmarks/MANIFEST_sweep.jsonl)",
     )
-    report = parser.add_argument_group("report options")
-    report.add_argument(
+    report = _option_group(parser, "report options", ("report",))
+    report(
         "--output",
         metavar="PATH",
         default="EXPERIMENTS.md",
         help="document to write, or to diff against with --check "
         "(default: %(default)s)",
     )
-    report.add_argument(
+    report(
         "--check",
         action="store_true",
         help="regenerate from the manifest and exit 1 if the committed "
@@ -351,7 +390,6 @@ def _run_sweep_command(args) -> int:
             resume=args.resume,
             verify=args.verify,
             progress=progress,
-            telemetry=not args.no_telemetry,
             profile=args.profile,
             dashboard=dashboard,
             history_path=history_path,
@@ -411,7 +449,12 @@ def _run_report_command(args) -> int:
 
 def main(argv: List[str] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    error = misapplied_option(parser, args)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.experiment == "list":
         print("available experiments:")
         for name in figure_names():

@@ -10,12 +10,6 @@ the *same* pages and ops, just spread over more machines — plus one
 seeded mid-epoch primary-kill cell per engine at 4 shards, so the
 family shows both scale-out throughput and the failover
 data-loss/re-route accounting.
-
-Every cell runs on the serial backend (the sweep pool already provides
-process parallelism *across* cells; nesting pools inside a worker is
-what the backend split exists to avoid).  The dedicated cluster CI job
-— not this sweep — runs the process backend and asserts it
-digest-matches the serial reference.
 """
 
 from __future__ import annotations
@@ -94,8 +88,9 @@ def run_sweep_cell(params: Dict) -> Dict:
     """Run one enumerated cluster cell; returns payload + merged digest.
 
     The state digest is the cluster's merged full-state structure (every
-    shard's engine digest plus bus and router state), so sharded and
-    serial sweeps — and all three executor modes — compare bit for bit.
+    shard's engine digest plus bus and router state), so serial and
+    multi-worker sweeps — and all three executor modes — compare bit
+    for bit.
     """
     kill = None
     if "kill_shard" in params:
@@ -116,8 +111,7 @@ def run_sweep_cell(params: Dict) -> Dict:
             write_fraction=params["write_fraction"],
             seed=params["seed"],
             kill=kill,
-        ),
-        backend="serial",
+        )
     )
     payload = result.payload()
     payload["shard_rows"] = [

@@ -27,17 +27,18 @@ A completed cell whose fresh state digest disagrees with a prior
 manifest entry for the same config is reported as a **mismatch** (a
 determinism violation) and fails the sweep.
 
-Telemetry (DESIGN.md §10): by default every cell executes inside
-isolated tracer/registry scopes and ships a structured telemetry
-snapshot (:mod:`repro.obs.events`) back through its manifest record —
-per-stage cycle attribution folded from the cell threads' cycle
-breakdowns, metrics, histogram summaries, retries, wall time.  Cells run
-untraced, so telemetry never changes which code path executes.  The
-isolation is the worker-reuse guarantee: a pooled process that runs many
-cells gives each one a fresh registry and span ring, so no counter can
-leak between cells.  Telemetry is observational — state digests are
-identical with it on or off — and its deterministic view is
-byte-identical across reruns of the same cell.
+Telemetry (DESIGN.md §10): every cell executes inside isolated
+tracer/registry scopes and ships a structured telemetry snapshot
+(:mod:`repro.obs.events`) back through its manifest record — per-stage
+cycle attribution folded from the cell threads' cycle breakdowns,
+metrics, histogram summaries, retries, wall time.  Cells run untraced,
+so telemetry never changes which code path executes.  The isolation is
+the worker-reuse guarantee: a pooled process that runs many cells gives
+each one a fresh registry and span ring, so no counter can leak between
+cells.  Telemetry is observational — a figure command
+runs the same cells outside these scopes to the same state digests —
+and its deterministic view is byte-identical across reruns of the same
+cell.
 ``--profile`` additionally wraps each cell in cProfile and writes
 content-addressed artifacts next to the manifest
 (:mod:`repro.obs.profiling`); ``--dashboard`` renders the aggregation
@@ -175,7 +176,7 @@ def _jsonable(obj):
     return json.loads(json.dumps(obj, default=str))
 
 
-def _run_cell_observed(cell: Dict, telemetry: bool, profile_dir: Optional[str]):
+def _run_cell_observed(cell: Dict, profile_dir: Optional[str]):
     """Run a cell inside isolated obs scopes; returns (out, wall, extras).
 
     The isolated tracer/registry scopes are the worker-reuse lifecycle
@@ -210,10 +211,9 @@ def _run_cell_observed(cell: Dict, telemetry: bool, profile_dir: Optional[str]):
         else:
             out = run_cell(cell)
         wall = time.perf_counter() - start
-        if telemetry:
-            snapshot = obs_events.collect_cell_telemetry(wall_seconds=wall)
-            extras["telemetry"] = _jsonable(snapshot)
-            extras["telemetry_digest"] = obs_events.telemetry_digest(snapshot)
+        snapshot = obs_events.collect_cell_telemetry(wall_seconds=wall)
+        extras["telemetry"] = _jsonable(snapshot)
+        extras["telemetry_digest"] = obs_events.telemetry_digest(snapshot)
         if profile_dir:
             extras["profile"] = obs_profiling.write_profile_artifacts(
                 profile_dir,
@@ -230,22 +230,14 @@ def _run_cell_observed(cell: Dict, telemetry: bool, profile_dir: Optional[str]):
 def _execute_cell(cell: Dict) -> Dict:
     """One hermetic cell execution (no retry): :func:`run_cell`, then digest.
 
-    Observability options ride in the cell dict's reserved ``obs`` key
-    (set by :func:`run_sweep`, never part of the config digest):
-    ``telemetry`` (default on) collects a per-cell snapshot inside
-    isolated obs scopes; ``profile_dir`` wraps the cell in cProfile and
-    writes content-addressed artifacts there.
+    Every cell runs inside isolated obs scopes and ships its telemetry
+    snapshot.  The profile directory rides in the cell dict's reserved
+    ``obs`` key (set by :func:`run_sweep`, never part of the config
+    digest): ``profile_dir`` wraps the cell in cProfile and writes
+    content-addressed artifacts there.
     """
-    opts = cell.get("obs") or {}
-    telemetry = opts.get("telemetry", True)
-    profile_dir = opts.get("profile_dir")
-    if telemetry or profile_dir:
-        out, wall, extras = _run_cell_observed(cell, telemetry, profile_dir)
-    else:
-        start = time.perf_counter()
-        out = run_cell(cell)
-        wall = time.perf_counter() - start
-        extras = {}
+    profile_dir = (cell.get("obs") or {}).get("profile_dir")
+    out, wall, extras = _run_cell_observed(cell, profile_dir)
     state = out["state"] if out.get("state") is not None else out["payload"]
     record = {
         "kind": "cell",
@@ -390,7 +382,6 @@ def run_sweep(
     resume: bool = False,
     verify: bool = False,
     progress: Optional[Callable[[str], None]] = None,
-    telemetry: bool = True,
     profile: bool = False,
     dashboard=None,
     history_path: Optional[str] = None,
@@ -406,12 +397,12 @@ def run_sweep(
     Completed cells append to ``manifest_path`` immediately (one fsynced
     JSON line each); a summary record lands at the end.
 
-    ``telemetry`` (default on) ships a per-cell obs snapshot in each
-    record; ``profile`` writes cProfile + hotspot artifacts under
-    ``<manifest dir>/profiles``; ``dashboard`` is a
-    :class:`repro.obs.dashboard.SweepDashboard` fed the aggregation
-    stream; ``history_path``, when set, appends a ``kind: "sweep"``
-    trajectory record to that JSONL file after the summary.
+    Every record ships a per-cell obs snapshot; ``profile`` writes
+    cProfile + hotspot artifacts under ``<manifest dir>/profiles``;
+    ``dashboard`` is a :class:`repro.obs.dashboard.SweepDashboard` fed
+    the aggregation stream; ``history_path``, when set, appends a
+    ``kind: "sweep"`` trajectory record to that JSONL file after the
+    summary.
 
     ``cell_filter``, when set, keeps only cells it returns truthy for
     (applied after figure/scale enumeration) — how the CLI narrows the
@@ -447,7 +438,7 @@ def run_sweep(
         profile_dir = os.path.join(os.path.dirname(manifest_path) or ".", "profiles")
     for cell in to_run:
         # Reserved key, never part of the config digest (computed above).
-        cell["obs"] = {"telemetry": telemetry, "profile_dir": profile_dir}
+        cell["obs"] = {"profile_dir": profile_dir}
     say(
         f"sweep: {len(cells)} cells ({len(result.skipped)} complete in manifest, "
         f"{len(to_run)} to run), {result.workers} worker(s), scale={scale}"

@@ -11,15 +11,13 @@ deterministic bus.  The pieces:
   delivery order is fixed by ``(cycle, shard_id, seq)``.
 * :mod:`~repro.cluster.shard` — one shard's stack and epoch loop,
   reusing the engine's batched/fast-forward paths unchanged.
-* :mod:`~repro.cluster.coordinator` — the epoch loop, routing,
-  failover, and the serial / per-shard-process execution backends.
-* :mod:`~repro.cluster.serve` — multi-tenant serving placed across
-  shards by the same ring.
+* :mod:`~repro.cluster.coordinator` — the epoch loop that steps every
+  shard in shard-id order, routing, and failover.
 
 The determinism contract is DESIGN.md §13: the merged full-state digest
 of a cluster run is a pure function of its :class:`ClusterConfig` —
-invariant across backends, executor modes (unbatched / batched /
-fast-forward), and clean-vs-replayed failover runs.
+invariant across executor modes (unbatched / batched / fast-forward)
+and clean-vs-replayed failover runs.
 """
 
 from __future__ import annotations

@@ -10,26 +10,19 @@ global client op stream is a seeded counter-stream plan
 consistent hash ring, so the *same* dataset is served whatever the shard
 count; writes replicate to the page's replica set; an optional
 :class:`~repro.fault.shardkill.ShardKillSpec` kills a primary mid-epoch
-and the ring promotes each of its keys' first replica.
-
-Two execution backends share every line of shard and coordinator logic:
-
-* ``backend="serial"`` — all shards as in-process objects, stepped in
-  shard-id order each epoch.  This is the **single-process reference**.
-* ``backend="processes"`` — one dedicated worker process per shard
-  (from the same multiprocessing context the sweep pool uses), driven
-  over pipes with one request/response round per epoch.
+and the ring promotes each of its keys' first replica.  Every shard is
+an in-process object, stepped in shard-id order each epoch.
 
 The determinism contract (DESIGN.md §13): the merged full-state digest
 is a pure function of the :class:`ClusterConfig` — independent of the
-backend, of worker scheduling, and of the executor mode (unbatched /
-batched / analytic fast-forward).  ``tests/cluster`` and the CI cluster
-job assert all three equalities, clean and with an injected failover.
+executor mode (unbatched / batched / analytic fast-forward) and of
+replay.  ``tests/cluster`` and the CI cluster job assert both
+equalities, clean and with an injected failover.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.bus import EpochBus, ShardMessage
@@ -71,17 +64,6 @@ class ClusterConfig:
     #: Optional injected primary failure (see ``repro.fault.shardkill``).
     kill: Optional[ShardKillSpec] = None
 
-    def shard_params(self) -> Dict:
-        """The picklable per-shard build parameters."""
-        return {
-            "engine_kind": self.engine_kind,
-            "cache_pages": self.cache_pages,
-            "dataset_pages": self.dataset_pages,
-            "device_kind": self.device_kind,
-            "batched": self.batched,
-            "fastforward": self.fastforward,
-        }
-
 
 @dataclass
 class ClusterResult:
@@ -94,11 +76,10 @@ class ClusterResult:
     router_digest: Dict
     epochs: int = 0
     rerouted_ops: int = 0
-    backend: str = "serial"
 
     def merged_digest(self) -> Dict:
         """The merged full-state digest structure: every shard's digest
-        plus the bus and router state.  Backend- and mode-invariant."""
+        plus the bus and router state.  Mode-invariant."""
         return {
             "shards": {sid: d for sid, d in sorted(self.shard_digests.items())},
             "bus": self.bus_digest,
@@ -134,7 +115,9 @@ class ClusterResult:
             "engine": self.config.engine_kind,
             "shards": self.config.num_shards,
             "replication": self.config.replication,
-            "backend": self.backend,
+            # Constant (the cluster has one execution path); kept so the
+            # committed sweep payloads reproduce byte for byte.
+            "backend": "serial",
             "epochs": self.epochs,
             "client_ops": self.total_client_ops(),
             "rerouted_ops": self.rerouted_ops,
@@ -217,174 +200,18 @@ def _route(
     return assignments
 
 
-# -- backends ------------------------------------------------------------------
-
-
-class SerialBackend:
-    """All shards in this process, stepped in shard-id order — the
-    single-process reference every distributed run is verified against."""
-
-    name = "serial"
-
-    def __init__(self, config: ClusterConfig) -> None:
-        self.shards = {
-            sid: ShardSim(sid, config.shard_params())
-            for sid in range(config.num_shards)
-        }
-
-    def run_epoch(
-        self,
-        assignments: Dict[int, ShardOps],
-        inboxes: Dict[int, List[ShardMessage]],
-        kill: Optional[Tuple[int, int]],
-    ) -> Dict[int, List[ShardMessage]]:
-        """One epoch on every live shard; returns per-shard outboxes."""
-        outboxes: Dict[int, List[ShardMessage]] = {}
-        for sid in sorted(self.shards):
-            shard = self.shards[sid]
-            if not shard.alive:
-                continue
-            kill_at = kill[1] if kill is not None and kill[0] == sid else None
-            outboxes[sid] = shard.run_epoch(
-                assignments.get(sid, ShardOps()), inboxes.get(sid, []), kill_at
-            )
-        return outboxes
-
-    def digests(self) -> Dict[int, Dict]:
-        """Every shard's full-state digest."""
-        return {sid: shard.digest() for sid, shard in self.shards.items()}
-
-    def summaries(self) -> Dict[int, Dict]:
-        """Every shard's payload summary."""
-        return {sid: shard.summary() for sid, shard in self.shards.items()}
-
-    def close(self) -> None:
-        """Nothing to tear down in-process."""
-
-
-def _shard_worker(conn, shard_id: int, params: Dict) -> None:
-    """Worker-process body: build one shard, serve epoch requests.
-
-    Protocol (one request/response round per call):
-    ``("epoch", ops, inbox, kill_at) -> outbox``;
-    ``("digest",) -> (digest, summary)``; ``("stop",) -> exit``.
-    Everything on the pipe is plain dataclasses/lists of primitives.
-    """
-    shard = ShardSim(shard_id, params)
-    while True:
-        request = conn.recv()
-        if request[0] == "epoch":
-            _, ops, inbox, kill_at = request
-            conn.send(shard.run_epoch(ops, inbox, kill_at))
-        elif request[0] == "digest":
-            conn.send((shard.digest(), shard.summary()))
-        elif request[0] == "stop":
-            conn.close()
-            return
-        else:                      # pragma: no cover - protocol guard
-            raise ValueError(f"unknown shard request {request[0]!r}")
-
-
-class ProcessBackend:
-    """One dedicated worker process per shard, driven over pipes.
-
-    Uses the same multiprocessing context policy as the sweep pool
-    (fork when available, spawn otherwise).  Requests fan out to every
-    live shard before any response is awaited, so shards genuinely run
-    their epochs concurrently; responses are collected in shard-id
-    order, which — with the bus's ``(cycle, shard_id, seq)`` commit
-    ordering — makes arrival timing unobservable.
-    """
-
-    name = "processes"
-
-    def __init__(self, config: ClusterConfig) -> None:
-        import multiprocessing as mp
-
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-        self._conns = {}
-        self._procs = {}
-        for sid in range(config.num_shards):
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=_shard_worker,
-                args=(child, sid, config.shard_params()),
-                daemon=True,
-            )
-            proc.start()
-            child.close()
-            self._conns[sid] = parent
-            self._procs[sid] = proc
-        self._dead: set = set()
-
-    def run_epoch(
-        self,
-        assignments: Dict[int, ShardOps],
-        inboxes: Dict[int, List[ShardMessage]],
-        kill: Optional[Tuple[int, int]],
-    ) -> Dict[int, List[ShardMessage]]:
-        """Fan one epoch out to every live shard process; gather outboxes."""
-        live = [sid for sid in sorted(self._conns) if sid not in self._dead]
-        for sid in live:
-            kill_at = kill[1] if kill is not None and kill[0] == sid else None
-            self._conns[sid].send(
-                ("epoch", assignments.get(sid, ShardOps()), inboxes.get(sid, []), kill_at)
-            )
-        outboxes = {sid: self._conns[sid].recv() for sid in live}
-        if kill is not None:
-            self._dead.add(kill[0])
-        return outboxes
-
-    def digests(self) -> Dict[int, Dict]:
-        """Collect every shard's digest (dead shards answer too — their
-        frozen state is part of the merged digest)."""
-        return {sid: state[0] for sid, state in self._collect().items()}
-
-    def summaries(self) -> Dict[int, Dict]:
-        """Collect every shard's payload summary."""
-        return {sid: state[1] for sid, state in self._collect().items()}
-
-    def _collect(self) -> Dict[int, Tuple[Dict, Dict]]:
-        if not hasattr(self, "_state"):
-            for sid in sorted(self._conns):
-                self._conns[sid].send(("digest",))
-            self._state = {
-                sid: self._conns[sid].recv() for sid in sorted(self._conns)
-            }
-        return self._state
-
-    def close(self) -> None:
-        """Stop and join every shard process."""
-        for sid, conn in self._conns.items():
-            try:
-                conn.send(("stop",))
-                conn.close()
-            except (BrokenPipeError, OSError):  # pragma: no cover
-                pass
-        for proc in self._procs.values():
-            proc.join(timeout=30)
-            if proc.is_alive():               # pragma: no cover - hung worker
-                proc.terminate()
-
-
-_BACKENDS = {"serial": SerialBackend, "processes": ProcessBackend}
-
-
-def run_cluster(config: ClusterConfig, backend: str = "serial") -> ClusterResult:
+def run_cluster(config: ClusterConfig) -> ClusterResult:
     """Run one sharded simulation to completion; returns its result.
 
     The epoch loop: route the epoch's client window (plus any ops
-    re-routed from a killed primary) against the current ring, fan the
-    slices to the shards together with the bus's boundary-delivered
-    inboxes, commit the returned outboxes (sorted by the
-    ``(cycle, shard_id, seq)`` ordering key), and apply any injected
+    re-routed from a killed primary) against the current ring, step
+    every live shard in shard-id order over its slice and the bus's
+    boundary-delivered inbox, commit the returned outboxes (sorted by
+    the ``(cycle, shard_id, seq)`` ordering key), and apply any injected
     shard kill — ring removal promotes each key's first replica.  After
     the last client window, drain epochs run until no messages remain
     buffered, so replication always lands before digesting.
     """
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown cluster backend {backend!r}")
     if config.num_shards < 1:
         raise ValueError("a cluster needs at least one shard")
     if config.replication < 1 or config.replication > config.num_shards:
@@ -397,62 +224,68 @@ def run_cluster(config: ClusterConfig, backend: str = "serial") -> ClusterResult
     plan = ClientPlan(config)
     ring = HashRing(range(config.num_shards), config.vnodes, config.seed)
     bus = EpochBus()
-    engine = _BACKENDS[backend](config)
+    shards = [ShardSim(sid, config) for sid in range(config.num_shards)]
     live = {sid: True for sid in range(config.num_shards)}
     carried: List[Tuple[int, int, bool, int]] = []
     rerouted = 0
     epochs = 0
     num_windows = (config.total_ops + config.epoch_ops - 1) // config.epoch_ops
 
-    try:
-        epoch = 0
-        while True:
-            window = plan.epoch_window(epoch, config.epoch_ops)
-            pending_msgs = bus.pending()
-            if epoch >= num_windows and not carried and not pending_msgs:
-                break
-            ops = carried + [
-                (plan.pages[i], plan.keys[i], plan.writes[i], plan.offsets[i])
-                for i in window
-            ]
-            carried = []
-            assignments = _route(ring, config.replication, ops, live)
-            kill: Optional[Tuple[int, int]] = None
-            if (
-                config.kill is not None
-                and config.kill.epoch == epoch
-                and live.get(config.kill.shard_id, False)
-            ):
-                kill = (config.kill.shard_id, config.kill.op_index)
-            inboxes = {sid: bus.take_inbox(sid) for sid in live if live[sid]}
-            outboxes = engine.run_epoch(assignments, inboxes, kill)
-            bus.commit([outboxes[sid] for sid in sorted(outboxes)])
-            if kill is not None:
-                dead_sid = kill[0]
-                live[dead_sid] = False
-                bus.drop_inbox(dead_sid)
-                victim_ops = assignments.get(dead_sid)
-                if victim_ops is not None:
-                    tail = victim_ops.tail(min(kill[1], len(victim_ops)))
-                    carried.extend(tail)
-                    rerouted += len(tail)
-                ring = ring.remove(dead_sid)
-            epochs += 1
-            epoch += 1
+    epoch = 0
+    while True:
+        window = plan.epoch_window(epoch, config.epoch_ops)
+        pending_msgs = bus.pending()
+        if epoch >= num_windows and not carried and not pending_msgs:
+            break
+        ops = carried + [
+            (plan.pages[i], plan.keys[i], plan.writes[i], plan.offsets[i])
+            for i in window
+        ]
+        carried = []
+        assignments = _route(ring, config.replication, ops, live)
+        kill: Optional[Tuple[int, int]] = None
+        if (
+            config.kill is not None
+            and config.kill.epoch == epoch
+            and live.get(config.kill.shard_id, False)
+        ):
+            kill = (config.kill.shard_id, config.kill.op_index)
+        inboxes = {sid: bus.take_inbox(sid) for sid in live if live[sid]}
+        outboxes: List[List[ShardMessage]] = []
+        for shard in shards:
+            if not shard.alive:
+                continue
+            sid = shard.shard_id
+            kill_at = kill[1] if kill is not None and kill[0] == sid else None
+            outboxes.append(
+                shard.run_epoch(
+                    assignments.get(sid, ShardOps()), inboxes.get(sid, []), kill_at
+                )
+            )
+        bus.commit(outboxes)
+        if kill is not None:
+            dead_sid = kill[0]
+            live[dead_sid] = False
+            bus.drop_inbox(dead_sid)
+            victim_ops = assignments.get(dead_sid)
+            if victim_ops is not None:
+                tail = victim_ops.tail(min(kill[1], len(victim_ops)))
+                carried.extend(tail)
+                rerouted += len(tail)
+            ring = ring.remove(dead_sid)
+        epochs += 1
+        epoch += 1
 
-        return ClusterResult(
-            config=config,
-            shard_digests=engine.digests(),
-            shard_summaries=engine.summaries(),
-            bus_digest=bus.digest(),
-            router_digest={
-                "live_shards": tuple(sorted(sid for sid in live if live[sid])),
-                "vnodes": config.vnodes,
-                "replication": config.replication,
-            },
-            epochs=epochs,
-            rerouted_ops=rerouted,
-            backend=engine.name,
-        )
-    finally:
-        engine.close()
+    return ClusterResult(
+        config=config,
+        shard_digests={shard.shard_id: shard.digest() for shard in shards},
+        shard_summaries={shard.shard_id: shard.summary() for shard in shards},
+        bus_digest=bus.digest(),
+        router_digest={
+            "live_shards": tuple(sorted(sid for sid in live if live[sid])),
+            "vnodes": config.vnodes,
+            "replication": config.replication,
+        },
+        epochs=epochs,
+        rerouted_ops=rerouted,
+    )

@@ -6,9 +6,9 @@ owned by the first point at or clockwise of its hash, and its replicas
 are the next ``replication - 1`` *distinct* shards further clockwise.
 All hashes are :func:`repro.sim.rand.mix64` / sha-derived — never
 Python's randomized ``hash()`` — so placement is a pure function of
-``(seed, shard ids, vnodes)`` and identical in every process, which is
-what lets the serial reference and the multi-process cluster backend
-route the same key to the same shard (DESIGN.md §13).
+``(seed, shard ids, vnodes)`` and identical in every process, so a
+sweep cell routes every key the same way on every replay and in every
+worker (DESIGN.md §13).
 
 The ring is also the failover mechanism: :meth:`HashRing.remove` drops a
 dead shard's points, and by the successor rule every key the dead shard

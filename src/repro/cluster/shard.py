@@ -13,10 +13,9 @@ collecting an outbox of cycle-stamped replication messages for the
 writes it served.
 
 Identity discipline: every shard resets the global ``SimThread`` /
-``BackingFile`` id counters before building its stack, so a shard sees
-the *same local id space* whether it is built inside a dedicated worker
-process or as the Nth shard of the serial reference — the property that
-makes the two backends digest-identical (DESIGN.md §13).
+``BackingFile`` id counters before building its stack, so each shard
+has its own local id space and its digest is independent of build order
+and shard count (DESIGN.md §13).
 
 Completion stamps reuse the serving layer's cursor idiom (DESIGN.md
 §12): an op's completion cycle is the epoch-start clock advanced by the
@@ -27,7 +26,7 @@ stamps (and therefore bus delivery order) are mode-invariant.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster.bus import ShardMessage
 from repro.common import units
@@ -37,6 +36,9 @@ from repro.sim.conformance import stack_state_digest
 from repro.sim.executor import Executor, SimThread
 from repro.sim.fastforward import AccessPlan
 from repro.workloads.microbench import WRITE_DATA
+
+if TYPE_CHECKING:   # break the shard <-> coordinator import cycle
+    from repro.cluster.coordinator import ClusterConfig
 
 #: Payload every replicated store writes on the replica — the same
 #: constant-byte idiom as the microbenchmark's ``WRITE_DATA`` (identical
@@ -54,8 +56,7 @@ class ShardOps:
     drive the engine accesses; ``keys`` and ``dests`` ride along so
     writes can be stamped into replication messages (``dests`` is the
     page's replica set under the ring the coordinator routed with).
-    Plain lists of primitives, so a slice pickles cheaply to a worker
-    process.
+    Plain lists of primitives.
     """
 
     __slots__ = ("pages", "offsets", "writes", "keys", "dests")
@@ -102,23 +103,21 @@ class ShardOps:
 class ShardSim:
     """One shard's stack, server thread, and epoch loop."""
 
-    def __init__(self, shard_id: int, params: Dict) -> None:
+    def __init__(self, shard_id: int, config: "ClusterConfig") -> None:
         from repro.bench.setups import make_stack
 
-        # Same local id space in every backend: a shard built as the Nth
-        # of a serial run must equal one built alone in a fresh worker.
+        # A shard-local id space: each shard's digest is independent of
+        # how many shards were built before it (DESIGN.md §13).
         SimThread.reset_ids()
         BackingFile.reset_ids()
         self.shard_id = shard_id
-        self.dataset_pages = int(params["dataset_pages"])
-        self.batched = bool(params["batched"])
+        self.dataset_pages = config.dataset_pages
+        self.batched = config.batched
         self.stack = make_stack(
-            params["engine_kind"], params.get("device_kind", "pmem"), int(params["cache_pages"])
+            config.engine_kind, config.device_kind, config.cache_pages
         )
         self.engine = self.stack.engine
-        self.engine.fastforward = bool(
-            self.batched and params.get("fastforward", True)
-        )
+        self.engine.fastforward = config.batched and config.fastforward
         self.thread = SimThread(core=0, name=f"shard-{shard_id}")
         file = self.stack.allocator.create(
             f"shard-{shard_id}", self.dataset_pages * units.PAGE_SIZE

@@ -8,8 +8,7 @@ the epoch in which it dies, and the op ordinal *within* that epoch after
 which it stops serving — the same op-indexed trigger idiom as
 :class:`~repro.fault.plan.FaultSpec` triggers and the CRASH controller's
 boundary ordinals (DESIGN.md §7): "kill shard 2 at epoch 3, op 17"
-names the same instant on every replay, in every backend, in every
-executor mode.
+names the same instant on every replay and in every executor mode.
 
 Kill semantics (the part that keeps failover deterministic, §13):
 

@@ -37,7 +37,6 @@ def test_help_documents_every_flag(capsys):
         "--verify",
         "--dashboard",
         "--profile",
-        "--no-telemetry",
         "--openmetrics",
         "--history",
         "--no-history",

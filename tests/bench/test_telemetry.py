@@ -5,8 +5,10 @@ against real sweep cells:
 
 * **byte-identity** — two runs of the same cell produce byte-identical
   deterministic telemetry views;
-* **conformance safety** — telemetry on/off changes no state digest and
-  no code path (the same hit loop, analytic windows and faults run);
+* **conformance safety** — a sweep cell observed in its telemetry scopes
+  and the same cell run plain (as a figure command runs it) reach the
+  same state digest on the same code path (the same hit loop, analytic
+  windows and faults run);
 * **full coverage** — stage attribution accounts for every cycle every
   cell thread charged;
 * **worker isolation** — two cells executed back to back in one process
@@ -19,10 +21,11 @@ import os
 
 import pytest
 
-from repro.bench.sweep import _execute_cell, enumerate_cells, run_sweep
+from repro.bench.sweep import _execute_cell, enumerate_cells, run_cell, run_sweep
 from repro.mmio.aquila import AquilaEngine
 from repro.obs import METRICS, TRACER
 from repro.obs.events import telemetry_bytes
+from repro.sim.conformance import hash_digest
 from repro.sim.executor import SimThread
 
 
@@ -57,7 +60,6 @@ def _capture(monkeypatch, cls):
 class TestByteIdentity:
     def test_same_cell_twice_is_byte_identical(self):
         cell = _cell()
-        cell["obs"] = {"telemetry": True}
         first = _execute_cell(dict(cell))
         second = _execute_cell(dict(cell))
         assert telemetry_bytes(first["telemetry"]) == telemetry_bytes(
@@ -71,7 +73,6 @@ class TestByteIdentity:
         from repro.obs.events import telemetry_digest
 
         cell = _cell()
-        cell["obs"] = {"telemetry": True}
         entry = _execute_cell(cell)
         shipped = json.loads(json.dumps(entry["telemetry"]))
         assert telemetry_digest(shipped) == entry["telemetry_digest"]
@@ -80,10 +81,9 @@ class TestByteIdentity:
 class TestConformanceSafety:
     def test_state_digest_identical_with_and_without_telemetry(self):
         cell = _cell()
-        with_telemetry = _execute_cell({**cell, "obs": {"telemetry": True}})
-        without = _execute_cell({**cell, "obs": {"telemetry": False}})
-        assert with_telemetry["state_digest"] == without["state_digest"]
-        assert "telemetry" not in without
+        with_telemetry = _execute_cell(dict(cell))
+        without = run_cell(cell)
+        assert with_telemetry["state_digest"] == hash_digest(without["state"])
 
     @pytest.mark.parametrize(
         "cell_id", ["fig10b/shared/aquila/t16", "fig10a/shared/aquila/t4"]
@@ -91,9 +91,9 @@ class TestConformanceSafety:
     def test_observing_a_cell_does_not_change_its_path(self, monkeypatch, cell_id):
         engines = _capture(monkeypatch, AquilaEngine)
         cell = _cell(cell_id)
-        observed = _execute_cell({**cell, "obs": {"telemetry": True}})
-        plain = _execute_cell({**cell, "obs": {"telemetry": False}})
-        assert observed["state_digest"] == plain["state_digest"]
+        observed = _execute_cell(dict(cell))
+        plain = run_cell(cell)
+        assert observed["state_digest"] == hash_digest(plain["state"])
         fields = ("batched_hits", "ff_runs", "ff_hits", "major_faults")
         on, off = ([getattr(e, f) for f in fields] for e in engines)
         assert on == off
@@ -106,10 +106,8 @@ class TestConformanceSafety:
 
     def test_profiling_does_not_change_state_digest(self, tmp_path):
         cell = _cell()
-        plain = _execute_cell({**cell, "obs": {"telemetry": True}})
-        profiled = _execute_cell(
-            {**cell, "obs": {"telemetry": True, "profile_dir": str(tmp_path)}}
-        )
+        plain = _execute_cell(dict(cell))
+        profiled = _execute_cell({**cell, "obs": {"profile_dir": str(tmp_path)}})
         assert profiled["state_digest"] == plain["state_digest"]
         assert profiled["telemetry_digest"] == plain["telemetry_digest"]
 
@@ -119,9 +117,7 @@ class TestAttributionCoverage:
         """Long cells are attributed in full, not just their tail."""
         threads = _capture(monkeypatch, SimThread)
         cell = _cell("fig10b/shared/linux/t1")
-        attribution = _execute_cell({**cell, "obs": {"telemetry": True}})[
-            "telemetry"
-        ]["attribution"]
+        attribution = _execute_cell(cell)["telemetry"]["attribution"]
         charged = sum(thread.clock.breakdown.total() for thread in threads)
         assert charged > 0
         assert attribution["total_cycles"] == pytest.approx(charged, rel=1e-12)
@@ -136,7 +132,6 @@ class TestWorkerIsolation:
         cells = enumerate_cells(["fig10a"], "bench")
         small = [c for c in cells if c["cell_id"] == "fig10a/shared/aquila/t1"][0]
         large = [c for c in cells if c["cell_id"] == "fig10a/shared/aquila/t16"][0]
-        small["obs"] = large["obs"] = {"telemetry": True}
         # Baseline: each cell alone in a fresh call.
         alone_small = _execute_cell(dict(small))["telemetry"]
         # Back to back, same process, reversed and repeated orders.
@@ -155,9 +150,7 @@ class TestWorkerIsolation:
 
         obs.enable_metrics()
         before = set(METRICS.snapshot())
-        cell = _cell()
-        cell["obs"] = {"telemetry": True}
-        _execute_cell(cell)
+        _execute_cell(_cell())
         after = METRICS.snapshot()
         # No cell-side counters (engine.*, fault.*) appeared outside.
         assert set(after) == before
@@ -181,7 +174,7 @@ class TestWorkerIsolation:
 class TestProfileArtifacts:
     def test_profile_artifacts_content_addressed(self, tmp_path):
         cell = _cell()
-        cell["obs"] = {"telemetry": True, "profile_dir": str(tmp_path)}
+        cell["obs"] = {"profile_dir": str(tmp_path)}
         entry = _execute_cell(cell)
         paths = entry["profile"]
         assert os.path.basename(paths["pstats"]) == f"{cell['config_digest']}.pstats"

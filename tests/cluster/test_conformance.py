@@ -2,8 +2,7 @@
 
 The merged full-state digest of a cluster run must be a pure function
 of its config: identical across executor modes (unbatched / batched /
-analytic fast-forward), across execution backends (serial reference vs
-one process per shard), and across replays — clean and with an injected
+analytic fast-forward) and across replays — clean and with an injected
 mid-epoch primary kill.  These are the same equalities the CI cluster
 job gates at 4-shard scale.
 """
@@ -28,10 +27,10 @@ BASE = dict(
 )
 
 
-def _run(backend="serial", **overrides):
+def _run(**overrides):
     params = dict(BASE)
     params.update(overrides)
-    return run_cluster(ClusterConfig(**params), backend=backend)
+    return run_cluster(ClusterConfig(**params))
 
 
 KILL = derive_shard_kill(BASE["seed"], BASE["num_shards"], 4, BASE["epoch_ops"])
@@ -66,19 +65,6 @@ class TestModeConformance:
 
     def test_kill_actually_changes_state(self):
         assert _run().merged_hash() != _run(kill=KILL).merged_hash()
-
-
-class TestBackendConformance:
-    def test_process_backend_matches_serial_reference(self):
-        serial = _run(backend="serial")
-        procs = _run(backend="processes")
-        assert procs.backend == "processes"
-        assert serial.merged_hash() == procs.merged_hash()
-
-    def test_process_backend_matches_serial_with_failover(self):
-        serial = _run(backend="serial", kill=KILL)
-        procs = _run(backend="processes", kill=KILL)
-        assert serial.merged_hash() == procs.merged_hash()
 
     def test_replay_is_bit_identical(self):
         assert _run(kill=KILL).merged_hash() == _run(kill=KILL).merged_hash()
@@ -128,8 +114,6 @@ class TestEdgeCases:
         )
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            _run(backend="threads")
         with pytest.raises(ValueError):
             _run(num_shards=0)
         with pytest.raises(ValueError):

@@ -32,14 +32,12 @@ class TestSweepInvariance:
             scale="bench",
             workers=1,
             manifest_path=str(tmp_path / "a.jsonl"),
-            telemetry=False,
         )
         sharded = run_sweep(
             figures=["cluster"],
             scale="bench",
             workers=2,
             manifest_path=str(tmp_path / "b.jsonl"),
-            telemetry=False,
         )
         assert serial.ok and sharded.ok
         assert serial.digests() == sharded.digests()
@@ -50,7 +48,6 @@ class TestSweepInvariance:
             figures=["cluster"],
             scale="bench",
             manifest_path=str(tmp_path / "c.jsonl"),
-            telemetry=False,
             cell_filter=lambda cell: cell["params"].get("num_shards") == 4,
         )
         assert result.ok

@@ -86,7 +86,9 @@ class TestExecution:
 
 
 @pytest.mark.parametrize(
-    "figure, threads", [("fig8a", None), ("fig10a", [1])], ids=["fig8a", "fig10a-t1"]
+    "figure, threads",
+    [("fig8a", None), ("fig10a", [1]), ("cluster", None)],
+    ids=["fig8a", "fig10a-t1", "cluster"],
 )
 def test_payloads_equal_the_manifest(figure, threads):
     """A figure command's payloads are the sweep's, cell by cell.
@@ -104,7 +106,9 @@ def test_payloads_equal_the_manifest(figure, threads):
 
 
 class TestRejectedFilters:
-    """Options that would select nothing exit 2 and name the valid values."""
+    """Options that would select nothing exit 2 and name the valid values;
+    an option set on a command it does not apply to exits 2 and names the
+    commands it applies to."""
 
     def test_threads_off_the_grid(self, capsys):
         assert main(["fig10a", "--threads", "1", "3"]) == 2
@@ -127,3 +131,44 @@ class TestRejectedFilters:
         assert main(["fig9", "--workloads", "C", "G"]) == 2
         err = capsys.readouterr().err
         assert "--workloads G" in err and "A B C D E F" in err
+
+    @pytest.mark.parametrize(
+        "argv, option, applies_to",
+        [
+            (
+                ["list", "--threads", "3", "--workloads", "Z"],
+                "--threads",
+                "the figure commands",
+            ),
+            (["list", "--metrics"], "--metrics", "the figure commands, sweep"),
+            (
+                ["report", "--check", "--resume", "--workers", "3", "--threads", "9"],
+                "--threads",
+                "the figure commands",
+            ),
+            (["report", "--check", "--resume"], "--resume", "sweep"),
+            (
+                ["fig8a", "--workers", "4", "--output", "X", "--resume"],
+                "--workers",
+                "sweep",
+            ),
+            (["fig8a", "--output", "X"], "--output", "report"),
+            (["fig8a", "--manifest", "m.jsonl"], "--manifest", "sweep, report"),
+            (["list", "--check"], "--check", "report"),
+        ],
+        ids=[
+            "list-threads", "list-metrics", "report-threads", "report-resume",
+            "figure-workers", "figure-output", "figure-manifest", "list-check",
+        ],
+    )
+    def test_option_on_a_command_it_does_not_apply_to(
+        self, argv, option, applies_to, capsys
+    ):
+        """Options are checked in parser order; the first misapplied one is named."""
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{option} does not apply to {argv[0]}" in err
+        assert f"it applies to: {applies_to}" in err
+
+    def test_an_option_left_at_its_default_is_not_rejected(self, capsys):
+        assert main(["list", "--workers", "1", "--scale", "figure"]) == 0
