@@ -137,20 +137,18 @@ examples:
   python -m repro.bench fig8c --faults "seed=42,error=0.01,latency=0.02"
   python -m repro.bench sweep --workers 4 --resume
   python -m repro.bench sweep --figures fig10 --scale bench --manifest /tmp/m.jsonl
-  python -m repro.bench sweep --dashboard               # live terminal dashboard
-  python -m repro.bench sweep --dashboard=log --profile # CI: log lines + profiles
-  python -m repro.bench sweep --openmetrics /tmp/om.txt # exposition-text dump
+  python -m repro.bench sweep --verify          # re-run cells, exit 1 on drift
   python -m repro.bench report                  # regenerate EXPERIMENTS.md
   python -m repro.bench report --check          # fail (exit 1) on doc drift
 
 a figure command runs that figure's figure-scale sweep cells, each
 hermetically, and prints its EXPERIMENTS.md section; --threads and
 --workloads pick cells from the figure's grid (exit 2 if they select
-nothing).  Observability and fault flags apply to the figure commands;
---metrics also reports the sweep orchestrator's own counters.  An option
-given to a command it does not apply to exits 2.
---faults is rejected for sweep: a fault plan is process-global mutable
-state, so injected runs are only deterministic per single-figure process.
+nothing).  Observability and fault flags apply to the figure commands
+only: a sweep's record is its manifest, and a fault plan is
+process-global state that would make a sweep's digests depend on which
+worker ran a cell.  An option given to a command it does not apply to
+exits 2.
 """
 
 
@@ -225,15 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="YCSB workloads for fig9 (default: all of A-F)",
     )
-    obsgroup = _option_group(
-        parser, "observability and faults", (FIGURES, "sweep")
-    )
+    obsgroup = _option_group(parser, "observability and faults", (FIGURES,))
     obsgroup(
         "--trace",
         metavar="PATH",
         default=None,
-        help="record a cycle trace and write Chrome trace-event JSON to PATH "
-        "(in sweep mode: orchestrator-level per-cell wall-time spans)",
+        help="record a cycle trace and write Chrome trace-event JSON to PATH",
     )
     obsgroup(
         "--faults",
@@ -241,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "inject deterministic device faults, e.g. "
-            "'seed=42,error=0.01,latency=0.02,torn=0.005,spike=240000,max=100' "
-            "(figure commands only; rejected for sweep)"
+            "'seed=42,error=0.01,latency=0.02,torn=0.005,spike=240000,max=100'"
         ),
     )
     obsgroup(
@@ -266,14 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(e.g. 'fig10' or 'fig5b fig9')",
     )
     sweep(
-        "--cluster-shards",
-        type=int,
-        metavar="N",
-        default=None,
-        help="run only the cluster figure family, restricted to cells with "
-        "this shard count (failover cells included when N matches)",
-    )
-    sweep(
         "--scale",
         choices=["figure", "bench"],
         default="figure",
@@ -289,28 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify",
         action="store_true",
         help="re-run manifest-complete cells and fail on state-digest mismatch",
-    )
-    sweep(
-        "--dashboard",
-        nargs="?",
-        const="live",
-        choices=["live", "log"],
-        default=None,
-        help="render the sweep live: 'live' (default when flag is bare) is an "
-        "ANSI in-place view, 'log' prints deterministic one-line events for CI",
-    )
-    sweep(
-        "--profile",
-        action="store_true",
-        help="wrap each cell in cProfile and write content-addressed "
-        "pstats/hotspot artifacts under <manifest dir>/profiles",
-    )
-    sweep(
-        "--openmetrics",
-        metavar="PATH",
-        default=None,
-        help="after the sweep, dump the orchestrator metrics registry as "
-        "OpenMetrics-style text to PATH (requires --metrics)",
     )
     sweep(
         "--history",
@@ -353,15 +317,7 @@ def _run_sweep_command(args) -> int:
     import os
 
     from repro.bench.sweep import DEFAULT_MANIFEST, run_sweep
-    from repro.obs.dashboard import make_dashboard
 
-    if args.faults:
-        print(
-            "error: --faults is not supported by sweep (fault plans are "
-            "process-global; use a single-figure command)",
-            file=sys.stderr,
-        )
-        return 2
     manifest_path = args.manifest or DEFAULT_MANIFEST
     if args.no_history:
         history_path = None
@@ -369,31 +325,16 @@ def _run_sweep_command(args) -> int:
         history_path = args.history or os.path.join(
             os.path.dirname(manifest_path) or ".", "BENCH_history.jsonl"
         )
-    dashboard = make_dashboard(args.dashboard)
-    # The live dashboard owns the terminal; progress lines would tear it.
-    progress = print if args.dashboard != "live" else (lambda message: None)
-    figures = args.figures
-    cell_filter = None
-    if args.cluster_shards is not None:
-        if args.cluster_shards < 1:
-            print("error: --cluster-shards must be >= 1", file=sys.stderr)
-            return 2
-        figures = ["cluster"]
-        shards = args.cluster_shards
-        cell_filter = lambda cell: cell["params"].get("num_shards") == shards
     try:
         result = run_sweep(
-            figures=figures,
+            figures=args.figures,
             scale=args.scale,
             workers=args.workers,
             manifest_path=manifest_path,
             resume=args.resume,
             verify=args.verify,
-            progress=progress,
-            profile=args.profile,
-            dashboard=dashboard,
+            progress=print,
             history_path=history_path,
-            cell_filter=cell_filter,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -464,37 +405,7 @@ def main(argv: List[str] = None) -> int:
     if args.experiment == "report":
         return _run_report_command(args)
     if args.experiment == "sweep":
-        if args.openmetrics and not args.metrics:
-            print(
-                "error: --openmetrics needs --metrics (the orchestrator "
-                "registry is otherwise disabled and empty)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.trace or args.metrics:
-            from repro import obs
-
-            if args.trace:
-                obs.enable_tracing()
-            if args.metrics:
-                obs.enable_metrics()
-        code = _run_sweep_command(args)
-        if args.trace:
-            from repro import obs
-
-            events = obs.write_trace(args.trace)
-            print(f"trace: wrote {events} orchestrator events to {args.trace}")
-        if args.metrics:
-            from repro import obs
-            from repro.bench.report import metrics_table
-
-            metrics_table(obs.METRICS.snapshot()).show()
-        if args.openmetrics:
-            from repro import obs
-
-            lines = obs.write_openmetrics(args.openmetrics)
-            print(f"openmetrics: wrote {lines} lines to {args.openmetrics}")
-        return code
+        return _run_sweep_command(args)
     try:
         cells = select_cells(args.experiment, args.threads, args.workloads)
     except ValueError as exc:

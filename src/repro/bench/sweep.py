@@ -31,18 +31,16 @@ Telemetry (DESIGN.md §10): every cell executes inside isolated
 tracer/registry scopes and ships a structured telemetry snapshot
 (:mod:`repro.obs.events`) back through its manifest record — per-stage
 cycle attribution folded from the cell threads' cycle breakdowns,
-metrics, histogram summaries, retries, wall time.  Cells run untraced,
-so telemetry never changes which code path executes.  The isolation is
-the worker-reuse guarantee: a pooled process that runs many cells gives
-each one a fresh registry and span ring, so no counter can leak between
-cells.  Telemetry is observational — a figure command
+metrics, histogram summaries, retries, wall time.  The scope leaves the
+tracer off, so telemetry never changes which code path executes; only
+fig7, whose figure is a span breakdown, traces its own measured phase.
+The isolation is the worker-reuse guarantee: a pooled process that runs
+many cells gives each one a fresh registry and span ring, so no counter
+can leak between cells.  Telemetry is observational — a figure command
 runs the same cells outside these scopes to the same state digests —
 and its deterministic view is byte-identical across reruns of the same
-cell.
-``--profile`` additionally wraps each cell in cProfile and writes
-content-addressed artifacts next to the manifest
-(:mod:`repro.obs.profiling`); ``--dashboard`` renders the aggregation
-stream live (:mod:`repro.obs.dashboard`).
+cell.  The manifest is the sweep's whole record: the orchestrator keeps
+no counters, spans or profiles of its own.
 """
 
 from __future__ import annotations
@@ -86,12 +84,10 @@ class WallClock:
     """A wall-time clock speaking the simulator's clock protocol.
 
     The orchestrator lives in real time, but the retry machinery
-    (:func:`repro.fault.retry.with_retries`) and the tracer expect a
-    clock with ``now`` and ``charge``.  ``now`` counts *wall* cycles
-    (elapsed seconds x the simulated CPU frequency) so orchestrator
-    spans export to Chrome traces with real microsecond timestamps, and
-    ``charge`` sleeps the charged cycles — exponential retry backoff at
-    honest (microsecond) scale.
+    (:func:`repro.fault.retry.with_retries`) expects a clock with
+    ``now`` and ``charge``.  ``charge`` sleeps the charged cycles at the
+    simulated CPU frequency — exponential retry backoff at honest
+    (microsecond) scale.
     """
 
     owner_name = "sweep"
@@ -176,24 +172,22 @@ def _jsonable(obj):
     return json.loads(json.dumps(obj, default=str))
 
 
-def _run_cell_observed(cell: Dict, profile_dir: Optional[str]):
-    """Run a cell inside isolated obs scopes; returns (out, wall, extras).
+def _execute_cell(cell: Dict) -> Dict:
+    """One hermetic cell execution (no retry): :func:`run_cell`, then digest.
 
-    The isolated tracer/registry scopes are the worker-reuse lifecycle
-    guarantee: each cell sees an empty span ring and an empty registry
-    (plus a freshly reset process-wide lock aggregate), and the outer
-    state — the orchestrator's own counters, in serial mode — is
-    restored untouched on exit.  The tracer stays *disabled* inside the
-    cell, so observed cells take exactly the code path unobserved ones
-    do; stage attribution folds the cycle breakdowns of the clocks the
-    cell's threads registered in the scope.
+    The cell runs inside isolated obs scopes — the worker-reuse
+    lifecycle guarantee: it sees an empty span ring and an empty
+    registry (plus a freshly reset process-wide lock aggregate), and the
+    outer state is restored untouched on exit.  The tracer stays
+    *disabled* in the scope, so observed cells take exactly the code
+    path unobserved ones do; stage attribution folds the cycle
+    breakdowns of the clocks the cell's threads registered in the scope,
+    and the snapshot ships in the record's ``telemetry`` key.
     """
     from repro import obs
     from repro.obs import events as obs_events
-    from repro.obs import profiling as obs_profiling
     from repro.sim.locks import LOCK_STATS
 
-    extras: Dict = {}
     with obs.TRACER.isolated(enable=False), obs.METRICS.isolated(enable=True):
         LOCK_STATS.reset()
         obs.METRICS.bind_object(
@@ -206,40 +200,11 @@ def _run_cell_observed(cell: Dict, profile_dir: Optional[str]):
             },
         )
         start = time.perf_counter()
-        if profile_dir:
-            out, profiler = obs_profiling.profile_call(run_cell, cell)
-        else:
-            out = run_cell(cell)
+        out = run_cell(cell)
         wall = time.perf_counter() - start
         snapshot = obs_events.collect_cell_telemetry(wall_seconds=wall)
-        extras["telemetry"] = _jsonable(snapshot)
-        extras["telemetry_digest"] = obs_events.telemetry_digest(snapshot)
-        if profile_dir:
-            extras["profile"] = obs_profiling.write_profile_artifacts(
-                profile_dir,
-                cell["config_digest"],
-                profiler,
-                hotspots=obs_profiling.category_hotspots(
-                    obs_events.cell_categories()
-                ),
-                cell_id=cell["cell_id"],
-            )
-    return out, wall, extras
-
-
-def _execute_cell(cell: Dict) -> Dict:
-    """One hermetic cell execution (no retry): :func:`run_cell`, then digest.
-
-    Every cell runs inside isolated obs scopes and ships its telemetry
-    snapshot.  The profile directory rides in the cell dict's reserved
-    ``obs`` key (set by :func:`run_sweep`, never part of the config
-    digest): ``profile_dir`` wraps the cell in cProfile and writes
-    content-addressed artifacts there.
-    """
-    profile_dir = (cell.get("obs") or {}).get("profile_dir")
-    out, wall, extras = _run_cell_observed(cell, profile_dir)
     state = out["state"] if out.get("state") is not None else out["payload"]
-    record = {
+    return {
         "kind": "cell",
         "cell_id": cell["cell_id"],
         "figure": cell["figure"],
@@ -249,9 +214,9 @@ def _execute_cell(cell: Dict) -> Dict:
         "payload": _jsonable(out["payload"]),
         "wall_seconds": round(wall, 6),
         "status": "ok",
+        "telemetry": _jsonable(snapshot),
+        "telemetry_digest": obs_events.telemetry_digest(snapshot),
     }
-    record.update(extras)
-    return record
 
 
 def run_unit(cell: Dict) -> Dict:
@@ -382,42 +347,28 @@ def run_sweep(
     resume: bool = False,
     verify: bool = False,
     progress: Optional[Callable[[str], None]] = None,
-    profile: bool = False,
-    dashboard=None,
     history_path: Optional[str] = None,
-    cell_filter: Optional[Callable[[Dict], bool]] = None,
 ) -> SweepResult:
     """Run the paper sweep; returns a :class:`SweepResult`.
 
     ``workers <= 1`` runs cells serially in-process (the digest baseline);
-    ``workers > 1`` fans units out over a process pool.  With ``resume``,
-    cells already in the manifest with a matching config digest are
-    skipped; with ``verify`` they re-run anyway and their fresh digests
-    are compared against the manifest (mismatches fail the sweep).
-    Completed cells append to ``manifest_path`` immediately (one fsynced
-    JSON line each); a summary record lands at the end.
+    ``workers > 1`` fans units out over a process pool.  With ``resume``
+    or ``verify`` an existing manifest is read and appended to: ``resume``
+    skips cells already in it with a matching config digest, ``verify``
+    re-runs them anyway and compares their fresh digests against it
+    (mismatches fail the sweep).  Otherwise the manifest is started
+    afresh.  Completed cells append to ``manifest_path`` immediately (one
+    fsynced JSON line each); a summary record lands at the end.
 
-    Every record ships a per-cell obs snapshot; ``profile`` writes
-    cProfile + hotspot artifacts under ``<manifest dir>/profiles``;
-    ``dashboard`` is a :class:`repro.obs.dashboard.SweepDashboard` fed
-    the aggregation stream; ``history_path``, when set, appends a
-    ``kind: "sweep"`` trajectory record to that JSONL file after the
-    summary.
-
-    ``cell_filter``, when set, keeps only cells it returns truthy for
-    (applied after figure/scale enumeration) — how the CLI narrows the
-    cluster family to one shard count (``--cluster-shards``).
+    Every record ships a per-cell obs snapshot; ``progress`` is called
+    with one line per cell and a closing summary line; ``history_path``,
+    when set, appends a ``kind: "sweep"`` trajectory record to that JSONL
+    file after the summary.
     """
-    from repro import obs
-    from repro.obs.dashboard import SweepDashboard
-
     say = progress if progress is not None else (lambda message: None)
-    dash = dashboard if dashboard is not None else SweepDashboard()
     cells = enumerate_cells(figures, scale)
-    if cell_filter is not None:
-        cells = [cell for cell in cells if cell_filter(cell)]
     prior_records: List[Dict] = []
-    resuming = resume and os.path.exists(manifest_path)
+    resuming = (resume or verify) and os.path.exists(manifest_path)
     if resuming:
         prior_records = load_manifest(manifest_path)
     prior = index_manifest(prior_records)
@@ -433,32 +384,9 @@ def run_sweep(
             result.skipped.append(prev)
         else:
             to_run.append(cell)
-    profile_dir = None
-    if profile:
-        profile_dir = os.path.join(os.path.dirname(manifest_path) or ".", "profiles")
-    for cell in to_run:
-        # Reserved key, never part of the config digest (computed above).
-        cell["obs"] = {"profile_dir": profile_dir}
     say(
         f"sweep: {len(cells)} cells ({len(result.skipped)} complete in manifest, "
         f"{len(to_run)} to run), {result.workers} worker(s), scale={scale}"
-    )
-    dash.start(len(cells), len(to_run), len(result.skipped), result.workers, scale)
-
-    clock = WallClock()
-    completed_counter = obs.METRICS.counter(
-        "sweep.cells.completed", help="sweep cells completed ok"
-    )
-    failed_counter = obs.METRICS.counter(
-        "sweep.cells.failed", help="sweep cells failed after retries"
-    )
-    retry_counter = obs.METRICS.counter(
-        "sweep.cells.retries", help="extra attempts spent on sweep cells"
-    )
-    wall_hist = obs.METRICS.histogram(
-        "sweep.cell.wall_us",
-        buckets=tuple(float(10**i) for i in range(2, 9)),
-        help="per-cell wall time (microseconds)",
     )
 
     start = time.perf_counter()
@@ -466,15 +394,10 @@ def run_sweep(
     def handle(entry: Dict, handle_file) -> None:
         _append(handle_file, entry)
         result.entries.append(entry)
-        dash.cell_finished(entry)
         if entry["status"] != "ok":
             result.failed.append(entry["cell_id"])
-            failed_counter.inc()
             say(f"  FAILED {entry['cell_id']}: {entry.get('error', '?')}")
             return
-        completed_counter.inc()
-        retry_counter.inc(max(0, entry.get("attempts", 1) - 1))
-        wall_hist.observe(entry["wall_seconds"] * 1e6)
         result.cpu_seconds += entry["wall_seconds"]
         prev = prior.get(entry["cell_id"])
         if (
@@ -488,11 +411,6 @@ def run_sweep(
                 f"!= manifest {prev['state_digest'][:16]}"
             )
             return
-        if obs.TRACER.enabled:
-            end_now = (time.perf_counter() - start) * units.CPU_FREQ_HZ
-            clock.now = end_now - entry["wall_seconds"] * units.CPU_FREQ_HZ
-            with obs.TRACER.span(f"sweep.cell:{entry['cell_id']}", clock):
-                clock.now = end_now
         say(
             f"  ok {entry['cell_id']}  {entry['wall_seconds']:.2f}s"
             + (f"  (attempt {entry['attempts']})" if entry.get("attempts", 1) > 1 else "")
@@ -514,7 +432,6 @@ def run_sweep(
         )
         if result.workers <= 1:
             for cell in to_run:
-                dash.cell_submitted(cell["cell_id"])
                 handle(run_unit(cell), handle_file)
         else:
             import multiprocessing as mp
@@ -525,10 +442,7 @@ def run_sweep(
             with ProcessPoolExecutor(
                 max_workers=result.workers, mp_context=ctx
             ) as pool:
-                futures = []
-                for cell in to_run:
-                    futures.append(pool.submit(run_unit, cell))
-                    dash.cell_submitted(cell["cell_id"])
+                futures = [pool.submit(run_unit, cell) for cell in to_run]
                 for future in as_completed(futures):
                     handle(future.result(), handle_file)
 
@@ -549,7 +463,6 @@ def run_sweep(
                 "sweep_digest": result.sweep_digest,
             },
         )
-    dash.finish(result)
     if history_path:
         append_sweep_history(history_path, result, scale=scale)
     say(

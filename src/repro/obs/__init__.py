@@ -39,7 +39,6 @@ from repro.obs.events import (
     telemetry_bytes,
     telemetry_digest,
 )
-from repro.obs.exposition import render_openmetrics, render_snapshot, write_openmetrics
 from repro.obs.metrics import (
     COUNTER_WRAP,
     DEFAULT_CYCLE_BUCKETS,
@@ -74,12 +73,9 @@ __all__ = [
     "tracing_enabled",
     "enable_metrics",
     "disable_metrics",
-    "render_openmetrics",
-    "render_snapshot",
     "stage_shares",
     "telemetry_bytes",
     "telemetry_digest",
-    "write_openmetrics",
     "write_trace",
 ]
 

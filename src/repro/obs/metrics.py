@@ -223,8 +223,8 @@ class MetricsRegistry:
 
         Sweep workers wrap each cell in this so a reused pooled process
         starts every cell with an empty registry (no counter leakage
-        across cells) while the orchestrator's own counters — created in
-        the outer state — survive untouched in serial mode.
+        across cells) while the caller's counters — created in the outer
+        state — survive untouched in serial mode.
         """
         saved = (self.enabled, self._metrics, self._probes, self._prefixes, self._clocks)
         self.enabled = enable

@@ -171,7 +171,7 @@ class Tracer:
         empty ones (and the tracer enabled per ``enable``); on exit the
         saved state — including the enabled flag — comes back exactly,
         so a reused pooled process cannot leak spans across cells and an
-        in-process orchestrator keeps its own spans.  The epoch bump on
+        in-process caller keeps its own spans.  The epoch bump on
         both edges invalidates clock track ids minted inside the scope.
         """
         saved = (

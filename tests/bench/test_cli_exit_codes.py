@@ -35,9 +35,6 @@ def test_help_documents_every_flag(capsys):
         "--scale",
         "--resume",
         "--verify",
-        "--dashboard",
-        "--profile",
-        "--openmetrics",
         "--history",
         "--no-history",
         "--manifest",
@@ -116,6 +113,32 @@ def test_digest_mismatch_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert "determinism violation" in capsys.readouterr().err
+
+
+def test_verify_without_resume_checks_and_keeps_the_manifest(tmp_path, capsys):
+    manifest = tmp_path / "m.jsonl"
+    argv = ["sweep", "--figures", "fig8c", "--scale", "bench",
+            "--manifest", str(manifest), "--no-history"]
+    assert _main(argv) == 0
+    capsys.readouterr()
+
+    lines = manifest.read_text().splitlines()
+    for index, line in enumerate(lines):
+        record = json.loads(line)
+        if record.get("kind") == "cell":
+            corrupted = record["cell_id"]
+            record["state_digest"] = "0" * 64
+            lines[index] = json.dumps(record, sort_keys=True)
+            break
+    manifest.write_text("\n".join(lines) + "\n")
+
+    assert _main(argv + ["--verify"]) == 1
+    captured = capsys.readouterr()
+    assert f"MISMATCH {corrupted}" in captured.out
+    assert corrupted in captured.err
+    assert lines[index] in manifest.read_text().splitlines(), (
+        "--verify must append to the manifest it checks, not truncate it"
+    )
 
 
 def test_faults_with_sweep_exits_two(tmp_path, capsys):

@@ -13,15 +13,14 @@ against real sweep cells:
   cell thread charged;
 * **worker isolation** — two cells executed back to back in one process
   (the pooled-worker lifecycle) see independent registries and span
-  rings, and leak nothing into the orchestrator's own metrics.
+  rings, and leak nothing into the caller's registry.
 """
 
 import json
-import os
 
 import pytest
 
-from repro.bench.sweep import _execute_cell, enumerate_cells, run_cell, run_sweep
+from repro.bench.sweep import _execute_cell, enumerate_cells, run_cell
 from repro.mmio.aquila import AquilaEngine
 from repro.obs import METRICS, TRACER
 from repro.obs.events import telemetry_bytes
@@ -104,14 +103,6 @@ class TestConformanceSafety:
         assert metrics["engine.aquila.faults.major"] == on[3]
         assert observed["telemetry"]["spans"] == {"finished": 0, "dropped": 0}
 
-    def test_profiling_does_not_change_state_digest(self, tmp_path):
-        cell = _cell()
-        plain = _execute_cell(dict(cell))
-        profiled = _execute_cell({**cell, "obs": {"profile_dir": str(tmp_path)}})
-        assert profiled["state_digest"] == plain["state_digest"]
-        assert profiled["telemetry_digest"] == plain["telemetry_digest"]
-
-
 class TestAttributionCoverage:
     def test_attribution_covers_every_thread_cycle(self, monkeypatch):
         """Long cells are attributed in full, not just their tail."""
@@ -154,81 +145,3 @@ class TestWorkerIsolation:
         after = METRICS.snapshot()
         # No cell-side counters (engine.*, fault.*) appeared outside.
         assert set(after) == before
-
-    def test_orchestrator_counters_survive_serial_sweep(self, tmp_path):
-        from repro import obs
-
-        obs.enable_metrics()
-        result = run_sweep(
-            figures=["fig8c"],
-            scale="bench",
-            workers=1,
-            manifest_path=str(tmp_path / "m.jsonl"),
-        )
-        assert result.ok
-        snap = METRICS.snapshot()
-        assert snap["sweep.cells.completed"] == len(result.entries)
-        assert snap["sweep.cells.failed"] == 0
-
-
-class TestProfileArtifacts:
-    def test_profile_artifacts_content_addressed(self, tmp_path):
-        cell = _cell()
-        cell["obs"] = {"profile_dir": str(tmp_path)}
-        entry = _execute_cell(cell)
-        paths = entry["profile"]
-        assert os.path.basename(paths["pstats"]) == f"{cell['config_digest']}.pstats"
-        with open(paths["hotspots"]) as handle:
-            hotspots = json.load(handle)
-        assert hotspots["config_digest"] == cell["config_digest"]
-        assert hotspots["cell_id"] == cell["cell_id"]
-        rows = hotspots["category_hotspots"]
-        assert rows, "category hotspots must be populated"
-        assert rows[0]["cycles"] == max(row["cycles"] for row in rows)
-        assert set(rows[0]) == {"category", "cycles", "share"}
-        assert hotspots["top_functions"], "cProfile rows must be populated"
-        import pstats
-
-        stats = pstats.Stats(paths["pstats"])
-        assert stats.total_calls > 0
-
-    def test_sweep_profile_flag_writes_next_to_manifest(self, tmp_path):
-        result = run_sweep(
-            figures=["fig8c"],
-            scale="bench",
-            workers=1,
-            manifest_path=str(tmp_path / "m.jsonl"),
-            profile=True,
-        )
-        assert result.ok
-        profile_dir = tmp_path / "profiles"
-        names = sorted(os.listdir(profile_dir))
-        digests = {entry["config_digest"] for entry in result.entries}
-        assert {n.split(".")[0] for n in names} == digests
-
-
-class TestLogDashboard:
-    def test_log_dashboard_output_is_deterministic(self, tmp_path):
-        import io
-
-        from repro.obs.dashboard import LogDashboard
-
-        def run(directory):
-            stream = io.StringIO()
-            run_sweep(
-                figures=["fig8c"],
-                scale="bench",
-                workers=1,
-                manifest_path=str(directory / "m.jsonl"),
-                dashboard=LogDashboard(stream=stream),
-            )
-            return stream.getvalue()
-
-        (tmp_path / "a").mkdir()
-        (tmp_path / "b").mkdir()
-        first = run(tmp_path / "a")
-        second = run(tmp_path / "b")
-        assert first == second
-        assert "[dash] start" in first
-        assert "[dash] finish" in first
-        assert "spans=" in first   # telemetry surfaced per cell

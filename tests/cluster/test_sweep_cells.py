@@ -1,4 +1,4 @@
-"""Cluster sweep family: enumeration, worker invariance, cell filter."""
+"""Cluster sweep family: enumeration and worker invariance."""
 
 from repro.bench.experiments.cluster import enumerate_cells as cluster_cells
 from repro.bench.sweep import enumerate_cells, run_sweep
@@ -42,15 +42,3 @@ class TestSweepInvariance:
         assert serial.ok and sharded.ok
         assert serial.digests() == sharded.digests()
         assert serial.sweep_digest == sharded.sweep_digest
-
-    def test_cell_filter_narrows_to_one_shard_count(self, tmp_path):
-        result = run_sweep(
-            figures=["cluster"],
-            scale="bench",
-            manifest_path=str(tmp_path / "c.jsonl"),
-            cell_filter=lambda cell: cell["params"].get("num_shards") == 4,
-        )
-        assert result.ok
-        cell_ids = set(result.digests())
-        assert cell_ids
-        assert all("/s4" in cid for cid in cell_ids)

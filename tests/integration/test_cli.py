@@ -140,7 +140,10 @@ class TestRejectedFilters:
                 "--threads",
                 "the figure commands",
             ),
-            (["list", "--metrics"], "--metrics", "the figure commands, sweep"),
+            (["list", "--metrics"], "--metrics", "the figure commands"),
+            (["sweep", "--trace", "X"], "--trace", "the figure commands"),
+            (["sweep", "--metrics"], "--metrics", "the figure commands"),
+            (["sweep", "--faults", "seed=1"], "--faults", "the figure commands"),
             (
                 ["report", "--check", "--resume", "--workers", "3", "--threads", "9"],
                 "--threads",
@@ -157,7 +160,8 @@ class TestRejectedFilters:
             (["list", "--check"], "--check", "report"),
         ],
         ids=[
-            "list-threads", "list-metrics", "report-threads", "report-resume",
+            "list-threads", "list-metrics", "sweep-trace", "sweep-metrics",
+            "sweep-faults", "report-threads", "report-resume",
             "figure-workers", "figure-output", "figure-manifest", "list-check",
         ],
     )
@@ -168,7 +172,7 @@ class TestRejectedFilters:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"{option} does not apply to {argv[0]}" in err
-        assert f"it applies to: {applies_to}" in err
+        assert f"it applies to: {applies_to}\n" in err
 
     def test_an_option_left_at_its_default_is_not_rejected(self, capsys):
         assert main(["list", "--workers", "1", "--scale", "figure"]) == 0
