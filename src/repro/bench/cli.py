@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     obsgroup(
         "--metrics",
         action="store_true",
-        help="collect counters/gauges/histograms and print a metrics table",
+        help="collect counters/histograms and print a metrics table",
     )
     sweep = _option_group(parser, "sweep options", ("sweep",))
     sweep(
@@ -276,18 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="re-run manifest-complete cells and fail on state-digest mismatch",
     )
-    sweep(
-        "--history",
-        metavar="PATH",
-        default=None,
-        help="bench-trajectory JSONL to append the sweep record to "
-        "(default: BENCH_history.jsonl next to the manifest)",
-    )
-    sweep(
-        "--no-history",
-        action="store_true",
-        help="do not append a record to the bench-trajectory history",
-    )
     shared = _option_group(parser, "sweep/report shared options", ("sweep", "report"))
     shared(
         "--manifest",
@@ -314,27 +302,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_sweep_command(args) -> int:
     """The ``sweep`` command body; returns the process exit code."""
-    import os
-
     from repro.bench.sweep import DEFAULT_MANIFEST, run_sweep
 
-    manifest_path = args.manifest or DEFAULT_MANIFEST
-    if args.no_history:
-        history_path = None
-    else:
-        history_path = args.history or os.path.join(
-            os.path.dirname(manifest_path) or ".", "BENCH_history.jsonl"
-        )
     try:
         result = run_sweep(
             figures=args.figures,
             scale=args.scale,
             workers=args.workers,
-            manifest_path=manifest_path,
+            manifest_path=args.manifest or DEFAULT_MANIFEST,
             resume=args.resume,
             verify=args.verify,
             progress=print,
-            history_path=history_path,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

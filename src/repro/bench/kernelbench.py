@@ -21,22 +21,16 @@ machine-dependent; that gate is deliberately loose and the baseline is
 refreshed with ``--update-baseline`` whenever the kernel legitimately
 changes speed class.
 
-Every run also measures the headline configuration's **deterministic
-per-stage cycle shares** (an untraced run's cycle breakdown folded
-through :data:`repro.obs.events.DEFAULT_STAGE_RULES`) and appends a
-``kind: "kernel"`` record to the bench-trajectory history
-(``benchmarks/BENCH_history.jsonl`` by default): config digest, headline
-speedup, per-cell throughput, stage shares, and — when a prior record
-exists — the stage whose share moved the most since.  A ``--check``
-failure therefore names a suspect stage next to the throughput gate
-miss, attributing the regression instead of just flagging it.
+A gate miss is only flagged here.  Where the host time went is answered
+by ``benchmarks/e2e/run.py --trace``, which folds host seconds per
+``src/repro`` package, and ``run.py compare``, which diffs those folds
+between two checkouts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Dict, List, Optional
@@ -202,128 +196,6 @@ def run_benchmark(repeats: int = 3) -> Dict:
     }
 
 
-def measure_stage_shares(total_accesses: Optional[int] = None) -> Dict[str, float]:
-    """Deterministic per-stage cycle shares of the headline configuration.
-
-    Runs the headline configuration at the short ``fig10a_shared_16t``
-    size of :data:`CELLS` (so this adds well under a second; a smaller
-    ``total_accesses`` overrides it) once, batched, inside an isolated
-    registry scope, and folds its threads' cycle breakdowns through the
-    default stage rules.  Simulated cycles are seed-deterministic, so two
-    runs on any machines produce identical shares — which is what lets the
-    trajectory tracker diff shares across history records to attribute a
-    *wall-clock* regression to the stage whose *simulated* share moved.
-    """
-    from repro import obs
-    from repro.bench.experiments.fig10 import run_cell
-    from repro.mmio.files import BackingFile
-    from repro.obs import events as obs_events
-    from repro.sim.executor import SimThread
-
-    kwargs = dict(dict(CELLS)["fig10a_shared_16t"])
-    if total_accesses is not None:
-        kwargs["total_accesses"] = total_accesses
-    with obs.METRICS.isolated(enable=True):
-        SimThread.reset_ids()
-        BackingFile.reset_ids()
-        run_cell(batched=True, **kwargs)
-        telemetry = obs_events.collect_cell_telemetry()
-    return obs_events.stage_shares(telemetry)
-
-
-def append_history(history_path: str, report: Dict) -> Dict:
-    """Append one ``kind: "kernel"`` trajectory record; returns the record.
-
-    The record carries the measured throughputs plus the deterministic
-    stage shares; if the history already holds a kernel record, the
-    largest share shift since it is attributed inline
-    (:func:`repro.obs.events.attribute_shift`).
-    """
-    from repro.bench.sweep import load_manifest
-    from repro.obs import events as obs_events
-    from repro.sim.conformance import hash_digest
-
-    previous = None
-    if os.path.exists(history_path):
-        for entry in load_manifest(history_path):
-            if entry.get("kind") == "kernel":
-                previous = entry
-    record = {
-        "kind": "kernel",
-        "schema": 1,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "config_digest": hash_digest(
-            [(name, sorted(kwargs.items())) for name, kwargs in CELLS]
-        ),
-        "headline_cell": report["headline"]["cell"],
-        "headline_speedup": report["headline"]["speedup_batched_over_unbatched"],
-        "headline_ff_speedup": report["headline"].get(
-            "speedup_fastforward_over_batched"
-        ),
-        "cells": {
-            name: {
-                "batched_sim_ops_per_sec": cell["batched"]["sim_ops_per_sec"],
-                "speedup": cell["speedup_batched_over_unbatched"],
-                "ff_speedup": cell.get("speedup_fastforward_over_batched"),
-            }
-            for name, cell in sorted(report["cells"].items())
-        },
-        "stage_shares": report.get("stage_shares", {}),
-    }
-    if previous is not None and previous.get("stage_shares"):
-        stage, delta = obs_events.attribute_shift(
-            previous["stage_shares"], record["stage_shares"]
-        )
-        record["share_shift"] = {"stage": stage, "delta": delta}
-    directory = os.path.dirname(history_path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(history_path, "a") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
-    return record
-
-
-def attribute_regression(report: Dict, history_path: str) -> Optional[str]:
-    """A one-line stage attribution for a ``--check`` failure, or None.
-
-    Diffs the fresh stage shares against the most recent *prior* kernel
-    history record (the one before this run's own append).  A regression
-    whose simulated shares did not move is flagged as kernel-side
-    (scheduler/allocator wall-time cost), which is the "unexplained"
-    case the perf gate exists to catch.
-    """
-    from repro.bench.sweep import load_manifest
-    from repro.obs import events as obs_events
-
-    shares = report.get("stage_shares") or {}
-    if not shares or not os.path.exists(history_path):
-        return None
-    kernels = [
-        entry
-        for entry in load_manifest(history_path)
-        if entry.get("kind") == "kernel" and entry.get("stage_shares")
-    ]
-    # The last record is this run's own append; diff against the one before.
-    priors = [k for k in kernels if k.get("stage_shares") != shares]
-    if len(kernels) >= 2:
-        prior = kernels[-2]
-    elif priors:
-        prior = priors[-1]
-    else:
-        return None
-    stage, delta = obs_events.attribute_shift(prior["stage_shares"], shares)
-    if abs(delta) < 0.005:
-        return (
-            "stage shares are unchanged since the last record — the "
-            "regression is kernel-side (scheduler/allocator wall cost), "
-            "not a workload shift"
-        )
-    return (
-        f"largest stage-share shift since the last record: {stage} "
-        f"({delta:+.1%} of total cycles) — suspect stage for the regression"
-    )
-
-
 def check_regressions(report: Dict, baseline: Dict) -> List[str]:
     """Compare batched sim-ops/sec to the baseline; returns failures.
 
@@ -377,27 +249,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="write the fresh report over the baseline file")
     parser.add_argument("--repeats", type=int, default=3,
                         help="wall-time repeats per cell (best is kept)")
-    parser.add_argument("--history", default="benchmarks/BENCH_history.jsonl",
-                        help="bench-trajectory JSONL to append this run's "
-                        "record to (default: %(default)s)")
-    parser.add_argument("--no-history", action="store_true",
-                        help="do not append to the bench-trajectory history")
     args = parser.parse_args(argv)
 
     report = run_benchmark(repeats=args.repeats)
-    report["stage_shares"] = measure_stage_shares()
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"wrote {args.output}")
-
-    if not args.no_history:
-        record = append_history(args.history, report)
-        line = f"history: appended kernel record to {args.history}"
-        if "share_shift" in record:
-            shift = record["share_shift"]
-            line += f" (share shift: {shift['stage']} {shift['delta']:+.1%})"
-        print(line)
 
     if args.update_baseline:
         with open(args.baseline, "w") as handle:
@@ -419,9 +277,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("kernel throughput regressions:", file=sys.stderr)
             for line in failures:
                 print(f"  {line}", file=sys.stderr)
-            attribution = attribute_regression(report, args.history)
-            if attribution:
-                print(f"  {attribution}", file=sys.stderr)
             return 1
         print(f"no regressions vs {args.baseline} "
               f"(gate: {REGRESSION_FRACTION:.0%} of baseline)")

@@ -676,13 +676,12 @@ def _cluster_section(cells: Dict[str, dict]) -> List[str]:
 
 
 def _observability_section(manifest_path: str) -> List[str]:
-    """The ``## Observability`` section: stage attribution + trajectory.
+    """The ``## Observability`` section: the sweep's stage attribution.
 
     Renders only deterministic telemetry — aggregated simulated-cycle
-    stage shares from the manifest's per-cell snapshots and the latest
-    kernel-trajectory record's headline stage shares — never wall times
-    or timestamps, so the section is stable under ``report --check``
-    across machines and reruns.
+    stage shares from the manifest's per-cell snapshots — never wall
+    times or timestamps, so the section is a function of the manifest
+    alone and stable under ``report --check`` across machines and reruns.
     """
     import os
 
@@ -731,39 +730,6 @@ def _observability_section(manifest_path: str) -> List[str]:
             f"_No telemetry in `{os.path.basename(manifest_path)}` — it "
             "predates telemetry; re-run `python -m repro.bench sweep`._"
         )
-    history_path = os.path.join(
-        os.path.dirname(manifest_path) or ".", "BENCH_history.jsonl"
-    )
-    kernel = None
-    if os.path.exists(history_path):
-        for entry in load_manifest(history_path):
-            if entry.get("kind") == "kernel" and entry.get("stage_shares"):
-                kernel = entry
-    if kernel is not None:
-        shares = kernel["stage_shares"]
-        lines += [
-            "",
-            "**Kernel trajectory** (`benchmarks/BENCH_history.jsonl`): every",
-            "`kernelbench` run appends speedup + deterministic stage shares of",
-            "the headline configuration; a perf-gate failure diffs consecutive",
-            "records and names the stage whose share moved.  Latest record:",
-            "",
-        ]
-        rows = [
-            (stage, f"{value:.1%}")
-            for stage, value in sorted(
-                shares.items(), key=lambda item: (-item[1], item[0])
-            )
-            if value > 0
-        ]
-        lines += _md_table(["stage", "share of headline cycles"], rows)
-        shift = kernel.get("share_shift")
-        if shift:
-            lines.append("")
-            lines.append(
-                f"Largest share shift vs the prior record: `{shift['stage']}` "
-                f"({shift['delta']:+.1%})."
-            )
     return lines
 
 

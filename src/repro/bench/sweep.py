@@ -25,7 +25,8 @@ crash.  Failed cells are retried inside the worker with the
 simulated cycle scale) and surfaced in the summary — never swallowed.
 A completed cell whose fresh state digest disagrees with a prior
 manifest entry for the same config is reported as a **mismatch** (a
-determinism violation) and fails the sweep.
+determinism violation) and fails the sweep; its record is written with
+``status: "mismatch"``, so the reference stays the cell's manifest entry.
 
 Telemetry (DESIGN.md §10): every cell executes inside isolated
 tracer/registry scopes and ships a structured telemetry snapshot
@@ -347,7 +348,6 @@ def run_sweep(
     resume: bool = False,
     verify: bool = False,
     progress: Optional[Callable[[str], None]] = None,
-    history_path: Optional[str] = None,
 ) -> SweepResult:
     """Run the paper sweep; returns a :class:`SweepResult`.
 
@@ -356,14 +356,14 @@ def run_sweep(
     or ``verify`` an existing manifest is read and appended to: ``resume``
     skips cells already in it with a matching config digest, ``verify``
     re-runs them anyway and compares their fresh digests against it
-    (mismatches fail the sweep).  Otherwise the manifest is started
-    afresh.  Completed cells append to ``manifest_path`` immediately (one
+    (mismatches fail the sweep and are recorded as ``status: "mismatch"``,
+    so the reference record stays the cell's entry).  Otherwise the
+    manifest is started afresh.  Completed cells append to ``manifest_path`` immediately (one
     fsynced JSON line each); a summary record lands at the end.
 
     Every record ships a per-cell obs snapshot; ``progress`` is called
-    with one line per cell and a closing summary line; ``history_path``,
-    when set, appends a ``kind: "sweep"`` trajectory record to that JSONL
-    file after the summary.
+    with one line per cell and a closing summary line.  The manifest is
+    the only file written.
     """
     say = progress if progress is not None else (lambda message: None)
     cells = enumerate_cells(figures, scale)
@@ -392,19 +392,25 @@ def run_sweep(
     start = time.perf_counter()
 
     def handle(entry: Dict, handle_file) -> None:
+        prev = prior.get(entry["cell_id"])
+        drifted = (
+            entry["status"] == "ok"
+            and prev is not None
+            and prev["config_digest"] == entry["config_digest"]
+            and prev["state_digest"] != entry["state_digest"]
+        )
+        if drifted:
+            # Not "ok": index_manifest keeps the reference record, so a
+            # second --verify, a --resume or a report never adopts the drift.
+            entry["status"] = "mismatch"
         _append(handle_file, entry)
         result.entries.append(entry)
-        if entry["status"] != "ok":
+        if entry["status"] == "failed":
             result.failed.append(entry["cell_id"])
             say(f"  FAILED {entry['cell_id']}: {entry.get('error', '?')}")
             return
         result.cpu_seconds += entry["wall_seconds"]
-        prev = prior.get(entry["cell_id"])
-        if (
-            prev is not None
-            and prev["config_digest"] == entry["config_digest"]
-            and prev["state_digest"] != entry["state_digest"]
-        ):
+        if drifted:
             result.mismatched.append(entry["cell_id"])
             say(
                 f"  MISMATCH {entry['cell_id']}: state {entry['state_digest'][:16]} "
@@ -463,8 +469,6 @@ def run_sweep(
                 "sweep_digest": result.sweep_digest,
             },
         )
-    if history_path:
-        append_sweep_history(history_path, result, scale=scale)
     say(
         f"sweep: {len(result.entries)} ran, {len(result.skipped)} skipped, "
         f"{len(result.failed)} failed, {len(result.mismatched)} mismatched in "
@@ -472,45 +476,3 @@ def run_sweep(
         f"digest {result.sweep_digest[:16]}"
     )
     return result
-
-
-def append_sweep_history(history_path: str, result: SweepResult, scale: str) -> Dict:
-    """Append one ``kind: "sweep"`` trajectory record; returns the record.
-
-    The record aggregates per-cell telemetry into sweep-level stage
-    cycles/shares (:func:`repro.obs.events.merge_stage_cycles`) so
-    consecutive records in ``BENCH_history.jsonl`` can be diffed to
-    attribute a wall-time or digest shift to the stage that moved.
-    """
-    from repro.obs import events as obs_events
-
-    snapshots = [
-        entry["telemetry"]
-        for entry in result.entries
-        if entry.get("status") == "ok" and entry.get("telemetry")
-    ]
-    stage_cycles = obs_events.merge_stage_cycles(snapshots)
-    record = {
-        "kind": "sweep",
-        "schema": MANIFEST_SCHEMA,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "scale": scale,
-        "workers": result.workers,
-        "sweep_digest": result.sweep_digest,
-        "cells_ran": len(result.entries),
-        "cells_skipped": len(result.skipped),
-        "cells_failed": sorted(result.failed),
-        "cells_mismatched": sorted(result.mismatched),
-        "wall_seconds": round(result.wall_seconds, 6),
-        "cpu_seconds": round(result.cpu_seconds, 6),
-        "stage_cycles": stage_cycles,
-        "stage_shares": obs_events.stage_shares(
-            {"attribution": {"stages": stage_cycles}}
-        ),
-    }
-    directory = os.path.dirname(history_path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(history_path, "a") as handle:
-        _append(handle, record)
-    return record

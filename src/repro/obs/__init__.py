@@ -5,9 +5,9 @@ Three pieces, threaded through the whole fault path:
 * :data:`~repro.obs.trace.TRACER` — nested cycle-scoped spans charged to
   the simulated clock, a bounded ring buffer, Chrome ``trace_event``
   export (open any run in Perfetto);
-* :data:`~repro.obs.metrics.METRICS` — process-wide named counters,
-  gauges and histograms plus pull-probes over the counters components
-  already keep;
+* :data:`~repro.obs.metrics.METRICS` — process-wide named counters and
+  histograms plus pull-probes over the counters components already
+  keep;
 * :class:`~repro.obs.attribution.CycleAttribution` — folds spans into the
   per-stage cycle breakdowns of the paper's figures.
 
@@ -32,7 +32,6 @@ from repro.obs.attribution import CycleAttribution
 from repro.obs.events import (
     DEFAULT_STAGE_RULES,
     TELEMETRY_SCHEMA,
-    attribute_shift,
     collect_cell_telemetry,
     deterministic_view,
     stage_shares,
@@ -44,7 +43,6 @@ from repro.obs.metrics import (
     DEFAULT_CYCLE_BUCKETS,
     METRICS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -60,12 +58,10 @@ __all__ = [
     "TELEMETRY_SCHEMA",
     "TRACER",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "Span",
     "Tracer",
-    "attribute_shift",
     "collect_cell_telemetry",
     "deterministic_view",
     "enable_tracing",

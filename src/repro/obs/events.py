@@ -2,8 +2,8 @@
 
 A **cell telemetry snapshot** is the serializable summary a sweep worker
 ships back through the manifest channel after executing one figure cell:
-every metric the cell's registry collected (counters, gauges, pull
-probes, histogram bucket dumps plus quantile summaries), the per-stage
+every metric the cell's registry collected (counters, pull probes,
+histogram bucket dumps plus quantile summaries), the per-stage
 attribution of its simulated cycles, span/drop counts, fault-retry
 totals, lock contention, and the cell's wall time.
 
@@ -42,9 +42,8 @@ TELEMETRY_SCHEMA = 2
 NONDETERMINISTIC_KEYS = ("wall_seconds", "env")
 
 #: Ordered (breakdown-category glob -> stage) folding rules; the first
-#: match wins.  These are the
-#: stages the bench-trajectory tracker diffs when a kernel speedup
-#: regresses (the stage whose cycle share moved is the suspect).
+#: match wins.  These are the stages of every cell's
+#: ``attribution.stages`` and of EXPERIMENTS.md's sweep stage attribution.
 DEFAULT_STAGE_RULES: Tuple[Tuple[str, str], ...] = (
     ("*.retry_backoff", "retry"),
     ("app.*", "app"),
@@ -212,23 +211,3 @@ def merge_stage_cycles(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, float]:
         for stage, cycles in telemetry.get("attribution", {}).get("stages", {}).items():
             merged[stage] = merged.get(stage, 0.0) + cycles
     return {stage: round(cycles, 2) for stage, cycles in sorted(merged.items())}
-
-
-def attribute_shift(
-    previous_shares: Dict[str, float], current_shares: Dict[str, float]
-) -> Tuple[str, float]:
-    """The stage whose cycle share moved the most between two snapshots.
-
-    Returns ``(stage, delta)`` with ``delta = current - previous`` in
-    share points; the bench-trajectory tracker pins a speedup regression
-    on this stage.  Ties break by stage name so the answer is stable.
-    """
-    stages = sorted(set(previous_shares) | set(current_shares))
-    if not stages:
-        return ("other", 0.0)
-    deltas: List[Tuple[str, float]] = [
-        (stage, current_shares.get(stage, 0.0) - previous_shares.get(stage, 0.0))
-        for stage in stages
-    ]
-    stage, delta = max(deltas, key=lambda item: (abs(item[1]), item[0]))
-    return (stage, round(delta, 6))

@@ -1,11 +1,11 @@
-"""Process-wide named metrics: counters, gauges, histograms, pull-probes.
+"""Process-wide named metrics: counters, histograms, pull-probes.
 
 The :data:`METRICS` registry is disabled by default; every mutator
-(``inc``/``set``/``observe``) returns after one branch when disabled, so
+(``inc``/``observe``) returns after one branch when disabled, so
 instrumented hot paths stay cheap.  Two styles of metric coexist:
 
-* **push** primitives (:class:`Counter`, :class:`Gauge`,
-  :class:`Histogram`) for new event streams;
+* **push** primitives (:class:`Counter`, :class:`Histogram`) for new
+  event streams;
 * **pull probes** (:meth:`MetricsRegistry.bind_object`) exposing the
   attribute counters components already keep (engine fault counts, cache
   hits, device totals), sampled only at :meth:`MetricsRegistry.snapshot`
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 #: Counters wrap like 64-bit hardware counters rather than growing
 #: unboundedly (and so that overflow semantics are defined and testable).
@@ -57,32 +57,6 @@ class Counter:
     def reset(self) -> None:
         """Zero the counter."""
         self.value = 0
-
-
-class Gauge:
-    """A value that can go up and down."""
-
-    __slots__ = ("name", "help", "value", "_registry")
-
-    def __init__(self, name: str, registry: "MetricsRegistry", help: str = "") -> None:
-        self.name = name
-        self.help = help
-        self.value = 0.0
-        self._registry = registry
-
-    def set(self, value: float) -> None:
-        """Set the gauge to ``value``."""
-        if self._registry.enabled:
-            self.value = value
-
-    def add(self, delta: float) -> None:
-        """Adjust the gauge by ``delta`` (either sign)."""
-        if self._registry.enabled:
-            self.value += delta
-
-    def reset(self) -> None:
-        """Zero the gauge."""
-        self.value = 0.0
 
 
 class Histogram:
@@ -195,7 +169,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self.enabled = False
-        self._metrics: Dict[str, Union[Counter, Gauge, Histogram]] = {}
+        self._metrics: Dict[str, Union[Counter, Histogram]] = {}
         self._probes: Dict[str, Callable[[], float]] = {}
         self._prefixes: Dict[str, int] = {}
         self._clocks: List[Any] = []
@@ -251,10 +225,6 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "") -> Counter:
         """Get or create the counter ``name``."""
         return self._get_or_create(name, Counter, help=help)
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        """Get or create the gauge ``name``."""
-        return self._get_or_create(name, Gauge, help=help)
 
     def histogram(
         self,
@@ -316,14 +286,6 @@ class MetricsRegistry:
 
     # -- collection ---------------------------------------------------------------
 
-    def iter_metrics(self) -> Iterator[Tuple[str, Union[Counter, Gauge, Histogram]]]:
-        """``(name, metric)`` pairs for every push metric, sorted by name."""
-        return iter(sorted(self._metrics.items()))
-
-    def iter_probes(self) -> Iterator[Tuple[str, Callable[[], float]]]:
-        """``(name, fn)`` pairs for every registered probe, sorted by name."""
-        return iter(sorted(self._probes.items()))
-
     def histograms(self) -> Dict[str, Histogram]:
         """Name -> :class:`Histogram` for every registered histogram."""
         return {
@@ -335,7 +297,7 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Any]:
         """Every metric's current value, sorted by name.
 
-        Counters/gauges/probes yield numbers; histograms yield the
+        Counters and probes yield numbers; histograms yield the
         :meth:`Histogram.as_dict` form.  A probe that raises (e.g. its
         source was torn down) reports ``None`` rather than failing the
         whole snapshot.

@@ -35,8 +35,6 @@ def test_help_documents_every_flag(capsys):
         "--scale",
         "--resume",
         "--verify",
-        "--history",
-        "--no-history",
         "--manifest",
         "--output",
         "--check",
@@ -118,9 +116,12 @@ def test_digest_mismatch_exits_one(tmp_path, capsys):
 def test_verify_without_resume_checks_and_keeps_the_manifest(tmp_path, capsys):
     manifest = tmp_path / "m.jsonl"
     argv = ["sweep", "--figures", "fig8c", "--scale", "bench",
-            "--manifest", str(manifest), "--no-history"]
+            "--manifest", str(manifest)]
     assert _main(argv) == 0
     capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl"], (
+        "a sweep writes its manifest and nothing beside it"
+    )
 
     lines = manifest.read_text().splitlines()
     for index, line in enumerate(lines):
@@ -139,6 +140,13 @@ def test_verify_without_resume_checks_and_keeps_the_manifest(tmp_path, capsys):
     assert lines[index] in manifest.read_text().splitlines(), (
         "--verify must append to the manifest it checks, not truncate it"
     )
+
+    # The drifted record must not become the reference: a second
+    # --verify fails on the same cell, and the index keeps the original.
+    assert _main(argv + ["--verify"]) == 1
+    assert corrupted in capsys.readouterr().err
+    index = sweep_mod.index_manifest(sweep_mod.load_manifest(str(manifest)))
+    assert index[corrupted]["state_digest"] == "0" * 64
 
 
 def test_faults_with_sweep_exits_two(tmp_path, capsys):

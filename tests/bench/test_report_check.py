@@ -82,6 +82,36 @@ def test_committed_doc_matches_committed_manifest():
     assert problems == [], "\n".join(problems[:40])
 
 
+@pytest.mark.skipif(
+    not os.path.exists(COMMITTED_MANIFEST),
+    reason="committed sweep manifest not present",
+)
+def test_generation_depends_on_the_manifest_alone(tmp_path, monkeypatch):
+    """No file planted beside the manifest can change the document."""
+    import json
+    import shutil
+
+    relative = os.path.join("benchmarks", "MANIFEST_sweep.jsonl")
+    copy = tmp_path / relative
+    copy.parent.mkdir()
+    shutil.copyfile(COMMITTED_MANIFEST, copy)
+    planted = {
+        "kind": "kernel",
+        "schema": 1,
+        "stage_shares": {"app": 0.25, "device_io": 0.75},
+        "share_shift": {"stage": "device_io", "delta": 0.5},
+    }
+    (copy.parent / "BENCH_history.jsonl").write_text(
+        json.dumps(planted, sort_keys=True) + "\n"
+    )
+    # Same relative path from both working directories, so the
+    # provenance line names the manifest identically.
+    monkeypatch.chdir(REPO)
+    committed = generate_experiments_md(relative)
+    monkeypatch.chdir(tmp_path)
+    assert generate_experiments_md(relative) == committed
+
+
 @pytest.mark.parametrize(
     "figure, threads, blocks, header, rows",
     [

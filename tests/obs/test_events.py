@@ -1,4 +1,4 @@
-"""Telemetry snapshots: schema, determinism, category folding, shift attribution."""
+"""Telemetry snapshots: schema, determinism, category folding, stage shares."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.obs import METRICS, TRACER
 from repro.obs.events import (
     DEFAULT_STAGE_RULES,
     NONDETERMINISTIC_KEYS,
-    attribute_shift,
     collect_cell_telemetry,
     deterministic_view,
     fold_stages,
@@ -147,19 +146,3 @@ class TestAggregation:
             "device_io": 5.0,
             "tlb": 2.0,
         }
-
-    def test_attribute_shift_names_largest_mover(self):
-        prev = {"app": 0.5, "device_io": 0.3, "tlb": 0.2}
-        curr = {"app": 0.4, "device_io": 0.45, "tlb": 0.15}
-        stage, delta = attribute_shift(prev, curr)
-        assert stage == "device_io"
-        assert delta == pytest.approx(0.15)
-
-    def test_attribute_shift_tie_breaks_by_name(self):
-        prev = {"a": 0.5, "b": 0.5}
-        curr = {"a": 0.4, "b": 0.6}
-        stage, delta = attribute_shift(prev, curr)
-        assert stage == "b" and delta == pytest.approx(0.1)
-
-    def test_attribute_shift_empty_inputs(self):
-        assert attribute_shift({}, {}) == ("other", 0.0)

@@ -44,16 +44,6 @@ class TestCounter:
         assert c.value == 0
 
 
-class TestGauge:
-    def test_set_and_add(self, registry):
-        g = registry.gauge("g")
-        g.set(10)
-        g.add(-4)
-        assert g.value == 6
-        g.reset()
-        assert g.value == 0.0
-
-
 class TestHistogram:
     def test_bucketing(self, registry):
         h = registry.histogram("h", buckets=[10, 100])
@@ -165,17 +155,15 @@ class TestRegistry:
     def test_kind_conflict_raises(self, registry):
         registry.counter("x")
         with pytest.raises(TypeError):
-            registry.gauge("x")
+            registry.histogram("x")
 
     def test_disabled_mutators_are_noops(self):
         registry = MetricsRegistry()   # disabled
         c = registry.counter("c")
         c.inc(5)
-        g = registry.gauge("g")
-        g.set(3)
         h = registry.histogram("h", buckets=[1])
         h.observe(0.5)
-        assert c.value == 0 and g.value == 0.0 and h.count == 0
+        assert c.value == 0 and h.count == 0
 
     def test_disabled_bind_is_noop(self):
         registry = MetricsRegistry()
@@ -210,7 +198,7 @@ class TestRegistry:
 
     def test_snapshot_sorted_and_mixed(self, registry):
         registry.counter("b.count").inc(2)
-        registry.gauge("a.level").set(1.5)
+        registry.register_probe("a.level", lambda: 1.5)
         h = registry.histogram("c.hist", buckets=[10])
         h.observe(4)
         snap = registry.snapshot()
