@@ -14,11 +14,10 @@ Aquila       3.9 K      17.5 K          18.5 K    ~40 K
 Headline: Aquila needs 2.58x fewer cycles for cache management and
 delivers ~40% higher throughput.
 
-The per-stage sections are derived from a traced run: every operation of
-the measured phase runs under ``repro.obs`` spans, and the exclusive
-(self) cycles of the span tree are folded into the figure's three
-sections.  The span-derived total is checked against the clock's own
-charged total by the benchmark suite (they must agree within 1%).
+The per-stage sections fold the measured phase's cycle ledger (the
+runner clock's :class:`~repro.sim.clock.Breakdown`) through the same
+stage rules as every cell's telemetry, as Figures 6 and 8 do; the
+tracer is left alone, so ``--trace`` changes no figure.
 """
 
 from __future__ import annotations
@@ -26,37 +25,30 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.bench.setups import make_rocksdb
-from repro.obs import TRACER, CycleAttribution
+from repro.obs.events import fold_stages
+from repro.sim.clock import Breakdown
 from repro.sim.executor import Executor, SimThread
+from repro.sim.stats import throughput_ops_per_sec
 from repro.workloads.ycsb import YCSBConfig, YCSBDriver
 
 
-def _sections_from_trace(att: CycleAttribution, gets: int) -> Dict[str, float]:
-    """Fold span self-cycles into the Figure 7 sections (cycles per get).
+def _sections(breakdown: Breakdown, gets: int) -> Dict[str, float]:
+    """Fold the measured phase's cycles into the Figure 7 sections (per get).
 
-    * **device_io** — exclusive cycles of the spans that talk to the
-      device: fault reads, explicit-I/O device commands, writeback.
-    * **get** — the KV store's own lookup work, which the store charges
-      as ``app.get*`` directly on the operation span.
-    * **cache_mgmt** — everything else the traced ops spent: cache
+    * **device_io** — the ``device_io`` and ``writeback`` stages of
+      :func:`~repro.obs.events.fold_stages`: fault reads, explicit-I/O
+      device commands and their waits, writeback.
+    * **get** — the KV store's own lookup work, charged as ``app.get*``.
+    * **cache_mgmt** — everything else the phase spent: cache
       lookups/inserts, eviction/reclaim, syscalls, TLB and lock work.
 
     ``app.access`` (the raw load/store hit cost) is excluded from every
     section, as in the paper's figure.
     """
-    device = (
-        att.self_prefix_total("fault.io")
-        + att.self_prefix_total("io.device")
-        + att.self_prefix_total("writeback")
-    )
-    op_charges = att.charges_of_prefix("op")
-    get = sum(
-        cycles
-        for category, cycles in op_charges.items()
-        if category == "app.get" or category.startswith("app.get.")
-    )
-    excluded = op_charges.get("app.access", 0.0)
-    cache = att.total_cycles() - device - get - excluded
+    stages = fold_stages(breakdown.as_dict())
+    device = stages["device_io"] + stages["writeback"]
+    get = breakdown.prefix_total("app.get")
+    cache = breakdown.total() - device - get - breakdown.get("app.access")
     return {
         "device_io": device / gets,
         "cache_mgmt": cache / gets,
@@ -98,29 +90,19 @@ def run_mode(
     executor = Executor()
     executor.add(runner, driver.run_workload(runner, operations))
 
-    # Trace the measured phase.  If a caller (e.g. the CLI's --trace)
-    # already enabled tracing, keep its settings and window on a mark;
-    # otherwise trace just this phase.
-    was_enabled = TRACER.enabled
-    if not was_enabled:
-        TRACER.enable()
-    mark = TRACER.mark()
     phase_start = runner.clock.now
     result = executor.run()
     elapsed = result.makespan_cycles - phase_start
-    att = CycleAttribution.from_tracer(TRACER, since=mark)
-    if not was_enabled:
-        TRACER.disable()
-
-    sections = _sections_from_trace(att, operations)
+    charged = runner.clock.breakdown.total()
     latencies = result.merged_latencies()
-    from repro.sim.stats import throughput_ops_per_sec
-
     return {
         "mode": mode,
-        "sections": sections,
-        "trace_total_cycles": att.total_cycles(),
-        "charged_total_cycles": runner.clock.breakdown.total(),
+        "sections": _sections(runner.clock.breakdown, operations),
+        # Always the charged total.  The key stays only because
+        # benchmarks/e2e/cells.json pins every cell's state digest; the
+        # next deliberate manifest regeneration drops it.
+        "trace_total_cycles": charged,
+        "charged_total_cycles": charged,
         "throughput": throughput_ops_per_sec(result.total_ops, elapsed),
         "mean_latency_cycles": latencies.mean(),
         "p999_cycles": latencies.p999(),
@@ -157,7 +139,7 @@ def enumerate_cells(scale: str = "figure") -> List[Dict]:
 
 def run_sweep_cell(params: Dict) -> Dict:
     """Run one enumerated Figure 7 mode; the payload (sans raw db stats
-    object) is its state.  Sections are trace-derived cycles per get."""
+    object) is its state.  Sections are ledger-folded cycles per get."""
     row = run_mode(
         params["mode"],
         params["record_count"],

@@ -233,6 +233,17 @@ def check_regressions(report: Dict, baseline: Dict) -> List[str]:
     return failures
 
 
+def _repeat_count(text: str) -> int:
+    """``--repeats``: an integer of at least 1 (best-of-0 has no time)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Kernel-benchmark CLI body; returns the process exit code."""
     parser = argparse.ArgumentParser(
@@ -247,7 +258,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="exit 1 if any cell regresses >25%% vs baseline")
     parser.add_argument("--update-baseline", action="store_true",
                         help="write the fresh report over the baseline file")
-    parser.add_argument("--repeats", type=int, default=3,
+    parser.add_argument("--repeats", type=_repeat_count, default=3,
                         help="wall-time repeats per cell (best is kept)")
     args = parser.parse_args(argv)
 

@@ -246,7 +246,7 @@ _REPRODUCING = """
 
 ```bash
 pip install -e .
-pytest tests/ -q                            # 650+ tests
+pytest tests/ -q                            # 1400+ tests
 python -m repro.bench sweep --workers 4     # every figure cell, resumable
 python -m repro.bench report                # regenerate this file
 python -m repro.bench report --check        # verify it is current (CI)
@@ -440,8 +440,8 @@ def _fig7_section(cells: Dict[str, dict]) -> List[str]:
     return [
         "### Figure 7 — RocksDB read-path cycle breakdown",
         "",
-        "Trace-derived cycles per get (K), YCSB-C with the dataset 4× the",
-        "cache.",
+        "Cycles per get (K), folded from the measured phase's cycle",
+        "breakdown, YCSB-C with the dataset 4× the cache.",
         "",
         *_md_table(
             ["mode", "device I/O", "cache mgmt", "get", "total", "throughput"], rows

@@ -33,8 +33,8 @@ tracer/registry scopes and ships a structured telemetry snapshot
 (:mod:`repro.obs.events`) back through its manifest record — per-stage
 cycle attribution folded from the cell threads' cycle breakdowns,
 metrics, histogram summaries, retries, wall time.  The scope leaves the
-tracer off, so telemetry never changes which code path executes; only
-fig7, whose figure is a span breakdown, traces its own measured phase.
+tracer off, so telemetry never changes which code path executes and no
+cell finishes a span.
 The isolation is the worker-reuse guarantee: a pooled process that runs
 many cells gives each one a fresh registry and span ring, so no counter
 can leak between cells.  Telemetry is observational — a figure command
@@ -100,8 +100,6 @@ class WallClock:
 
     def charge(self, category: str, cycles: float) -> None:
         """Advance by ``cycles`` wall-cycles, sleeping them for real."""
-        if self.obs_span is not None:
-            self.obs_span.charge(category, cycles)
         self.now += cycles
         time.sleep(cycles / units.CPU_FREQ_HZ)
 

@@ -121,8 +121,8 @@ class AquilaEngine(MmioEngine):
     # One straight-line protocol for every mode (traced or not, any CPI,
     # fault injection, EPT, readahead, any I/O path or partition): each
     # device command, retry, crash point and charge is a real call, and
-    # the sub-spans fig7/fig8 read wrap the same code.  Other structures
-    # are reached through their public (batch) methods only.
+    # the sub-spans of a ``--trace`` timeline wrap the same code.  Other
+    # structures are reached through their public (batch) methods only.
 
     def _fault(self, thread: SimThread, vma: VMA, vpn: int, is_write: bool) -> int:
         clock = thread.clock

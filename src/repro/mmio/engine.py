@@ -635,9 +635,9 @@ class MmioEngine:
             now += pre_step
             if core in pending:
                 clock.now = now
-                # The absorb may add its category to a ledger; first give
-                # the categories this run has charged so far their slots,
-                # so it lands after them as it would.  Where it adds
+                # The absorb may add its category to the breakdown; first
+                # give the categories this run has charged so far their
+                # slots, so it lands after them as it would.  Where it adds
                 # nothing, early slots leave the flush's key order.  Slots
                 # stay, so only a category first charged since the last
                 # booking (the hit, then the walk) needs a new one.
@@ -693,10 +693,10 @@ class MmioEngine:
         replays the window through ``TLB.access_window`` and reports
         which accesses walked; :func:`~repro.sim.fastforward.stepped_clock`
         accumulates the CPI-scaled walk and hit adds in stepped order
-        into the clock and the per-access latencies; the breakdown (and
-        open span) take the loop's own ``_hit_charges`` through
-        ``CycleClock.book_run``, so new categories enter each ledger in
-        stepped order; and every touched PTE gets its accessed bit.
+        into the clock and the per-access latencies; the breakdown takes
+        the loop's own ``_hit_charges`` through ``CycleClock.book_run``,
+        so new categories enter it in stepped order; and every touched
+        PTE gets its accessed bit.
         Returns the number of accesses retired; 0 means "fall back to
         the loop".
         """

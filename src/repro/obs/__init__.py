@@ -1,15 +1,17 @@
 """repro.obs — zero-dependency tracing and metrics for the simulator.
 
-Three pieces, threaded through the whole fault path:
+Two pieces, threaded through the whole fault path:
 
-* :data:`~repro.obs.trace.TRACER` — nested cycle-scoped spans charged to
-  the simulated clock, a bounded ring buffer, Chrome ``trace_event``
-  export (open any run in Perfetto);
+* :data:`~repro.obs.trace.TRACER` — nested cycle-scoped spans on the
+  simulated clock, a bounded ring buffer, Chrome ``trace_event`` export
+  (open any run in Perfetto): an opt-in timeline;
 * :data:`~repro.obs.metrics.METRICS` — process-wide named counters and
   histograms plus pull-probes over the counters components already
-  keep;
-* :class:`~repro.obs.attribution.CycleAttribution` — folds spans into the
-  per-stage cycle breakdowns of the paper's figures.
+  keep.
+
+Where the simulated cycles went is not a span question: every figure and
+every cell's telemetry folds the clocks' always-on cycle breakdowns
+through :func:`~repro.obs.events.fold_stages`.
 
 Both the tracer and the registry are **disabled by default** and cost one
 branch per instrumented call while disabled.  Enable them before building
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.attribution import CycleAttribution
 from repro.obs.events import (
     DEFAULT_STAGE_RULES,
     TELEMETRY_SCHEMA,
@@ -49,7 +50,6 @@ from repro.obs.metrics import (
 from repro.obs.trace import DEFAULT_CAPACITY, TRACER, Span, Tracer
 
 __all__ = [
-    "CycleAttribution",
     "COUNTER_WRAP",
     "DEFAULT_CAPACITY",
     "DEFAULT_CYCLE_BUCKETS",

@@ -2,17 +2,19 @@
 
 A :class:`Span` measures one named region of simulated work on one
 thread's :class:`~repro.sim.clock.CycleClock`: its begin/end positions on
-the simulated timeline, the cycles charged *directly* inside it (children
-excluded), and which clock it ran on.  Spans nest; closing a span adds its
-duration to the parent's ``child_cycles`` so exclusive (self) time falls
-out without reconstructing the tree.
+the simulated timeline, its nesting depth, and which clock it ran on.
+Spans nest (``CycleClock.obs_span`` is the innermost open span of each
+clock); closing a span adds its duration to the parent's
+``child_cycles`` so exclusive (self) time falls out without
+reconstructing the tree.
+
+Spans are for timelines only.  Where the cycles went is the clock's
+always-on :class:`~repro.sim.clock.Breakdown`, which every figure and
+every cell's telemetry folds; a span records no per-category ledger.
 
 The process-wide :data:`TRACER` is disabled by default.  When disabled,
 ``TRACER.span(...)`` returns a shared no-op context manager after a single
-branch, so instrumented hot paths cost one call per would-be span.  When
-enabled, :class:`~repro.sim.clock.CycleClock` routes every ``charge`` /
-``wait_until`` to the innermost open span of that clock (see
-``CycleClock.obs_span``), giving per-span category breakdowns for free.
+branch, so instrumented hot paths cost one call per would-be span.
 
 Finished spans land in a bounded ring buffer (oldest dropped first) and
 export as Chrome ``trace_event`` JSON, so any run can be opened in
@@ -61,11 +63,9 @@ class Span:
     __slots__ = (
         "name",
         "track",
-        "seq",
         "begin",
         "end",
         "depth",
-        "charges",
         "child_cycles",
         "_parent",
         "_prev",
@@ -78,20 +78,14 @@ class Span:
         self._clock = clock
         self.name = name
         self.track = track
-        self.seq = -1          # assigned when the span finishes
         self.begin = clock.now
         self.end = clock.now
         self.depth = 0
-        self.charges: Dict[str, float] = {}
         self.child_cycles = 0.0
         self._parent: Optional["Span"] = None
         self._prev: Optional["Span"] = None
 
     # -- cycle accounting -----------------------------------------------------
-
-    def charge(self, category: str, cycles: float) -> None:
-        """Attribute ``cycles`` charged on this span's clock (clock hook)."""
-        self.charges[category] = self.charges.get(category, 0.0) + cycles
 
     @property
     def duration(self) -> float:
@@ -129,7 +123,7 @@ class Tracer:
         self.enabled = False
         self.epoch = 0              # bumped on reset; invalidates clock track ids
         self.dropped = 0            # finished spans evicted by the ring bound
-        self.total_finished = 0     # monotonically increasing span sequence
+        self.total_finished = 0     # spans finished since the last reset
         self.noop_requests = 0      # span() calls taken while disabled
         self._ring: "deque[Span]" = deque(maxlen=capacity)
         self._tracks: List[str] = []
@@ -138,7 +132,7 @@ class Tracer:
     # -- control ---------------------------------------------------------------
 
     def enable(self) -> None:
-        """Start recording spans (charges route to open spans)."""
+        """Start recording spans."""
         self.enabled = True
 
     def disable(self) -> None:
@@ -242,7 +236,6 @@ class Tracer:
         self._current = span._prev
         if span._parent is not None:
             span._parent.child_cycles += span.end - span.begin
-        span.seq = self.total_finished
         self.total_finished += 1
         if len(self._ring) == self.capacity:
             self.dropped += 1
@@ -250,17 +243,9 @@ class Tracer:
 
     # -- retrieval ---------------------------------------------------------------
 
-    def mark(self) -> int:
-        """A position in the span sequence, for :meth:`finished_since`."""
-        return self.total_finished
-
     def finished_spans(self) -> List[Span]:
         """All retained finished spans, oldest first."""
         return list(self._ring)
-
-    def finished_since(self, mark: int) -> List[Span]:
-        """Retained spans finished at or after ``mark`` (see :meth:`mark`)."""
-        return [span for span in self._ring if span.seq >= mark]
 
     def track_names(self) -> List[str]:
         """Registered track (simulated-thread) names, by track id."""
@@ -275,8 +260,8 @@ class Tracer:
         process and one ``thread_name`` per registered track — then one
         ``ph: "X"`` complete event per retained span.  Timestamps are
         simulated microseconds (cycles at 2.4 GHz), one ``tid`` per
-        simulated thread, with the span's cycle totals and per-category
-        charges in ``args``.  Streaming the ring this way lets the
+        simulated thread, with the span's cycles and self cycles in
+        ``args``.  Streaming the ring this way lets the
         export run at O(1) extra memory however many spans are retained.
         """
         yield {
@@ -305,10 +290,6 @@ class Tracer:
                 "args": {
                     "cycles": round(span.duration, 2),
                     "self_cycles": round(span.self_cycles, 2),
-                    "charges": {
-                        category: round(cycles, 2)
-                        for category, cycles in sorted(span.charges.items())
-                    },
                 },
             }
 

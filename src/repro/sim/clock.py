@@ -104,9 +104,8 @@ class CycleClock:
         #: Display name for trace export (set by the owning SimThread).
         self.owner_name = ""
         #: repro.obs tracing state, written only by the global Tracer: the
-        #: innermost open span on this clock (charges attribute to it) and
-        #: the tracer-local (epoch, track-id) pair.  Plain attributes, so
-        #: the disabled-tracing cost of ``charge`` is one None check.
+        #: innermost open span on this clock (new spans nest under it) and
+        #: the tracer-local (epoch, track-id) pair.
         self.obs_span = None
         self.obs_track = None
 
@@ -120,9 +119,6 @@ class CycleClock:
         # on every charge of every engine.
         if scaled:
             self.breakdown._cycles[category] += scaled
-        span = self.obs_span
-        if span is not None:
-            span.charge(category, scaled)
 
     def wait_until(self, time: float, category: str) -> float:
         """Block until ``time`` if it is in the future; return cycles waited."""
@@ -131,9 +127,6 @@ class CycleClock:
             return 0.0
         self.now = time
         self.breakdown.add(category, waited)
-        span = self.obs_span
-        if span is not None:
-            span.charge(category, waited)
         return waited
 
     def book_run(
@@ -141,34 +134,30 @@ class CycleClock:
         charges: Iterable[Tuple[Optional[str], float, int]],
         slots_only: bool = False,
     ) -> None:
-        """Book a run of stepped charges into the breakdown and open span.
+        """Book a run of stepped charges into the breakdown.
 
         ``charges`` lists ``(category, step, count)``: ``count`` charges
-        of ``step`` already-scaled cycles each (a None category books
-        nothing).  Each ledger ends bit for bit as that many
+        of ``step`` already-scaled cycles each (a None category or a zero
+        step books nothing).  The breakdown ends bit for bit as that many
         :meth:`charge` calls would leave it: the same stepped float adds,
-        the same zero-charge skip in the breakdown (spans record zero
-        charges), and a category new to a ledger enters it in list
-        order — so listing charges in first-charge order keeps each
-        ledger's insertion order.  ``now`` is left to the caller, which
-        steps it access by access to take latencies.
+        the same zero-charge skip, and a category new to the breakdown
+        enters it in list order — so listing charges in first-charge
+        order keeps its insertion order.  ``now`` is left to the caller,
+        which steps it access by access to take latencies.
 
         ``slots_only`` only inserts the missing categories, at 0.0: the
         run is still going, and a direct ``charge`` is about to land
         after the categories it has charged so far.
         """
         cycles = self.breakdown._cycles
-        span = self.obs_span
-        ledgers = (cycles,) if span is None else (cycles, span.charges)
-        for ledger in ledgers:
-            for category, step, count in charges:
-                if category is None or not count or (not step and ledger is cycles):
-                    continue
-                if slots_only:
-                    if category not in ledger:
-                        ledger[category] = 0.0
-                else:
-                    ledger[category] = _stepped_sum(ledger.get(category, 0.0), step, count)
+        for category, step, count in charges:
+            if category is None or not count or not step:
+                continue
+            if slots_only:
+                if category not in cycles:
+                    cycles[category] = 0.0
+            else:
+                cycles[category] = _stepped_sum(cycles.get(category, 0.0), step, count)
 
     @property
     def seconds(self) -> float:

@@ -190,3 +190,15 @@ def test_report_check_cycle(tmp_path, capsys):
         ["report", "--check", "--manifest", str(manifest), "--output", str(doc)]
     ) == 1
     assert "regenerate with" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("repeats", ["0", "-2", "x"])
+def test_kernelbench_rejects_repeats_below_one(repeats, tmp_path, capsys):
+    from repro.bench import kernelbench
+
+    output = tmp_path / "k.json"
+    with pytest.raises(SystemExit) as excinfo:
+        kernelbench.main(["--repeats", repeats, "--output", str(output)])
+    assert excinfo.value.code == 2
+    assert "--repeats" in capsys.readouterr().err
+    assert not output.exists()

@@ -13,14 +13,23 @@ against real sweep cells:
   cell thread charged;
 * **worker isolation** — two cells executed back to back in one process
   (the pooled-worker lifecycle) see independent registries and span
-  rings, and leak nothing into the caller's registry.
+  rings, and leak nothing into the caller's registry;
+* **no cell traces** — every record of the committed manifest finished
+  no span.
 """
 
 import json
+import os
 
 import pytest
 
-from repro.bench.sweep import _execute_cell, enumerate_cells, run_cell
+from repro.bench.sweep import (
+    DEFAULT_MANIFEST,
+    _execute_cell,
+    enumerate_cells,
+    load_manifest,
+    run_cell,
+)
 from repro.mmio.aquila import AquilaEngine
 from repro.obs import METRICS, TRACER
 from repro.obs.events import telemetry_bytes
@@ -102,6 +111,16 @@ class TestConformanceSafety:
         assert metrics["engine.aquila.batched_hits"] == on[0]
         assert metrics["engine.aquila.faults.major"] == on[3]
         assert observed["telemetry"]["spans"] == {"finished": 0, "dropped": 0}
+
+    def test_no_committed_cell_finished_a_span(self):
+        """Every figure family folds the cycle ledger; none reads spans."""
+        repo = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        records = load_manifest(os.path.join(repo, DEFAULT_MANIFEST))
+        cells = [r for r in records if r.get("kind") == "cell"]
+        assert cells
+        traced = [r["cell_id"] for r in cells if r["telemetry"]["spans"]["finished"]]
+        assert traced == []
+
 
 class TestAttributionCoverage:
     def test_attribution_covers_every_thread_cycle(self, monkeypatch):

@@ -4,7 +4,7 @@
 ``clock.charge(*pre_charge)`` then ``Mapping.load``, access after access,
 stopping after the first load that reads ``stop`` — in everything the
 simulation can observe: values, the clock, the breakdown (including the
-order categories entered it), open-span charges, TLB recency order and
+order categories entered it), the open spans, TLB recency order and
 counters, PTE accessed bits, cache contents and every engine counter but
 the mode counters.  Each case mixes hits with faults in mid-run, posts
 interference at times inside the run in its hard variant, which also runs
@@ -153,7 +153,7 @@ def _observe(run, engine_kind, variant, plan, addresses, index, stop):
         except SegmentationFault as exc:
             outcome = ("raised", type(exc).__name__, str(exc))
         spans = [
-            (s.name, s.depth, s.begin, s.end, list(s.charges.items()))
+            (s.name, s.depth, s.begin, s.end)
             for s in TRACER.finished_spans()
         ]
         assert TRACER.dropped == 0

@@ -1,11 +1,11 @@
-"""Tracer: span nesting, cycle attribution, ring bound, Chrome export."""
+"""Tracer: span nesting, self cycles, ring bound, Chrome export."""
 
 import json
 
 import pytest
 
 from repro.common import units
-from repro.obs import TRACER, Tracer, enable_tracing
+from repro.obs import DEFAULT_CAPACITY, TRACER, Tracer, enable_tracing
 from repro.sim.clock import CycleClock
 
 
@@ -21,7 +21,7 @@ def _global_tracer_off():
     """Tests here must not leak state into the process-wide TRACER."""
     yield
     TRACER.disable()
-    TRACER.reset()
+    TRACER.reset(capacity=DEFAULT_CAPACITY)
 
 
 class TestSpanNesting:
@@ -51,17 +51,17 @@ class TestSpanNesting:
             with tracer.span("inner", clock):
                 clock.charge("x", 7)
                 clock.charge("y", 3)
-        spans = {s.name: s for s in tracer.finished_spans()}
-        assert spans["inner"].charges == {"x": 7, "y": 3}
-        assert spans["outer"].charges == {"x": 10}
+        rows = [(s.name, s.depth, s.begin, s.end) for s in tracer.finished_spans()]
+        assert rows == [("inner", 1, 10, 20), ("outer", 0, 0, 20)]
+        assert clock.breakdown.as_dict() == {"x": 17, "y": 3}
 
     def test_wait_until_charges_span(self, tracer):
         clock = CycleClock()
         with tracer.span("s", clock):
             clock.wait_until(clock.now + 40, "idle.io")
         (span,) = tracer.finished_spans()
-        assert span.charges == {"idle.io": 40}
-        assert span.duration == 40
+        assert (span.name, span.depth, span.begin, span.end) == ("s", 0, 0, 40)
+        assert clock.breakdown.as_dict() == {"idle.io": 40}
 
     def test_cpi_scaling_reaches_span(self, tracer):
         clock = CycleClock()
@@ -69,8 +69,8 @@ class TestSpanNesting:
         with tracer.span("s", clock):
             clock.charge("work", 10)
         (span,) = tracer.finished_spans()
-        assert span.charges == {"work": 20}
-        assert span.duration == 20
+        assert (span.name, span.depth, span.begin, span.end) == ("s", 0, 0, 20)
+        assert clock.breakdown.as_dict() == {"work": 20}
 
     def test_no_clock_and_no_enclosing_span_raises(self, tracer):
         with pytest.raises(ValueError):
@@ -101,15 +101,6 @@ class TestRingBuffer:
         assert tracer.dropped == 6
         assert tracer.total_finished == 10
         assert [s.name for s in tracer.finished_spans()] == ["s6", "s7", "s8", "s9"]
-
-    def test_mark_windows_spans(self, tracer):
-        clock = CycleClock()
-        with tracer.span("before", clock):
-            clock.charge("w", 1)
-        mark = tracer.mark()
-        with tracer.span("after", clock):
-            clock.charge("w", 1)
-        assert [s.name for s in tracer.finished_since(mark)] == ["after"]
 
     def test_reset_clears_and_bumps_epoch(self, tracer):
         clock = CycleClock()
@@ -179,9 +170,8 @@ class TestChromeExport:
         assert io["dur"] == pytest.approx(units.cycles_to_us(2400), abs=1e-6)
         assert io["ts"] == pytest.approx(units.cycles_to_us(120), abs=1e-6)
         assert fault["args"]["cycles"] == 2520
-        assert fault["args"]["self_cycles"] == 120
-        assert fault["args"]["charges"] == {"fault.vma_lookup": 120}
-        assert io["args"]["charges"] == {"idle.io": 2400}
+        assert fault["args"] == {"cycles": 2520, "self_cycles": 120}
+        assert io["args"] == {"cycles": 2400, "self_cycles": 2400}
         assert trace["otherData"]["dropped_spans"] == 0
 
     def test_streamed_file_matches_materialized_trace(self, tracer, tmp_path):

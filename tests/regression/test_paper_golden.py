@@ -129,6 +129,20 @@ class TestFig7Goldens:
                      1.6186812719264623,
                      "mmap path gains 1.40x over pread/pwrite (Fig 7)")
 
+    @pytest.mark.parametrize("mode", ["direct", "aquila"])
+    def test_payload_does_not_depend_on_the_tracer(self, mode):
+        """A caller's small span ring neither truncates nor moves a section."""
+        from repro.bench.experiments.fig7 import run_mode
+        from repro.obs import TRACER
+
+        untraced = run_mode(mode, record_count=4096, operations=600, cache_pages=256)
+        SimThread.reset_ids()
+        BackingFile.reset_ids()
+        with TRACER.isolated(enable=True, capacity=1000):
+            traced = run_mode(mode, record_count=4096, operations=600, cache_pages=256)
+            assert TRACER.dropped > 0   # the ring overflowed
+        assert traced == untraced
+
 
 class TestFig5Goldens:
     """Figure 5: RocksDB YCSB-C throughput across I/O engines."""

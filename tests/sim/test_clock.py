@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.obs import TRACER
 from repro.sim.clock import Breakdown, CycleClock
 
 #: Per-charge raw cycles the run draws from: integers, fractions and zero.
@@ -68,27 +67,17 @@ class TestCycleClock:
         assert clock.breakdown.total() == pytest.approx(sum(charges))
 
 
-def _ledgers(span_open, cpi, before, act):
-    """``(breakdown items, span charge items)`` after ``act(clock)``.
+def _breakdown(cpi, before, act):
+    """Breakdown items, in key order, after ``act(clock)``.
 
-    The clock runs at ``cpi`` with ``before`` charged first, under an
-    open span when ``span_open``; both ledgers keep their key order.
+    The clock runs at ``cpi`` with ``before`` charged first.
     """
     clock = CycleClock()
     clock.cpi_factor = cpi
-    with TRACER.isolated(enable=span_open):
-        if span_open:
-            with TRACER.span("run", clock) as span:
-                for category, raw in before:
-                    clock.charge(category, raw)
-                act(clock)
-                charges = list(span.charges.items())
-        else:
-            for category, raw in before:
-                clock.charge(category, raw)
-            act(clock)
-            charges = None
-    return list(clock.breakdown.as_dict().items()), charges
+    for category, raw in before:
+        clock.charge(category, raw)
+    act(clock)
+    return list(clock.breakdown.as_dict().items())
 
 
 def _stepped(run, absorb=None):
@@ -115,27 +104,21 @@ class TestBookRun:
         run=RUNS,
         cpi=st.sampled_from([1.0, 1.4]),
         before=st.lists(st.tuples(st.sampled_from("aceij"), RAW_STEPS), max_size=4),
-        span_open=st.booleans(),
     )
-    def test_run_equals_stepped_charges(self, run, cpi, before, span_open):
+    def test_run_equals_stepped_charges(self, run, cpi, before):
         def book(clock):
             clock.book_run([(c, raw * clock.cpi_factor, n) for c, raw, n in run])
 
-        assert _ledgers(span_open, cpi, before, book) == _ledgers(
-            span_open, cpi, before, _stepped(run)
-        )
+        assert _breakdown(cpi, before, book) == _breakdown(cpi, before, _stepped(run))
 
     @given(
         run=RUNS,
         cpi=st.sampled_from([1.0, 1.4]),
         before=st.lists(st.tuples(st.sampled_from("aceij"), RAW_STEPS), max_size=4),
-        span_open=st.booleans(),
         after=st.integers(0, 41),
         absorb=st.tuples(st.sampled_from("ijk"), RAW_STEPS),
     )
-    def test_slots_then_direct_charge_equals_stepped(
-        self, run, cpi, before, span_open, after, absorb
-    ):
+    def test_slots_then_direct_charge_equals_stepped(self, run, cpi, before, after, absorb):
         """Slots for the charges so far, a direct charge, then the whole run."""
         run = [entry for entry in run if entry[0] not in "ijk"]
 
@@ -146,8 +129,8 @@ class TestBookRun:
             clock.book_run([(c, raw * clock.cpi_factor, n) for c, raw, n in run])
 
         last = max((n for _, _, n in run), default=0)
-        assert _ledgers(span_open, cpi, before, book) == _ledgers(
-            span_open, cpi, before, _stepped(run, (min(after, last), *absorb))
+        assert _breakdown(cpi, before, book) == _breakdown(
+            cpi, before, _stepped(run, (min(after, last), *absorb))
         )
 
     def test_none_category_and_zero_count_book_nothing(self):
