@@ -37,11 +37,13 @@ tracer off, so telemetry never changes which code path executes and no
 cell finishes a span.
 The isolation is the worker-reuse guarantee: a pooled process that runs
 many cells gives each one a fresh registry and span ring, so no counter
-can leak between cells.  Telemetry is observational — a figure command
-runs the same cells outside these scopes to the same state digests —
-and its deterministic view is byte-identical across reruns of the same
-cell.  The manifest is the sweep's whole record: the orchestrator keeps
-no counters, spans or profiles of its own.
+can leak between cells; and a finished cell leaves no reference cycle,
+so its stack is freed when ``run_cell`` returns.  Telemetry is
+observational — a figure command runs the same cells outside these
+scopes to the same state digests — and its deterministic view is
+byte-identical across reruns of the same cell.  The manifest is the
+sweep's whole record: the orchestrator keeps no counters, spans or
+profiles of its own.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ Components, each mirroring the paper:
 * **approximate LRU** updated on page faults only (hits are invisible to
   software);
 * **per-core red-black trees of dirty pages**, sorted by device offset, so
-  writeback can merge adjacent pages into large I/Os;
+  writeback can merge adjacent pages into large I/Os (each tree operation
+  charges ``RBTREE_OP_CYCLES``; the host keeps a sorted map);
 * **batch eviction**: when the freelist runs dry the faulting thread
   synchronously evicts a batch (512 pages in the paper's config).
 """
@@ -23,7 +24,7 @@ from repro.mem.frames import FramePool
 from repro.mem.freelist import TwoLevelFreelist
 from repro.mem.hashtable import LockFreeHashTable
 from repro.mem.lru import ApproxLRU
-from repro.mem.rbtree import RBTree
+from repro.mem.sorted_map import SortedMap
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:   # break the cache <-> mmio import cycle
@@ -63,7 +64,7 @@ class AquilaCache:
         #: Optional per-tenant QoS partition (``repro.cache.partition``);
         #: when installed, victim selection prefers over-quota tenants.
         self.partition = None
-        self._dirty_trees: List[RBTree] = [RBTree() for _ in range(num_cores)]
+        self._dirty_trees: List[SortedMap] = [SortedMap() for _ in range(num_cores)]
         self._pages: Dict[Tuple[int, int], CachePage] = {}
         self.hits = 0
         self.misses = 0

@@ -212,19 +212,22 @@ class FileBTree:
             page = entries[slot][1]
 
     def _leaf_pages(self, thread: SimThread) -> Iterator[Entries]:
-        """All leaves left-to-right (spill input / scans)."""
+        """All leaves left-to-right (spill input / scans).
+
+        Depth-first with an explicit stack of pages still to visit,
+        children pushed in reverse: nodes are read in recursive-walk
+        order, each only when reached, so an early-stopping scan reads
+        no further.
+        """
         if self.root_page is None:
             return
-
-        def walk(page: int) -> Iterator[Entries]:
-            is_leaf, entries, _ = self._read_node(thread, page)
+        pending = [self.root_page]
+        while pending:
+            is_leaf, entries, _ = self._read_node(thread, pending.pop())
             if is_leaf:
                 yield entries
             else:
-                for _, child in entries:
-                    yield from walk(child)
-
-        yield from walk(self.root_page)
+                pending.extend(child for _, child in reversed(entries))
 
     def items(self, thread: SimThread) -> Iterator[Tuple[bytes, int]]:
         """All (key, pointer) pairs in key order."""

@@ -24,7 +24,7 @@ from typing import Optional
 from repro.common import constants, units
 from repro.common.errors import SegmentationFault
 from repro.mem.radix import RadixTree
-from repro.mem.rbtree import RBTree
+from repro.mem.sorted_map import SortedMap
 from repro.mmio.files import BackingFile
 from repro.sim.clock import CycleClock
 from repro.sim.locks import RWLockTimeline, StripedAtomicTimeline
@@ -120,12 +120,12 @@ class VMAStore:
 
 
 class LinuxVMAStore(VMAStore):
-    """Red-black tree of VMAs behind ``mmap_sem``."""
+    """Red-black tree of VMAs behind ``mmap_sem`` (a sorted map on the host)."""
 
     def __init__(self) -> None:
         super().__init__()
         self.mmap_sem = RWLockTimeline("mmap_sem")
-        self._tree = RBTree()   # key: start_vpn -> VMA
+        self._tree = SortedMap()   # key: start_vpn -> VMA
 
     def insert(self, clock: CycleClock, vma: VMA) -> None:
         self.mmap_sem.acquire_write(clock)
