@@ -13,6 +13,11 @@ GIB = 1024 * MIB
 PAGE_SIZE = 4 * KIB
 PAGE_SHIFT = 12
 
+#: The one all-zero page object.  Device stores keep every all-zero page
+#: as this object and frame pools read unwritten frames as it, so a frame
+#: filled from a zero device page holds the very object the device does.
+ZERO_PAGE = bytes(PAGE_SIZE)
+
 HUGE_2M = 2 * MIB
 HUGE_1G = GIB
 

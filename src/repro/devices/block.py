@@ -2,8 +2,9 @@
 
 Devices store **real bytes** (DESIGN.md Section 4, item 2): every read
 returns exactly what was written, so data-integrity tests can verify the
-whole stack end to end.  Timing is modeled per device with three
-parameters taken from datasheets:
+whole stack end to end.  Each device byte is held once: all-zero pages
+share one object and a discarded (TRIMmed) range holds nothing.  Timing
+is modeled per device with three parameters taken from datasheets:
 
 * fixed per-command service latency,
 * a per-byte transfer cost (bandwidth cap),
@@ -17,6 +18,7 @@ from typing import Dict, Optional
 
 from repro.common import units
 from repro.common.errors import OutOfSpaceError, TornWriteError, TransientDeviceError
+from repro.common.units import ZERO_PAGE
 from repro.fault.plan import (
     FAULT_ERROR,
     FAULT_LATENCY,
@@ -28,11 +30,14 @@ from repro.fault.plan import (
 from repro.obs import METRICS
 from repro.sim.clock import CycleClock
 
-ZERO_PAGE = bytes(units.PAGE_SIZE)
-
 
 class BackingStore:
-    """Sparse page-granularity byte storage for one device."""
+    """Sparse page-granularity byte storage for one device.
+
+    A stored page whose bytes are all zero is the shared ``ZERO_PAGE``
+    object, so a preallocated, still-empty file costs one dict slot per
+    page rather than 4 KiB.
+    """
 
     def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
@@ -53,7 +58,7 @@ class BackingStore:
             )
 
     def read_page(self, page_index: int) -> bytes:
-        """The 4 KiB contents of ``page_index`` (zeros if never written)."""
+        """The 4 KiB contents of ``page_index`` (zeros if not stored)."""
         self._check(page_index)
         return self._pages.get(page_index, ZERO_PAGE)
 
@@ -62,7 +67,8 @@ class BackingStore:
         self._check(page_index)
         if len(data) != units.PAGE_SIZE:
             raise ValueError(f"write_page needs {units.PAGE_SIZE} bytes, got {len(data)}")
-        self._pages[page_index] = bytes(data)
+        page = bytes(data)
+        self._pages[page_index] = ZERO_PAGE if page == ZERO_PAGE else page
 
     def read(self, offset: int, nbytes: int) -> bytes:
         """Read an arbitrary byte range (page-spanning allowed).
@@ -103,12 +109,31 @@ class BackingStore:
             take = min(len(data) - written, units.PAGE_SIZE - in_page)
             page = bytearray(self.read_page(page_index))
             page[in_page : in_page + take] = data[written : written + take]
-            self._pages[page_index] = bytes(page)
+            page = bytes(page)
+            self._pages[page_index] = ZERO_PAGE if page == ZERO_PAGE else page
             pos += take
             written += take
 
+    def discard(self, offset: int, nbytes: int) -> None:
+        """TRIM the page-aligned range ``[offset, offset + nbytes)``.
+
+        Its pages are dropped from the store and read as zeros until
+        written again.  A discard moves no data, so no caller charges
+        cycles or counts a device command for it.
+        """
+        if offset < 0 or nbytes < 0:
+            raise ValueError("negative offset or size")
+        if (offset | nbytes) & (units.PAGE_SIZE - 1):
+            raise ValueError("discard range must be page-aligned")
+        if offset + nbytes > self.capacity_bytes:
+            raise OutOfSpaceError("discard beyond device capacity")
+        pages = self._pages
+        first = offset >> units.PAGE_SHIFT
+        for page_index in range(first, first + (nbytes >> units.PAGE_SHIFT)):
+            pages.pop(page_index, None)
+
     def used_pages(self) -> int:
-        """Number of pages that have ever been written."""
+        """Number of pages currently stored (written and not discarded)."""
         return len(self._pages)
 
     def snapshot(self) -> Dict[int, bytes]:

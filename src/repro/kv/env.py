@@ -9,7 +9,9 @@ experiment picks an implementation — the paper's
 
 Bulk file creation (SST output, WAL segments) always goes straight to the
 device with large sequential writes in every mode; the modes differ in how
-*reads* are served, which is what the paper measures.
+*reads* are served, which is what the paper measures.  A preallocated file
+(a WAL segment) passes :class:`Zeros` as its data, so its zeros are made
+one bulk-write chunk at a time rather than as one file-sized buffer.
 """
 
 from __future__ import annotations
@@ -25,13 +27,35 @@ from repro.mmio.files import BackingFile, ExtentAllocator
 from repro.sim.executor import SimThread
 
 
+class Zeros:
+    """``size`` zero bytes that are never held at once.
+
+    Slicing returns the slice's zeros as ``bytes``, which is all
+    :meth:`_BulkWriter.bulk_write` does with its data; the device commands
+    are those of ``bytes(size)``.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, index: slice) -> bytes:
+        return bytes(len(range(*index.indices(self.size))))
+
+
 class StorageEnv:
     """Abstract file environment."""
 
     name = "abstract"
 
     def write_file(self, thread: SimThread, name: str, data: bytes) -> BackingFile:
-        """Create a file containing ``data`` (bulk sequential write)."""
+        """Create a file containing ``data`` (bulk sequential write).
+
+        ``data`` is ``bytes`` or, to preallocate a zero-filled file,
+        :class:`Zeros`.
+        """
         raise NotImplementedError
 
     def read(self, thread: SimThread, file: BackingFile, offset: int, nbytes: int) -> bytes:
@@ -71,17 +95,18 @@ class _BulkWriter:
             take = min(chunk_bytes, len(data) - pos)
             page = (offset + pos) >> units.PAGE_SHIFT
             in_page = (offset + pos) & (units.PAGE_SIZE - 1)
-            chunk = data[pos : pos + take]
             dev_offset = file.device_offset(page) + in_page
             CRASH.point("bulk_write.chunk")
+            # Sliced inside the command, so a chunk lives only while it is
+            # written: a preallocation holds one chunk of zeros at a time.
             with_retries(
                 thread.clock,
-                lambda dev_offset=dev_offset, chunk=chunk: file.device.submit(
+                lambda dev_offset=dev_offset, start=pos, take=take: file.device.submit(
                     thread.clock,
                     dev_offset,
-                    len(chunk),
+                    take,
                     is_write=True,
-                    data=chunk,
+                    data=data[start : start + take],
                     wait_category="idle.io.bulk_write",
                 ),
                 "io.bulk_write",

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 from repro.common import constants, units
 from repro.fault.crash import CRASH
-from repro.kv.env import MmioEnv, StorageEnv
+from repro.kv.env import MmioEnv, StorageEnv, Zeros
 from repro.kv.lsm import LSMTree
 from repro.kv.memtable import TOMBSTONE, Memtable
 from repro.mmio.aquila import AquilaEngine
@@ -88,7 +88,7 @@ class RocksDB:
         )
         if self._wal_file is None or self._wal_offset + len(record) > self._wal_capacity:
             self._wal_file = self.env.write_file(
-                thread, f"wal/{len(self.wal_files):06d}.log", bytes(self._wal_capacity)
+                thread, f"wal/{len(self.wal_files):06d}.log", Zeros(self._wal_capacity)
             )
             self.wal_files.append(self._wal_file)
             self._wal_offset = 0

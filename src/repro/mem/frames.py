@@ -11,8 +11,7 @@ from typing import Dict, Iterable, List
 
 from repro.common import units
 from repro.common.errors import OutOfMemoryError
-
-ZERO_PAGE = bytes(units.PAGE_SIZE)
+from repro.common.units import ZERO_PAGE
 
 
 class FramePool:

@@ -109,8 +109,9 @@ class ExtentFile(BackingFile):
 class ExtentAllocator:
     """Doles out page-aligned extents of a device to :class:`ExtentFile` s.
 
-    Freed extents are reused first-fit, so long-running LSM compaction
-    churn does not exhaust the device.
+    Freed extents are discarded (TRIM, so they read as zeros) and reused
+    first-fit, so long-running LSM compaction churn neither exhausts the
+    device nor keeps dead pages in its store.
     """
 
     def __init__(self, device: BlockDevice, base_offset: int = 0) -> None:
@@ -133,8 +134,10 @@ class ExtentAllocator:
         return file
 
     def free(self, file: ExtentFile) -> None:
-        """Return a file's extent for reuse."""
-        self._freed.append((file.base_offset, units.page_align_up(file.size_bytes)))
+        """Discard a file's extent and return it for reuse."""
+        size = units.page_align_up(file.size_bytes)
+        self.device.store.discard(file.base_offset, size)
+        self._freed.append((file.base_offset, size))
 
     @property
     def bytes_allocated(self) -> int:

@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 
 from repro.common import units
 from repro.common.errors import OutOfSpaceError
+from repro.common.units import ZERO_PAGE
 from repro.devices.block import (
     BackingStore,
     BandwidthTimeline,
     BlockDevice,
     DeviceTimeline,
 )
+from repro.mem.frames import FramePool
 from repro.sim.clock import CycleClock
 
 
@@ -72,6 +74,97 @@ class TestBackingStore:
         store.write(0, b"a")
         store.write(units.PAGE_SIZE * 5, b"b")
         assert store.used_pages() == 2
+
+    def test_used_pages_counts_stored_pages(self):
+        store = BackingStore(units.MIB)
+        store.write(0, b"x" * (4 * units.PAGE_SIZE))
+        store.write(8 * units.PAGE_SIZE, bytes(units.PAGE_SIZE))
+        assert store.used_pages() == 5
+        store.discard(units.PAGE_SIZE, 2 * units.PAGE_SIZE)
+        assert store.used_pages() == 3
+        assert sorted(store.snapshot()) == [0, 3, 8]
+
+
+class TestSharedZeroPage:
+    def test_all_zero_writes_store_the_shared_page(self):
+        store = BackingStore(units.MIB)
+        store.write(0, bytes(3 * units.PAGE_SIZE))              # whole pages
+        store.write_page(5, bytearray(units.PAGE_SIZE))
+        store.write(7 * units.PAGE_SIZE + 100, b"\x00" * 10)    # partial page
+        pages = store.snapshot()
+        assert sorted(pages) == [0, 1, 2, 5, 7]
+        assert all(page is ZERO_PAGE for page in pages.values())
+
+    def test_zeroing_a_data_page_shares_it(self):
+        store = BackingStore(units.MIB)
+        store.write(0, b"data")
+        assert store.snapshot()[0] is not ZERO_PAGE
+        store.write(0, bytes(4))
+        assert store.snapshot()[0] is ZERO_PAGE
+
+    def test_data_pages_are_not_shared(self):
+        store = BackingStore(units.MIB)
+        store.write(0, bytes(units.PAGE_SIZE - 1) + b"\x01")
+        assert store.snapshot()[0] is not ZERO_PAGE
+        assert store.read_page(0)[-1] == 1
+
+    def test_frame_filled_from_a_zero_page_holds_the_device_object(self):
+        store = BackingStore(units.MIB)
+        store.write(0, bytes(units.PAGE_SIZE))
+        pool = FramePool(4)
+        pool.write(1, store.read_page(0))
+        assert pool.read(1) is store.read_page(0) is ZERO_PAGE
+        assert pool.read(2) is ZERO_PAGE   # an unwritten frame
+
+
+class TestPageWrites:
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_whole_and_partial_pages_read_back(self, kind):
+        store = BackingStore(units.MIB)
+        old = bytes(range(256)) * 80             # 5 pages under the write
+        store.write(0, old)
+        data = bytes((7 * i) % 251 for i in range(3 * units.PAGE_SIZE))
+        offset = units.PAGE_SIZE - 300           # partial, 2 whole, partial
+        store.write(offset, kind(data))
+        end = offset + len(data)
+        assert store.read(0, len(old)) == old[:offset] + data + old[end:]
+        assert store.read(len(old), 300) == bytes(300)
+        for index, page in store.snapshot().items():
+            assert type(page) is bytes and len(page) == units.PAGE_SIZE
+            assert page == store.read(index * units.PAGE_SIZE, units.PAGE_SIZE)
+
+    def test_whole_page_write_replaces_old_bytes(self):
+        store = BackingStore(units.MIB)
+        store.write(units.PAGE_SIZE, b"\xff" * units.PAGE_SIZE)
+        fresh = b"\x01" * 10 + bytes(units.PAGE_SIZE - 10)
+        store.write(units.PAGE_SIZE, fresh)
+        assert store.read_page(1) == fresh
+
+
+class TestDiscard:
+    def test_discarded_pages_read_zeros(self):
+        store = BackingStore(units.MIB)
+        data = b"z" * (6 * units.PAGE_SIZE)
+        store.write(0, data)
+        store.discard(2 * units.PAGE_SIZE, 3 * units.PAGE_SIZE)
+        assert store.read(0, 2 * units.PAGE_SIZE) == data[: 2 * units.PAGE_SIZE]
+        assert store.read(2 * units.PAGE_SIZE, 3 * units.PAGE_SIZE) == bytes(3 * units.PAGE_SIZE)
+        assert store.read_page(5) == data[: units.PAGE_SIZE]
+        assert sorted(store.snapshot()) == [0, 1, 5]
+
+    def test_discard_of_unstored_pages_is_a_no_op(self):
+        store = BackingStore(units.MIB)
+        store.discard(0, units.MIB)
+        assert store.used_pages() == 0
+
+    def test_discard_checks_its_range(self):
+        store = BackingStore(units.MIB)
+        with pytest.raises(ValueError):
+            store.discard(1, units.PAGE_SIZE)
+        with pytest.raises(ValueError):
+            store.discard(0, 100)
+        with pytest.raises(OutOfSpaceError):
+            store.discard(units.MIB - units.PAGE_SIZE, 2 * units.PAGE_SIZE)
 
 
 class TestDeviceTimeline:

@@ -69,6 +69,39 @@ class TestExtentAllocator:
         c = allocator.create("c", units.MIB)
         assert c.base_offset == a.base_offset
 
+    def test_free_discards_exactly_its_extent(self):
+        device = PmemDevice(capacity_bytes=64 * units.MIB)
+        allocator = ExtentAllocator(device)
+        files = [allocator.create(name, 3 * units.PAGE_SIZE + 10) for name in "abc"]
+        for file in files:
+            device.store.write(file.base_offset, file.name.encode() * file.size_bytes)
+        allocator.free(files[1])
+        freed = range(
+            files[1].base_offset // units.PAGE_SIZE,
+            (files[1].base_offset + units.page_align_up(files[1].size_bytes)) // units.PAGE_SIZE,
+        )
+        assert not set(device.store.snapshot()) & set(freed)
+        assert device.store.read(files[1].base_offset, files[1].size_bytes) == bytes(
+            files[1].size_bytes
+        )
+        for file in (files[0], files[2]):
+            assert device.store.read(file.base_offset, file.size_bytes) == (
+                file.name.encode() * file.size_bytes
+            )
+
+    def test_reused_extent_reads_new_bytes_then_zeros(self):
+        device = PmemDevice(capacity_bytes=64 * units.MIB)
+        allocator = ExtentAllocator(device)
+        old = allocator.create("old", 4 * units.PAGE_SIZE)
+        device.store.write(old.base_offset, b"o" * old.size_bytes)
+        allocator.free(old)
+        new = allocator.create("new", units.PAGE_SIZE + 100)
+        assert new.base_offset == old.base_offset
+        device.store.write(new.base_offset, b"n" * new.size_bytes)
+        assert device.store.read(new.base_offset, new.size_bytes) == b"n" * new.size_bytes
+        tail = old.size_bytes - new.size_bytes
+        assert device.store.read(new.base_offset + new.size_bytes, tail) == bytes(tail)
+
     def test_free_split_on_smaller_reuse(self):
         device = PmemDevice(capacity_bytes=64 * units.MIB)
         allocator = ExtentAllocator(device)
