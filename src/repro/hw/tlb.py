@@ -15,8 +15,15 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable, List, Set
 
+import numpy as np
+
 from repro.common import constants
 from repro.sim.clock import CycleClock
+
+
+#: Window vpns :meth:`TLB.access_window` converts to Python ints at a
+#: time when it replays the LRU access by access.
+REPLAY_CHUNK = 1 << 13
 
 
 class TLB:
@@ -62,7 +69,7 @@ class TLB:
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    def access_window(self, vpns, distinct, firsts, lasts) -> List[int]:
+    def access_window(self, vpns, distinct, firsts, lasts) -> np.ndarray:
         """Translate a window of accesses in order, uncharged; returns walks.
 
         ``vpns`` is the window (an int64 array); ``distinct`` holds its
@@ -70,7 +77,7 @@ class TLB:
         in it (aligned int64 arrays).  Hit/miss counters and the LRU
         order end exactly as ``len(vpns)`` calls of :meth:`access` would
         leave them; the caller charges the walks.  Returns the ascending
-        window positions that missed (walked).
+        window positions that missed (walked), as an int64 array.
 
         When every new vpn fits in the free slots nothing is evicted:
         the walks are the new vpns' first occurrences, and the recency
@@ -81,9 +88,9 @@ class TLB:
         entries = self._entries
         new = [i for i, vpn in enumerate(distinct.tolist()) if vpn not in entries]
         if len(new) > self.capacity - len(entries):
-            walked = self._replay(vpns.tolist())
+            walked = self._replay(vpns)
         else:
-            walked = sorted(firsts[new].tolist())
+            walked = np.sort(firsts[new])
             move_to_end = entries.move_to_end
             for vpn in distinct[lasts.argsort()].tolist():
                 entries[vpn] = None
@@ -92,26 +99,33 @@ class TLB:
         self.hits += len(vpns) - len(walked)
         return walked
 
-    def _replay(self, vpns: List[int]) -> List[int]:
-        """Step the LRU through ``vpns``; the positions that missed."""
+    def _replay(self, vpns) -> np.ndarray:
+        """Step the LRU through ``vpns``; the positions that missed.
+
+        The window is read :data:`REPLAY_CHUNK` vpns at a time, so its
+        Python ints never exist all at once.
+        """
         entries = self._entries
         move_to_end = entries.move_to_end
         popitem = entries.popitem
         capacity = self.capacity
         size = len(entries)
-        walked: List[int] = []
-        append = walked.append
-        for pos, vpn in enumerate(vpns):
-            if vpn in entries:
-                move_to_end(vpn)
-            else:
-                append(pos)
-                entries[vpn] = None
-                if size < capacity:
-                    size += 1
+        parts = []
+        for base in range(0, len(vpns), REPLAY_CHUNK):
+            walked: List[int] = []
+            append = walked.append
+            for pos, vpn in enumerate(vpns[base : base + REPLAY_CHUNK].tolist(), base):
+                if vpn in entries:
+                    move_to_end(vpn)
                 else:
-                    popitem(False)
-        return walked
+                    append(pos)
+                    entries[vpn] = None
+                    if size < capacity:
+                        size += 1
+                    else:
+                        popitem(False)
+            parts.append(np.array(walked, dtype=np.int64))
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
     def contains_any(self, vpns: Iterable[int]) -> bool:
         """Whether any vpn of a batch is cached (no cost, no LRU touch).

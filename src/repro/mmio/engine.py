@@ -15,7 +15,7 @@ Engines differ only in what a *fault* costs and how the cache behaves.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common import constants, units
 from repro.common.errors import ProtectionFault, SegmentationFault
@@ -415,11 +415,10 @@ class MmioEngine:
             and self._is_hit(mapping, page, is_write)
         ):
             retired = self._fast_forward(thread, mapping, plan, index, horizon)
-            latencies: List[float] = []
             retired += self._hit_run(
-                thread, mapping, plan, index + retired, horizon, write_data, latencies
+                thread, mapping, plan, index + retired, horizon, write_data,
+                thread.latencies.record,
             )
-            thread.latencies.extend(latencies)
             thread.ops_completed += retired
             self.hit_runs += 1
             self.batched_hits += retired
@@ -482,7 +481,7 @@ class MmioEngine:
             page = pages[index]
             if self._is_hit(mapping, page, False):
                 retired = self._hit_run(
-                    thread, mapping, accesses, index, math.inf, load_width, latencies,
+                    thread, mapping, accesses, index, math.inf, load_width, latencies.append,
                     pre_charge, values, stop,
                 )
                 self.hit_runs += 1
@@ -560,7 +559,7 @@ class MmioEngine:
         index: int,
         horizon: float,
         write_data: bytes,
-        latencies: List[float],
+        record: Callable[[float], None],
         pre_charge: Optional[Tuple[str, float]] = None,
         loaded: Optional[List[bytes]] = None,
         stop: Optional[bytes] = None,
@@ -572,8 +571,8 @@ class MmioEngine:
         needed.  Per access, the loop charges the caller's
         ``pre_charge`` if any, then replays the hit branch of
         :meth:`_ensure_mapped` (absorb interference, TLB access, hit
-        charge) with the clock advanced op by op, and appends the
-        access's latency to ``latencies``.  With ``loaded`` it also
+        charge) with the clock advanced op by op, and passes the
+        access's latency to ``record``.  With ``loaded`` it also
         appends each load's bytes there, and ends the run right after
         a load that reads ``stop``.
 
@@ -613,7 +612,6 @@ class MmioEngine:
         if pre_charge is not None:
             pre_category = pre_charge[0]
             pre_step = pre_charge[1] * clock.cpi_factor
-        append = latencies.append
         first = index
         first_walk = -1
         walks = 0
@@ -659,7 +657,7 @@ class MmioEngine:
                 fill(vpn)
             now += hit_step
             pte.accessed = True
-            append(now - start)
+            record(now - start)
             index += 1
             if is_write:
                 pool.write_partial(pte.frame, offsets_seq[index - 1], write_data)
@@ -734,9 +732,10 @@ class MmioEngine:
         hit_step = constants.LOAD_STORE_HIT_CYCLES * clock.cpi_factor
         walk_step = constants.TLB_MISS_WALK_CYCLES * clock.cpi_factor
         clock.now, latencies = stepped_clock(clock.now, n, walked, hit_step, walk_step)
-        thread.latencies.extend(latencies.tolist())
-        walked_first = bool(walked) and walked[0] == 0
-        clock.book_run(_hit_charges(hit_step, n, walk_step, len(walked), walked_first))
+        thread.latencies.extend(latencies)
+        walks = len(walked)
+        walked_first = walks > 0 and int(walked[0]) == 0
+        clock.book_run(_hit_charges(hit_step, n, walk_step, walks, walked_first))
         for pte in ptes:
             pte.accessed = True
         self.ff_runs += 1

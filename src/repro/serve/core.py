@@ -114,7 +114,7 @@ class TenantStats:
     def digest(self) -> Dict:
         """Digest entry: counters plus the exact sojourn stream."""
         entry = self.queue.snapshot()
-        entry["sojourns"] = tuple(self.sojourns.samples())
+        entry["sojourns"] = self.sojourns.samples()
         return entry
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -41,6 +42,7 @@ from repro.common import units
 from repro.fault.plan import FaultPlan, FaultSpec, clear_plan, install_plan
 from repro.mmio.files import BackingFile
 from repro.sim.executor import SimThread
+from repro.sim.stats import SampleStream
 
 #: Counters that report on the batching/fast-forward machinery itself
 #: (how many runs, how many ops retired inside runs, how many analytic
@@ -76,16 +78,35 @@ def canonical_bytes(obj) -> bytes:
     by their serialized keys, tuples and lists serialize identically,
     floats use ``repr`` (shortest round-tripping form, exact for the
     integer-valued cycle counts the simulator produces), and bools/None
-    get JSON spellings.  Two digest structures serialize to the same
-    bytes iff they compare equal under tuple/list unification — which is
-    what lets a sweep worker in one process and a serial run in another
-    agree on a cell's state hash.
+    get JSON spellings.  A 1-d float64 array (or the
+    :class:`~repro.sim.stats.SampleStream` a latency recorder returns)
+    serializes as the tuple of its floats would.  Two digest structures
+    serialize to the same bytes iff they compare equal under tuple/list
+    unification — which is what lets a sweep worker in one process and
+    a serial run in another agree on a cell's state hash.
 
     numpy scalars raise ``TypeError``: their ``repr`` depends on the
     numpy version and ``np.int64`` would hash like a string, so they
-    must never reach digested state (see ``AccessPlan``).
+    must never reach digested state (see ``AccessPlan``).  So do arrays
+    of any other dtype or shape.
     """
-    return _canon(obj).encode("utf-8")
+    parts: List[bytes] = []
+    _serialize(obj, parts.append)
+    return b"".join(parts)
+
+
+def hash_digest(digest) -> str:
+    """The sha256 hex of a digest structure's canonical serialization.
+
+    This is the per-cell state hash the sweep manifest records: equal
+    hashes mean bit-identical end state under :func:`canonical_bytes`
+    canonicalization, across processes, worker counts, and runs.  The
+    bytes are fed to the hash as they are written, in pieces of about
+    :data:`_FLUSH_CHARS`, so the whole serialization never exists at once.
+    """
+    sha = hashlib.sha256()
+    _serialize(digest, sha.update)
+    return sha.hexdigest()
 
 
 #: Streams at least this long are checked for low cardinality first.
@@ -99,25 +120,127 @@ _MEMO_SAMPLES = 256
 _SPELLINGS: Dict[str, str] = {}
 _MAX_SPELLINGS = 1 << 12
 
+#: Serialized text is handed on (UTF-8 encoded) once this much is pending.
+_FLUSH_CHARS = 1 << 16
+
+#: Elements of a long sequence or dict spelled per join.
+_BLOCK = 1 << 13
+
+#: Exact types spelled by one dispatch, with nothing inside them.
+_LEAVES = frozenset({float, int, str, bool, type(None)})
+_SEQUENCES = frozenset({list, tuple})
+
+
+def _serialize(obj, sink) -> None:
+    """Write ``obj``'s canonical bytes to ``sink`` in bounded pieces.
+
+    The one writer behind :func:`canonical_bytes` and :func:`hash_digest`.
+    Containers of leaves (and of tuples of leaves) are spelled by
+    :func:`_canon` a block at a time; float arrays are spelled a block
+    at a time; every other container is walked, so no text longer than
+    a block of one container is ever built.
+    """
+    pending: List[str] = []
+    size = 0
+
+    def write(text: str) -> None:
+        nonlocal size
+        pending.append(text)
+        size += len(text)
+        if size >= _FLUSH_CHARS:
+            sink("".join(pending).encode("utf-8"))
+            pending.clear()
+            size = 0
+
+    _emit(obj, write)
+    if pending:
+        sink("".join(pending).encode("utf-8"))
+
+
+def _emit(obj, write) -> None:
+    if isinstance(obj, SampleStream):
+        obj = obj.array
+    if isinstance(obj, np.ndarray):
+        if obj.dtype != np.float64 or obj.ndim != 1:
+            raise TypeError(
+                f"{obj.dtype} array of shape {obj.shape} in digested state; "
+                "only 1-d float64 arrays are digested"
+            )
+        _emit_blocks(obj, lambda block: _float_stream(block.tolist()), write)
+    elif isinstance(obj, dict):
+        _emit_dict(obj, write)
+    elif isinstance(obj, (list, tuple)):
+        if _is_flat(obj):
+            _emit_blocks(obj, _join_seq, write)
+        else:
+            write("[")
+            for i, item in enumerate(obj):
+                if i:
+                    write(",")
+                _emit(item, write)
+            write("]")
+    else:
+        write(_canon(obj))
+
+
+def _emit_blocks(items, spell, write, brackets: str = "[]") -> None:
+    """Write ``items`` comma-joined, spelling :data:`_BLOCK` at a time."""
+    write(brackets[0])
+    for start in range(0, len(items), _BLOCK):
+        write(("," if start else "") + spell(items[start : start + _BLOCK]))
+    write(brackets[1])
+
+
+def _emit_dict(obj, write) -> None:
+    keys = list(map(_canon, obj))
+    if _is_flat(obj.values()):
+        items = sorted(zip(keys, map(_canon, obj.values())))
+        _emit_blocks(items, lambda block: ",".join([k + ":" + v for k, v in block]), write, "{}")
+        return
+    values = list(obj.values())
+    if len(set(keys)) < len(keys):
+        # Distinct keys that spell alike sort by their values' bytes too.
+        texts = [canonical_bytes(value).decode("utf-8") for value in values]
+        order = sorted(range(len(keys)), key=lambda i: (keys[i], texts[i]))
+    else:
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+    write("{")
+    for n, i in enumerate(order):
+        write(("," if n else "") + keys[i] + ":")
+        _emit(values[i], write)
+    write("}")
+
+
+def _is_flat(items) -> bool:
+    """Whether ``items`` hold only leaves, or only tuples/lists of leaves."""
+    kinds = set(map(type, items))
+    if kinds <= _LEAVES:
+        return True
+    if kinds <= _SEQUENCES:
+        return set(map(type, chain.from_iterable(items))) <= _LEAVES
+    return False
+
 
 def _canon(obj) -> str:
-    # Exact-type dispatch; subclasses and everything else take the
-    # ``isinstance`` chain in :func:`_canon_other`.
+    """The canonical text of ``obj`` built whole: for flat values only.
+
+    Exact-type dispatch; subclasses and everything else take the
+    ``isinstance`` chain in :func:`_canon_other`.
+    """
     return _CANON_BY_TYPE.get(type(obj), _canon_other)(obj)
 
 
-def _canon_dict(obj) -> str:
-    items = sorted(zip(map(_canon, obj), map(_canon, obj.values())))
-    return "{" + ",".join([k + ":" + v for k, v in items]) + "}"
-
-
 def _canon_seq(obj) -> str:
+    return "[" + _join_seq(obj) + "]"
+
+
+def _join_seq(obj) -> str:
     kinds = set(map(type, obj))
     if kinds == {float}:
-        return "[" + _float_stream(obj) + "]"
+        return _float_stream(obj)
     if kinds == {int}:
-        return "[" + ",".join(map(int.__repr__, obj)) + "]"
-    return "[" + ",".join(map(_canon, obj)) + "]"
+        return ",".join(map(int.__repr__, obj))
+    return ",".join(map(_canon, obj))
 
 
 def _float_stream(values) -> str:
@@ -153,8 +276,6 @@ def _canon_other(obj) -> str:
         raise TypeError(
             f"numpy scalar {obj!r} in digested state; convert it to a Python value"
         )
-    if isinstance(obj, dict):
-        return _canon_dict(obj)
     if isinstance(obj, (list, tuple)):
         return _canon_seq(obj)
     if isinstance(obj, (int, float)):  # bool cannot be subclassed
@@ -166,22 +287,11 @@ _CANON_BY_TYPE = {
     float: float.__repr__,
     int: int.__repr__,
     str: _canon_str,
-    dict: _canon_dict,
     list: _canon_seq,
     tuple: _canon_seq,
     bool: lambda obj: "true" if obj else "false",
     type(None): lambda obj: "null",
 }
-
-
-def hash_digest(digest) -> str:
-    """The sha256 hex of a digest structure's canonical serialization.
-
-    This is the per-cell state hash the sweep manifest records: equal
-    hashes mean bit-identical end state under :func:`canonical_bytes`
-    canonicalization, across processes, worker counts, and runs.
-    """
-    return hashlib.sha256(canonical_bytes(digest)).hexdigest()
 
 
 def _numeric_state(obj, exclude: frozenset = MODE_COUNTERS) -> Dict[str, float]:
@@ -199,7 +309,7 @@ def _thread_digest(thread: SimThread) -> Dict:
     return {
         "clock": thread.clock.now,
         "ops": thread.ops_completed,
-        "latencies": tuple(thread.latencies.samples()),
+        "latencies": thread.latencies.samples(),
         "breakdown": thread.clock.breakdown.as_dict(),
     }
 
@@ -423,7 +533,7 @@ def diff_digests(unbatched: Dict, batched: Dict) -> List[str]:
     problems = []
     for key in sorted(set(unbatched) | set(batched)):
         a, b = unbatched.get(key), batched.get(key)
-        if a != b or _canon(a) != _canon(b):
+        if a != b or canonical_bytes(a) != canonical_bytes(b):
             problems.append(f"{key}: unbatched={a!r} != batched={b!r}")
     return problems
 

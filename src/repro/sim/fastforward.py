@@ -144,22 +144,27 @@ def stepped_clock(
     any step values and any clock magnitude.  Returns the final clock
     and the float64 array of per-access latencies, each the difference
     of the running sums after and before its access.
+
+    Both accumulations run in place, so at most three window-length
+    arrays are alive at once: the running sums, the hit-add positions
+    (then the finish times) and the latencies.
     """
     walked = np.asarray(walked, dtype=np.int64)
-    walks = int(walked.shape[0])
-    adds = np.full(count + walks + 1, hit_step, dtype=np.float64)
-    adds[0] = now
-    # Access i ends after its hit add, at i + 1 + (walks at positions <= i);
-    # the k-th walk sits just before its access's hit add.
-    ends = np.arange(1, count + 1, dtype=np.int64)
-    if walks:
-        adds[walked + np.arange(1, walks + 1, dtype=np.int64)] = walk_step
-        walked_at = np.zeros(count, dtype=np.int64)
-        walked_at[walked] = 1
-        ends += np.cumsum(walked_at)
-    sums = np.cumsum(adds)
-    finish = sums[ends]
-    latencies = np.diff(finish, prepend=sums[0])
+    # Access i's hit add sits at i + 1 + (walks at positions <= i); every
+    # other slot after ``now`` is a walk add, just before its access's hit.
+    ends = np.ones(count, dtype=np.int64)
+    ends[walked] = 2
+    np.cumsum(ends, out=ends)
+    sums = np.full(count + int(walked.shape[0]) + 1, walk_step, dtype=np.float64)
+    sums[0] = now
+    sums[ends] = hit_step
+    np.cumsum(sums, out=sums)
+    finish = sums.take(ends)
+    del ends
+    latencies = np.empty(count, dtype=np.float64)
+    if count:
+        latencies[0] = finish[0] - sums[0]
+        np.subtract(finish[1:], finish[:-1], out=latencies[1:])
     return float(sums[-1]), latencies
 
 

@@ -1,10 +1,14 @@
 """Per-core TLB behaviour."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.common import constants
-from repro.hw.tlb import TLB
+from repro.hw.tlb import REPLAY_CHUNK, TLB
 from repro.sim.clock import CycleClock
+from repro.sim.fastforward import window_profile
 
 
 class TestTLB:
@@ -89,3 +93,46 @@ class TestTLB:
         for vpn in range(100):
             tlb.access(vpn, clock)
         assert len(tlb.resident_vpns()) == 8
+
+
+class TestAccessWindow:
+    """``access_window`` against stepping :meth:`TLB.access` per access."""
+
+    @staticmethod
+    def _pair(capacity, warm):
+        tlbs = TLB(capacity), TLB(capacity)
+        for tlb in tlbs:
+            for vpn in warm:
+                tlb.fill(vpn)
+        return tlbs
+
+    def _check(self, capacity, warm, window):
+        windowed, stepped = self._pair(capacity, warm)
+        clock = CycleClock()
+        expected = [pos for pos, vpn in enumerate(window) if not stepped.access(vpn, clock)]
+        vpns = np.array(window, dtype=np.int64)
+        touched, first, last = window_profile(vpns, max(window) + 1)
+        walked = windowed.access_window(vpns, touched, first[touched], last[touched])
+        assert walked.dtype == np.int64
+        assert walked.tolist() == expected
+        assert (windowed.hits, windowed.misses) == (stepped.hits, stepped.misses)
+        assert list(windowed.resident) == list(stepped.resident)
+
+    def test_replay_across_chunk_boundaries(self):
+        # More distinct vpns than the TLB holds: the LRU is replayed, in
+        # chunks of REPLAY_CHUNK accesses, over several chunks.
+        rng = random.Random(5)
+        capacity = 1536
+        window = [rng.randrange(3000) for _ in range(2 * REPLAY_CHUNK + 4000)]
+        assert len(window) >= 20_000 and len(set(window)) > capacity
+        self._check(capacity, warm=range(2500, 2500 + capacity), window=window)
+
+    def test_replay_window_of_exactly_one_chunk(self):
+        rng = random.Random(6)
+        window = [rng.randrange(400) for _ in range(REPLAY_CHUNK)]
+        self._check(64, warm=range(64), window=window)
+
+    def test_window_that_fits_takes_first_occurrences(self):
+        rng = random.Random(7)
+        window = [rng.randrange(500) for _ in range(20_000)]
+        self._check(1536, warm=range(1000, 1100), window=window)

@@ -6,18 +6,25 @@ the plain ``isinstance`` chain the serializer started as; the fast form
 (exact-type dispatch, homogeneous-sequence joins, memoized float and
 string spellings) must produce the same bytes for every input: seeded
 random nested structures and the named edge cases where a shortcut could
-go wrong.
+go wrong.  Float64 arrays (latency streams) must spell exactly as the
+tuples of their floats, and ``hash_digest``, which streams the same
+bytes into sha256, must equal the hash of ``canonical_bytes``.
 """
 
 import enum
+import hashlib
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.conformance import canonical_bytes
+from repro.sim.conformance import canonical_bytes, hash_digest
+from repro.sim.stats import LatencyRecorder
 
 
 def _reference_canon(obj) -> str:
@@ -152,3 +159,135 @@ def test_random_structures_match_the_reference():
     for case in range(400):
         obj = _random_structure(rng)
         assert canonical_bytes(obj) == _reference_canon(obj).encode("utf-8"), case
+
+
+def _stream(rng, n):
+    """A latency-like float stream: CPI-1.4 steps, signed zeros, big clocks."""
+    values = (6 * 1.4, 6 * 1.4 + 100 * 1.4, 8.399999999999999, 6.0, 0.0, -0.0,
+              2.0**53 + 2.0, 1e15 / 3, 5e-324)
+    return [rng.choice(values) if rng.random() < 0.7 else rng.uniform(0, 2.0**60)
+            for _ in range(n)]
+
+
+class TestFloatArrays:
+    """A 1-d float64 array spells exactly as the tuple of its floats."""
+
+    def test_arrays_match_tuples(self):
+        rng = random.Random(0xA11)
+        block = 1 << 13
+        for n in (0, 1, 63, 64, 65, 1000, block - 1, block, block + 1, 2 * block + 5):
+            xs = _stream(rng, n)
+            expected = canonical_bytes(tuple(xs))
+            assert canonical_bytes(np.array(xs, dtype=np.float64)) == expected, n
+            recorder = LatencyRecorder()
+            recorder.extend(xs)
+            assert canonical_bytes(recorder.samples()) == expected, n
+
+    def test_low_cardinality_array_holding_a_zero(self):
+        xs = [8.4] * 5000 + [-0.0] + [8.4] * 5000 + [0.0]
+        assert canonical_bytes(np.array(xs)) == canonical_bytes(xs)
+        assert b",-0.0,8.4," in canonical_bytes(np.array(xs))
+
+    def test_arrays_nested_in_digests(self):
+        rng = random.Random(7)
+        xs = _stream(rng, 20000)
+        as_tuple = {"threads": [{"latencies": tuple(xs), "clock": 1.5}], "n": 3}
+        as_array = {"threads": [{"latencies": np.array(xs), "clock": 1.5}], "n": 3}
+        assert canonical_bytes(as_array) == canonical_bytes(as_tuple)
+        assert hash_digest(as_array) == hash_digest(as_tuple)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.arange(4, dtype=np.int64),
+            np.ones(4, dtype=np.float32),
+            np.zeros(3, dtype=bool),
+            np.zeros((2, 2)),
+            np.float64(1.0),
+        ],
+    )
+    def test_other_arrays_and_scalars_are_rejected(self, bad):
+        for holder in ({"x": bad}, [1.0, bad], (bad,), bad):
+            with pytest.raises(TypeError):
+                canonical_bytes(holder)
+            with pytest.raises(TypeError):
+                hash_digest(holder)
+
+
+class TestLongContainers:
+    """Containers longer than one spelling block match the reference."""
+
+    def test_long_flat_sequences_and_dicts(self):
+        rng = random.Random(3)
+        n = (1 << 13) * 2 + 17
+        _assert_same([(i, rng.randrange(99), i % 2 == 0, "%016x" % i) for i in range(n)])
+        _assert_same({i: (rng.randrange(99), True, None) for i in range(n)})
+        _assert_same(list(range(n)) + [1.5])
+        _assert_same([rng.random() for _ in range(n)])
+
+    def test_keys_that_spell_alike(self):
+        # Distinct keys, one spelling: the values' bytes break the tie.
+        _assert_same({"label:k": [2.0], Label("k"): [1.0]})
+        _assert_same({"label:k": {"a": [1.0]}, Label("k"): {"a": [0.5]}})
+
+
+_leaves = st.one_of(
+    st.floats(allow_nan=False),
+    st.integers(min_value=-(1 << 70), max_value=1 << 70),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.lists(st.floats(allow_nan=False), max_size=80).map(lambda xs: np.array(xs, dtype=np.float64)),
+)
+_digests = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=3), st.integers(0, 30)), children, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+@given(_digests)
+@settings(max_examples=100, deadline=None)
+def test_hash_is_the_sha256_of_the_bytes(digest):
+    assert hash_digest(digest) == hashlib.sha256(canonical_bytes(digest)).hexdigest()
+
+
+def _tupled(obj):
+    if isinstance(obj, np.ndarray):
+        return tuple(obj.tolist())
+    if isinstance(obj, dict):
+        return {k: _tupled(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_tupled(v) for v in obj)
+    return obj
+
+
+@given(_digests)
+@settings(max_examples=200, deadline=None)
+def test_arrays_spell_as_their_tuples(digest):
+    assert canonical_bytes(digest) == canonical_bytes(_tupled(digest))
+    assert canonical_bytes(_tupled(digest)) == _reference_canon(_tupled(digest)).encode("utf-8")
+
+
+def test_hash_digest_streams_the_bytes():
+    # A digest holding a 1M-sample latency stream: hashing it may not
+    # build its serialization, so the peak stays far below its length.
+    rng = np.random.default_rng(11)
+    steps = np.array([6 * 1.4, 6 * 1.4 + 100 * 1.4, 0.1 * 3])
+    latencies = rng.choice(steps, size=1 << 20)
+    latencies[::97] = rng.uniform(0, 1e9, size=latencies[::97].shape[0])
+    recorder = LatencyRecorder()
+    recorder.extend(latencies)
+    digest = {"threads": [{"clock": 1e12, "latencies": recorder.samples()}], "makespan": 1e12}
+    length = len(canonical_bytes(digest))
+    tracemalloc.start()
+    try:
+        hash_digest(digest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < length / 4, (peak, length)

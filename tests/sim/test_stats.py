@@ -1,9 +1,16 @@
 """Latency statistics: percentiles, means, throughput."""
 
+import bisect
+import math
+import random
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.sim import stats
 from repro.sim.stats import LatencyRecorder, speedup, throughput_ops_per_sec
 
 
@@ -50,7 +57,14 @@ class TestLatencyRecorder:
         recorder = LatencyRecorder()
         recorder.extend([1.0, 2.0])
         recorder.last(1).append(99.0)
-        assert recorder.samples() == [1.0, 2.0]
+        assert list(recorder.samples()) == [1.0, 2.0]
+        # Once packed into a chunk, too.
+        recorder.extend(np.array([3.0]))
+        recorder.last(3).append(99.0)
+        assert list(recorder.samples()) == [1.0, 2.0, 3.0]
+        # And the stream the recorder hands out cannot write its samples.
+        with pytest.raises(ValueError):
+            recorder.samples().array[0] = 99.0
 
     def test_merge(self):
         a, b = LatencyRecorder(), LatencyRecorder()
@@ -73,7 +87,7 @@ class TestLatencyRecorder:
         assert recorder.tail_mean(0.5) == pytest.approx(1.5)   # last two: [1, 2]
         # And the other order too: percentiles after tail_mean still work.
         assert recorder.p50() == 2
-        assert recorder.samples() == [3, 1, 2]
+        assert list(recorder.samples()) == [3, 1, 2]
 
     def test_histogram_buckets(self):
         recorder = LatencyRecorder()
@@ -162,6 +176,203 @@ class TestLatencyRecorder:
         recorder.extend(samples)
         for pct in (1, 50, 99, 99.9, 100):
             assert recorder.percentile(pct) in samples
+
+
+class _ListRecorder:
+    """The list-backed recorder the array-backed one replaced: the model.
+
+    Python floats in one list, ``sum`` for totals and ``sorted`` for
+    ranks; every answer of :class:`LatencyRecorder` must equal this
+    one's bit for bit.
+    """
+
+    def __init__(self):
+        self.values = []
+
+    def mean(self):
+        return sum(self.values) / len(self.values) if self.values else 0.0
+
+    def tail_mean(self, fraction):
+        if not self.values:
+            return 0.0
+        tail = self.values[int(len(self.values) * (1.0 - fraction)) :]
+        return sum(tail) / len(tail)
+
+    def percentile(self, pct, ordered=None):
+        if not self.values:
+            return 0.0
+        rank = max(1, math.ceil(round(pct / 100.0 * len(self.values), 9)))
+        return (ordered or sorted(self.values))[rank - 1]
+
+    def max(self):
+        return max(self.values) if self.values else 0.0
+
+    def histogram(self, bounds):
+        ordered = sorted(self.values)
+        edges = [bisect.bisect_right(ordered, b) for b in bounds]
+        return [b - a for a, b in zip([0] + edges, edges + [len(ordered)])]
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+#: CPI-1.4 hit and walk latencies, signed zeros, ties and large clocks.
+_STREAM_VALUES = (
+    6 * 1.4,
+    6 * 1.4 + 100 * 1.4,
+    6.0,
+    106.0,
+    0.0,
+    -0.0,
+    2.0**53 + 2.0,
+    1e15 / 3,
+    0.1,
+)
+
+
+def _random_stream(rng, n):
+    return [
+        rng.choice(_STREAM_VALUES) if rng.random() < 0.8 else rng.uniform(0, 1e6)
+        for _ in range(n)
+    ]
+
+
+def _assert_matches(recorder, model):
+    values = model.values
+    assert recorder.count == len(values)
+    assert _hexes(recorder.samples()) == _hexes(values)
+    assert recorder.mean().hex() == float(model.mean()).hex()
+    for fraction in (1.0, 0.5, 0.3, 1e-6):
+        assert recorder.tail_mean(fraction).hex() == float(model.tail_mean(fraction)).hex()
+    ordered = sorted(values)
+    for pct in (0.1, 1, 50, 99, 99.9, 100):
+        assert recorder.percentile(pct).hex() == float(model.percentile(pct, ordered)).hex()
+    assert recorder.max().hex() == float(model.max()).hex()
+    bounds = [-1.0, 0.0, 6 * 1.4, 106.0, 1e6, 2.0**60]
+    assert recorder.histogram(bounds) == model.histogram(bounds)
+    for n in (0, 1, 2, 5, 17, len(values) // 2, len(values), len(values) + 3):
+        expected = values[-n:] if n > 0 else []
+        got = recorder.last(n)
+        assert all(type(v) is float for v in got)
+        assert _hexes(got) == _hexes(expected)
+
+
+class TestAgainstListModel:
+    """The array-backed recorder against the list recorder it replaced."""
+
+    @pytest.mark.parametrize("block, steps", [(3, 60), (64, 60), (stats.BLOCK, 8)])
+    def test_mixed_record_extend_merge(self, monkeypatch, block, steps):
+        # Chunks come from ndarray extends and merges; a small BLOCK puts
+        # the sums' and iteration's block boundaries everywhere, the real
+        # one is crossed by the longer streams.
+        monkeypatch.setattr(stats, "BLOCK", block)
+        rng = random.Random(block)
+        recorder, model = LatencyRecorder(), _ListRecorder()
+        _assert_matches(recorder, model)
+        for _ in range(steps):
+            action = rng.randrange(4)
+            values = _random_stream(rng, rng.choice((0, 1, 5, 100, block + 1, 3 * block)))
+            if action == 0:
+                for value in values:
+                    recorder.record(value)
+            elif action == 1:
+                recorder.extend(values)
+            elif action == 2:
+                recorder.extend(np.array(values, dtype=np.float64))
+            else:
+                other = LatencyRecorder()
+                other.extend(values[: len(values) // 2])
+                other.extend(np.array(values[len(values) // 2 :], dtype=np.float64))
+                recorder.merge(other)
+            model.values += values
+            if rng.random() < 0.3:
+                _assert_matches(recorder, model)
+        _assert_matches(recorder, model)
+
+    def test_merge_leaves_both_recorders_whole(self, monkeypatch):
+        monkeypatch.setattr(stats, "BLOCK", 4)
+        a, b = LatencyRecorder(), LatencyRecorder()
+        a.extend([1.0, 2.0, 3.0, 4.0, 5.0])
+        b.extend(np.array([6.0, 7.0]))
+        b.record(8.0)
+        a.merge(b)
+        b.record(9.0)
+        a.record(10.0)
+        assert list(a.samples()) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 10.0]
+        assert list(b.samples()) == [6.0, 7.0, 8.0, 9.0]
+
+    def test_ties_at_every_rank(self):
+        recorder, model = LatencyRecorder(), _ListRecorder()
+        values = [6 * 1.4] * 999 + [-0.0, 0.0] * 3 + [106.0] * 7
+        recorder.extend(np.array(values))
+        model.values = list(values)
+        _assert_matches(recorder, model)
+
+    def test_empty_recorder(self):
+        _assert_matches(LatencyRecorder(), _ListRecorder())
+        assert LatencyRecorder().histogram([1.0]) == [0, 0]
+        assert len(LatencyRecorder().samples()) == 0
+
+    def test_signed_zero_sums(self):
+        # sum() starts from 0.0, so an all-negative-zero stream sums to 0.0.
+        recorder = LatencyRecorder()
+        recorder.extend(np.array([-0.0, -0.0]))
+        assert recorder.mean().hex() == (sum([-0.0, -0.0]) / 2).hex()
+        assert recorder.tail_mean(0.5).hex() == (0.0).hex()
+
+    def test_streams_compare_by_value(self):
+        a, b = LatencyRecorder(), LatencyRecorder()
+        a.extend([1.0, 2.0])
+        b.extend(np.array([1.0]))
+        b.record(2.0)
+        assert a.samples() == b.samples()
+        b.record(3.0)
+        assert a.samples() != b.samples()
+        assert list(b.samples()) == [1.0, 2.0, 3.0]
+        assert all(type(v) is float for v in b.samples())
+
+
+class TestMemory:
+    """A recorded sample costs its 8 float64 bytes, not a Python float."""
+
+    SAMPLES = 1 << 20
+
+    def _retained(self, fill) -> int:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            recorder = fill()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert recorder.count == self.SAMPLES
+        return retained
+
+    def _budget(self) -> int:
+        # 8 bytes a sample, plus the tail's growth reserve (an ``array``
+        # over-allocates by about 1/16) and slack; a Python float costs 32.
+        return 8 * self.SAMPLES * 17 // 16 + (64 << 10)
+
+    def test_record(self):
+        def fill():
+            recorder = LatencyRecorder()
+            record = recorder.record
+            for i in range(self.SAMPLES):
+                record(i * 1.4)   # a distinct float object each, as latencies are
+            return recorder
+
+        assert self._retained(fill) <= self._budget()
+
+    def test_extend_ndarray(self):
+        def fill():
+            recorder = LatencyRecorder()
+            for start in range(0, self.SAMPLES, 100_000):
+                stop = min(self.SAMPLES, start + 100_000)
+                recorder.extend(np.arange(start, stop, dtype=np.float64) * 1.4)
+            return recorder
+
+        assert self._retained(fill) <= self._budget()
 
 
 class TestThroughput:
