@@ -7,19 +7,17 @@ without kernel changes.  This example exercises those knobs:
 
 * three device-access paths on identical workloads (Figure 8(c));
 * eviction batch size as a latency/hit-rate trade-off;
-* runtime cache resizing through EPT granules;
 * madvise-driven readahead.
+
+Every stack comes from ``repro.bench.setups.make_stack``, the one way
+the experiments build theirs.
 
 Run:  python examples/custom_io_paths.py
 """
 
 from repro.bench.report import Table
-from repro.bench.setups import make_aquila_stack
+from repro.bench.setups import make_stack
 from repro.common import units
-from repro.core import Aquila, AquilaConfig
-from repro.devices.nvme import NvmeDevice
-from repro.devices.pmem import PmemDevice
-from repro.hw.machine import Machine
 from repro.mmio.vma import MADV_RANDOM, MADV_SEQUENTIAL
 from repro.sim.executor import SimThread
 from repro.workloads.microbench import MicrobenchConfig, run_microbench
@@ -36,7 +34,7 @@ def device_access_paths() -> None:
         ("SPDK", "nvme", "spdk"),
         ("host syscalls", "nvme", "host"),
     ]:
-        stack = make_aquila_stack(device_kind, cache_pages=512, io_path=io_path)
+        stack = make_stack("aquila", device_kind, cache_pages=512, io_path=io_path)
         file = stack.allocator.create("d", 384 * units.PAGE_SIZE)
         config = MicrobenchConfig(num_threads=1, accesses_per_thread=300)
         result = run_microbench(stack.engine, file, config)
@@ -50,7 +48,7 @@ def eviction_batch_tradeoff() -> None:
         ["batch", "mean cycles/access", "p99 cycles"],
     )
     for batch in (4, 32, 128):
-        stack = make_aquila_stack("pmem", cache_pages=256)
+        stack = make_stack("aquila", "pmem", cache_pages=256)
         stack.engine.cache.eviction_batch = batch
         file = stack.allocator.create("d", 1024 * units.PAGE_SIZE)
         config = MicrobenchConfig(
@@ -63,36 +61,13 @@ def eviction_batch_tradeoff() -> None:
     table.show()
 
 
-def runtime_resizing() -> None:
-    aquila = Aquila(
-        Machine(),
-        PmemDevice(capacity_bytes=256 * units.MIB),
-        AquilaConfig(cache_pages=256, io_path="dax"),
-    )
-    thread = SimThread(core=0)
-    aquila.enter(thread)
-    file = aquila.open(thread, "/data/resizable", size_bytes=4 * units.MIB)
-    mapping = aquila.mmap(thread, file)
-
-    print("Runtime cache resizing (EPT granules, Section 3.5):")
-    for target in (256, 1024, 128, 512):
-        capacity = aquila.resize_cache(thread, target)
-        mapping.load(thread, (target % 1024) * units.PAGE_SIZE, 8)
-        stats = aquila.cache_stats()
-        print(
-            f"  capacity {capacity:5d} pages | resident {stats['resident_pages']:4d}"
-            f" | ept faults so far {aquila.engine.ept.faults}"
-        )
-    print()
-
-
 def madvise_readahead() -> None:
     table = Table(
         "madvise: sequential readahead vs random",
         ["advice", "device reads (major faults) for a 64-page scan"],
     )
     for label, advice, ra in (("MADV_RANDOM", MADV_RANDOM, 0), ("MADV_SEQUENTIAL", MADV_SEQUENTIAL, 16)):
-        stack = make_aquila_stack("pmem", cache_pages=256)
+        stack = make_stack("aquila", "pmem", cache_pages=256)
         stack.engine.readahead_pages = ra
         file = stack.allocator.create("d", 64 * units.PAGE_SIZE)
         thread = SimThread(core=0)
@@ -107,5 +82,4 @@ def madvise_readahead() -> None:
 if __name__ == "__main__":
     device_access_paths()
     eviction_batch_tradeoff()
-    runtime_resizing()
     madvise_readahead()

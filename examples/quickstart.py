@@ -1,39 +1,30 @@
 #!/usr/bin/env python3
-"""Quickstart: run an application under the Aquila library OS.
+"""Quickstart: map a file through Aquila and touch it.
 
-Mirrors the paper's minimal-integration story (Section 4): one call to
-enter Aquila in main(), one call per thread, and the familiar
-open/mmap/load/store/msync surface — with page faults handled in non-root
+Builds an Aquila stack with ``repro.bench.setups.make_stack`` (the one
+way every experiment builds its stack) and uses the familiar
+mmap/load/store/msync surface — with page faults handled in non-root
 ring 0 and device access through DAX.
 
 Run:  python examples/quickstart.py
 """
 
+from repro.bench.setups import make_stack
 from repro.common import units
-from repro.core import Aquila, AquilaConfig
-from repro.devices.pmem import PmemDevice
-from repro.hw.machine import Machine
 from repro.sim.executor import SimThread
 
 
 def main() -> None:
-    # The simulated testbed: dual-socket Xeon (32 hw threads) + pmem.
-    machine = Machine()
-    device = PmemDevice(capacity_bytes=256 * units.MIB)
-
-    # Configure Aquila: a 2048-page (8 MiB) DRAM cache over the DAX path,
+    # The simulated testbed (dual-socket Xeon, 32 hw threads) with pmem
+    # and Aquila over a 2048-page (8 MiB) DRAM cache on the DAX path,
     # batch sizes rescaled from the paper's 8 GB configuration.
-    config = AquilaConfig(cache_pages=2048, io_path="dax").scaled_for_cache()
-    aquila = Aquila(machine, device, config)
-
-    # The single integration point the paper requires in main().
+    stack = make_stack("aquila", "pmem", cache_pages=2048, capacity_bytes=256 * units.MIB)
+    engine = stack.engine
     main_thread = SimThread(core=0)
-    aquila.enter(main_thread)
 
-    # Open a file (a metadata operation forwarded to the host) and map it
-    # (intercepted in ring 0: no vmcall).
-    file = aquila.open(main_thread, "/data/example", size_bytes=4 * units.MIB)
-    mapping = aquila.mmap(main_thread, file)
+    # Create a file and map it (an mmap-class range update: one vmcall).
+    file = stack.allocator.create("example", 4 * units.MIB)
+    mapping = engine.mmap(main_thread, file)
 
     # Plain loads and stores; misses fault in non-root ring 0 at 552
     # cycles of exception cost instead of the kernel's 1287-cycle trap.
@@ -55,12 +46,15 @@ def main() -> None:
     written = mapping.msync(main_thread)
     print(f"msync wrote {written} page(s)")
 
-    # Resize the cache at runtime through EPT granules (Section 3.5).
-    new_capacity = aquila.resize_cache(main_thread, 4096)
-    print(f"cache resized to {new_capacity} pages")
-
+    cache = engine.cache
     print("\ncache stats:")
-    for key, value in aquila.cache_stats().items():
+    for key, value in (
+        ("capacity_pages", cache.capacity_pages),
+        ("resident_pages", cache.resident_pages()),
+        ("dirty_pages", cache.dirty_count()),
+        ("faults", engine.faults),
+        ("major_faults", engine.major_faults),
+    ):
         print(f"  {key:20s} {value}")
 
     seconds = main_thread.clock.seconds

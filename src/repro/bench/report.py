@@ -157,11 +157,6 @@ _EXTENSIONS = """
 | Extension | Bench/tests | Outcome |
 |---|---|---|
 | Write-workload scalability (§6.5: "We see similar behaviour in writes") | `test_fig10_scalability.py::test_fig10_writes_behave_like_reads` | speedup grows with threads as in reads: the tree lock also serializes dirty marking, as §6.5 notes |
-| Async I/O (the paper's future work, §3.3/§7.1) | `benchmarks/test_async_io.py`, `devices/io_uring.py` | io_uring batch: ~9.6× higher throughput and ~47× less CPU than sync syscalls; p99.9 29× worse at queue depth 256 — exactly the §7.1 trade-off |
-| PageRank + connected components on the mmap heap | `graph/algorithms.py`, `tests/graph/test_algorithms.py` | verified against networkx; run out-of-core with evictions |
-| Trace capture/replay workloads | `workloads/trace.py` | text trace format replayable against any store |
-| Figure 1(a) completed: buffered read/write through the kernel page cache | `mmio/buffered.py`, `tests/mmio/test_buffered.py` | per-hit costs across all four Figure 1 configurations: software cost in (a)/(b), hardware-only hits in (c)/(d) |
-| RocksDB MultiGet over io_uring | `kv.rocksdb.multi_get`, `tests/kv/test_multiget.py` | per-level block-read batching with dedup; few batch syscalls instead of one per miss |
 | Cross-process device sharing (§3.3) | `tests/integration/test_shared_device.py` | msync-ed writes visible to other processes; stale caches refresh on invalidation |
 | Experiment CLI | `python -m repro.bench <figure>` | regenerates any figure without pytest |
 | Sweep orchestrator | `python -m repro.bench sweep --workers N --resume` | every figure cell as a resumable, digest-checked work unit (DESIGN.md §9) |
@@ -183,7 +178,7 @@ _INDEX = """
 | Fig 7 | `benchmarks/test_fig7_breakdown.py` | YCSB-C uniform, 16 K records / 1 K-page cache | `kv.rocksdb`, `mmio.explicit`, `mmio.aquila` |
 | Fig 8(a) | `benchmarks/test_fig8_faults.py::test_fig8a_in_memory_fault_cost` | microbench touch-once, pmem | `workloads.microbench`, engines |
 | Fig 8(b) | `...::test_fig8b_out_of_memory_fault_cost` | microbench uniform, cache:data = 8:100 | + eviction paths |
-| Fig 8(c) | `...::test_fig8c_device_access_paths` | microbench per I/O path | `devices.io_engines`, `core` |
+| Fig 8(c) | `...::test_fig8c_device_access_paths` | microbench per I/O path | `devices.io_engines`, `mmio.aquila` |
 | Fig 9 | `benchmarks/test_fig9_kreon.py` | YCSB A–F, 1 thread, data 2× cache | `kv.kreon`, `mmio.kmmap` |
 | Fig 10(a) | `benchmarks/test_fig10_scalability.py::test_fig10a_in_memory` | microbench touch-once, 1–32 threads, shared/private | engines, `sim.locks` |
 | Fig 10(b) | `...::test_fig10b_out_of_memory` | microbench uniform, cache:data = 8:100 | same |

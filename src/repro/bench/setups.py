@@ -1,19 +1,19 @@
 """Experiment stack factories shared by benchmarks, tests and examples.
 
 Each factory assembles a complete, independent stack (machine, device,
-engine, env/store) for one experiment configuration.  Scale notes: the
-default experiment scale is 1/1024 of the paper's sizes — 1 paper-GB is
-one simulated MiB — with batch parameters rescaled through
-:meth:`repro.core.config.AquilaConfig.scaled_for_cache` (DESIGN.md §1).
+engine, env/store) for one experiment configuration; :func:`make_stack`
+is the one way to build an mmio stack.  Scale notes: the default
+experiment scale is 1/1024 of the paper's sizes — 1 paper-GB is one
+simulated MiB — with batch parameters rescaled through
+:func:`scaled_batches` (DESIGN.md §1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.common import units
-from repro.core.config import AquilaConfig
 from repro.devices.block import BlockDevice
 from repro.devices.io_engines import DaxIO, HostSyscallIO, SpdkIO
 from repro.devices.nvme import NvmeDevice
@@ -37,6 +37,32 @@ SCALED_GB = units.MIB
 def scaled_pages(paper_gb: float) -> int:
     """Pages for ``paper_gb`` paper-gigabytes at the default scale."""
     return max(1, int(paper_gb * SCALED_GB) >> units.PAGE_SHIFT)
+
+
+def scaled_batches(cache_pages: int) -> Dict[str, int]:
+    """Aquila's and kmmap's batch sizes for a ``cache_pages`` cache.
+
+    The paper evicts 512 pages out of a 2M-page (8 GB) cache — only
+    0.025% of the cache, so batching never costs meaningful hit rate
+    while amortizing one IPI per core over 512 pages.  A scaled batch
+    must balance the same two pressures: large enough to amortize the
+    per-core IPI sends (>= 32), small enough not to steal the hot set
+    (<= 1/8 of the cache).  Returns the engines' batch keyword
+    arguments.
+    """
+    eviction = min(max(32, cache_pages // 256), max(4, cache_pages // 8))
+    # Frames parked in per-core queues are invisible to other cores
+    # until they spill; across 32 hardware threads the total parked
+    # (32 * threshold) must stay a small fraction of the cache or
+    # concurrent evictors starve each other.
+    threshold = max(2, cache_pages // 512)
+    move = min(max(8, cache_pages // 512), eviction)
+    return {
+        "eviction_batch": eviction,
+        "shootdown_batch": eviction,
+        "freelist_move_batch": move,
+        "freelist_core_threshold": threshold,
+    }
 
 
 def make_device(kind: str, capacity_bytes: int = 512 * units.MIB) -> BlockDevice:
@@ -96,15 +122,11 @@ def make_aquila_stack(
     """Aquila over a fresh machine and device, batch sizes rescaled."""
     machine = Machine()
     device = make_device(device_kind, capacity_bytes)
-    config = AquilaConfig(cache_pages=cache_pages).scaled_for_cache()
     engine = AquilaEngine(
         machine,
         cache_pages=cache_pages,
         io_path=make_aquila_io_path(device, io_path),
-        eviction_batch=config.eviction_batch,
-        shootdown_batch=config.shootdown_batch,
-        freelist_move_batch=config.freelist_move_batch,
-        freelist_core_threshold=config.freelist_core_threshold,
+        **scaled_batches(cache_pages),
     )
     return Stack(machine, device, engine, ExtentAllocator(device))
 
@@ -117,15 +139,11 @@ def make_kmmap_stack(
     """Kreon's kmmap over a fresh machine and device."""
     machine = Machine()
     device = make_device(device_kind, capacity_bytes)
-    config = AquilaConfig(cache_pages=cache_pages).scaled_for_cache()
     engine = KmmapEngine(
         machine,
         cache_pages=cache_pages,
         device=device,
-        eviction_batch=config.eviction_batch,
-        shootdown_batch=config.shootdown_batch,
-        freelist_move_batch=config.freelist_move_batch,
-        freelist_core_threshold=config.freelist_core_threshold,
+        **scaled_batches(cache_pages),
     )
     return Stack(machine, device, engine, ExtentAllocator(device))
 

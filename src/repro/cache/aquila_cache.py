@@ -218,20 +218,3 @@ class AquilaCache:
     def pages(self) -> List[CachePage]:
         """Snapshot of all resident pages (the hash table's contents)."""
         return list(self._pages.values())
-
-    # -- dynamic resizing (paper Section 3.5) -----------------------------------
-
-    def grow(self, additional_pages: int) -> List[int]:
-        """Add DRAM to the cache; returns the new frame ids."""
-        frames = self.pool.grow(additional_pages)
-        self.freelist.add_frames(frames)
-        self.capacity_pages += additional_pages
-        return frames
-
-    def shrink_free(self, count: int) -> List[int]:
-        """Retire up to ``count`` *free* frames (caller evicts first if
-        the freelist cannot cover the request); returns retired frames."""
-        frames = self.freelist.take_free_frames(count)
-        self.pool.shrink_frames(frames)
-        self.capacity_pages -= len(frames)
-        return frames

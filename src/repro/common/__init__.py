@@ -2,7 +2,6 @@
 
 from repro.common import constants, units
 from repro.common.errors import (
-    BlobNotFoundError,
     ConfigError,
     DeviceError,
     KeyNotFoundError,
@@ -17,7 +16,6 @@ from repro.common.errors import (
 __all__ = [
     "constants",
     "units",
-    "BlobNotFoundError",
     "ConfigError",
     "DeviceError",
     "KeyNotFoundError",

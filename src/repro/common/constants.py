@@ -291,18 +291,6 @@ KREON_PUT_CPU_CYCLES = 3_500
 KREON_SCAN_NEXT_CPU_CYCLES = 1_200
 
 # ---------------------------------------------------------------------------
-# EPT and dynamic cache resizing (paper Section 3.5)
-# ---------------------------------------------------------------------------
-
-#: An EPT violation fault: vmexit + hypervisor fault handling + EPT entry
-#: install + vmentry ("similar to common page faults but has higher cost due
-#: to the required vmexit", Section 3.5).
-EPT_FAULT_CYCLES = VMEXIT_CYCLES + LINUX_FAULT_HANDLER_WORK_CYCLES
-
-#: Aquila resizes its cache in 1 GB EPT granules (Section 3.5).
-EPT_RESIZE_GRANULE_BYTES = 1 << 30
-
-# ---------------------------------------------------------------------------
 # Graph-processing CPU costs (Ligra BFS, paper Section 6.2)
 # ---------------------------------------------------------------------------
 

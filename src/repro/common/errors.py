@@ -55,15 +55,11 @@ class TornWriteError(TransientDeviceError):
 
 
 class OutOfSpaceError(DeviceError):
-    """A write extended past the device or blob capacity."""
+    """A write extended past the device capacity."""
 
 
 class OutOfMemoryError(ReproError):
     """The simulated machine ran out of physical frames."""
-
-
-class BlobNotFoundError(ReproError):
-    """A blobstore lookup referenced a missing blob id or name."""
 
 
 class KeyNotFoundError(ReproError):

@@ -18,9 +18,6 @@ PAGE_SHIFT = 12
 #: filled from a zero device page holds the very object the device does.
 ZERO_PAGE = bytes(PAGE_SIZE)
 
-HUGE_2M = 2 * MIB
-HUGE_1G = GIB
-
 CPU_FREQ_HZ = 2_400_000_000  # 2.4 GHz (paper Section 5)
 
 
@@ -29,29 +26,14 @@ def pages(nbytes: int) -> int:
     return (nbytes + PAGE_SIZE - 1) >> PAGE_SHIFT
 
 
-def page_align_down(addr: int) -> int:
-    """Round ``addr`` down to a 4 KiB page boundary."""
-    return addr & ~(PAGE_SIZE - 1)
-
-
 def page_align_up(addr: int) -> int:
     """Round ``addr`` up to a 4 KiB page boundary."""
     return (addr + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
 
 
-def page_number(addr: int) -> int:
-    """Page number containing byte address ``addr``."""
-    return addr >> PAGE_SHIFT
-
-
 def page_offset(addr: int) -> int:
     """Byte offset of ``addr`` within its page."""
     return addr & (PAGE_SIZE - 1)
-
-
-def cycles_to_ns(cycles: float) -> float:
-    """Convert CPU cycles to nanoseconds at the testbed frequency."""
-    return cycles * 1e9 / CPU_FREQ_HZ
 
 
 def cycles_to_us(cycles: float) -> float:
@@ -62,11 +44,6 @@ def cycles_to_us(cycles: float) -> float:
 def cycles_to_seconds(cycles: float) -> float:
     """Convert CPU cycles to seconds at the testbed frequency."""
     return cycles / CPU_FREQ_HZ
-
-
-def ns_to_cycles(ns: float) -> float:
-    """Convert nanoseconds to CPU cycles at the testbed frequency."""
-    return ns * CPU_FREQ_HZ / 1e9
 
 
 def us_to_cycles(us: float) -> float:

@@ -1,6 +1,5 @@
-"""Device models: backing stores, NVMe, pmem/DAX, SPDK blobstore, I/O paths."""
+"""Device models: backing stores, NVMe, pmem/DAX, I/O paths."""
 
-from repro.devices.blobstore import CLUSTER_SIZE, Blob, Blobstore, FileBlobNamespace
 from repro.devices.block import BackingStore, BlockDevice, DeviceTimeline
 from repro.devices.io_engines import (
     DaxIO,
@@ -13,10 +12,6 @@ from repro.devices.nvme import NvmeDevice
 from repro.devices.pmem import PmemDevice
 
 __all__ = [
-    "CLUSTER_SIZE",
-    "Blob",
-    "Blobstore",
-    "FileBlobNamespace",
     "BackingStore",
     "BlockDevice",
     "DeviceTimeline",

@@ -1,7 +1,5 @@
-"""Graph processing: R-MAT generation, mmap-backed heaps, Ligra-style
-BFS plus PageRank and connected components."""
+"""Graph processing: R-MAT generation, mmap-backed heaps and Ligra-style BFS."""
 
-from repro.graph.algorithms import ParallelComponents, ParallelPageRank
 from repro.graph.ligra import UNVISITED, BFSResult, HeapGraph, ParallelBFS
 from repro.graph.mmap_heap import DramHeap, HeapArray, MmapHeap
 from repro.graph.rmat import CSRGraph, generate_rmat_edges, make_rmat_csr
@@ -11,8 +9,6 @@ __all__ = [
     "BFSResult",
     "HeapGraph",
     "ParallelBFS",
-    "ParallelComponents",
-    "ParallelPageRank",
     "DramHeap",
     "HeapArray",
     "MmapHeap",

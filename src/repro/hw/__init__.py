@@ -1,6 +1,5 @@
-"""Simulated hardware: topology, TLBs, page tables, EPT, VMX, IPIs, FPU."""
+"""Simulated hardware: topology, TLBs, page tables, VMX, IPIs, FPU."""
 
-from repro.hw.ept import EPT
 from repro.hw.fpu import FPUContext
 from repro.hw.ipi import InterferenceAccount, ShootdownController
 from repro.hw.machine import Machine
@@ -10,7 +9,6 @@ from repro.hw.topology import DEFAULT_TOPOLOGY, Topology
 from repro.hw.vmx import ExecutionDomain, VMXCostModel
 
 __all__ = [
-    "EPT",
     "FPUContext",
     "InterferenceAccount",
     "ShootdownController",

@@ -26,10 +26,6 @@ class PTE:
     dirty: bool = False
     accessed: bool = False
 
-    def copy(self) -> "PTE":
-        """An independent copy of this entry."""
-        return PTE(self.frame, self.writable, self.dirty, self.accessed)
-
 
 class PageTable:
     """Per-process page table mapping virtual page numbers to frames."""

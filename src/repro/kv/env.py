@@ -16,7 +16,7 @@ one bulk-write chunk at a time rather than as one file-sized buffer.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.common import units
 from repro.fault.crash import CRASH
@@ -70,18 +70,6 @@ class StorageEnv:
         """Sequential append-style write at ``offset`` (WAL, logs)."""
         raise NotImplementedError
 
-    def read_batch(self, thread: SimThread, requests) -> list:
-        """Read many ``(file, offset, nbytes)`` ranges.
-
-        Default: sequential reads.  Envs with an asynchronous path
-        (io_uring) override this to batch the device round trips —
-        the substrate for RocksDB's MultiGet.
-        """
-        return [
-            self.read(thread, file, offset, nbytes)
-            for file, offset, nbytes in requests
-        ]
-
 
 class _BulkWriter:
     """Shared bulk-write helper: large sequential device writes."""
@@ -119,46 +107,9 @@ class DirectIOEnv(StorageEnv):
 
     name = "direct-io"
 
-    def __init__(
-        self, io: ExplicitIOEngine, allocator: ExtentAllocator, io_uring=None
-    ) -> None:
-        """``io_uring``: an optional :class:`repro.devices.io_uring.IoUring`
-        over the same device; when present, ``read_batch`` submits cache
-        misses in one batch instead of one syscall each."""
+    def __init__(self, io: ExplicitIOEngine, allocator: ExtentAllocator) -> None:
         self.io = io
         self.allocator = allocator
-        self.io_uring = io_uring
-
-    def read_batch(self, thread: SimThread, requests) -> list:
-        """Batched reads: probe the user cache, then one io_uring batch."""
-        if self.io_uring is None:
-            return super().read_batch(thread, requests)
-        from repro.devices.io_uring import IoUringOp
-
-        results = [None] * len(requests)
-        misses = []
-        for index, (file, offset, nbytes) in enumerate(requests):
-            block = offset // units.PAGE_SIZE
-            cached = self.io.cache.get(thread.clock, thread.tid, file.file_id, block)
-            if cached is not None and offset % units.PAGE_SIZE == 0 and nbytes <= len(cached):
-                results[index] = cached[:nbytes]
-            else:
-                misses.append((index, file, offset, nbytes))
-        if misses:
-            ops = [
-                IoUringOp(file.device_offset(offset // units.PAGE_SIZE)
-                          + offset % units.PAGE_SIZE, nbytes)
-                for _, file, offset, nbytes in misses
-            ]
-            self.io_uring.submit_and_wait(thread.clock, ops, "io.uring")
-            for (index, file, offset, nbytes), op in zip(misses, ops):
-                results[index] = op.result
-                if offset % units.PAGE_SIZE == 0 and nbytes == units.PAGE_SIZE:
-                    self.io.cache.insert(
-                        thread.clock, thread.tid, file.file_id,
-                        offset // units.PAGE_SIZE, op.result,
-                    )
-        return results
 
     def write_file(self, thread: SimThread, name: str, data: bytes) -> BackingFile:
         file = self.allocator.create(name, len(data))
@@ -185,26 +136,17 @@ class MmioEnv(StorageEnv):
     instance decides which.  Files are mapped lazily on first read.
     """
 
-    def __init__(self, engine: MmioEngine, allocator: ExtentAllocator,
-                 file_factory=None) -> None:
-        """``file_factory(thread, name, size) -> BackingFile`` overrides
-        extent allocation (Aquila's blob namespace plugs in here)."""
+    def __init__(self, engine: MmioEngine, allocator: ExtentAllocator) -> None:
         self.engine = engine
         self.allocator = allocator
-        self.file_factory = file_factory
         self._mappings: Dict[int, Mapping] = {}
 
     @property
     def name(self) -> str:
         return f"mmio[{self.engine.name}]"
 
-    def _create(self, thread: SimThread, name: str, size_bytes: int) -> BackingFile:
-        if self.file_factory is not None:
-            return self.file_factory(thread, name, size_bytes)
-        return self.allocator.create(name, size_bytes)
-
     def write_file(self, thread: SimThread, name: str, data: bytes) -> BackingFile:
-        file = self._create(thread, name, len(data))
+        file = self.allocator.create(name, len(data))
         _BulkWriter.bulk_write(thread, file, 0, data)
         return file
 
@@ -228,8 +170,7 @@ class MmioEnv(StorageEnv):
             mapping.active = False
         else:
             self.engine.invalidate_file(thread, file)
-        if self.file_factory is None:
-            self.allocator.free(file)
+        self.allocator.free(file)
 
     def append(self, thread: SimThread, file: BackingFile, offset: int, data: bytes) -> None:
         _BulkWriter.bulk_write(thread, file, offset, data)

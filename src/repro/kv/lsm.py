@@ -103,67 +103,6 @@ class LSMTree:
                 return table
         return None
 
-    def multi_get(self, thread: SimThread, keys: List[bytes]) -> dict:
-        """Point-lookup many keys, batching block reads level by level.
-
-        RocksDB's MultiGet: at each level, locate every unresolved key's
-        candidate block (CPU only), read the needed blocks in one batch
-        through the env, then resolve.  Keys found (or tombstoned) stop
-        descending.
-        """
-        resolved: dict = {}
-        unresolved = list(dict.fromkeys(keys))
-
-        def probe_tables(table_of_key) -> None:
-            nonlocal unresolved
-            # Deduplicate block reads: many keys often share a data block.
-            unique: dict = {}          # (file_id, offset) -> request index
-            requests = []
-            slots = []                 # (key, table, request index)
-            for key in unresolved:
-                table = table_of_key(key)
-                if table is None:
-                    continue
-                located = table.locate(key)
-                if located is None:
-                    continue
-                offset, length = located
-                block_id = (table.file.file_id, offset)
-                index = unique.get(block_id)
-                if index is None:
-                    index = len(requests)
-                    unique[block_id] = index
-                    requests.append((table.file, offset, length))
-                slots.append((key, table, index))
-            if not requests:
-                return
-            blocks = self.env.read_batch(thread, requests)
-            still = set(unresolved)
-            for key, table, index in slots:
-                table.block_reads += 1
-                value = table.find_in_block(blocks[index], key)
-                if value is not None and key in still:
-                    resolved[key] = value
-                    still.discard(key)
-            unresolved = [k for k in unresolved if k in still]
-
-        # L0 newest-to-oldest: each file is its own "level".
-        for table in reversed(self.levels[0]):
-            if not unresolved:
-                break
-            probe_tables(
-                lambda key, t=table: t if t.first_key <= key <= t.last_key else None
-            )
-        for level in self.levels[1:]:
-            if not unresolved:
-                break
-            probe_tables(lambda key, lvl=level: self._find_in_sorted_level(lvl, key))
-
-        return {
-            key: (None if value == TOMBSTONE else value)
-            for key, value in resolved.items()
-        }
-
     def scan(self, thread: SimThread, start: bytes, count: int) -> List[Tuple[bytes, bytes]]:
         """Merged range scan across all levels."""
         per_level: List[List[Tuple[bytes, bytes]]] = []

@@ -208,40 +208,6 @@ class RocksDB:
                 thread.clock.charge("app.get", self._aquila_tlb_surcharge)
         return value
 
-    def multi_get(self, thread: SimThread, keys: List[bytes]) -> List[Optional[bytes]]:
-        """Batched point lookups (RocksDB's MultiGet).
-
-        Memtable hits resolve immediately; the rest descend the LSM with
-        block reads batched per level — with an io_uring-backed env, one
-        submission per level instead of one syscall per key.
-        """
-        results: List[Optional[bytes]] = [None] * len(keys)
-        settled = [False] * len(keys)
-        remaining: List[bytes] = []
-        for index, key in enumerate(keys):
-            self.gets += 1
-            thread.clock.charge("app.get", self._get_cpu)
-            value = None
-            for table in (self.memtable, self.immutable):
-                if table is None:
-                    continue
-                value = table.get(key)
-                if value is not None:
-                    break
-            if value is not None:
-                # A memtable hit settles the key — a tombstone here must
-                # shadow any older value further down the LSM.
-                results[index] = None if value == TOMBSTONE else value
-                settled[index] = True
-            else:
-                remaining.append(key)
-        if remaining:
-            found = self.lsm.multi_get(thread, remaining)
-            for index, key in enumerate(keys):
-                if not settled[index] and key in found:
-                    results[index] = found[key]
-        return results
-
     def scan(self, thread: SimThread, start: bytes, count: int) -> List[Tuple[bytes, bytes]]:
         """Range scan merged across memtables and SST levels."""
         thread.clock.charge("app.scan", self._get_cpu + 1200 * count)

@@ -170,14 +170,8 @@ class SSTable:
         """Whether this table's range intersects [first, last]."""
         return not (self.last_key < first or last < self.first_key)
 
-    def locate(self, key: bytes) -> Optional[Tuple[int, int]]:
-        """CPU-only lookup step: bloom + index search, no I/O.
-
-        Returns the (offset, length) of the data block that may hold
-        ``key``, or None when the bloom filter or index rules it out.
-        Lets MultiGet batch the block reads of many keys (RocksDB's
-        ``MultiGet`` optimization).
-        """
+    def get(self, thread: SimThread, key: bytes) -> Optional[bytes]:
+        """Point lookup: bloom check, index search, one block read."""
         if not self._bloom.may_contain(key):
             self.bloom_negatives += 1
             return None
@@ -185,27 +179,14 @@ class SSTable:
         if slot >= len(self._index):
             return None
         _, offset, length = self._index[slot]
-        return (offset, length)
-
-    @staticmethod
-    def find_in_block(block: bytes, key: bytes) -> Optional[bytes]:
-        """Search one decoded data block for ``key``."""
+        block = self.env.read(thread, self.file, offset, length)
+        self.block_reads += 1
         for entry_key, value in _decode_entries(block):
             if entry_key == key:
                 return value
             if entry_key > key:
                 return None
         return None
-
-    def get(self, thread: SimThread, key: bytes) -> Optional[bytes]:
-        """Point lookup: bloom check, index search, one block read."""
-        located = self.locate(key)
-        if located is None:
-            return None
-        offset, length = located
-        block = self.env.read(thread, self.file, offset, length)
-        self.block_reads += 1
-        return self.find_in_block(block, key)
 
     def scan_from(self, thread: SimThread, start: bytes, count: int) -> List[Tuple[bytes, bytes]]:
         """Up to ``count`` entries with key >= ``start``, in order."""

@@ -27,34 +27,6 @@ class FramePool:
         self._data: Dict[int, bytes] = {}
         self._allocated: List[bool] = [False] * total_frames
 
-    def grow(self, additional_frames: int) -> List[int]:
-        """Extend the pool (dynamic cache resize); returns the new frame ids.
-
-        New frames stripe onto nodes the same way (``node_of`` is computed
-        from the *current* size, so existing assignments stay stable only
-        within a node-striping epoch; the freelist re-derives node
-        membership at insertion time).
-        """
-        if additional_frames <= 0:
-            raise ValueError("additional_frames must be positive")
-        first = self.total_frames
-        self.total_frames += additional_frames
-        self._allocated.extend([False] * additional_frames)
-        return list(range(first, self.total_frames))
-
-    def shrink_frames(self, frames: List[int]) -> None:
-        """Retire specific (free) frames from the pool.
-
-        Frames must be unallocated.  Retired ids are left as permanent
-        holes (marked allocated so nothing hands them out again).
-        """
-        for frame in frames:
-            self._check(frame)
-            if self._allocated[frame]:
-                raise OutOfMemoryError(f"cannot retire allocated frame {frame}")
-            self._allocated[frame] = True
-            self._data.pop(frame, None)
-
     def node_of(self, frame: int) -> int:
         """NUMA node owning ``frame`` (frames striped in contiguous halves)."""
         self._check(frame)

@@ -54,22 +54,6 @@ class TwoLevelFreelist:
         for frame in range(pool.total_frames):
             self._node_queues[pool.node_of(frame)].append(frame)
 
-    def add_frames(self, frames: List[int]) -> None:
-        """Seed newly granted frames (dynamic cache grow) into NUMA queues."""
-        for frame in frames:
-            self._node_queues[self.pool.node_of(frame)].append(frame)
-
-    def take_free_frames(self, count: int) -> List[int]:
-        """Pull up to ``count`` free frames out of the queues (cache shrink)."""
-        taken: List[int] = []
-        sources = self._node_queues + self._core_queues
-        for queue in sources:
-            while queue and len(taken) < count:
-                taken.append(queue.popleft())
-            if len(taken) >= count:
-                break
-        return taken
-
     def free_count(self) -> int:
         """Total free frames across all queues."""
         return sum(len(q) for q in self._core_queues) + sum(

@@ -11,7 +11,7 @@ entries in batches.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable, Iterator, List, Optional
+from typing import Hashable, Iterator
 
 
 class ApproxLRU:
@@ -51,20 +51,6 @@ class ApproxLRU:
                 del order[key]
                 removed += 1
         return removed
-
-    def evict_batch(self, count: int) -> List[Hashable]:
-        """Pop up to ``count`` coldest keys (paper batch: 512)."""
-        victims: List[Hashable] = []
-        while self._order and len(victims) < count:
-            key, _ = self._order.popitem(last=False)
-            victims.append(key)
-        return victims
-
-    def coldest(self) -> Optional[Hashable]:
-        """Peek the coldest key without removing it."""
-        if not self._order:
-            return None
-        return next(iter(self._order))
 
     def cold_keys(self) -> Iterator[Hashable]:
         """Iterate keys from coldest to hottest, without copying the list.

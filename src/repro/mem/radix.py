@@ -18,7 +18,7 @@ let VMA code mark whole mappings.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 RADIX_BITS = 6
 RADIX_FANOUT = 1 << RADIX_BITS   # 64, like the Linux kernel's radix tree
@@ -128,29 +128,3 @@ class RadixTree:
             parent.count -= 1
             node = parent
         return value
-
-    def items(self) -> Iterator[Tuple[int, Any]]:
-        """All (key, value) pairs in ascending key order."""
-        if self._root is None:
-            return
-
-        def walk(node: _RadixNode, level: int, prefix: int) -> Iterator[Tuple[int, Any]]:
-            for index in range(RADIX_FANOUT):
-                slot = node.slots[index]
-                if slot is None:
-                    continue
-                key = (prefix << RADIX_BITS) | index
-                if level == 0:
-                    yield (key, slot)
-                else:
-                    yield from walk(slot, level - 1, key)
-
-        yield from walk(self._root, self._height, 0)
-
-    def next_key(self, key: int) -> Optional[int]:
-        """Smallest stored key strictly greater than ``key`` (linear scan
-        bounded by tree order; used by gang lookups in the page cache)."""
-        for stored, _ in self.items():
-            if stored > key:
-                return stored
-        return None

@@ -1,10 +1,9 @@
 """Memory-mapped I/O engines and explicit-I/O baseline."""
 
 from repro.mmio.aquila import AquilaEngine
-from repro.mmio.buffered import BufferedIOEngine
 from repro.mmio.engine import Mapping, MmioEngine
 from repro.mmio.explicit import ExplicitIOEngine
-from repro.mmio.files import BackingFile, BlobFile, ExtentAllocator, ExtentFile
+from repro.mmio.files import BackingFile, ExtentAllocator, ExtentFile
 from repro.mmio.kmmap import KmmapEngine
 from repro.mmio.linux_mmap import LinuxMmapEngine
 from repro.mmio.vma import (
@@ -23,12 +22,10 @@ from repro.mmio.vma import (
 
 __all__ = [
     "AquilaEngine",
-    "BufferedIOEngine",
     "Mapping",
     "MmioEngine",
     "ExplicitIOEngine",
     "BackingFile",
-    "BlobFile",
     "ExtentAllocator",
     "ExtentFile",
     "KmmapEngine",

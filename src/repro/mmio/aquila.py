@@ -16,7 +16,8 @@ with the application:
   for NVMe (host-syscall I/O is available for comparison — Figure 8(c)).
 
 Interaction with the hypervisor happens only for mmap-class range updates
-and dynamic cache resizing (EPT granules) — the uncommon path.
+— the uncommon path.  EPT faults and dynamic cache resizing (Section 3.5)
+are not modelled: no figure charges them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.cache.aquila_cache import AquilaCache
 from repro.cache.base import CachePage
 from repro.devices.io_engines import DaxIO, IOPath
 from repro.fault.crash import CRASH
-from repro.hw.ept import EPT
 from repro.hw.machine import Machine
 from repro.hw.vmx import ExecutionDomain, VMXCostModel
 from repro.mmio.engine import Mapping, MmioEngine
@@ -60,7 +60,6 @@ class AquilaEngine(MmioEngine):
         freelist_move_batch: int = constants.FREELIST_MOVE_BATCH_PAGES,
         freelist_core_threshold: int = constants.FREELIST_CORE_THRESHOLD_PAGES,
         readahead_pages: int = 0,
-        ept: Optional[EPT] = None,
     ) -> None:
         super().__init__(
             machine,
@@ -80,9 +79,6 @@ class AquilaEngine(MmioEngine):
         self.shootdown_batch = shootdown_batch
         self.readahead_pages = readahead_pages
         self._shootdowns = machine.make_shootdown_controller("aquila")
-        self.ept = ept
-        if self.ept is not None:
-            self.ept.grant(0, cache_pages * units.PAGE_SIZE)
         self.eviction_batches = 0
         self.readahead_aborted = 0
 
@@ -119,7 +115,7 @@ class AquilaEngine(MmioEngine):
     # -- fault handling ---------------------------------------------------------
     #
     # One straight-line protocol for every mode (traced or not, any CPI,
-    # fault injection, EPT, readahead, any I/O path or partition): each
+    # fault injection, readahead, any I/O path or partition): each
     # device command, retry, crash point and charge is a real call, and
     # the sub-spans of a ``--trace`` timeline wrap the same code.  Other
     # structures are reached through their public (batch) methods only.
@@ -146,10 +142,6 @@ class AquilaEngine(MmioEngine):
             self.major_faults += 1
             with TRACER.span("fault.alloc", clock):
                 frame = self._allocate_with_eviction(thread)
-            if self.ept is not None:
-                # First touch of a fresh cache granule faults in EPT (1 GB
-                # granules make this essentially free; Section 3.5).
-                self.ept.translate(frame * units.PAGE_SIZE, clock)
             with TRACER.span("fault.io", clock):
                 cache.pool.write(
                     frame,

@@ -15,7 +15,10 @@ Engines differ only in what a *fault* costs and how the cache behaves.
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.common import constants, units
 from repro.common.errors import ProtectionFault, SegmentationFault
@@ -54,6 +57,10 @@ from repro.sim.fastforward import (
 
 #: Categories the hit loop charges itself (a pre-charge may not reuse them).
 _HIT_CATEGORIES = frozenset({"app.access", "tlb.miss_walk", ABSORB_CATEGORY})
+
+#: The hit loop's latency sink in :meth:`MmioEngine.load_run`, whose
+#: caller records its own op: an append that keeps nothing.
+_DISCARD = deque(maxlen=0).append
 
 
 def _hit_charges(
@@ -470,18 +477,19 @@ class MmioEngine:
         if category in _HIT_CATEGORIES:
             raise ValueError(f"pre-charge category {category!r} is charged by the hit path")
         pages, offsets = plan
-        accesses = (pages, offsets, [False] * len(pages))
+        # Every access is a load: a zero-stride view reads False at any
+        # index, so nothing here grows with the plan.
+        accesses = (pages, offsets, memoryview(np.broadcast_to(False, len(pages))))
         # The hit loop loads as many bytes as its (unused) write data.
         load_width = bytes(nbytes)
         values: List[bytes] = []
-        latencies: List[float] = []
         clock = thread.clock
         total = len(pages)
         while index < total:
             page = pages[index]
             if self._is_hit(mapping, page, False):
                 retired = self._hit_run(
-                    thread, mapping, accesses, index, math.inf, load_width, latencies.append,
+                    thread, mapping, accesses, index, math.inf, load_width, _DISCARD,
                     pre_charge, values, stop,
                 )
                 self.hit_runs += 1

@@ -4,11 +4,10 @@ Every mapping targets persistent storage (the paper considers only shared
 file-backed mappings, Section 2.1).  A backing file answers one question
 for the engines: which device byte offset holds file page *i*.
 
-* :class:`ExtentFile` — a contiguous region of a block device; how Linux
-  experiments and Kreon (single file/device with its own allocator) place
-  data.
-* :class:`BlobFile` — an SPDK blob; how Aquila places files over NVMe via
-  its file-to-blob translation (Section 3.3).
+:class:`ExtentFile` — a contiguous region of a block device — is how
+every stack places data, Aquila's included: its file-to-blob translation
+over SPDK (Section 3.3) is not modelled, since no figure charges blob
+placement.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import itertools
 from repro.common import units
 from repro.common.errors import OutOfSpaceError
 from repro.devices.block import BlockDevice
-from repro.devices.blobstore import Blobstore
 
 
 class BackingFile:
@@ -65,14 +63,7 @@ class BackingFile:
         Lets engines merge adjacent pages into one large I/O (readahead,
         sorted writeback).
         """
-        run = 1
-        base = self.device_offset(page_index)
-        limit = min(max_pages, self.size_pages - page_index)
-        while run < limit:
-            if self.device_offset(page_index + run) != base + run * units.PAGE_SIZE:
-                break
-            run += 1
-        return run
+        raise NotImplementedError
 
 
 class ExtentFile(BackingFile):
@@ -143,30 +134,3 @@ class ExtentAllocator:
     def bytes_allocated(self) -> int:
         """Device bytes handed out so far (high-water mark)."""
         return self._next_offset
-
-
-class BlobFile(BackingFile):
-    """A file backed by an SPDK blob (Aquila's file-to-blob translation)."""
-
-    def __init__(self, name: str, blobstore: Blobstore, blob_id: int, size_bytes: int) -> None:
-        super().__init__(name, size_bytes)
-        self.blobstore = blobstore
-        self.blob_id = blob_id
-        if blobstore.get(blob_id).size_bytes < size_bytes:
-            blobstore.resize(blob_id, size_bytes)
-
-    @classmethod
-    def create(cls, name: str, blobstore: Blobstore, size_bytes: int) -> "BlobFile":
-        """Create a fresh blob of ``size_bytes`` and wrap it as a file."""
-        blob_id = blobstore.create(size_bytes)
-        blobstore.set_xattr(blob_id, "name", name.encode())
-        return cls(name, blobstore, blob_id, size_bytes)
-
-    @property
-    def device(self) -> BlockDevice:
-        return self.blobstore.device
-
-    def device_offset(self, page_index: int) -> int:
-        if not 0 <= page_index < self.size_pages:
-            raise OutOfSpaceError(f"page {page_index} beyond file {self.name}")
-        return self.blobstore.device_offset(self.blob_id, page_index * units.PAGE_SIZE)

@@ -16,7 +16,7 @@ from repro.sim.rand import (
     fnv1a_64,
     stream,
 )
-from repro.sim.stats import LatencyRecorder, speedup, throughput_ops_per_sec
+from repro.sim.stats import LatencyRecorder, throughput_ops_per_sec
 
 __all__ = [
     "Breakdown",
@@ -36,6 +36,5 @@ __all__ = [
     "fnv1a_64",
     "stream",
     "LatencyRecorder",
-    "speedup",
     "throughput_ops_per_sec",
 ]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -230,47 +230,9 @@ class LatencyRecorder:
             return 0.0
         return float(self._sorted()[-1])
 
-    def histogram(self, buckets: Sequence[float]) -> List[int]:
-        """Per-bucket sample counts for ascending upper bounds ``buckets``.
-
-        Returns ``len(buckets) + 1`` counts; the last slot holds samples
-        above every bound.  Matches the bucket semantics of
-        ``repro.obs.metrics.Histogram``.
-        """
-        bounds = [float(b) for b in buckets]
-        if not bounds or sorted(bounds) != bounds:
-            raise ValueError("buckets must be a non-empty ascending sequence")
-        ordered = self._sorted()
-        # Each bucket holds samples <= its bound (first bound >= value,
-        # mirroring Histogram.observe), hence right-side edges.
-        edges = np.searchsorted(ordered, bounds, side="right").tolist()
-        return [b - a for a, b in zip([0] + edges, edges + [ordered.shape[0]])]
-
-    def summary(self) -> Dict[str, float]:
-        """Dict with count/mean/p50/p99/p999/max in cycles."""
-        return {
-            "count": float(self.count),
-            "mean": self.mean(),
-            "p50": self.p50(),
-            "p99": self.p99(),
-            "p999": self.p999(),
-            "max": self.max(),
-        }
-
 
 def throughput_ops_per_sec(ops: int, elapsed_cycles: float) -> float:
     """Operations per second over an elapsed simulated interval."""
     if elapsed_cycles <= 0:
         return 0.0
     return ops / units.cycles_to_seconds(elapsed_cycles)
-
-
-def speedup(baseline: float, improved: float) -> float:
-    """How many times larger ``baseline`` is than ``improved``.
-
-    Used for the paper's "N.NNx lower/higher" phrasing; returns ``inf``
-    when ``improved`` is zero.
-    """
-    if improved == 0:
-        return math.inf
-    return baseline / improved

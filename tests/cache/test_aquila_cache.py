@@ -124,19 +124,3 @@ class TestEviction:
         cache.remove(clock, 0, pages[0])
         assert cache.allocate_frame(clock, 0) is not None
         assert cache.evictions == 1
-
-
-class TestResize:
-    def test_grow(self):
-        cache = _cache(capacity=16)
-        frames = cache.grow(8)
-        assert len(frames) == 8
-        assert cache.capacity_pages == 24
-        assert cache.freelist.free_count() == 24
-
-    def test_shrink_free(self):
-        cache = _cache(capacity=16)
-        retired = cache.shrink_free(4)
-        assert len(retired) == 4
-        assert cache.capacity_pages == 12
-        assert cache.freelist.free_count() == 12

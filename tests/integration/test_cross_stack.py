@@ -3,43 +3,8 @@
 import pytest
 
 from repro.common import units
-from repro.core import Aquila, AquilaConfig
-from repro.devices.nvme import NvmeDevice
-from repro.devices.pmem import PmemDevice
-from repro.hw.machine import Machine
-from repro.kv.env import MmioEnv
-from repro.kv.rocksdb import RocksDB
-from repro.mmio.files import ExtentAllocator
 from repro.sim.executor import Executor, SimThread
 from repro.workloads.ycsb import YCSBConfig, YCSBDriver
-
-
-class TestRocksDBOnAquilaLibOS:
-    """RocksDB running on the full Aquila library OS over SPDK blobs."""
-
-    def test_end_to_end(self):
-        machine = Machine()
-        device = NvmeDevice(capacity_bytes=512 * units.MIB)
-        aquila = Aquila(
-            machine, device, AquilaConfig(cache_pages=512, io_path="spdk")
-        )
-        main = SimThread(core=0)
-        aquila.enter(main)
-
-        def blob_factory(thread, name, size_bytes):
-            return aquila.open(thread, name, size_bytes=size_bytes)
-
-        env = MmioEnv(aquila.engine, None, file_factory=blob_factory)
-        db = RocksDB(env, memtable_bytes=16 * units.KIB, sst_bytes=32 * units.KIB)
-        for i in range(300):
-            db.put(main, b"key-%05d" % i, b"value-%d" % i)
-        db.flush(main)
-        db.compact_all(main)
-        for i in range(300):
-            assert db.get(main, b"key-%05d" % i) == b"value-%d" % i
-        # Files were translated to blobs, not extents.
-        assert aquila.blobstore is not None
-        assert len(aquila.blobstore.blob_ids()) > 0
 
 
 class TestMultiThreadedYCSBConsistency:

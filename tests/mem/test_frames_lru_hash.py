@@ -61,21 +61,6 @@ class TestFramePool:
         pool.mark_free(1)
         assert pool.allocated_count() == 1
 
-    def test_grow(self):
-        pool = FramePool(10)
-        new = pool.grow(5)
-        assert new == [10, 11, 12, 13, 14]
-        assert pool.total_frames == 15
-        pool.write(14, bytes(4096))
-
-    def test_shrink_requires_free(self):
-        pool = FramePool(10)
-        pool.mark_allocated(3)
-        with pytest.raises(OutOfMemoryError):
-            pool.shrink_frames([3])
-        pool.shrink_frames([4])
-        assert pool.is_allocated(4)   # retired = permanently unavailable
-
     def test_out_of_range(self):
         pool = FramePool(10)
         with pytest.raises(OutOfMemoryError):
@@ -88,14 +73,7 @@ class TestApproxLRU:
         for key in "abc":
             lru.touch(key)
         lru.touch("a")   # refresh
-        assert lru.evict_batch(2) == ["b", "c"]
-        assert lru.coldest() == "a"
-
-    def test_evict_batch_bounded(self):
-        lru = ApproxLRU()
-        lru.touch(1)
-        assert lru.evict_batch(10) == [1]
-        assert lru.evict_batch(10) == []
+        assert list(lru.cold_keys()) == ["b", "c", "a"]
 
     def test_remove(self):
         lru = ApproxLRU()

@@ -102,24 +102,6 @@ class TestFree:
         assert freelist.allocate(clock, 2) is not None
 
 
-class TestResizeSupport:
-    def test_add_frames(self):
-        freelist, pool = _freelist(total=16)
-        new = pool.grow(8)
-        freelist.add_frames(new)
-        assert freelist.free_count() == 24
-
-    def test_take_free_frames(self):
-        freelist, _ = _freelist(total=32, move_batch=8)
-        taken = freelist.take_free_frames(10)
-        assert len(taken) == 10
-        assert freelist.free_count() == 22
-
-    def test_take_more_than_free(self):
-        freelist, _ = _freelist(total=4, move_batch=4)
-        assert len(freelist.take_free_frames(100)) == 4
-
-
 class TestAccounting:
     def test_conservation(self):
         """allocated + free == total, always."""

@@ -209,24 +209,6 @@ class TestAquilaSpecifics:
         mapping.madvise(thread, MADV_RANDOM)
         assert thread.clock.now - before < constants.SYSCALL_CYCLES
 
-    def test_ept_faults_with_1g_granule_negligible(self):
-        from repro.core import Aquila, AquilaConfig
-        from repro.devices.pmem import PmemDevice
-        from repro.hw.machine import Machine
-
-        aquila = Aquila(
-            Machine(),
-            PmemDevice(capacity_bytes=64 * units.MIB),
-            AquilaConfig(cache_pages=256, io_path="dax", ept_granule="1G"),
-        )
-        thread = SimThread(core=0)
-        aquila.enter(thread)
-        file = aquila.open(thread, "/f", size_bytes=units.MIB)
-        mapping = aquila.mmap(thread, file)
-        for page in range(256):
-            mapping.load(thread, page * units.PAGE_SIZE, 1)
-        assert aquila.engine.ept.faults == 1
-
 
 class TestKmmapSpecifics:
     def test_kernel_trap_cost(self):

@@ -1,13 +1,11 @@
-"""Backing files: extents, blob files, allocator reuse."""
+"""Backing files: extents and allocator reuse."""
 
 import pytest
 
 from repro.common import units
 from repro.common.errors import OutOfSpaceError
-from repro.devices.blobstore import CLUSTER_SIZE, Blobstore
-from repro.devices.nvme import NvmeDevice
 from repro.devices.pmem import PmemDevice
-from repro.mmio.files import BlobFile, ExtentAllocator, ExtentFile
+from repro.mmio.files import ExtentAllocator, ExtentFile
 
 
 class TestExtentFile:
@@ -120,30 +118,3 @@ class TestExtentAllocator:
             file = allocator.create("tmp", units.MIB)
             allocator.free(file)
         assert allocator.bytes_allocated <= 4 * units.MIB
-
-
-class TestBlobFile:
-    def test_translation_via_clusters(self):
-        device = NvmeDevice(capacity_bytes=64 * units.MIB)
-        blobstore = Blobstore(device)
-        file = BlobFile.create("blobby", blobstore, 2 * CLUSTER_SIZE)
-        # Offsets within one cluster are contiguous.
-        assert file.device_offset(1) == file.device_offset(0) + units.PAGE_SIZE
-        assert file.size_pages == 2 * CLUSTER_SIZE // units.PAGE_SIZE
-
-    def test_contiguous_run_stops_at_cluster_gap(self):
-        device = NvmeDevice(capacity_bytes=64 * units.MIB)
-        blobstore = Blobstore(device)
-        a = BlobFile.create("a", blobstore, CLUSTER_SIZE)
-        blobstore.create(CLUSTER_SIZE)   # interleave another blob
-        blobstore.resize(a.blob_id, 2 * CLUSTER_SIZE)
-        a.size_bytes = 2 * CLUSTER_SIZE
-        pages_per_cluster = CLUSTER_SIZE // units.PAGE_SIZE
-        run = a.contiguous_run(0, 10_000)
-        assert run == pages_per_cluster
-
-    def test_name_xattr(self):
-        device = NvmeDevice(capacity_bytes=64 * units.MIB)
-        blobstore = Blobstore(device)
-        file = BlobFile.create("named", blobstore, CLUSTER_SIZE)
-        assert blobstore.get_xattr(file.blob_id, "name") == b"named"

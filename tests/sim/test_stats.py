@@ -1,6 +1,5 @@
 """Latency statistics: percentiles, means, throughput."""
 
-import bisect
 import math
 import random
 import tracemalloc
@@ -11,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim import stats
-from repro.sim.stats import LatencyRecorder, speedup, throughput_ops_per_sec
+from repro.sim.stats import LatencyRecorder, throughput_ops_per_sec
 
 
 class TestLatencyRecorder:
@@ -89,16 +88,6 @@ class TestLatencyRecorder:
         assert recorder.p50() == 2
         assert list(recorder.samples()) == [3, 1, 2]
 
-    def test_histogram_buckets(self):
-        recorder = LatencyRecorder()
-        recorder.extend([1, 2, 2, 5, 100])
-        # bucket semantics: first bound >= value (inclusive upper bounds)
-        assert recorder.histogram([2, 10]) == [3, 1, 1]
-        with pytest.raises(ValueError):
-            recorder.histogram([])
-        with pytest.raises(ValueError):
-            recorder.histogram([10, 2])
-
     def test_empty_percentiles_are_zero(self):
         recorder = LatencyRecorder()
         assert recorder.p50() == 0.0
@@ -129,37 +118,6 @@ class TestLatencyRecorder:
         # 99% of 100 samples is exactly rank 99, even though 0.99 * 100
         # lands just under 99.0 in floats.
         assert recorder.p99() == 99
-
-    def test_histogram_agrees_with_percentiles(self):
-        recorder = LatencyRecorder()
-        recorder.extend([10] * 900 + [100] * 99 + [1000])
-        # A bucket bound at the p99 value must hold at least 99% of the
-        # samples at or below it, and the percentile itself must land in
-        # that bucket's range.
-        p99 = recorder.p99()
-        at_or_below, above = recorder.histogram([p99])
-        assert at_or_below >= 0.99 * recorder.count
-        assert at_or_below + above == recorder.count
-        assert recorder.histogram([9, 99, 999]) == [0, 900, 99, 1]
-
-    @given(
-        st.lists(st.floats(min_value=0, max_value=1e9, allow_nan=False), min_size=1),
-        st.sampled_from([50.0, 90.0, 99.0, 99.9]),
-    )
-    def test_histogram_percentile_agreement_property(self, samples, pct):
-        recorder = LatencyRecorder()
-        recorder.extend(samples)
-        value = recorder.percentile(pct)
-        at_or_below = recorder.histogram([value])[0]
-        # Nearest-rank: the bucket closed at percentile(pct) holds at
-        # least ceil(pct% * n) samples, and removing the percentile's own
-        # ties drops the count below that rank.
-        import math
-
-        rank = max(1, math.ceil(round(pct / 100.0 * recorder.count, 9)))
-        assert at_or_below >= rank
-        strictly_below = at_or_below - sum(1 for s in samples if s == value)
-        assert strictly_below < rank
 
     @given(st.lists(st.floats(min_value=0, max_value=1e9, allow_nan=False), min_size=1))
     def test_percentiles_monotone(self, samples):
@@ -207,11 +165,6 @@ class _ListRecorder:
     def max(self):
         return max(self.values) if self.values else 0.0
 
-    def histogram(self, bounds):
-        ordered = sorted(self.values)
-        edges = [bisect.bisect_right(ordered, b) for b in bounds]
-        return [b - a for a, b in zip([0] + edges, edges + [len(ordered)])]
-
 
 def _hexes(values):
     return [float(v).hex() for v in values]
@@ -249,8 +202,6 @@ def _assert_matches(recorder, model):
     for pct in (0.1, 1, 50, 99, 99.9, 100):
         assert recorder.percentile(pct).hex() == float(model.percentile(pct, ordered)).hex()
     assert recorder.max().hex() == float(model.max()).hex()
-    bounds = [-1.0, 0.0, 6 * 1.4, 106.0, 1e6, 2.0**60]
-    assert recorder.histogram(bounds) == model.histogram(bounds)
     for n in (0, 1, 2, 5, 17, len(values) // 2, len(values), len(values) + 3):
         expected = values[-n:] if n > 0 else []
         got = recorder.last(n)
@@ -311,7 +262,6 @@ class TestAgainstListModel:
 
     def test_empty_recorder(self):
         _assert_matches(LatencyRecorder(), _ListRecorder())
-        assert LatencyRecorder().histogram([1.0]) == [0, 0]
         assert len(LatencyRecorder().samples()) == 0
 
     def test_signed_zero_sums(self):
@@ -382,11 +332,3 @@ class TestThroughput:
 
     def test_zero_elapsed(self):
         assert throughput_ops_per_sec(100, 0) == 0.0
-
-
-class TestSpeedup:
-    def test_basic(self):
-        assert speedup(10.0, 5.0) == 2.0
-
-    def test_zero_improved(self):
-        assert speedup(10.0, 0.0) == float("inf")
