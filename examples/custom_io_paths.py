@@ -19,7 +19,6 @@ from repro.bench.report import Table
 from repro.bench.setups import make_stack
 from repro.common import units
 from repro.mmio.vma import MADV_RANDOM, MADV_SEQUENTIAL
-from repro.sim.executor import SimThread
 from repro.workloads.microbench import MicrobenchConfig, run_microbench
 
 
@@ -70,7 +69,7 @@ def madvise_readahead() -> None:
         stack = make_stack("aquila", "pmem", cache_pages=256)
         stack.engine.readahead_pages = ra
         file = stack.allocator.create("d", 64 * units.PAGE_SIZE)
-        thread = SimThread(core=0)
+        thread = stack.machine.thread(0)
         mapping = stack.engine.mmap(thread, file)
         mapping.madvise(thread, advice)
         for page in range(64):

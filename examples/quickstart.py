@@ -11,7 +11,6 @@ Run:  python examples/quickstart.py
 
 from repro.bench.setups import make_stack
 from repro.common import units
-from repro.sim.executor import SimThread
 
 
 def main() -> None:
@@ -20,7 +19,7 @@ def main() -> None:
     # batch sizes rescaled from the paper's 8 GB configuration.
     stack = make_stack("aquila", "pmem", cache_pages=2048, capacity_bytes=256 * units.MIB)
     engine = stack.engine
-    main_thread = SimThread(core=0)
+    main_thread = stack.machine.thread(0)   # the machine numbers its threads
 
     # Create a file and map it (an mmap-class range update: one vmcall).
     file = stack.allocator.create("example", 4 * units.MIB)

@@ -38,7 +38,7 @@ def run_cell(
         cache_pages=cache_pages,
         capacity_bytes=1 << 30,
     )
-    loader = SimThread(core=0)
+    loader = stack.machine.thread(0)
     config = YCSBConfig(
         workload="C",
         record_count=record_count,
@@ -54,7 +54,7 @@ def run_cell(
     if warmup_ops is None:
         # Enough to reach cache steady state (2x the resident set).
         warmup_ops = 2 * min(record_count // 4, cache_pages)
-    warm = SimThread(core=0)
+    warm = stack.machine.thread(0)
     warm.clock.now = loader.clock.now
     for _ in driver.run_workload(warm, warmup_ops):
         pass
@@ -63,7 +63,7 @@ def run_cell(
     threads: List[SimThread] = []
     executor = Executor()
     for index in range(num_threads):
-        thread = SimThread(core=index % stack.machine.topology.num_hw_threads)
+        thread = stack.machine.thread(index % stack.machine.topology.num_hw_threads)
         thread.clock.now = loader.clock.now
         threads.append(thread)
         executor.add(thread, driver.run_workload(thread, ops_per_thread))

@@ -49,22 +49,24 @@ def run_bfs_config(
     root = graph.largest_out_degree_vertex()
     heap_pages = heap_pages_for(num_vertices, edge_factor)
 
-    setup = SimThread(core=0)
     if engine_kind == "dram":
         heap = DramHeap(capacity_bytes=(heap_pages + 16) * units.PAGE_SIZE)
         stack = None
+        # No machine numbers these threads; they take the ids a machine
+        # would give them: the setup thread 0, the BFS threads after it.
+        setup = SimThread(0)
+        threads = [SimThread(i, tid=1 + i) for i in range(num_threads)]
     else:
         cache_pages = max(32, int(heap_pages * cache_fraction))
         stack = make_stack(engine_kind, device_kind, cache_pages)
+        setup = stack.machine.thread(0)
         file = stack.allocator.create("ligra-heap", (heap_pages + 16) * units.PAGE_SIZE)
         mapping = stack.engine.mmap(setup, file)
         # Graph traversal is random access: Ligra's conversion maps the
         # heap with MADV_RANDOM (no readahead pollution).
         mapping.madvise(setup, MADV_RANDOM)
         heap = MmapHeap(mapping)
-
-    threads = [SimThread(core=i) for i in range(num_threads)]
-    if stack is not None:
+        threads = [stack.machine.thread(i) for i in range(num_threads)]
         stack.machine.apply_smt_penalty(threads)
     bfs = ParallelBFS(heap, graph, threads, setup_thread=setup)
     result = bfs.run(root)

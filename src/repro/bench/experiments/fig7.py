@@ -27,7 +27,7 @@ from typing import Dict, List
 from repro.bench.setups import make_rocksdb
 from repro.obs.events import fold_stages
 from repro.sim.clock import Breakdown
-from repro.sim.executor import Executor, SimThread
+from repro.sim.executor import Executor
 from repro.sim.stats import throughput_ops_per_sec
 from repro.workloads.ycsb import YCSBConfig, YCSBDriver
 
@@ -71,7 +71,7 @@ def run_mode(
         cache_pages=cache_pages,
         capacity_bytes=1 << 30,
     )
-    loader = SimThread(core=0)
+    loader = stack.machine.thread(0)
     config = YCSBConfig(
         workload="C",
         record_count=record_count,
@@ -83,7 +83,7 @@ def run_mode(
     db.flush(loader)
     db.compact_all(loader)
 
-    runner = SimThread(core=0)
+    runner = stack.machine.thread(0)
     # Continue simulated time from the load phase: lock and device
     # timelines are already at the loader's clock.
     runner.clock.now = loader.clock.now

@@ -15,7 +15,6 @@ from repro.bench.setups import make_aquila_stack, make_stack
 from repro.common import units
 from repro.mmio.vma import MADV_RANDOM
 from repro.obs import DEFAULT_CYCLE_BUCKETS, METRICS
-from repro.sim.executor import SimThread
 from repro.workloads.microbench import MicrobenchConfig, run_microbench
 
 #: Breakdown categories surfaced per figure row (prefix -> display name).
@@ -115,7 +114,7 @@ def run_cache_hit(accesses: int) -> float:
     dataset, cache_pages = in_memory_pages(accesses)
     stack = make_aquila_stack("pmem", cache_pages=cache_pages, io_path="dax")
     file = stack.allocator.create("hit-data", dataset * units.PAGE_SIZE)
-    thread = SimThread(core=0)
+    thread = stack.machine.thread(0)
     mapping = stack.engine.mmap(thread, file)
     mapping.madvise(thread, MADV_RANDOM)
     for page in range(dataset):

@@ -14,7 +14,7 @@ from typing import Dict, List
 
 from repro.bench.setups import make_kreon
 from repro.common import units
-from repro.sim.executor import Executor, SimThread
+from repro.sim.executor import Executor
 from repro.sim.stats import throughput_ops_per_sec
 from repro.workloads.ycsb import YCSBConfig, YCSBDriver
 
@@ -49,7 +49,7 @@ def run_cell(
     store.spill(setup_thread)
     store.msync(setup_thread)
 
-    runner = SimThread(core=0)
+    runner = stack.machine.thread(0)
     runner.clock.now = setup_thread.clock.now
     phase_start = runner.clock.now
     executor = Executor()

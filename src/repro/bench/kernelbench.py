@@ -114,8 +114,6 @@ def _run_cell_modes(kwargs: Dict, repeats: int) -> Dict[str, Dict]:
     import gc
 
     from repro.bench.experiments.fig10 import run_cell
-    from repro.mmio.files import BackingFile
-    from repro.sim.executor import SimThread
 
     best: Dict[str, Optional[float]] = {name: None for name, _, _ in _MODES}
     ops = 0
@@ -123,8 +121,6 @@ def _run_cell_modes(kwargs: Dict, repeats: int) -> Dict[str, Dict]:
     try:
         for _ in range(repeats):
             for mode, batched, fastforward in _MODES:
-                SimThread.reset_ids()
-                BackingFile.reset_ids()
                 gc.collect()
                 gc.disable()
                 start = time.perf_counter()

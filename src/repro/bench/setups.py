@@ -214,6 +214,6 @@ def make_kreon(
     else:
         raise ValueError(f"unknown Kreon engine {engine_kind!r}")
     volume = stack.allocator.create("kreon-volume", volume_bytes)
-    thread = SimThread(core=0)
+    thread = stack.machine.thread(0)
     store = Kreon(stack.engine, volume, thread, l0_max_entries=l0_max_entries)
     return store, stack, thread

@@ -6,43 +6,46 @@ paper's evaluation as an independent, seed-deterministic work unit
 across a multiprocess worker pool, and merges results through a
 content-addressed **run manifest**: an append-only JSON-lines file where
 every completed cell records its id, config digest, state digest,
-latency-stat payload, wall time, and worker attempts.
+latency-stat payload, wall time and worker pid.
 
 Determinism contract (DESIGN.md §9): a cell's state digest is a pure
-function of its params.  Each unit resets the global ``SimThread`` /
-``BackingFile`` id counters, builds a fresh stack, and derives every
-random stream from seeds in its params, so the digest does not depend on
-which worker ran it, what ran before it in that process, or how many
-workers the sweep used — a 4-way-sharded sweep produces per-cell digests
-bit-identical to a serial run (``tests/bench/test_sweep_digests.py``).
+function of its params.  Each unit builds a fresh stack, which owns its
+ids — the machine numbers the threads, the extent allocator the files,
+each VMA store its areas — and derives every random stream from seeds
+in its params, so the digest does not depend on which worker ran it,
+what ran before it in that process, or how many workers the sweep used
+— a 4-way-sharded sweep produces per-cell digests bit-identical to a
+serial run (``tests/bench/test_sweep_digests.py``).  Nothing is rewound
+between cells.
 
 Resumability: a crashed or interrupted sweep is restarted with
 ``--resume``; manifest-complete cells (same cell id *and* config digest)
 are skipped, everything else re-runs.  The manifest is written one
 fsynced line per cell, so at most the in-flight cells are lost to a
-crash.  Failed cells are retried inside the worker with the
-:mod:`repro.fault.retry` backoff machinery (wall-clock backoff at the
-simulated cycle scale) and surfaced in the summary — never swallowed.
-A completed cell whose fresh state digest disagrees with a prior
-manifest entry for the same config is reported as a **mismatch** (a
-determinism violation) and fails the sweep; its record is written with
-``status: "mismatch"``, so the reference stays the cell's manifest entry.
+crash.  A cell runs once: being a pure function of its params, a cell
+that raises would raise again, so it is recorded ``status: "failed"``
+with its error and surfaced in the summary — never retried, never
+swallowed.  A completed cell whose fresh state digest disagrees with a
+prior manifest entry for the same config is reported as a **mismatch**
+(a determinism violation) and fails the sweep; its record is written
+with ``status: "mismatch"``, so the reference stays the cell's manifest
+entry.
 
 Telemetry (DESIGN.md §10): every cell executes inside isolated
 tracer/registry scopes and ships a structured telemetry snapshot
 (:mod:`repro.obs.events`) back through its manifest record — per-stage
 cycle attribution folded from the cell threads' cycle breakdowns,
-metrics, histogram summaries, retries, wall time.  The scope leaves the
-tracer off, so telemetry never changes which code path executes and no
-cell finishes a span.
+metrics, lock totals, histogram summaries, retries, wall time.  The
+scope leaves the tracer off, so telemetry never changes which code path
+executes and no cell finishes a span.
 The isolation is the worker-reuse guarantee: a pooled process that runs
-many cells gives each one a fresh registry and span ring, so no counter
-can leak between cells; and a finished cell leaves no reference cycle,
-so its stack is freed when ``run_cell`` returns.  Telemetry is
-observational — a figure command runs the same cells outside these
-scopes to the same state digests — and its deterministic view is
-byte-identical across reruns of the same cell.  The manifest is the
-sweep's whole record: the orchestrator keeps no counters, spans or
+many cells gives each one a fresh registry, lock totals and span ring,
+so no counter can leak between cells; and a finished cell leaves no
+reference cycle, so its stack is freed when ``run_cell`` returns.
+Telemetry is observational — a figure command runs the same cells
+outside these scopes to the same state digests — and its deterministic
+view is byte-identical across reruns of the same cell.  The manifest is
+the sweep's whole record: the orchestrator keeps no counters, spans or
 profiles of its own.
 """
 
@@ -55,7 +58,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.common import units
 from repro.sim.conformance import hash_digest
 
 #: Manifest schema version (bump on incompatible record changes).
@@ -81,29 +83,6 @@ FIGURE_MODULES = {
 
 def _module_for(runner: str):
     return importlib.import_module(FIGURE_MODULES[runner])
-
-
-class WallClock:
-    """A wall-time clock speaking the simulator's clock protocol.
-
-    The orchestrator lives in real time, but the retry machinery
-    (:func:`repro.fault.retry.with_retries`) expects a clock with
-    ``now`` and ``charge``.  ``charge`` sleeps the charged cycles at the
-    simulated CPU frequency — exponential retry backoff at honest
-    (microsecond) scale.
-    """
-
-    owner_name = "sweep"
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self.obs_track = None
-        self.obs_span = None
-
-    def charge(self, category: str, cycles: float) -> None:
-        """Advance by ``cycles`` wall-cycles, sleeping them for real."""
-        self.now += cycles
-        time.sleep(cycles / units.CPU_FREQ_HZ)
 
 
 def enumerate_cells(
@@ -151,20 +130,15 @@ def enumerate_cells(
 
 
 def run_cell(cell: Dict) -> Dict:
-    """Run one enumerated cell hermetically; returns ``run_sweep_cell``'s output.
+    """Run one enumerated cell; returns ``run_sweep_cell``'s output.
 
-    Resets the process-global ``SimThread`` / ``BackingFile`` id counters
-    first, so the cell's op streams (seeded by thread ids) and therefore
+    A cell builds its own stack, which numbers its threads and files
+    from scratch, so its op streams (seeded by thread ids) and therefore
     its payload and state are the same whatever ran earlier in this
     process.  Returns ``{"payload": ..., "state": ...}``.  The sweep's
     workers and the single-figure CLI commands both run cells through
     here, under whatever observability scope the caller has set up.
     """
-    from repro.mmio.files import BackingFile
-    from repro.sim.executor import SimThread
-
-    SimThread.reset_ids()
-    BackingFile.reset_ids()
     return _module_for(cell["runner"]).run_sweep_cell(dict(cell["params"]))
 
 
@@ -174,32 +148,21 @@ def _jsonable(obj):
 
 
 def _execute_cell(cell: Dict) -> Dict:
-    """One hermetic cell execution (no retry): :func:`run_cell`, then digest.
+    """One hermetic cell execution: :func:`run_cell`, then digest.
 
     The cell runs inside isolated obs scopes — the worker-reuse
-    lifecycle guarantee: it sees an empty span ring and an empty
-    registry (plus a freshly reset process-wide lock aggregate), and the
-    outer state is restored untouched on exit.  The tracer stays
-    *disabled* in the scope, so observed cells take exactly the code
-    path unobserved ones do; stage attribution folds the cycle
-    breakdowns of the clocks the cell's threads registered in the scope,
-    and the snapshot ships in the record's ``telemetry`` key.
+    lifecycle guarantee: it sees an empty span ring, an empty registry
+    and zero lock totals, and the outer state is restored untouched on
+    exit.  The tracer stays *disabled* in the scope, so observed cells
+    take exactly the code path unobserved ones do; stage attribution
+    folds the cycle breakdowns of the clocks the cell's threads
+    registered in the scope, and the snapshot ships in the record's
+    ``telemetry`` key.
     """
     from repro import obs
     from repro.obs import events as obs_events
-    from repro.sim.locks import LOCK_STATS
 
     with obs.TRACER.isolated(enable=False), obs.METRICS.isolated(enable=True):
-        LOCK_STATS.reset()
-        obs.METRICS.bind_object(
-            "locks",
-            LOCK_STATS,
-            {
-                "acquisitions": "acquisitions",
-                "contended": "contended",
-                "wait_cycles": "wait_cycles",
-            },
-        )
         start = time.perf_counter()
         out = run_cell(cell)
         wall = time.perf_counter() - start
@@ -221,32 +184,16 @@ def _execute_cell(cell: Dict) -> Dict:
 
 
 def run_unit(cell: Dict) -> Dict:
-    """Run one work unit with retry; always returns a manifest record.
+    """Run one work unit once; always returns a manifest record.
 
-    This is the function worker processes execute.  Failures inside the
-    cell are wrapped as transient faults and retried through
-    :func:`repro.fault.retry.with_retries` (same policy, counters and
-    ``fault.retry`` spans as the simulated I/O paths, on a
-    :class:`WallClock`); a cell still failing after the last attempt
-    comes back as a ``status: "failed"`` record — surfaced, not raised,
-    so one bad cell never kills the pool.
+    This is the function worker processes execute.  A cell is a pure
+    function of its params, so a cell that raises would raise again: it
+    comes back as a ``status: "failed"`` record carrying its error —
+    surfaced, not raised, so one bad cell never kills the pool.
     """
-    from repro.common.errors import DeviceError, TransientDeviceError
-    from repro.fault.retry import with_retries
-
-    attempts = 0
-
-    def attempt():
-        nonlocal attempts
-        attempts += 1
-        try:
-            return _execute_cell(cell)
-        except Exception as exc:
-            raise TransientDeviceError(f"{cell['cell_id']}: {exc!r}") from exc
-
     try:
-        entry = with_retries(WallClock(), attempt, category="sweep.cell")
-    except DeviceError as exc:
+        entry = _execute_cell(cell)
+    except Exception as exc:
         entry = {
             "kind": "cell",
             "cell_id": cell["cell_id"],
@@ -254,9 +201,8 @@ def run_unit(cell: Dict) -> Dict:
             "runner": cell["runner"],
             "config_digest": cell["config_digest"],
             "status": "failed",
-            "error": str(exc),
+            "error": f"{cell['cell_id']}: {exc!r}",
         }
-    entry["attempts"] = attempts
     entry["worker_pid"] = os.getpid()
     return entry
 
@@ -417,10 +363,7 @@ def run_sweep(
                 f"!= manifest {prev['state_digest'][:16]}"
             )
             return
-        say(
-            f"  ok {entry['cell_id']}  {entry['wall_seconds']:.2f}s"
-            + (f"  (attempt {entry['attempts']})" if entry.get("attempts", 1) > 1 else "")
-        )
+        say(f"  ok {entry['cell_id']}  {entry['wall_seconds']:.2f}s")
 
     with open(manifest_path, "a" if resuming else "w") as handle_file:
         _append(

@@ -12,10 +12,10 @@ including its batched hit runs and the analytic fast-forward —
 collecting an outbox of cycle-stamped replication messages for the
 writes it served.
 
-Identity discipline: every shard resets the global ``SimThread`` /
-``BackingFile`` id counters before building its stack, so each shard
-has its own local id space and its digest is independent of build order
-and shard count (DESIGN.md §13).
+Identity discipline: ids belong to the stack — the shard's machine
+numbers its thread and its extent allocator its file — so each shard has
+its own local id space and its digest is independent of build order and
+shard count (DESIGN.md §13).
 
 Completion stamps reuse the serving layer's cursor idiom (DESIGN.md
 §12): an op's completion cycle is the epoch-start clock advanced by the
@@ -30,10 +30,9 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from repro.cluster.bus import ShardMessage
 from repro.common import units
-from repro.mmio.files import BackingFile
 from repro.mmio.vma import MADV_RANDOM
 from repro.sim.conformance import stack_state_digest
-from repro.sim.executor import Executor, SimThread
+from repro.sim.executor import Executor
 from repro.sim.fastforward import AccessPlan
 from repro.workloads.microbench import WRITE_DATA
 
@@ -106,10 +105,6 @@ class ShardSim:
     def __init__(self, shard_id: int, config: "ClusterConfig") -> None:
         from repro.bench.setups import make_stack
 
-        # A shard-local id space: each shard's digest is independent of
-        # how many shards were built before it (DESIGN.md §13).
-        SimThread.reset_ids()
-        BackingFile.reset_ids()
         self.shard_id = shard_id
         self.dataset_pages = config.dataset_pages
         self.batched = config.batched
@@ -118,7 +113,7 @@ class ShardSim:
         )
         self.engine = self.stack.engine
         self.engine.fastforward = config.batched and config.fastforward
-        self.thread = SimThread(core=0, name=f"shard-{shard_id}")
+        self.thread = self.stack.machine.thread(0, f"shard-{shard_id}")
         file = self.stack.allocator.create(
             f"shard-{shard_id}", self.dataset_pages * units.PAGE_SIZE
         )

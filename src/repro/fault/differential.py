@@ -27,7 +27,6 @@ from repro.common import units
 from repro.fault.plan import FaultPlan, FaultSpec, plan_installed
 from repro.mmio.files import BackingFile, ExtentAllocator
 from repro.sim import rand
-from repro.sim.executor import SimThread
 
 #: Engines the oracle replays through.
 ENGINE_KINDS = ("aquila", "linux", "kmmap", "explicit")
@@ -123,7 +122,7 @@ def run_engine(
     try:
         stack = _make_stack(kind, cache_pages, capacity_bytes)
         file = stack.allocator.create(_FILE_NAME, file_bytes)
-        thread = SimThread(core=0)
+        thread = stack.machine.thread(0)
         reads: List[bytes] = []
         if kind == "explicit":
             io = stack.engine

@@ -2,13 +2,15 @@
 
 One :class:`Machine` instance is shared by every component of an
 experiment.  It owns the hardware state that is global to the box (TLBs,
-pending interrupt work) while protection-domain costs live in per-engine
+pending interrupt work) and numbers the software threads pinned to it,
+while protection-domain costs live in per-engine
 :class:`~repro.hw.vmx.VMXCostModel` objects, because Linux and Aquila
 applications coexist on the same hardware but run in different domains.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import List
 
 from repro.hw.ipi import InterferenceAccount, ShootdownController
@@ -27,6 +29,7 @@ class Machine:
             TLB(tlb_capacity) for _ in range(self.topology.num_hw_threads)
         ]
         self.interference = InterferenceAccount()
+        self._next_tid = itertools.count()
         METRICS.bind_object(
             "tlb",
             self,
@@ -42,6 +45,15 @@ class Machine:
             self.interference,
             {"ipi_cycles_delivered": "total_delivered"},
         )
+
+    def thread(self, core: int, name: str = "") -> SimThread:
+        """A new software thread pinned to hardware thread ``core``.
+
+        Thread ids count from 0 in creation order on each machine, so a
+        stack's op streams (seeded by tid) never depend on what else the
+        process built.
+        """
+        return SimThread(core, name, tid=next(self._next_tid))
 
     def tlb_of(self, thread: SimThread) -> TLB:
         """The TLB of the hardware thread ``thread`` is pinned to."""

@@ -15,6 +15,7 @@ Engines differ only in what a *fault* costs and how the cache behaves.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -61,6 +62,10 @@ _HIT_CATEGORIES = frozenset({"app.access", "tlb.miss_walk", ABSORB_CATEGORY})
 #: The hit loop's latency sink in :meth:`MmioEngine.load_run`, whose
 #: caller records its own op: an append that keeps nothing.
 _DISCARD = deque(maxlen=0).append
+
+#: :meth:`MmioEngine.load_run`'s write mask: a zero-stride view that
+#: reads False at any index a plan can reach, built once.
+_ALL_LOADS = memoryview(np.broadcast_to(False, sys.maxsize))
 
 
 def _hit_charges(
@@ -477,9 +482,7 @@ class MmioEngine:
         if category in _HIT_CATEGORIES:
             raise ValueError(f"pre-charge category {category!r} is charged by the hit path")
         pages, offsets = plan
-        # Every access is a load: a zero-stride view reads False at any
-        # index, so nothing here grows with the plan.
-        accesses = (pages, offsets, memoryview(np.broadcast_to(False, len(pages))))
+        accesses = (pages, offsets, _ALL_LOADS)   # every access is a load
         # The hit loop loads as many bytes as its (unused) write data.
         load_width = bytes(nbytes)
         values: List[bytes] = []

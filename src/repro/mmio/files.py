@@ -20,19 +20,16 @@ from repro.devices.block import BlockDevice
 
 
 class BackingFile:
-    """Abstract file that maps file pages to device byte offsets."""
+    """Abstract file that maps file pages to device byte offsets.
 
-    _ids = itertools.count(1)
+    ``file_id`` names the file within its stack; :class:`ExtentAllocator`
+    numbers its files from 1 in creation order.
+    """
 
-    def __init__(self, name: str, size_bytes: int) -> None:
-        self.file_id = next(BackingFile._ids)
+    def __init__(self, file_id: int, name: str, size_bytes: int) -> None:
+        self.file_id = file_id
         self.name = name
         self.size_bytes = size_bytes
-
-    @classmethod
-    def reset_ids(cls) -> None:
-        """Restart file-id assignment (reproducible back-to-back runs only)."""
-        cls._ids = itertools.count(1)
 
     def __hash__(self) -> int:
         # Identity hashing would make hash-striped structures (the lock-free
@@ -70,9 +67,14 @@ class ExtentFile(BackingFile):
     """A file stored as one contiguous device extent."""
 
     def __init__(
-        self, name: str, device: BlockDevice, base_offset: int, size_bytes: int
+        self,
+        file_id: int,
+        name: str,
+        device: BlockDevice,
+        base_offset: int,
+        size_bytes: int,
     ) -> None:
-        super().__init__(name, size_bytes)
+        super().__init__(file_id, name, size_bytes)
         if base_offset % units.PAGE_SIZE != 0:
             raise ValueError("extent base must be page-aligned")
         if base_offset + size_bytes > device.store.capacity_bytes:
@@ -102,25 +104,28 @@ class ExtentAllocator:
 
     Freed extents are discarded (TRIM, so they read as zeros) and reused
     first-fit, so long-running LSM compaction churn neither exhausts the
-    device nor keeps dead pages in its store.
+    device nor keeps dead pages in its store.  File ids count from 1 in
+    creation order, so they never depend on what else the process built.
     """
 
     def __init__(self, device: BlockDevice, base_offset: int = 0) -> None:
         self.device = device
         self._next_offset = base_offset
         self._freed: list = []   # (offset, size) of released extents
+        self._next_file_id = itertools.count(1)
 
     def create(self, name: str, size_bytes: int) -> ExtentFile:
         """Allocate an extent (reusing freed space first-fit)."""
         aligned = units.page_align_up(size_bytes)
+        file_id = next(self._next_file_id)
         for index, (offset, size) in enumerate(self._freed):
             if size >= aligned:
                 if size > aligned:
                     self._freed[index] = (offset + aligned, size - aligned)
                 else:
                     del self._freed[index]
-                return ExtentFile(name, self.device, offset, size_bytes)
-        file = ExtentFile(name, self.device, self._next_offset, size_bytes)
+                return ExtentFile(file_id, name, self.device, offset, size_bytes)
+        file = ExtentFile(file_id, name, self.device, self._next_offset, size_bytes)
         self._next_offset += aligned
         return file
 

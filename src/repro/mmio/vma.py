@@ -70,10 +70,9 @@ class VMA:
 class VMAStore:
     """Abstract VMA container with fault-time lookup."""
 
-    _ids = itertools.count(1)
-
     def __init__(self) -> None:
         self._next_vpn = 0x7F00_0000_0  # bump allocator for mapping addresses
+        self._next_vma_id = itertools.count(1)
         self.lookups = 0
 
     def _allocate_range(self, num_pages: int) -> int:
@@ -108,7 +107,7 @@ class VMAStore:
         if file_start_page + num_pages > file.size_pages:
             raise ValueError("mapping extends past end of file")
         vma = VMA(
-            vma_id=next(VMAStore._ids),
+            vma_id=next(self._next_vma_id),
             start_vpn=self._allocate_range(num_pages),
             num_pages=num_pages,
             file=file,

@@ -95,23 +95,10 @@ def tracing_enabled() -> bool:
 
 
 def enable_metrics(reset: bool = True) -> MetricsRegistry:
-    """Enable the global metrics registry and bind process-wide sources."""
+    """Enable the global metrics registry (fresh metrics and lock totals)."""
     METRICS.enable()
     if reset:
         METRICS.reset()
-    # Lock-contention aggregate lives in repro.sim.locks (imported lazily
-    # to keep repro.obs importable from anywhere in the stack).
-    from repro.sim.locks import LOCK_STATS
-
-    METRICS.bind_object(
-        "locks",
-        LOCK_STATS,
-        {
-            "acquisitions": "acquisitions",
-            "contended": "contended",
-            "wait_cycles": "wait_cycles",
-        },
-    )
     return METRICS
 
 

@@ -13,7 +13,9 @@ instrumented hot paths stay cheap.  Two styles of metric coexist:
 
 Components auto-bind themselves at construction; binding is a no-op
 unless the registry is enabled, so enable (and usually :meth:`reset`)
-*before* building the stack you want observed.
+*before* building the stack you want observed.  The process registry
+also keeps the lock timelines' running totals (:class:`LockTotals`),
+scoped like every other metric.
 
 Metric names are dotted lowercase paths (``engine.aquila.faults.major``);
 label-like variants go in the path, and duplicate prefixes from repeated
@@ -164,15 +166,37 @@ class Histogram:
         }
 
 
-class MetricsRegistry:
-    """Name -> metric store with pull-probe collection."""
+class LockTotals:
+    """Lock-contention running totals of one metrics scope.
+
+    Every lock timeline adds its acquisitions, contended acquisitions and
+    wait cycles here as they happen, so ``wait_cycles`` is one running
+    sum in event order; per-lock numbers stay on the timelines.
+    """
+
+    __slots__ = ("acquisitions", "contended", "wait_cycles")
 
     def __init__(self) -> None:
+        self.acquisitions = 0
+        self.contended = 0
+        self.wait_cycles = 0.0
+
+
+class MetricsRegistry:
+    """Name -> metric store with pull-probe collection.
+
+    With ``lock_totals`` the registry also keeps a :class:`LockTotals`
+    as ``locks``, restarted by :meth:`reset` and :meth:`isolated` and
+    reported as ``locks.*`` while enabled.
+    """
+
+    def __init__(self, lock_totals: bool = False) -> None:
         self.enabled = False
         self._metrics: Dict[str, Union[Counter, Histogram]] = {}
         self._probes: Dict[str, Callable[[], float]] = {}
         self._prefixes: Dict[str, int] = {}
         self._clocks: List[Any] = []
+        self.locks = LockTotals() if lock_totals else None
 
     # -- control ---------------------------------------------------------------
 
@@ -185,29 +209,35 @@ class MetricsRegistry:
         self.enabled = False
 
     def reset(self) -> None:
-        """Drop every metric, probe and clock (fresh run)."""
+        """Drop every metric, probe and clock, zero the lock totals (fresh run)."""
         self._metrics = {}
         self._probes = {}
         self._prefixes = {}
         self._clocks = []
+        self.locks = self._fresh_locks()
+
+    def _fresh_locks(self) -> Optional[LockTotals]:
+        return None if self.locks is None else LockTotals()
 
     @contextmanager
     def isolated(self, enable: bool = True):
         """A scope with a fresh, private registry state; prior state restored.
 
         Sweep workers wrap each cell in this so a reused pooled process
-        starts every cell with an empty registry (no counter leakage
-        across cells) while the caller's counters — created in the outer
-        state — survive untouched in serial mode.
+        starts every cell with an empty registry and zero lock totals (no
+        counter leakage across cells) while the caller's counters —
+        created in the outer state — survive untouched in serial mode.
         """
-        saved = (self.enabled, self._metrics, self._probes, self._prefixes, self._clocks)
+        saved = (self.enabled, self._metrics, self._probes, self._prefixes,
+                 self._clocks, self.locks)
         self.enabled = enable
         self._metrics, self._probes, self._prefixes, self._clocks = {}, {}, {}, []
+        self.locks = self._fresh_locks()
         try:
             yield self
         finally:
             (self.enabled, self._metrics, self._probes, self._prefixes,
-             self._clocks) = saved
+             self._clocks, self.locks) = saved
 
     # -- push metrics ------------------------------------------------------------
 
@@ -310,8 +340,13 @@ class MetricsRegistry:
                 out[name] = fn()
             except Exception:
                 out[name] = None
+        if self.locks is not None and self.enabled:
+            out["locks.acquisitions"] = self.locks.acquisitions
+            out["locks.contended"] = self.locks.contended
+            out["locks.wait_cycles"] = self.locks.wait_cycles
         return dict(sorted(out.items()))
 
 
-#: The process-wide registry every instrumented component binds to.
-METRICS = MetricsRegistry()
+#: The process-wide registry every instrumented component binds to, and
+#: the one the lock timelines add their totals to.
+METRICS = MetricsRegistry(lock_totals=True)

@@ -258,9 +258,8 @@ def run_serve(config: ServeConfig) -> ServeOutcome:
     threads: List[SimThread] = []
     tenants: List[TenantStats] = []
     for index, spec in enumerate(config.tenants):
-        thread = SimThread(
-            core=index % engine.machine.topology.num_hw_threads,
-            name=f"serve-{spec.name}",
+        thread = engine.machine.thread(
+            index % engine.machine.topology.num_hw_threads, f"serve-{spec.name}"
         )
         mapping = engine.mmap(thread, files[index])
         mapping.madvise(thread, MADV_RANDOM)
@@ -395,15 +394,10 @@ def run_conformance_cell(
     """Run one serve cell and return its full state digest.
 
     ``run_cell``-style entry point for
-    :func:`repro.sim.conformance.assert_fastforward_agrees`; resets the
-    global id counters for reproducible back-to-back runs.  ``mix``
+    :func:`repro.sim.conformance.assert_fastforward_agrees`.  ``mix``
     selects :func:`standard_tenants` (parameterized by the remaining
     arguments) or the fixed :func:`engagement_tenants`.
     """
-    from repro.mmio.files import BackingFile
-
-    SimThread.reset_ids()
-    BackingFile.reset_ids()
     if mix == "engagement":
         tenants = engagement_tenants()
     elif mix == "standard":

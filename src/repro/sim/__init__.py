@@ -1,7 +1,7 @@
 """Discrete-event simulation core: clocks, locks, stats, randomness."""
 
 from repro.sim.clock import Breakdown, CycleClock
-from repro.sim.executor import Executor, RunResult, SimThread, run_threads
+from repro.sim.executor import Executor, RunResult, SimThread
 from repro.sim.locks import (
     CacheLineTimeline,
     RWLockTimeline,
@@ -24,7 +24,6 @@ __all__ = [
     "Executor",
     "RunResult",
     "SimThread",
-    "run_threads",
     "CacheLineTimeline",
     "RWLockTimeline",
     "SpinlockTimeline",

@@ -22,11 +22,10 @@ Digested state:
   itself and therefore legitimately differ between modes;
 * the injected fault schedule, when a fault plan is active.
 
-Reproducibility note: back-to-back in-process runs must reset the global
-``SimThread`` and ``BackingFile`` id counters — file ids seed the
-hash-striped atomic timelines, so two otherwise-identical runs would
-contend on different stripes (see ``BackingFile.reset_ids``).
-:func:`run_cell` does this automatically.
+Reproducibility note: thread and file ids seed op streams and the
+hash-striped atomic timelines, and each stack numbers its own (the
+machine its threads, the extent allocator its files), so back-to-back
+in-process runs need no reset.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ import numpy as np
 
 from repro.common import units
 from repro.fault.plan import FaultPlan, FaultSpec, clear_plan, install_plan
-from repro.mmio.files import BackingFile
 from repro.sim.executor import SimThread
 from repro.sim.stats import SampleStream
 
@@ -421,8 +419,6 @@ def run_cell(
     from repro.bench.setups import make_stack
     from repro.workloads.microbench import MicrobenchConfig, run_microbench
 
-    SimThread.reset_ids()
-    BackingFile.reset_ids()
     plan = FaultPlan(fault_seed, fault_spec) if fault_spec is not None else None
     install_plan(plan)
     try:
@@ -479,8 +475,6 @@ def run_explicit_cell(
     from repro.sim.executor import Executor
     from repro.sim.rand import derive_seed
 
-    SimThread.reset_ids()
-    BackingFile.reset_ids()
     plan = FaultPlan(fault_seed, fault_spec) if fault_spec is not None else None
     install_plan(plan)
     try:
@@ -502,7 +496,7 @@ def run_explicit_cell(
         executor = Executor(batched=batched)
         threads = []
         for i in range(num_threads):
-            thread = SimThread(core=i % machine.topology.num_hw_threads)
+            thread = machine.thread(i % machine.topology.num_hw_threads)
             threads.append(thread)
             executor.add(thread, workload(thread))
         result = executor.run()

@@ -57,9 +57,8 @@ entire re-access tail in one executor step.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.common.errors import SimulationError
 from repro.obs.metrics import METRICS
@@ -88,12 +87,13 @@ class SimThread:
 
     ``core`` is the hardware-thread index (0..31 on the paper's testbed);
     the topology module maps it to a physical core and NUMA node.
+    ``tid`` identifies the thread within its stack (seeds and lock
+    holders key on it); :meth:`repro.hw.machine.Machine.thread` numbers
+    a stack's threads from 0 in creation order.
     """
 
-    _ids = itertools.count()
-
-    def __init__(self, core: int, name: str = "") -> None:
-        self.tid = next(SimThread._ids)
+    def __init__(self, core: int, name: str = "", tid: int = 0) -> None:
+        self.tid = tid
         self.core = core
         self.name = name or f"thread-{self.tid}"
         self.clock = CycleClock()
@@ -106,11 +106,6 @@ class SimThread:
         #: each step: workloads may retire consecutive pure-hit operations
         #: whose start times do not exceed it (None = unbatched mode).
         self.run_horizon: Optional[float] = None
-
-    @classmethod
-    def reset_ids(cls) -> None:
-        """Restart tid assignment (reproducible back-to-back runs only)."""
-        cls._ids = itertools.count()
 
     def record_op(self, start_cycles: float) -> None:
         """Record completion of one operation started at ``start_cycles``."""
@@ -265,26 +260,3 @@ class Executor:
 
         return RunResult([t for t, _ in self._entries])
 
-
-def run_threads(
-    make_workload: Callable[[SimThread], Iterator],
-    num_threads: int,
-    cores: Optional[Sequence[int]] = None,
-    start_offset_cycles: float = 0.0,
-) -> RunResult:
-    """Convenience: build ``num_threads`` threads and run their workloads.
-
-    ``make_workload`` receives each :class:`SimThread` and returns its
-    operation iterator.  ``cores`` optionally pins threads to hardware
-    threads (defaults to identity).  ``start_offset_cycles`` staggers thread
-    start times to avoid artificial lockstep convoys.
-    """
-    executor = Executor()
-    threads = []
-    for i in range(num_threads):
-        core = cores[i] if cores is not None else i
-        thread = SimThread(core=core)
-        thread.clock.now = i * start_offset_cycles
-        threads.append(thread)
-        executor.add(thread, make_workload(thread))
-    return executor.run()

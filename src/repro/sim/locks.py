@@ -16,6 +16,9 @@ free.  A thread acquiring a lock that is busy waits (charging idle cycles)
 until the holder's release time; contended handoffs additionally pay a
 cache-line transfer.  This reproduces serialization and queueing delay
 without real concurrency.
+
+Every acquisition also adds to the lock totals of the current metrics
+scope (``METRICS.locks``, reported as ``locks.*``).
 """
 
 from __future__ import annotations
@@ -24,31 +27,8 @@ from typing import Optional
 
 from repro.common import constants
 from repro.common.errors import SimulationError
+from repro.obs.metrics import METRICS
 from repro.sim.clock import CycleClock
-
-
-class LockStats:
-    """Process-wide lock-contention totals across every lock timeline.
-
-    ``repro.obs`` binds these as pull metrics (``locks.acquisitions``,
-    ``locks.contended``, ``locks.wait_cycles``); per-lock numbers stay on
-    the individual timelines.
-    """
-
-    def __init__(self) -> None:
-        self.acquisitions = 0
-        self.contended = 0
-        self.wait_cycles = 0.0
-
-    def reset(self) -> None:
-        """Zero all aggregate totals."""
-        self.acquisitions = 0
-        self.contended = 0
-        self.wait_cycles = 0.0
-
-
-#: Aggregate contention stats over every lock in the process.
-LOCK_STATS = LockStats()
 
 
 class SpinlockTimeline:
@@ -89,13 +69,13 @@ class SpinlockTimeline:
                 f"thread {holder_id} re-acquired non-reentrant lock {self.name}"
             )
         self.acquisitions += 1
-        LOCK_STATS.acquisitions += 1
+        METRICS.locks.acquisitions += 1
         if self._free_at > clock.now:
             waited = clock.wait_until(self._free_at, wait_category)
             self.contended_acquisitions += 1
             self.total_wait_cycles += waited
-            LOCK_STATS.contended += 1
-            LOCK_STATS.wait_cycles += waited
+            METRICS.locks.contended += 1
+            METRICS.locks.wait_cycles += waited
             clock.charge("lock.transfer", constants.LOCK_TRANSFER_CYCLES)
         self._holder = holder_id
         # Reserve the lock until release; a pessimistic placeholder far in
@@ -110,7 +90,7 @@ class SpinlockTimeline:
         multi-lock operation from convoying everyone else.
         """
         self.acquisitions += 1
-        LOCK_STATS.acquisitions += 1
+        METRICS.locks.acquisitions += 1
         if clock.now < self._free_at:
             return False
         self._holder = holder_id
@@ -126,12 +106,6 @@ class SpinlockTimeline:
             )
         self._holder = None
         self._free_at = clock.now
-
-    def contention_ratio(self) -> float:
-        """Fraction of acquisitions that had to wait."""
-        if self.acquisitions == 0:
-            return 0.0
-        return self.contended_acquisitions / self.acquisitions
 
 
 class RWLockTimeline:
@@ -160,13 +134,13 @@ class RWLockTimeline:
     def acquire_read(self, clock: CycleClock, wait_category: str = "idle.lock") -> None:
         """Take the lock in shared mode."""
         self.read_acquisitions += 1
-        LOCK_STATS.acquisitions += 1
+        METRICS.locks.acquisitions += 1
         before = clock.now
         self._word.atomic_op(clock, reserve=self.READER_WORD_RESERVE_CYCLES)
         if self._writer_done_at > clock.now:
             blocked = clock.wait_until(self._writer_done_at, wait_category)
-            LOCK_STATS.contended += 1
-            LOCK_STATS.wait_cycles += blocked
+            METRICS.locks.contended += 1
+            METRICS.locks.wait_cycles += blocked
         self.total_wait_cycles += clock.now - before
 
     def release_read(self, clock: CycleClock) -> None:
@@ -177,15 +151,15 @@ class RWLockTimeline:
     def acquire_write(self, clock: CycleClock, wait_category: str = "idle.lock") -> None:
         """Take the lock exclusively, draining readers and writers."""
         self.write_acquisitions += 1
-        LOCK_STATS.acquisitions += 1
+        METRICS.locks.acquisitions += 1
         before = clock.now
         self._word.atomic_op(clock)
         barrier = max(self._writer_done_at, self._readers_done_at)
         blocked = clock.wait_until(barrier, wait_category)
         self.total_wait_cycles += clock.now - before
         if blocked > 0:
-            LOCK_STATS.contended += 1
-            LOCK_STATS.wait_cycles += blocked
+            METRICS.locks.contended += 1
+            METRICS.locks.wait_cycles += blocked
 
     def release_write(self, clock: CycleClock) -> None:
         """Drop the exclusive hold at the caller's current time."""

@@ -178,7 +178,7 @@ def run_microbench(
     threads = []
     shared_mapping: Optional[Mapping] = None
     for index in range(config.num_threads):
-        thread = SimThread(core=index % engine.machine.topology.num_hw_threads)
+        thread = engine.machine.thread(index % engine.machine.topology.num_hw_threads)
         threads.append(thread)
         if config.shared_file:
             if shared_mapping is None:

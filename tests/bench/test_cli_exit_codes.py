@@ -70,24 +70,30 @@ def test_failed_cell_exits_one(tmp_path, monkeypatch, capsys):
     assert "fig7/aquila" in err and "failed" in err
 
 
-def test_failed_cell_is_retried_and_recorded(tmp_path, monkeypatch):
-    attempts = {"n": 0}
+def test_failed_cell_runs_once_and_is_recorded(tmp_path, monkeypatch):
+    """A cell is a pure function of its params: one that raises is not retried."""
+    calls = {}
     real = sweep_mod._execute_cell
 
-    def flaky(cell):
+    def raising(cell):
+        calls[cell["cell_id"]] = calls.get(cell["cell_id"], 0) + 1
         if cell["cell_id"] == "fig7/aquila":
-            attempts["n"] += 1
-            if attempts["n"] == 1:
-                raise RuntimeError("transient")
+            raise RuntimeError("injected cell failure")
         return real(cell)
 
-    monkeypatch.setattr(sweep_mod, "_execute_cell", flaky)
+    monkeypatch.setattr(sweep_mod, "_execute_cell", raising)
     result = run_sweep(
         figures=["fig7"], scale="bench", manifest_path=str(tmp_path / "m.jsonl")
     )
-    assert result.ok and attempts["n"] == 2
-    record = next(e for e in result.entries if e["cell_id"] == "fig7/aquila")
-    assert record["attempts"] == 2, "the retry count must be in the manifest"
+    assert not result.ok and result.failed == ["fig7/aquila"]
+    assert set(calls) == {c["cell_id"] for c in result.entries}
+    assert all(count == 1 for count in calls.values()), calls
+    failed = next(e for e in result.entries if e["cell_id"] == "fig7/aquila")
+    assert failed["status"] == "failed"
+    assert "injected cell failure" in failed["error"]
+    assert "attempts" not in failed
+    others = [e for e in result.entries if e["cell_id"] != "fig7/aquila"]
+    assert others and all(e["status"] == "ok" for e in others)
 
 
 def test_digest_mismatch_exits_one(tmp_path, capsys):
@@ -174,10 +180,9 @@ def test_report_without_manifest_exits_two(tmp_path, capsys):
     assert code == 2
 
 
-def test_report_check_cycle(tmp_path, capsys):
-    manifest = tmp_path / "m.jsonl"
+def test_report_check_cycle(bench_manifest, tmp_path, capsys):
+    manifest = bench_manifest
     doc = tmp_path / "EXPERIMENTS.md"
-    run_sweep(scale="bench", manifest_path=str(manifest))
     assert _main(
         ["report", "--manifest", str(manifest), "--output", str(doc)]
     ) == 0

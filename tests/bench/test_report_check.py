@@ -12,7 +12,6 @@ from repro.bench.report import (
     render_section,
     write_experiments_md,
 )
-from repro.bench.sweep import run_sweep
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 COMMITTED_DOC = os.path.join(REPO, "EXPERIMENTS.md")
@@ -20,12 +19,9 @@ COMMITTED_MANIFEST = os.path.join(REPO, "benchmarks", "MANIFEST_sweep.jsonl")
 
 
 @pytest.fixture(scope="module")
-def manifest(tmp_path_factory):
+def manifest(bench_manifest):
     """A complete bench-scale manifest (every figure, shrunk grids)."""
-    path = tmp_path_factory.mktemp("report") / "manifest.jsonl"
-    result = run_sweep(scale="bench", manifest_path=str(path))
-    assert result.ok
-    return str(path)
+    return bench_manifest
 
 
 def test_generation_is_deterministic(manifest):

@@ -22,7 +22,7 @@ def _cache(capacity=64, **kwargs):
 
 def _file(name="f", pages=256):
     device = PmemDevice(capacity_bytes=64 * units.MIB)
-    return ExtentFile(name, device, 0, pages * units.PAGE_SIZE)
+    return ExtentFile(1, name, device, 0, pages * units.PAGE_SIZE)
 
 
 class TestLookupInsert:

@@ -10,9 +10,9 @@ from repro.mmio.files import ExtentFile
 from repro.sim.clock import CycleClock
 
 
-def _file(name="f", pages=64):
+def _file(name="f", pages=64, file_id=1):
     device = PmemDevice(capacity_bytes=64 * units.MIB)
-    return ExtentFile(name, device, 0, pages * units.PAGE_SIZE)
+    return ExtentFile(file_id, name, device, 0, pages * units.PAGE_SIZE)
 
 
 def _no_reclaim():
@@ -40,14 +40,14 @@ class TestLookupInsert:
 
     def test_per_file_isolation(self):
         cache = KernelPageCache(16)
-        a, b = _file("a"), _file("b")
+        a, b = _file("a"), _file("b", file_id=2)
         clock = CycleClock()
         _insert(cache, clock, a, 0)
         assert cache.lookup(clock, 1, b, 0) is None
 
     def test_per_file_tree_locks_distinct(self):
         cache = KernelPageCache(16)
-        a, b = _file("a"), _file("b")
+        a, b = _file("a"), _file("b", file_id=2)
         assert cache.tree_lock_of(a) is not cache.tree_lock_of(b)
         assert cache.tree_lock_of(a) is cache.tree_lock_of(a)
 
@@ -133,7 +133,7 @@ class TestDirtyAndVictims:
 
     def test_remove_batch_groups_by_file(self):
         cache = KernelPageCache(16)
-        a, b = _file("a"), _file("b")
+        a, b = _file("a"), _file("b", file_id=2)
         clock = CycleClock()
         pages = []
         for i in range(3):
@@ -162,7 +162,7 @@ class TestDirtyAndVictims:
 
     def test_pages_of_file(self):
         cache = KernelPageCache(16)
-        a, b = _file("a"), _file("b")
+        a, b = _file("a"), _file("b", file_id=2)
         clock = CycleClock()
         _insert(cache, clock, a, 0)
         _insert(cache, clock, a, 1)

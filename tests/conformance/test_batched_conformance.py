@@ -156,12 +156,8 @@ class TestBatchingEngages:
     def test_mode_counters_nonzero_in_batched_mode(self):
         from repro.bench.setups import make_aquila_stack
         from repro.common import units
-        from repro.mmio.files import BackingFile
-        from repro.sim.executor import SimThread
         from repro.workloads.microbench import MicrobenchConfig, run_microbench
 
-        SimThread.reset_ids()
-        BackingFile.reset_ids()
         stack = make_aquila_stack("pmem", 256)
         f = stack.allocator.create("engage", 160 * units.PAGE_SIZE)
         cfg = MicrobenchConfig(

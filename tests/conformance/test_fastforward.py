@@ -23,7 +23,6 @@ import pytest
 from repro.bench.setups import make_aquila_stack
 from repro.common import units
 from repro.fault.plan import FaultSpec, clear_plan
-from repro.mmio.files import BackingFile
 from repro.mmio.vma import MADV_RANDOM
 from repro.obs import TRACER
 from repro.sim.conformance import (
@@ -33,7 +32,7 @@ from repro.sim.conformance import (
     mmio_state_digest,
     run_cell,
 )
-from repro.sim.executor import Executor, SimThread
+from repro.sim.executor import Executor
 from repro.workloads.microbench import access_workload
 
 FAULTY_SPEC = FaultSpec(error_rate=0.02, latency_rate=0.02, torn_rate=0.01)
@@ -274,8 +273,6 @@ class TestFigureCells:
         (params,) = [c["params"] for c in enumerate_cells(["fig10a"]) if c["cell_id"] == cell_id]
         runs = []
         for batched, fastforward in MODES:
-            SimThread.reset_ids()
-            BackingFile.reset_ids()
             _, stack, result = run_cell(
                 **params, batched=batched, fastforward=fastforward
             )
@@ -309,8 +306,6 @@ def _run_engine(spans=False, **overrides):
         seed=7,
     )
     params.update(overrides)
-    SimThread.reset_ids()
-    BackingFile.reset_ids()
     stack = make_aquila_stack("pmem", params["cache_pages"])
     engine = stack.engine
     engine.fastforward = True
@@ -319,7 +314,7 @@ def _run_engine(spans=False, **overrides):
     threads = []
     with TRACER.isolated(enable=spans):
         for index in range(params["num_threads"]):
-            thread = SimThread(core=index % engine.machine.topology.num_hw_threads)
+            thread = engine.machine.thread(index % engine.machine.topology.num_hw_threads)
             threads.append(thread)
             if index == 0:
                 mapping = engine.mmap(thread, file)

@@ -119,7 +119,7 @@ class TestExecutorBatchedMode:
                 yield
 
         executor = Executor(batched=True)
-        threads = [SimThread(core=0), SimThread(core=0)]  # same hw thread
+        threads = [SimThread(0, tid=0), SimThread(0, tid=1)]  # same hw thread
         for t in threads:
             executor.add(t, workload(t))
         executor.run()
@@ -142,9 +142,8 @@ class TestExecutorBatchedMode:
 
         events_u, events_b = [], []
         for events, batched in ((events_u, False), (events_b, True)):
-            SimThread.reset_ids()
             executor = Executor(batched=batched)
-            ta, tb = SimThread(core=0), SimThread(core=1)
+            ta, tb = SimThread(0, tid=0), SimThread(1, tid=1)
             executor.add(ta, make(events, "a")(ta))
             executor.add(tb, make(events, "b")(tb))
             executor.run()

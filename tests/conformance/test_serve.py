@@ -95,11 +95,6 @@ class TestServeFastforwardEngages:
     """Non-vacuity: serve cells must actually reach the analytic path."""
 
     def test_analytic_windows_fire(self):
-        from repro.mmio.files import BackingFile
-        from repro.sim.executor import SimThread
-
-        SimThread.reset_ids()
-        BackingFile.reset_ids()
         outcome = run_serve(
             ServeConfig(
                 tenants=engagement_tenants(),

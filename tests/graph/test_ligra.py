@@ -77,7 +77,7 @@ class TestCorrectness:
                 file = stack.allocator.create("h", 4 * units.MIB)
                 setup = SimThread(core=0)
                 heap = MmapHeap(stack.engine.mmap(setup, file))
-            threads = [SimThread(core=i) for i in range(4)]
+            threads = [SimThread(core=i, tid=1 + i) for i in range(4)]
             _, result = _run_bfs(graph, heap, threads, setup=setup)
             visited.add(result.visited)
         assert len(visited) == 1, "all substrates must agree on reachability"
@@ -105,9 +105,9 @@ class TestExecutionModel:
         graph = make_rmat_csr(300, 8, seed=1)
         stack = make_aquila_stack("pmem", cache_pages=256, capacity_bytes=64 * units.MIB)
         file = stack.allocator.create("h", 4 * units.MIB)
-        setup = SimThread(core=0)
+        setup = stack.machine.thread(0)
         heap = MmapHeap(stack.engine.mmap(setup, file))
-        threads = [SimThread(core=i) for i in range(2)]
+        threads = [stack.machine.thread(i) for i in range(2)]
         bfs, result = _run_bfs(graph, heap, threads, setup=setup)
         assert result.start_cycles > 0
         assert result.makespan_cycles < result.run.makespan_cycles

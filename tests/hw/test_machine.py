@@ -6,7 +6,6 @@ from repro.common import constants
 from repro.hw.fpu import FPUContext
 from repro.hw.machine import Machine
 from repro.sim.clock import CycleClock
-from repro.sim.executor import SimThread
 
 
 class TestMachine:
@@ -16,39 +15,47 @@ class TestMachine:
 
     def test_tlb_of_thread(self):
         machine = Machine()
-        thread = SimThread(core=5)
+        thread = machine.thread(5)
         assert machine.tlb_of(thread) is machine.tlbs[5]
 
     def test_absorb_interference(self):
         machine = Machine()
-        thread = SimThread(core=3)
+        thread = machine.thread(3)
         machine.interference.post(3, 700)
         assert machine.absorb_interference(thread) == 700
         assert thread.clock.now == 700
 
     def test_numa_node_of(self):
         machine = Machine()
-        assert machine.numa_node_of(SimThread(core=0)) == 0
-        assert machine.numa_node_of(SimThread(core=8)) == 1
+        assert machine.numa_node_of(machine.thread(0)) == 0
+        assert machine.numa_node_of(machine.thread(8)) == 1
+
+    def test_threads_numbered_per_machine(self):
+        """Each machine numbers its own threads from 0, in creation order."""
+        first, second = Machine(), Machine()
+        assert [first.thread(core).tid for core in (3, 0, 3)] == [0, 1, 2]
+        thread = second.thread(7, "worker")
+        assert (thread.tid, thread.core, thread.name) == (0, 7, "worker")
+        assert first.thread(1).name == "thread-3"
 
 
 class TestSMTPenalty:
     def test_no_penalty_up_to_16_threads(self):
         machine = Machine()
-        threads = [SimThread(core=i) for i in range(16)]
+        threads = [machine.thread(i) for i in range(16)]
         assert machine.apply_smt_penalty(threads) == 0
         assert all(t.clock.cpi_factor == 1.0 for t in threads)
 
     def test_penalty_for_sibling_pairs(self):
         machine = Machine()
-        threads = [SimThread(core=i) for i in range(32)]
+        threads = [machine.thread(i) for i in range(32)]
         penalized = machine.apply_smt_penalty(threads, factor=1.4)
         assert penalized == 32
         assert all(t.clock.cpi_factor == pytest.approx(1.4) for t in threads)
 
     def test_partial_overlap(self):
         machine = Machine()
-        threads = [SimThread(core=c) for c in (0, 16, 5)]   # 0 and 16 share core 0
+        threads = [machine.thread(c) for c in (0, 16, 5)]   # 0 and 16 share core 0
         penalized = machine.apply_smt_penalty(threads)
         assert penalized == 2
         factors = {t.core: t.clock.cpi_factor for t in threads}

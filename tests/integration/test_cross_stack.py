@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common import units
-from repro.sim.executor import Executor, SimThread
+from repro.sim.executor import Executor
 from repro.workloads.ycsb import YCSBConfig, YCSBDriver
 
 
@@ -20,7 +20,7 @@ class TestMultiThreadedYCSBConsistency:
             capacity_bytes=512 * units.MIB,
             memtable_bytes=32 * units.KIB,
         )
-        loader = SimThread(core=0)
+        loader = stack.machine.thread(0)
         config = YCSBConfig(
             workload="A", record_count=400, operation_count=400, value_bytes=128
         )
@@ -31,7 +31,7 @@ class TestMultiThreadedYCSBConsistency:
         executor = Executor()
         threads = []
         for i in range(4):
-            thread = SimThread(core=i)
+            thread = stack.machine.thread(i)
             thread.clock.now = loader.clock.now
             threads.append(thread)
             executor.add(thread, driver.run_workload(thread, 100))
@@ -51,11 +51,11 @@ class TestHeapExtensionPersistence:
 
         stack = make_aquila_stack("pmem", cache_pages=128, capacity_bytes=128 * units.MIB)
         file = stack.allocator.create("heap", 8 * units.MIB)
-        setup = SimThread(core=0)
+        setup = stack.machine.thread(0)
         mapping = stack.engine.mmap(setup, file)
         heap = MmapHeap(mapping)
         graph = make_rmat_csr(400, 8, seed=12)
-        threads = [SimThread(core=i) for i in range(2)]
+        threads = [stack.machine.thread(i) for i in range(2)]
         bfs = ParallelBFS(heap, graph, threads, setup_thread=setup)
         result = bfs.run(graph.largest_out_degree_vertex())
         mapping.msync(setup)
@@ -66,7 +66,7 @@ class TestHeapExtensionPersistence:
         from repro.graph.mmap_heap import HeapArray
 
         parents2 = HeapArray(heap2, bfs.parents.offset, bfs.parents.length)
-        probe = SimThread(core=0)
+        probe = stack.machine.thread(0)
         root = graph.largest_out_degree_vertex()
         assert parents2.read(probe, root) == root
 

@@ -12,7 +12,6 @@ from repro.hw.machine import Machine
 from repro.mmio.aquila import AquilaEngine
 from repro.mmio.files import ExtentFile
 from repro.devices.io_engines import DaxIO
-from repro.sim.executor import SimThread
 
 
 def _process(machine, device, cache_pages=64):
@@ -24,13 +23,13 @@ class TestCrossProcessSharing:
     def test_msync_makes_writes_visible(self):
         machine = Machine()
         device = PmemDevice(capacity_bytes=64 * units.MIB)
-        shared_file_a = ExtentFile("shared", device, 0, 16 * units.PAGE_SIZE)
-        shared_file_b = ExtentFile("shared", device, 0, 16 * units.PAGE_SIZE)
+        shared_file_a = ExtentFile(1, "shared", device, 0, 16 * units.PAGE_SIZE)
+        shared_file_b = ExtentFile(1, "shared", device, 0, 16 * units.PAGE_SIZE)
 
         writer_engine = _process(machine, device)
         reader_engine = _process(machine, device)
-        writer = SimThread(core=0)
-        reader = SimThread(core=1)
+        writer = machine.thread(0)
+        reader = machine.thread(1)
 
         w_map = writer_engine.mmap(writer, shared_file_a)
         w_map.store(writer, 100, b"cross-process message")
@@ -47,11 +46,11 @@ class TestCrossProcessSharing:
         (exactly the semantics of two kernels sharing a disk)."""
         machine = Machine()
         device = PmemDevice(capacity_bytes=64 * units.MIB)
-        file_a = ExtentFile("s", device, 0, 4 * units.PAGE_SIZE)
-        file_b = ExtentFile("s", device, 0, 4 * units.PAGE_SIZE)
+        file_a = ExtentFile(1, "s", device, 0, 4 * units.PAGE_SIZE)
+        file_b = ExtentFile(1, "s", device, 0, 4 * units.PAGE_SIZE)
         a_engine = _process(machine, device)
         b_engine = _process(machine, device)
-        a, b = SimThread(core=0), SimThread(core=1)
+        a, b = machine.thread(0), machine.thread(1)
 
         b_map = b_engine.mmap(b, file_b)
         assert b_map.load(b, 0, 5) == bytes(5)     # caches the zero page
@@ -71,8 +70,8 @@ class TestCrossProcessSharing:
         device = PmemDevice(capacity_bytes=64 * units.MIB)
         a_engine = _process(machine, device)
         b_engine = _process(machine, device)
-        a = SimThread(core=0)
-        file = ExtentFile("f", device, 0, 8 * units.PAGE_SIZE)
+        a = machine.thread(0)
+        file = ExtentFile(1, "f", device, 0, 8 * units.PAGE_SIZE)
         mapping = a_engine.mmap(a, file)
         mapping.load(a, 0, 8)
         assert a_engine.cache.resident_pages() == 1

@@ -14,13 +14,12 @@ from hypothesis import strategies as st
 from repro.common import units
 from repro.common.errors import ProtectionFault, SegmentationFault
 from repro.mmio.vma import MADV_RANDOM, PROT_READ
-from repro.sim.executor import SimThread
 
 
 def _setup(make_stack, file_pages=128, cache_pages=64):
     stack = make_stack(cache_pages=cache_pages)
     file = stack.allocator.create("data", file_pages * units.PAGE_SIZE)
-    thread = SimThread(core=0)
+    thread = stack.machine.thread(0)
     mapping = stack.engine.mmap(thread, file)
     mapping.madvise(thread, MADV_RANDOM)
     return stack, file, thread, mapping
@@ -52,7 +51,7 @@ class TestBasicIO:
     def test_read_only_mapping_rejects_writes(self, make_stack):
         stack = make_stack()
         file = stack.allocator.create("ro", 4 * units.PAGE_SIZE)
-        thread = SimThread(core=0)
+        thread = stack.machine.thread(0)
         mapping = stack.engine.mmap(thread, file, prot=PROT_READ)
         mapping.load(thread, 0, 8)
         with pytest.raises(ProtectionFault):

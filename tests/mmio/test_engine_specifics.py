@@ -6,12 +6,11 @@ from repro.bench.setups import make_aquila_stack, make_kmmap_stack, make_linux_s
 from repro.common import constants, units
 from repro.fault.plan import FAULT_ERROR, FaultPlan, FaultSpec
 from repro.mmio.vma import MADV_NORMAL, MADV_RANDOM, MADV_SEQUENTIAL
-from repro.sim.executor import SimThread
 
 
 def _map(stack, pages=128, advice=None):
     file = stack.allocator.create("data", pages * units.PAGE_SIZE)
-    thread = SimThread(core=0)
+    thread = stack.machine.thread(0)
     mapping = stack.engine.mmap(thread, file)
     if advice is not None:
         mapping.madvise(thread, advice)
@@ -197,7 +196,7 @@ class TestAquilaSpecifics:
         """Range updates interact with the hypervisor (Section 3.4)."""
         stack = make_aquila_stack("pmem", cache_pages=64)
         file = stack.allocator.create("f", units.PAGE_SIZE)
-        thread = SimThread(core=0)
+        thread = stack.machine.thread(0)
         stack.engine.mmap(thread, file)
         assert stack.engine.vmx.vmcalls >= 1
 

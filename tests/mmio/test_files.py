@@ -11,45 +11,55 @@ from repro.mmio.files import ExtentAllocator, ExtentFile
 class TestExtentFile:
     def test_offsets_contiguous(self):
         device = PmemDevice(capacity_bytes=64 * units.MIB)
-        file = ExtentFile("f", device, units.MIB, 8 * units.PAGE_SIZE)
+        file = ExtentFile(1, "f", device, units.MIB, 8 * units.PAGE_SIZE)
         assert file.device_offset(0) == units.MIB
         assert file.device_offset(3) == units.MIB + 3 * units.PAGE_SIZE
 
     def test_bounds(self):
         device = PmemDevice(capacity_bytes=64 * units.MIB)
-        file = ExtentFile("f", device, 0, 4 * units.PAGE_SIZE)
+        file = ExtentFile(1, "f", device, 0, 4 * units.PAGE_SIZE)
         with pytest.raises(OutOfSpaceError):
             file.device_offset(4)
 
     def test_unaligned_base_rejected(self):
         device = PmemDevice(capacity_bytes=64 * units.MIB)
         with pytest.raises(ValueError):
-            ExtentFile("f", device, 100, units.PAGE_SIZE)
+            ExtentFile(1, "f", device, 100, units.PAGE_SIZE)
 
     def test_beyond_capacity_rejected(self):
         device = PmemDevice(capacity_bytes=units.MIB)
         with pytest.raises(OutOfSpaceError):
-            ExtentFile("f", device, 0, 2 * units.MIB)
+            ExtentFile(1, "f", device, 0, 2 * units.MIB)
 
     def test_contiguous_run_full(self):
         device = PmemDevice(capacity_bytes=64 * units.MIB)
-        file = ExtentFile("f", device, 0, 8 * units.PAGE_SIZE)
+        file = ExtentFile(1, "f", device, 0, 8 * units.PAGE_SIZE)
         assert file.contiguous_run(0, 100) == 8
         assert file.contiguous_run(6, 100) == 2
 
     def test_size_pages_rounds_up(self):
         device = PmemDevice(capacity_bytes=64 * units.MIB)
-        file = ExtentFile("f", device, 0, units.PAGE_SIZE + 1)
+        file = ExtentFile(1, "f", device, 0, units.PAGE_SIZE + 1)
         assert file.size_pages == 2
 
     def test_unique_file_ids(self):
-        device = PmemDevice(capacity_bytes=64 * units.MIB)
-        a = ExtentFile("a", device, 0, units.PAGE_SIZE)
-        b = ExtentFile("b", device, units.PAGE_SIZE, units.PAGE_SIZE)
+        allocator = ExtentAllocator(PmemDevice(capacity_bytes=64 * units.MIB))
+        a = allocator.create("a", units.PAGE_SIZE)
+        b = allocator.create("b", units.PAGE_SIZE)
         assert a.file_id != b.file_id
 
 
 class TestExtentAllocator:
+    def test_file_ids_count_from_one_per_allocator(self):
+        """Each stack numbers its own files, whatever else was built."""
+        device = PmemDevice(capacity_bytes=64 * units.MIB)
+        first, second = ExtentAllocator(device), ExtentAllocator(device)
+        ids = [first.create(f"a{i}", units.PAGE_SIZE).file_id for i in range(3)]
+        assert ids == [1, 2, 3]
+        assert second.create("b", units.PAGE_SIZE).file_id == 1
+        first.free(first.create("c", units.PAGE_SIZE))
+        assert first.create("d", units.PAGE_SIZE).file_id == 5   # reuse keeps counting
+
     def test_non_overlapping(self):
         device = PmemDevice(capacity_bytes=64 * units.MIB)
         allocator = ExtentAllocator(device)

@@ -20,11 +20,10 @@ from repro.bench.setups import make_aquila_stack, make_kmmap_stack, make_linux_s
 from repro.common import units
 from repro.common.errors import SegmentationFault
 from repro.graph.mmap_heap import MmapHeap
-from repro.mmio.files import BackingFile
 from repro.mmio.vma import MADV_RANDOM
 from repro.obs import TRACER
 from repro.sim.conformance import diff_digests, mmio_state_digest
-from repro.sim.executor import RunResult, SimThread
+from repro.sim.executor import RunResult
 
 MAKERS = {
     "aquila": make_aquila_stack,
@@ -75,20 +74,18 @@ def _setup(engine_kind, variant, addresses, posts=()):
     new and must enter the breakdown in per-access order.  ``posts``
     are interference send times, relative to the thread's start.
     """
-    SimThread.reset_ids()
-    BackingFile.reset_ids()
     stack = MAKERS[engine_kind]("pmem", CACHE_PAGES)
     cpi, tlb_capacity, _, _ = VARIANTS[variant]
     if tlb_capacity is not None:
         for tlb in stack.machine.tlbs:
             tlb.capacity = tlb_capacity
-    setup = SimThread(core=0)
+    setup = stack.machine.thread(0)
     file = stack.allocator.create("words", FILE_PAGES * units.PAGE_SIZE)
     mapping = stack.engine.mmap(setup, file)
     mapping.madvise(setup, MADV_RANDOM)
     for address in reversed(addresses):
         mapping.store(setup, address, _U64.pack(address))
-    thread = SimThread(core=0)
+    thread = stack.machine.thread(0)
     thread.clock.now = setup.clock.now
     thread.clock.cpi_factor = cpi
     for when in posts:

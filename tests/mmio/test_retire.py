@@ -17,11 +17,10 @@ from repro.bench.setups import make_aquila_stack, make_kmmap_stack, make_linux_s
 from repro.cache.partition import CachePartition
 from repro.common import units
 from repro.common.errors import ProtectionFault, SegmentationFault
-from repro.mmio.files import BackingFile
 from repro.mmio.vma import MADV_RANDOM, PROT_READ
 from repro.obs import TRACER
 from repro.sim.conformance import diff_digests, mmio_state_digest
-from repro.sim.executor import Executor, RunResult, SimThread
+from repro.sim.executor import Executor, RunResult
 from repro.sim.fastforward import AccessPlan
 from repro.workloads.microbench import WRITE_DATA, access_workload
 
@@ -61,8 +60,6 @@ def _span_rows(tracer):
 def _run(engine_kind, batched, fastforward, num_threads, write_fraction, spans,
          cache_pages=256):
     """One shared-file microbenchmark cell; returns (digest, spans, engine, threads)."""
-    SimThread.reset_ids()
-    BackingFile.reset_ids()
     stack = MAKERS[engine_kind]("pmem", cache_pages)
     engine = stack.engine
     engine.fastforward = batched and fastforward
@@ -73,7 +70,7 @@ def _run(engine_kind, batched, fastforward, num_threads, write_fraction, spans,
     with TRACER.isolated(enable=spans):
         mapping = None
         for index in range(num_threads):
-            thread = SimThread(core=index % engine.machine.topology.num_hw_threads)
+            thread = engine.machine.thread(index % engine.machine.topology.num_hw_threads)
             threads.append(thread)
             if mapping is None:
                 mapping = engine.mmap(thread, file)
@@ -164,8 +161,6 @@ def _run_tenants(batched, fastforward):
     cores run at CPI 1.4, 30% of the accesses are stores (some victims
     are dirty), and a span is open on every thread clock.
     """
-    SimThread.reset_ids()
-    BackingFile.reset_ids()
     stack = make_aquila_stack("pmem", 64)
     engine = stack.engine
     engine.fastforward = batched and fastforward
@@ -182,7 +177,7 @@ def _run_tenants(batched, fastforward):
     mappings = []
     with TRACER.isolated(enable=True):
         for index in range(32):
-            thread = SimThread(core=index % engine.machine.topology.num_hw_threads)
+            thread = engine.machine.thread(index % engine.machine.topology.num_hw_threads)
             threads.append(thread)
             if len(mappings) < len(files):
                 mappings.append(engine.mmap(thread, files[len(mappings)]))
@@ -224,12 +219,10 @@ class TestRetireFaults:
     PAGES = 8
 
     def _setup(self, engine_kind, mode, prot=None):
-        SimThread.reset_ids()
-        BackingFile.reset_ids()
         stack = MAKERS[engine_kind]("pmem", 64)
         engine = stack.engine
         file = stack.allocator.create("bounds", self.PAGES * units.PAGE_SIZE)
-        thread = SimThread(core=0)
+        thread = engine.machine.thread(0)
         kwargs = {} if prot is None else {"prot": prot}
         mapping = engine.mmap(thread, file, **kwargs)
         mapping.load(thread, 0, 8)              # page 0 resident: a hit
@@ -292,14 +285,12 @@ class TestRetireInterference:
     LATER_POSTS = (900, 2000)
 
     def _observe(self, engine_kind, batched, span_open, first_post):
-        SimThread.reset_ids()
-        BackingFile.reset_ids()
         stack = MAKERS[engine_kind]("pmem", 64)
         engine = stack.engine
         for tlb in stack.machine.tlbs:
             tlb.capacity = self.TLB_CAPACITY
         file = stack.allocator.create("ipi", self.PAGES * units.PAGE_SIZE)
-        setup = SimThread(core=0)
+        setup = engine.machine.thread(0)
         mapping = engine.mmap(setup, file)
         mapping.madvise(setup, MADV_RANDOM)
         for page in range(self.PAGES):
@@ -310,7 +301,7 @@ class TestRetireInterference:
         pages = recent + list(range(self.PAGES)) * 3
         offsets = [(17 * i) % 4000 for i in range(len(pages))]
         plan = AccessPlan(pages, offsets, [i % 3 == 0 for i in range(len(pages))])
-        thread = SimThread(core=0)
+        thread = engine.machine.thread(0)
         thread.clock.now = setup.clock.now
         thread.clock.cpi_factor = 1.4
         for when in (first_post,) + self.LATER_POSTS:

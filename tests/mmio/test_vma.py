@@ -18,7 +18,7 @@ from repro.sim.clock import CycleClock
 
 def _file(pages=64, name="f"):
     device = PmemDevice(capacity_bytes=64 * units.MIB)
-    return ExtentFile(name, device, 0, pages * units.PAGE_SIZE)
+    return ExtentFile(1, name, device, 0, pages * units.PAGE_SIZE)
 
 
 @pytest.fixture(params=[LinuxVMAStore, AquilaVMAStore])

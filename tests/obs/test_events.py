@@ -33,7 +33,7 @@ def _tiny_workload():
     clock.charge("app.get", 100)
     clock.charge("fault.vma_lookup", 40)
     clock.wait_until(2540, "idle.io.fault")
-    SimThread(core=1).clock.charge("tlb.miss_walk", 60)
+    SimThread(core=1, tid=1).clock.charge("tlb.miss_walk", 60)
     # A bare clock belongs to no simulated thread and is not attributed.
     CycleClock().charge("app.get", 1e6)
     METRICS.counter("engine.faults").inc(3)

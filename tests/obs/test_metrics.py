@@ -221,3 +221,36 @@ class TestEnableHelpers:
         assert "locks.acquisitions" in snap
         assert "locks.contended" in snap
         assert "locks.wait_cycles" in snap
+
+
+class TestLockTotals:
+    def test_lock_totals_scope_with_the_registry(self):
+        from repro.sim.clock import CycleClock
+        from repro.sim.locks import SpinlockTimeline
+
+        registry = MetricsRegistry(lock_totals=True)
+        registry.enable()
+        registry.locks.acquisitions = 5
+        with registry.isolated(enable=True):
+            assert registry.snapshot() == {
+                "locks.acquisitions": 0, "locks.contended": 0, "locks.wait_cycles": 0.0
+            }
+        assert registry.snapshot()["locks.acquisitions"] == 5
+        registry.reset()
+        assert registry.snapshot()["locks.acquisitions"] == 0
+
+        # The lock timelines add to the process registry's current scope.
+        lock, a, b = SpinlockTimeline(), CycleClock(), CycleClock()
+        with METRICS.isolated(enable=True):
+            lock.acquire(a, 1)
+            a.charge("hold", 100)
+            lock.release(a, 1)
+            lock.acquire(b, 2)
+            lock.release(b, 2)
+            snap = METRICS.snapshot()
+        assert snap["locks.acquisitions"] == 2 and snap["locks.contended"] == 1
+        assert snap["locks.wait_cycles"] == lock.total_wait_cycles == 100.0
+
+    def test_disabled_registry_reports_no_lock_totals(self):
+        registry = MetricsRegistry(lock_totals=True)
+        assert registry.snapshot() == {}

@@ -18,14 +18,10 @@ import pytest
 
 from repro import obs
 from repro.bench.cli import main
-from repro.mmio.files import BackingFile
-from repro.sim.executor import SimThread
 
 
 def _reset_world() -> None:
     """Restore every piece of cross-run global state the CLI touches."""
-    SimThread.reset_ids()
-    BackingFile.reset_ids()
     obs.disable_tracing()
 
 

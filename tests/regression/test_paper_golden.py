@@ -19,24 +19,12 @@ assertion target.  ``benchmarks/`` holds the figure-scale claim checks.
 
 import pytest
 
-from repro.mmio.files import BackingFile
-from repro.sim.executor import SimThread
 
 #: rel-tolerance of every golden pin.  Wide enough to survive float noise
 #: (there is none — the sim is deterministic) and platform differences in
 #: libm-free arithmetic (also none); narrow enough that any real cost
 #: model or scheduling change trips it.
 GOLDEN_RTOL = 1e-6
-
-
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    """Golden cells must not depend on how many threads/files ran before."""
-    SimThread.reset_ids()
-    BackingFile.reset_ids()
-    yield
-    SimThread.reset_ids()
-    BackingFile.reset_ids()
 
 
 def check_golden(name: str, observed: float, pinned: float, paper: str,
@@ -122,11 +110,11 @@ class TestFig7Goldens:
             for mode in ("direct", "aquila")
         }
         check_golden("fig7 cache-mgmt ratio", fig7_cache_mgmt_ratio(cells),
-                     2.654004152059097,
+                     2.740551006525442,
                      "explicit I/O spends 2.58x Aquila's cycles on cache "
                      "management (Fig 7)")
         check_golden("fig7 throughput gain", fig7_throughput_gain(cells),
-                     1.6186812719264623,
+                     1.6456786581199863,
                      "mmap path gains 1.40x over pread/pwrite (Fig 7)")
 
     @pytest.mark.parametrize("mode", ["direct", "aquila"])
@@ -136,8 +124,6 @@ class TestFig7Goldens:
         from repro.obs import TRACER
 
         untraced = run_mode(mode, record_count=4096, operations=600, cache_pages=256)
-        SimThread.reset_ids()
-        BackingFile.reset_ids()
         with TRACER.isolated(enable=True, capacity=1000):
             traced = run_mode(mode, record_count=4096, operations=600, cache_pages=256)
             assert TRACER.dropped > 0   # the ring overflowed
@@ -152,8 +138,6 @@ class TestFig5Goldens:
 
         thr = {}
         for mode in ("direct", "mmap", "aquila"):
-            SimThread.reset_ids()
-            BackingFile.reset_ids()
             thr[mode] = run_cell(mode, "pmem", 2048, 666, 4, 200)["throughput"]
         check_golden("fig5a direct ops/s", thr["direct"], 308388.9504239063,
                      "pread/pwrite baseline (Fig 5a pmem)")
@@ -172,8 +156,6 @@ class TestFig9Goldens:
 
         kmmap = run_cell("kmmap", "pmem", "C", record_count=2048,
                          cache_pages=512, operations=600)
-        SimThread.reset_ids()
-        BackingFile.reset_ids()
         aquila = run_cell("aquila", "pmem", "C", record_count=2048,
                           cache_pages=512, operations=600)
         ratio = aquila["throughput"] / kmmap["throughput"]
@@ -190,13 +172,9 @@ class TestFig10Goldens:
     def _speedup(shared, in_memory, cache_pages, total_accesses):
         from repro.bench.experiments.fig10 import run_cell
 
-        SimThread.reset_ids()
-        BackingFile.reset_ids()
         linux, _, _ = run_cell("linux", 16, shared, in_memory,
                                cache_pages=cache_pages,
                                total_accesses=total_accesses)
-        SimThread.reset_ids()
-        BackingFile.reset_ids()
         aquila, _, _ = run_cell("aquila", 16, shared, in_memory,
                                 cache_pages=cache_pages,
                                 total_accesses=total_accesses)

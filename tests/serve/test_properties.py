@@ -157,11 +157,6 @@ class TestServeCellConservation:
 
     @pytest.mark.parametrize("intensity", [0, 6])
     def test_offered_equals_admitted_plus_shed(self, intensity):
-        from repro.mmio.files import BackingFile
-        from repro.sim.executor import SimThread
-
-        SimThread.reset_ids()
-        BackingFile.reset_ids()
         outcome = run_serve(
             ServeConfig(
                 tenants=standard_tenants(
@@ -190,13 +185,8 @@ class TestSloMonotonicity:
 
     @pytest.mark.parametrize("seed", [71, 72, 73])
     def test_p99_monotone_in_intensity(self, seed):
-        from repro.mmio.files import BackingFile
-        from repro.sim.executor import SimThread
-
         p99s = []
         for intensity in (0, 1, 2, 3):
-            SimThread.reset_ids()
-            BackingFile.reset_ids()
             outcome = run_serve(
                 ServeConfig(
                     tenants=standard_tenants(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim.executor import Executor, SimThread, run_threads
+from repro.sim.executor import Executor, SimThread
 
 
 def _workload(thread, costs):
@@ -103,19 +103,28 @@ class TestExecutor:
 
 
 class TestRunThreads:
-    def test_convenience_runner(self):
-        result = run_threads(lambda t: _workload(t, [10] * 4), num_threads=3)
+    """Several threads on one executor, each with its own tid."""
+
+    def test_runs_every_thread(self):
+        executor = Executor()
+        for tid in range(3):
+            thread = SimThread(core=tid, tid=tid)
+            executor.add(thread, _workload(thread, [10] * 4))
+        result = executor.run()
         assert result.total_ops == 12
-        assert len(result.threads) == 3
+        assert [t.tid for t in result.threads] == [0, 1, 2]
 
     def test_start_offsets(self):
-        result = run_threads(
-            lambda t: _workload(t, [10]), num_threads=2, start_offset_cycles=1000
-        )
-        assert result.makespan_cycles == 1010
+        executor = Executor()
+        for tid in range(2):
+            thread = SimThread(core=tid, tid=tid)
+            thread.clock.now = tid * 1000.0
+            executor.add(thread, _workload(thread, [10]))
+        assert executor.run().makespan_cycles == 1010
 
     def test_core_pinning(self):
-        result = run_threads(
-            lambda t: _workload(t, [1]), num_threads=2, cores=[5, 9]
-        )
-        assert [t.core for t in result.threads] == [5, 9]
+        executor = Executor()
+        for tid, core in enumerate([5, 9]):
+            thread = SimThread(core, tid=tid)
+            executor.add(thread, _workload(thread, [1]))
+        assert [t.core for t in executor.run().threads] == [5, 9]
