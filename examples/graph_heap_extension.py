@@ -27,7 +27,7 @@ THREADS = 8
 def build_heap(kind: str, heap_pages: int, cache_pages: int):
     """The only code that changes between substrates."""
     if kind == "dram":
-        return DramHeap((heap_pages + 16) * units.PAGE_SIZE), SimThread(core=0), None
+        return DramHeap((heap_pages + 16) * units.PAGE_SIZE), SimThread(core=0, tid=0), None
     maker = make_linux_stack if kind == "linux-mmap" else make_aquila_stack
     stack = maker("pmem", cache_pages, capacity_bytes=512 * units.MIB)
     setup = stack.machine.thread(0)
@@ -57,8 +57,12 @@ def main() -> None:
     baseline = None
     for kind in ("dram", "linux-mmap", "aquila"):
         heap, setup, stack = build_heap(kind, heap_pages, cache_pages)
-        # Thread ids 1.. follow the setup thread's 0, as a machine numbers them.
-        threads = [SimThread(core=i, tid=1 + i) for i in range(THREADS)]
+        if stack is None:
+            # No machine numbers DRAM's threads: ids 1.. follow the setup
+            # thread's 0, as a machine would give them.
+            threads = [SimThread(core=i, tid=1 + i) for i in range(THREADS)]
+        else:
+            threads = [stack.machine.thread(i) for i in range(THREADS)]
         bfs = ParallelBFS(heap, graph, threads, setup_thread=setup)
         result = bfs.run(root)
         millis = units.cycles_to_seconds(result.makespan_cycles) * 1000

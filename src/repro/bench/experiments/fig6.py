@@ -54,7 +54,7 @@ def run_bfs_config(
         stack = None
         # No machine numbers these threads; they take the ids a machine
         # would give them: the setup thread 0, the BFS threads after it.
-        setup = SimThread(0)
+        setup = SimThread(0, tid=0)
         threads = [SimThread(i, tid=1 + i) for i in range(num_threads)]
     else:
         cache_pages = max(32, int(heap_pages * cache_fraction))

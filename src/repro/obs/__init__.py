@@ -95,7 +95,7 @@ def tracing_enabled() -> bool:
 
 
 def enable_metrics(reset: bool = True) -> MetricsRegistry:
-    """Enable the global metrics registry (fresh metrics and lock totals)."""
+    """Enable the global metrics registry; ``reset`` also drops its metrics and lock totals."""
     METRICS.enable()
     if reset:
         METRICS.reset()

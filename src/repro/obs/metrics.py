@@ -185,18 +185,18 @@ class LockTotals:
 class MetricsRegistry:
     """Name -> metric store with pull-probe collection.
 
-    With ``lock_totals`` the registry also keeps a :class:`LockTotals`
-    as ``locks``, restarted by :meth:`reset` and :meth:`isolated` and
-    reported as ``locks.*`` while enabled.
+    The registry also keeps a :class:`LockTotals` as ``locks``, restarted
+    by :meth:`reset` and :meth:`isolated` and reported as ``locks.*``
+    while enabled.
     """
 
-    def __init__(self, lock_totals: bool = False) -> None:
+    def __init__(self) -> None:
         self.enabled = False
         self._metrics: Dict[str, Union[Counter, Histogram]] = {}
         self._probes: Dict[str, Callable[[], float]] = {}
         self._prefixes: Dict[str, int] = {}
         self._clocks: List[Any] = []
-        self.locks = LockTotals() if lock_totals else None
+        self.locks = LockTotals()
 
     # -- control ---------------------------------------------------------------
 
@@ -214,10 +214,7 @@ class MetricsRegistry:
         self._probes = {}
         self._prefixes = {}
         self._clocks = []
-        self.locks = self._fresh_locks()
-
-    def _fresh_locks(self) -> Optional[LockTotals]:
-        return None if self.locks is None else LockTotals()
+        self.locks = LockTotals()
 
     @contextmanager
     def isolated(self, enable: bool = True):
@@ -232,7 +229,7 @@ class MetricsRegistry:
                  self._clocks, self.locks)
         self.enabled = enable
         self._metrics, self._probes, self._prefixes, self._clocks = {}, {}, {}, []
-        self.locks = self._fresh_locks()
+        self.locks = LockTotals()
         try:
             yield self
         finally:
@@ -340,7 +337,7 @@ class MetricsRegistry:
                 out[name] = fn()
             except Exception:
                 out[name] = None
-        if self.locks is not None and self.enabled:
+        if self.enabled:
             out["locks.acquisitions"] = self.locks.acquisitions
             out["locks.contended"] = self.locks.contended
             out["locks.wait_cycles"] = self.locks.wait_cycles
@@ -349,4 +346,4 @@ class MetricsRegistry:
 
 #: The process-wide registry every instrumented component binds to, and
 #: the one the lock timelines add their totals to.
-METRICS = MetricsRegistry(lock_totals=True)
+METRICS = MetricsRegistry()

@@ -92,7 +92,7 @@ class SimThread:
     a stack's threads from 0 in creation order.
     """
 
-    def __init__(self, core: int, name: str = "", tid: int = 0) -> None:
+    def __init__(self, core: int, name: str = "", *, tid: int) -> None:
         self.tid = tid
         self.core = core
         self.name = name or f"thread-{self.tid}"

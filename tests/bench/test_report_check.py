@@ -18,43 +18,37 @@ COMMITTED_DOC = os.path.join(REPO, "EXPERIMENTS.md")
 COMMITTED_MANIFEST = os.path.join(REPO, "benchmarks", "MANIFEST_sweep.jsonl")
 
 
-@pytest.fixture(scope="module")
-def manifest(bench_manifest):
-    """A complete bench-scale manifest (every figure, shrunk grids)."""
-    return bench_manifest
+def test_generation_is_deterministic(bench_manifest):
+    assert generate_experiments_md(bench_manifest) == generate_experiments_md(bench_manifest)
 
 
-def test_generation_is_deterministic(manifest):
-    assert generate_experiments_md(manifest) == generate_experiments_md(manifest)
-
-
-def test_check_passes_on_fresh_doc(manifest, tmp_path):
+def test_check_passes_on_fresh_doc(bench_manifest, tmp_path):
     doc = tmp_path / "EXPERIMENTS.md"
-    write_experiments_md(str(doc), manifest)
-    assert check_experiments_md(str(doc), manifest) == []
+    write_experiments_md(str(doc), bench_manifest)
+    assert check_experiments_md(str(doc), bench_manifest) == []
 
 
-def test_check_catches_stale_table(manifest, tmp_path):
+def test_check_catches_stale_table(bench_manifest, tmp_path):
     doc = tmp_path / "EXPERIMENTS.md"
-    write_experiments_md(str(doc), manifest)
+    write_experiments_md(str(doc), bench_manifest)
     text = doc.read_text()
     assert "2179" in text, "the Cache-Hit anchor should appear in the doc"
     doc.write_text(text.replace("2179", "1234", 1))
-    problems = check_experiments_md(str(doc), manifest)
+    problems = check_experiments_md(str(doc), bench_manifest)
     assert problems, "a stale measured value must fail the check"
     assert any("1234" in line for line in problems)
 
 
-def test_check_catches_missing_doc(manifest, tmp_path):
-    problems = check_experiments_md(str(tmp_path / "absent.md"), manifest)
+def test_check_catches_missing_doc(bench_manifest, tmp_path):
+    problems = check_experiments_md(str(tmp_path / "absent.md"), bench_manifest)
     assert problems == [f"{tmp_path / 'absent.md'} does not exist"]
 
 
-def test_generation_names_missing_cells(manifest, tmp_path):
+def test_generation_names_missing_cells(bench_manifest, tmp_path):
     import json
 
     pruned = tmp_path / "pruned.jsonl"
-    with open(manifest) as src, open(pruned, "w") as dst:
+    with open(bench_manifest) as src, open(pruned, "w") as dst:
         for line in src:
             record = json.loads(line)
             if record.get("cell_id") != "fig7/aquila":

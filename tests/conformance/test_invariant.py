@@ -87,7 +87,7 @@ class TestExecutorBatchedMode:
                 yield
 
         executor = Executor(batched=True)
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         executor.add(thread, workload(thread))
         executor.run()
         # Solo thread: infinite horizon while running, cleared after.
@@ -104,7 +104,7 @@ class TestExecutorBatchedMode:
                 yield
 
         executor = Executor()
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         executor.add(thread, workload(thread))
         executor.run()
         assert seen == [None, None]

@@ -75,7 +75,7 @@ def _run(kind: str, ops, arm_point=None):
     file = stack.allocator.create("crash-matrix", FILE_PAGES * PAGE)
     if arm_point is not None:
         CRASH.arm(arm_point, [stack.device])
-    thread = SimThread(core=0)
+    thread = SimThread(core=0, tid=0)
     versions = {page: [bytes(PAGE)] for page in range(FILE_PAGES)}
     current = {page: 0 for page in range(FILE_PAGES)}
     acked = {page: 0 for page in range(FILE_PAGES)}
@@ -242,7 +242,7 @@ class TestKreonCrashRecovery:
             )
             restore_devices([reborn.device], CRASH.snapshot)
             volume = reborn.allocator.create("kreon-volume", 8 * units.MIB)
-            thread2 = SimThread(core=0)
+            thread2 = SimThread(core=0, tid=0)
             recovered = Kreon(
                 reborn.engine, volume, thread2, l0_max_entries=1 << 20
             )
@@ -268,7 +268,7 @@ class TestRocksDBCrashRecovery:
         )
         env = MmioEnv(stack.engine, stack.allocator)
         db = RocksDB(env, memtable_bytes=units.KIB, wal_bytes=32 * units.KIB)
-        return db, stack, SimThread(core=0)
+        return db, stack, SimThread(core=0, tid=0)
 
     @staticmethod
     def _kv(index):
@@ -316,7 +316,7 @@ class TestRocksDBCrashRecovery:
             restore_devices([reborn.device], CRASH.snapshot)
             env2 = MmioEnv(reborn.engine, reborn.allocator)
             db2 = RocksDB(env2, memtable_bytes=units.KIB, wal_bytes=32 * units.KIB)
-            thread2 = SimThread(core=0)
+            thread2 = SimThread(core=0, tid=0)
             for index, old_file in enumerate(db.wal_files):
                 db2.wal_files.append(
                     reborn.allocator.create(f"wal/{index:06d}.log", old_file.size_bytes)

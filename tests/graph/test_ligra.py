@@ -34,10 +34,10 @@ class TestCorrectness:
         root = graph.largest_out_degree_vertex()
         reference = _reference_bfs(graph, root)
         heap = DramHeap(16 * units.MIB)
-        threads = [SimThread(core=i) for i in range(num_threads)]
+        threads = [SimThread(core=i, tid=i) for i in range(num_threads)]
         bfs, result = _run_bfs(graph, heap, threads)
         assert result.visited == len(reference)
-        probe = SimThread(core=0)
+        probe = SimThread(core=0, tid=len(threads))
         for vertex in range(graph.num_vertices):
             reached = bfs.parent_of(probe, vertex) != UNVISITED
             assert reached == (vertex in reference), vertex
@@ -46,9 +46,9 @@ class TestCorrectness:
         graph = make_rmat_csr(400, 8, seed=9)
         root = graph.largest_out_degree_vertex()
         heap = DramHeap(16 * units.MIB)
-        threads = [SimThread(core=i) for i in range(4)]
+        threads = [SimThread(core=i, tid=i) for i in range(4)]
         bfs, _ = _run_bfs(graph, heap, threads)
-        probe = SimThread(core=0)
+        probe = SimThread(core=0, tid=len(threads))
         for vertex in range(graph.num_vertices):
             parent = bfs.parent_of(probe, vertex)
             if parent == UNVISITED or vertex == root:
@@ -61,7 +61,7 @@ class TestCorrectness:
         root = graph.largest_out_degree_vertex()
         reference = _reference_bfs(graph, root)
         heap = DramHeap(16 * units.MIB)
-        bfs, result = _run_bfs(graph, heap, [SimThread(core=0)])
+        bfs, result = _run_bfs(graph, heap, [SimThread(core=0, tid=0)])
         assert result.rounds == max(reference.values()) + 1
 
     def test_identical_across_heaps_and_engines(self):
@@ -75,7 +75,7 @@ class TestCorrectness:
                 maker = make_aquila_stack if kind == "aquila" else make_linux_stack
                 stack = maker("pmem", cache_pages=32, capacity_bytes=64 * units.MIB)
                 file = stack.allocator.create("h", 4 * units.MIB)
-                setup = SimThread(core=0)
+                setup = SimThread(core=0, tid=0)
                 heap = MmapHeap(stack.engine.mmap(setup, file))
             threads = [SimThread(core=i, tid=1 + i) for i in range(4)]
             _, result = _run_bfs(graph, heap, threads, setup=setup)
@@ -89,7 +89,7 @@ class TestExecutionModel:
         times = {}
         for n in (1, 8):
             heap = DramHeap(32 * units.MIB)
-            threads = [SimThread(core=i) for i in range(n)]
+            threads = [SimThread(core=i, tid=i) for i in range(n)]
             _, result = _run_bfs(graph, heap, threads)
             times[n] = result.makespan_cycles
         assert times[8] < times[1]
@@ -97,7 +97,7 @@ class TestExecutionModel:
     def test_barrier_idle_recorded(self):
         graph = make_rmat_csr(500, 8, seed=3)
         heap = DramHeap(16 * units.MIB)
-        threads = [SimThread(core=i) for i in range(8)]
+        threads = [SimThread(core=i, tid=i) for i in range(8)]
         _, result = _run_bfs(graph, heap, threads)
         assert result.run.merged_breakdown().prefix_total("idle.barrier") > 0
 

@@ -12,7 +12,7 @@ from repro.sim.executor import SimThread
 def _mmap_heap(pages=64, cache=128):
     stack = make_aquila_stack("pmem", cache_pages=cache, capacity_bytes=64 * units.MIB)
     file = stack.allocator.create("heap", pages * units.PAGE_SIZE)
-    thread = SimThread(core=0)
+    thread = SimThread(core=0, tid=0)
     mapping = stack.engine.mmap(thread, file)
     return MmapHeap(mapping), thread, stack
 
@@ -22,7 +22,7 @@ def heap_and_thread(request):
     if request.param == "mmap":
         heap, thread, _ = _mmap_heap()
         return heap, thread
-    return DramHeap(64 * units.PAGE_SIZE), SimThread(core=0)
+    return DramHeap(64 * units.PAGE_SIZE), SimThread(core=0, tid=0)
 
 
 class TestAllocator:

@@ -72,7 +72,7 @@ class TestStoreFactories:
     @pytest.mark.parametrize("mode", ["direct", "mmap", "aquila"])
     def test_rocksdb_modes_work(self, mode):
         db, stack = make_rocksdb(mode, cache_pages=128)
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         db.put(thread, b"k", b"v")
         assert db.get(thread, b"k") == b"v"
 

@@ -21,7 +21,7 @@ from repro.sim.executor import SimThread
 def _mapping(pages=512):
     stack = make_aquila_stack("pmem", cache_pages=1024, capacity_bytes=128 * units.MIB)
     file = stack.allocator.create("vol", pages * units.PAGE_SIZE)
-    thread = SimThread(core=0)
+    thread = SimThread(core=0, tid=0)
     return stack, stack.engine.mmap(thread, file), thread
 
 

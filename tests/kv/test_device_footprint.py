@@ -48,7 +48,7 @@ def test_fig5b_cell_stores_only_live_extents(mode, monkeypatch):
 @pytest.mark.parametrize("mode", fig5.MODES)
 def test_first_put_streams_the_wal_preallocation(mode):
     db, _ = make_rocksdb(mode, cache_pages=64, capacity_bytes=64 * units.MIB)
-    thread = SimThread(core=0)
+    thread = SimThread(core=0, tid=0)
     tracemalloc.start()
     try:
         db.put(thread, b"key", b"value")

@@ -33,19 +33,19 @@ def env(request):
 
 class TestEnvContract:
     def test_write_then_read(self, env):
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         file = env.write_file(thread, "f", b"environment bytes" * 100)
         assert env.read(thread, file, 0, 17) == b"environment bytes"
         assert env.read(thread, file, 17 * 99, 17) == b"environment bytes"
 
     def test_append(self, env):
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         file = env.write_file(thread, "log", bytes(units.PAGE_SIZE * 4))
         env.append(thread, file, 100, b"appended-record")
         assert env.read(thread, file, 100, 15) == b"appended-record"
 
     def test_delete_releases(self, env):
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         file = env.write_file(thread, "victim", bytes(units.PAGE_SIZE * 8))
         env.read(thread, file, 0, 64)
         env.delete_file(thread, file)
@@ -58,7 +58,7 @@ class TestEnvContract:
 class TestMmioEnvSpecifics:
     def test_mapping_reused(self):
         env, stack = _mmio_env()
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         file = env.write_file(thread, "f", bytes(units.PAGE_SIZE * 4))
         env.read(thread, file, 0, 8)
         mapping_a = env.mapping_of(thread, file)
@@ -67,7 +67,7 @@ class TestMmioEnvSpecifics:
 
     def test_delete_drops_cached_pages(self):
         env, stack = _mmio_env()
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         file = env.write_file(thread, "f", bytes(units.PAGE_SIZE * 4))
         env.read(thread, file, 0, 8)
         assert stack.engine.cache.resident_pages() > 0
@@ -76,7 +76,7 @@ class TestMmioEnvSpecifics:
 
     def test_msync_all(self):
         env, stack = _mmio_env()
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         file = env.write_file(thread, "f", bytes(units.PAGE_SIZE * 4))
         mapping = env.mapping_of(thread, file)
         mapping.store(thread, 0, b"dirty")
@@ -84,7 +84,7 @@ class TestMmioEnvSpecifics:
 
     def test_reads_through_mapping_fault(self):
         env, stack = _mmio_env()
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         file = env.write_file(thread, "f", bytes(units.PAGE_SIZE * 8))
         before = stack.engine.faults
         env.read(thread, file, 0, 8)
@@ -94,7 +94,7 @@ class TestMmioEnvSpecifics:
 class TestDirectEnvSpecifics:
     def test_reads_through_user_cache(self):
         env = _direct_env()
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         file = env.write_file(thread, "f", b"cached" * 1000)
         env.read(thread, file, 0, 6)
         assert env.io.cache.misses >= 1
@@ -103,7 +103,7 @@ class TestDirectEnvSpecifics:
 
     def test_delete_invalidates_user_cache(self):
         env = _direct_env()
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         file = env.write_file(thread, "f", b"x" * 8192)
         env.read(thread, file, 0, 8)
         env.delete_file(thread, file)

@@ -17,7 +17,7 @@ def _lsm(sst_bytes=16 * units.KIB):
     device = PmemDevice(capacity_bytes=256 * units.MIB)
     io = ExplicitIOEngine(Machine(), cache_pages=512)
     env = DirectIOEnv(io, ExtentAllocator(device))
-    return LSMTree(env, sst_target_bytes=sst_bytes), SimThread(core=0)
+    return LSMTree(env, sst_target_bytes=sst_bytes), SimThread(core=0, tid=0)
 
 
 def _batch(start, count, tag=b"v"):

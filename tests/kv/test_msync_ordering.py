@@ -43,7 +43,7 @@ class TestMsyncDrainsBackgroundWriteback:
     def test_background_writeback_queues_completions(self):
         stack = self._stack()
         file = stack.allocator.create("wal", 64 * PAGE)
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         mapping = stack.engine.mmap(thread, file)
         _dirty_pages_until_writeback(stack.engine, mapping, thread, 64)
         assert stack.engine._wb_inflight, (
@@ -56,7 +56,7 @@ class TestMsyncDrainsBackgroundWriteback:
     def test_msync_waits_for_queued_completions(self):
         stack = self._stack()
         file = stack.allocator.create("wal", 64 * PAGE)
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         mapping = stack.engine.mmap(thread, file)
         _dirty_pages_until_writeback(stack.engine, mapping, thread, 64)
         assert stack.engine._wb_inflight
@@ -72,7 +72,7 @@ class TestMsyncDrainsBackgroundWriteback:
     def test_msync_idempotent_after_drain(self):
         stack = self._stack()
         file = stack.allocator.create("wal", 64 * PAGE)
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         mapping = stack.engine.mmap(thread, file)
         _dirty_pages_until_writeback(stack.engine, mapping, thread, 64)
         mapping.msync(thread)
@@ -86,7 +86,7 @@ class TestMsyncDrainsBackgroundWriteback:
     def test_durable_bytes_match_after_msync(self):
         stack = self._stack()
         file = stack.allocator.create("wal", 64 * PAGE)
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         mapping = stack.engine.mmap(thread, file)
         payloads = {}
         for page in range(64):
@@ -115,7 +115,7 @@ class TestAppendCacheCoherence:
     def test_append_patches_dirty_cached_page(self, kind):
         """A dirty cached frame overlapping an append must not clobber it."""
         stack, env = self._env(kind)
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         file = env.write_file(thread, "wal/0.log", bytes(8 * PAGE))
 
         # Dirty page 0 through the mapping, leaving a dirty cached frame.
@@ -137,7 +137,7 @@ class TestAppendCacheCoherence:
 
     def test_append_spanning_pages_stays_coherent(self, kind):
         stack, env = self._env(kind)
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         file = env.write_file(thread, "wal/1.log", bytes(8 * PAGE))
         mapping = env.mapping_of(thread, file)
         # Dirty both pages the append will straddle.

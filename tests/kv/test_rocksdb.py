@@ -27,25 +27,25 @@ def db(request):
 
 class TestBasics:
     def test_put_get(self, db):
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         db.put(thread, b"k", b"v")
         assert db.get(thread, b"k") == b"v"
         assert db.get(thread, b"missing") is None
 
     def test_overwrite(self, db):
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         db.put(thread, b"k", b"v1")
         db.put(thread, b"k", b"v2")
         assert db.get(thread, b"k") == b"v2"
 
     def test_delete(self, db):
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         db.put(thread, b"k", b"v")
         db.delete(thread, b"k")
         assert db.get(thread, b"k") is None
 
     def test_get_spans_memtable_and_ssts(self, db):
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         for i in range(200):   # 200 * ~72B > the 8 KiB memtable
             db.put(thread, b"key-%04d" % i, b"val-%04d" % i + b"x" * 64)
         assert db.stats()["flushes"] > 0
@@ -53,7 +53,7 @@ class TestBasics:
             assert db.get(thread, b"key-%04d" % i) == b"val-%04d" % i + b"x" * 64
 
     def test_delete_survives_flush_and_compaction(self, db):
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         for i in range(100):
             db.put(thread, b"key-%04d" % i, b"v")
         db.delete(thread, b"key-0050")
@@ -65,7 +65,7 @@ class TestBasics:
 
 class TestScan:
     def test_scan_sorted(self, db):
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         for i in range(100):
             db.put(thread, b"key-%04d" % i, b"v-%d" % i)
         db.flush(thread)
@@ -73,7 +73,7 @@ class TestScan:
         assert [k for k, _ in result] == [b"key-%04d" % i for i in range(20, 30)]
 
     def test_scan_merges_memtable_over_sst(self, db):
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         for i in range(50):
             db.put(thread, b"key-%04d" % i, b"old")
         db.flush(thread)
@@ -82,7 +82,7 @@ class TestScan:
         assert result[b"key-0025"] == b"NEW"
 
     def test_scan_skips_deleted(self, db):
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         for i in range(10):
             db.put(thread, b"key-%04d" % i, b"v")
         db.delete(thread, b"key-0003")
@@ -92,7 +92,7 @@ class TestScan:
 
 class TestDurability:
     def test_wal_written(self, db):
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         writes_before = None
         db.put(thread, b"k", b"v")
         # Every put appends to the WAL on the device.
@@ -112,7 +112,7 @@ def test_model_equivalence_random_workload(mode, seed):
         memtable_bytes=8 * units.KIB,
         sst_bytes=16 * units.KIB,
     )
-    thread = SimThread(core=0)
+    thread = SimThread(core=0, tid=0)
     rng = random.Random(seed)
     model = {}
     keyspace = [b"key-%03d" % i for i in range(60)]

@@ -54,19 +54,19 @@ class TestBuilder:
 
 class TestSSTable:
     def test_get_every_key(self, env):
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         table = build_sst(env, thread, "t.sst", iter(_entries(300)))
         for key, value in _entries(300):
             assert table.get(thread, key) == value
 
     def test_get_missing(self, env):
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         table = build_sst(env, thread, "t.sst", iter(_entries(50)))
         assert table.get(thread, b"key-999999") is None
         assert table.get(thread, b"aaa") is None
 
     def test_bloom_short_circuits(self, env):
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         table = build_sst(env, thread, "t.sst", iter(_entries(100)))
         reads_before = table.block_reads
         for i in range(50):
@@ -76,19 +76,19 @@ class TestSSTable:
         assert table.bloom_negatives >= 47
 
     def test_scan_from(self, env):
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         table = build_sst(env, thread, "t.sst", iter(_entries(100)))
         result = table.scan_from(thread, b"key-000050", 10)
         assert [k for k, _ in result] == [b"key-%06d" % i for i in range(50, 60)]
 
     def test_iterate_all_in_order(self, env):
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         entries = _entries(200)
         table = build_sst(env, thread, "t.sst", iter(entries))
         assert list(table.iterate_all(thread)) == entries
 
     def test_overlaps(self, env):
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         table = build_sst(env, thread, "t.sst", iter(_entries(10)))
         assert table.overlaps(b"key-000005", b"key-000099")
         assert table.overlaps(b"a", b"z")
@@ -96,11 +96,11 @@ class TestSSTable:
         assert not table.overlaps(b"a", b"b")
 
     def test_empty_build_returns_none(self, env):
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         assert build_sst(env, thread, "e.sst", iter([])) is None
 
     def test_large_values_span_blocks(self, env):
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         entries = [(b"k%02d" % i, bytes([i]) * 1500) for i in range(20)]
         table = build_sst(env, thread, "big.sst", iter(entries))
         for key, value in entries:
@@ -108,7 +108,7 @@ class TestSSTable:
 
     def test_reopen_from_same_file(self, env):
         """Index/filter are rebuilt from on-device bytes."""
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         entries = _entries(100)
         table = build_sst(env, thread, "t.sst", iter(entries))
         reopened = SSTable(env, table.file, thread, table.first_key, table.last_key)

@@ -16,7 +16,7 @@ def _setup(cache_pages=64):
     io = ExplicitIOEngine(machine, cache_pages=cache_pages)
     allocator = ExtentAllocator(device)
     file = allocator.create("data", 64 * units.PAGE_SIZE)
-    return io, file, SimThread(core=0)
+    return io, file, SimThread(core=0, tid=0)
 
 
 class TestPread:

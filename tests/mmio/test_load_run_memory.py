@@ -23,7 +23,7 @@ def _transient_bytes(length):
     """Peak traced bytes of one all-hit ``load_run`` beyond what it returns."""
     stack = make_aquila_stack("pmem", cache_pages=16)
     file = stack.allocator.create("words", FILE_PAGES * units.PAGE_SIZE)
-    thread = SimThread(core=0)
+    thread = SimThread(core=0, tid=0)
     mapping = stack.engine.mmap(thread, file)
     for page in range(FILE_PAGES):
         mapping.load(thread, page * units.PAGE_SIZE, 8)

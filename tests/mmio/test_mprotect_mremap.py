@@ -11,7 +11,7 @@ from repro.sim.executor import SimThread
 def _setup(make_stack, file_pages=32, cache_pages=64):
     stack = make_stack(cache_pages=cache_pages)
     file = stack.allocator.create("data", file_pages * units.PAGE_SIZE)
-    thread = SimThread(core=0)
+    thread = SimThread(core=0, tid=0)
     return stack, file, thread, stack.engine.mmap(thread, file)
 
 

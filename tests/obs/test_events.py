@@ -29,7 +29,7 @@ def _globals_off():
 
 def _tiny_workload():
     """Charge a few categories + counters deterministically in the active scope."""
-    clock = SimThread(core=0).clock
+    clock = SimThread(core=0, tid=0).clock
     clock.charge("app.get", 100)
     clock.charge("fault.vma_lookup", 40)
     clock.wait_until(2540, "idle.io.fault")
@@ -65,7 +65,7 @@ class TestSnapshotShape:
 
     def test_traced_spans_are_counted_but_not_attributed(self):
         with TRACER.isolated(enable=True), METRICS.isolated(enable=True):
-            clock = SimThread(core=0).clock
+            clock = SimThread(core=0, tid=0).clock
             with TRACER.span("op.get", clock):
                 clock.charge("app.get", 100)
             telemetry = collect_cell_telemetry()

@@ -45,7 +45,7 @@ def _faulty_run(seed=SEED):
             "nvme", cache_pages=32, capacity_bytes=16 * units.MIB
         )
         file = stack.allocator.create("workload", 64 * PAGE)
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         mapping = stack.engine.mmap(thread, file)
         rng = rand.stream(seed, "fault-metrics.workload")
         for index in range(300):

@@ -5,6 +5,9 @@ import pytest
 from repro.obs import METRICS
 from repro.obs.metrics import COUNTER_WRAP, Counter, Histogram, MetricsRegistry
 
+#: What an enabled registry with no lock activity reports for its lock totals.
+ZERO_LOCKS = {"locks.acquisitions": 0, "locks.contended": 0, "locks.wait_cycles": 0.0}
+
 
 @pytest.fixture
 def registry():
@@ -126,14 +129,14 @@ class TestIsolated:
         registry.counter("outer.count").inc(3)
         with registry.isolated(enable=True):
             registry.counter("inner.count").inc(7)
-            assert registry.snapshot() == {"inner.count": 7}
-        assert registry.snapshot() == {"outer.count": 3}
+            assert registry.snapshot() == {"inner.count": 7, **ZERO_LOCKS}
+        assert registry.snapshot() == {"outer.count": 3, **ZERO_LOCKS}
 
     def test_isolated_restores_disabled_flag(self):
         registry = MetricsRegistry()   # disabled
         with registry.isolated(enable=True):
             registry.counter("c").inc(2)
-            assert registry.snapshot() == {"c": 2}
+            assert registry.snapshot() == {"c": 2, **ZERO_LOCKS}
         registry.counter("c2").inc(5)  # mutation is a no-op again outside
         assert registry.snapshot() == {"c2": 0}
 
@@ -141,10 +144,10 @@ class TestIsolated:
         registry.register_probe("outer.probe", lambda: 1)
         assert registry.unique_prefix("dev") == "dev"
         with registry.isolated(enable=True):
-            assert registry.snapshot() == {}
+            assert registry.snapshot() == ZERO_LOCKS
             # Fresh prefix table: the same prefix is available again.
             assert registry.unique_prefix("dev") == "dev"
-        assert registry.snapshot() == {"outer.probe": 1}
+        assert registry.snapshot() == {"outer.probe": 1, **ZERO_LOCKS}
         assert registry.unique_prefix("dev") == "dev#1"
 
 
@@ -194,7 +197,7 @@ class TestRegistry:
             raise RuntimeError("torn down")
 
         registry.register_probe("broken", broken)
-        assert registry.snapshot() == {"broken": None}
+        assert registry.snapshot() == {"broken": None, **ZERO_LOCKS}
 
     def test_snapshot_sorted_and_mixed(self, registry):
         registry.counter("b.count").inc(2)
@@ -202,14 +205,14 @@ class TestRegistry:
         h = registry.histogram("c.hist", buckets=[10])
         h.observe(4)
         snap = registry.snapshot()
-        assert list(snap) == ["a.level", "b.count", "c.hist"]
+        assert list(snap) == ["a.level", "b.count", "c.hist", *ZERO_LOCKS]
         assert snap["c.hist"]["count"] == 1
 
     def test_reset_drops_everything(self, registry):
         registry.counter("c").inc()
         registry.register_probe("p", lambda: 1)
         registry.reset()
-        assert registry.snapshot() == {}
+        assert registry.snapshot() == ZERO_LOCKS
 
 
 class TestEnableHelpers:
@@ -228,13 +231,11 @@ class TestLockTotals:
         from repro.sim.clock import CycleClock
         from repro.sim.locks import SpinlockTimeline
 
-        registry = MetricsRegistry(lock_totals=True)
+        registry = MetricsRegistry()
         registry.enable()
         registry.locks.acquisitions = 5
         with registry.isolated(enable=True):
-            assert registry.snapshot() == {
-                "locks.acquisitions": 0, "locks.contended": 0, "locks.wait_cycles": 0.0
-            }
+            assert registry.snapshot() == ZERO_LOCKS
         assert registry.snapshot()["locks.acquisitions"] == 5
         registry.reset()
         assert registry.snapshot()["locks.acquisitions"] == 0
@@ -252,5 +253,5 @@ class TestLockTotals:
         assert snap["locks.wait_cycles"] == lock.total_wait_cycles == 100.0
 
     def test_disabled_registry_reports_no_lock_totals(self):
-        registry = MetricsRegistry(lock_totals=True)
+        registry = MetricsRegistry()
         assert registry.snapshot() == {}

@@ -205,7 +205,7 @@ class TestChromeExport:
             tracer = enable_tracing(capacity=1 << 12)
             stack = make_aquila_stack("pmem", cache_pages=128)
             file = stack.allocator.create("det-data", 64 * units.PAGE_SIZE)
-            thread = SimThread(core=0, name="det-thread")
+            thread = SimThread(core=0, name="det-thread", tid=0)
             mapping = stack.engine.mmap(thread, file)
             mapping.madvise(thread, MADV_RANDOM)
             for page in range(48):

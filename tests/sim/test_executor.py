@@ -17,7 +17,7 @@ def _workload(thread, costs):
 class TestExecutor:
     def test_runs_all_ops(self):
         executor = Executor()
-        t1, t2 = SimThread(core=0), SimThread(core=1)
+        t1, t2 = SimThread(core=0, tid=0), SimThread(core=1, tid=1)
         executor.add(t1, _workload(t1, [10] * 5))
         executor.add(t2, _workload(t2, [10] * 3))
         result = executor.run()
@@ -36,8 +36,8 @@ class TestExecutor:
                 yield
 
         executor = Executor()
-        fast = SimThread(core=0, name="fast")
-        slow = SimThread(core=1, name="slow")
+        fast = SimThread(core=0, name="fast", tid=0)
+        slow = SimThread(core=1, name="slow", tid=1)
         executor.add(fast, tracked(fast, 10, 10))
         executor.add(slow, tracked(slow, 100, 10))
         executor.run()
@@ -47,7 +47,7 @@ class TestExecutor:
 
     def test_makespan(self):
         executor = Executor()
-        t1, t2 = SimThread(core=0), SimThread(core=1)
+        t1, t2 = SimThread(core=0, tid=0), SimThread(core=1, tid=1)
         executor.add(t1, _workload(t1, [100]))
         executor.add(t2, _workload(t2, [250]))
         result = executor.run()
@@ -59,7 +59,7 @@ class TestExecutor:
             yield
 
         executor = Executor()
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         thread.clock.now = 100
         executor.add(thread, evil(thread))
         with pytest.raises(SimulationError):
@@ -72,14 +72,14 @@ class TestExecutor:
                 yield
 
         executor = Executor()
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         executor.add(thread, forever(thread))
         with pytest.raises(SimulationError):
             executor.run(max_ops=100)
 
     def test_latencies_recorded(self):
         executor = Executor()
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         executor.add(thread, _workload(thread, [5, 15, 25]))
         result = executor.run()
         merged = result.merged_latencies()
@@ -88,7 +88,7 @@ class TestExecutor:
 
     def test_merged_breakdown(self):
         executor = Executor()
-        t1, t2 = SimThread(core=0), SimThread(core=1)
+        t1, t2 = SimThread(core=0, tid=0), SimThread(core=1, tid=1)
         executor.add(t1, _workload(t1, [10]))
         executor.add(t2, _workload(t2, [20]))
         result = executor.run()
@@ -96,7 +96,7 @@ class TestExecutor:
 
     def test_throughput(self):
         executor = Executor()
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         executor.add(thread, _workload(thread, [2_400_000_000]))
         result = executor.run()
         assert result.throughput_ops_per_sec() == pytest.approx(1.0)

@@ -87,7 +87,7 @@ def _driver(workload, ops=300, records=300):
         value_bytes=64,
     )
     driver = YCSBDriver(db, config)
-    loader = SimThread(core=0)
+    loader = SimThread(core=0, tid=0)
     driver.load(loader)
     db.flush(loader)
     return driver, db
@@ -97,7 +97,7 @@ class TestDriver:
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_mix_roughly_respected(self, workload):
         driver, _ = _driver(workload, ops=400)
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         executor = Executor()
         executor.add(thread, driver.run_workload(thread, 400))
         executor.run()
@@ -120,7 +120,7 @@ class TestDriver:
 
     def test_no_not_found_on_loaded_data(self):
         driver, _ = _driver("C", ops=200)
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         executor = Executor()
         executor.add(thread, driver.run_workload(thread, 200))
         executor.run()
@@ -128,7 +128,7 @@ class TestDriver:
 
     def test_inserts_extend_keyspace(self):
         driver, db = _driver("D", ops=300, records=100)
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         executor = Executor()
         executor.add(thread, driver.run_workload(thread, 300))
         executor.run()
@@ -139,7 +139,7 @@ class TestDriver:
 
     def test_scans_return_items(self):
         driver, _ = _driver("E", ops=100)
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         executor = Executor()
         executor.add(thread, driver.run_workload(thread, 100))
         executor.run()
@@ -148,7 +148,7 @@ class TestDriver:
 
     def test_latencies_recorded_per_op(self):
         driver, _ = _driver("A", ops=150)
-        thread = SimThread(core=0)
+        thread = SimThread(core=0, tid=0)
         executor = Executor()
         executor.add(thread, driver.run_workload(thread, 150))
         result = executor.run()
